@@ -71,6 +71,7 @@ from .errors import (
     DegenerateSubstrateError,
     MixedRheologyError,
     RegimeMismatchError,
+    StepLimitError,
     UnsupportedPairError,
 )
 from .friction import (
@@ -156,5 +157,6 @@ __all__ = [
     "MixedRheologyError",
     "RegimeMismatchError",
     "UnsupportedPairError",
+    "StepLimitError",
     "ConfigError",
 ]

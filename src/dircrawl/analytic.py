@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .errors import MixedRheologyError, RegimeMismatchError
 from .friction import FrictionLaw, alpha, directional_pair
@@ -137,25 +137,107 @@ def _rate_independent_coefficients(law: FrictionLaw) -> tuple[float, float] | No
     return None
 
 
-def _adaptive_simpson(
-    f: Callable[[float], float], a: float, b: float, tol: float, depth: int = 48
+# 8-point Gauss–Legendre nodes on [-1, 1] with their weights, equal to
+# numpy.polynomial.legendre.leggauss(8).  Literals, because importing
+# numpy.polynomial costs more resident memory than the whole rule saves.
+_GL8 = (
+    (-0.9602898564975362, 0.10122853629037706),
+    (-0.7966664774136267, 0.22238103445337443),
+    (-0.525532409916329, 0.3137066458778869),
+    (-0.18343464249564978, 0.36268378337836166),
+    (0.18343464249564978, 0.36268378337836166),
+    (0.525532409916329, 0.3137066458778869),
+    (0.7966664774136267, 0.22238103445337443),
+    (0.9602898564975362, 0.10122853629037706),
+)
+
+_Sample = tuple[float, float, Hashable]  # (t, value, key)
+
+
+def _gauss8(
+    f: Callable[[float], tuple[float, Hashable]], a: float, b: float
+) -> tuple[float, list[_Sample]]:
+    """The 8-point rule over [a, b] and the samples it took."""
+    half = 0.5 * (b - a)
+    mid = a + half
+    total = 0.0
+    samples = []
+    for x, w in _GL8:
+        t = mid + half * x
+        value, key = f(t)
+        total += w * value
+        samples.append((t, value, key))
+    return half * total, samples
+
+
+def _key_switch(
+    f: Callable[[float], tuple[float, Hashable]], samples: list[_Sample], tol: float
+) -> float | None:
+    """Time where the key changes between the first two neighbouring samples
+    whose keys differ, or None when all keys agree.
+
+    The switch is bracketed by bisection until placing the cut anywhere in
+    the bracket moves the integral by at most ``tol``.
+    """
+    for (t0, v0, k0), (t1, v1, k1) in zip(samples, samples[1:]):
+        if k0 != k1:
+            break
+    else:
+        return None
+    while abs(v1 - v0) * (t1 - t0) > tol:
+        tm = 0.5 * (t0 + t1)
+        if not t0 < tm < t1:
+            break
+        vm, km = f(tm)
+        if km == k0:
+            t0, v0 = tm, vm
+        else:
+            t1, v1 = tm, vm
+    return 0.5 * (t0 + t1)
+
+
+def adaptive_gauss(
+    f: Callable[[float], tuple[float, Hashable]],
+    a: float,
+    b: float,
+    tol: float,
+    depth: int = 30,
 ) -> float:
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    """Integral over ``[a, b]`` of ``value`` where ``f(t) = (value, key)``.
 
-    def recurse(a, fa, b, fb, fm, whole, tol, depth):
+    This is the package's one quadrature routine.  ``key`` tags the
+    structure the integrand was computed under (``None`` when there is
+    none).  Wherever two neighbouring samples differ in key, the interval
+    is cut at the switch, located by bisection, and each side is integrated
+    on its own: an integrand that jumps or kinks between nodes can
+    otherwise fool the error estimate.  Each piece compares the 8-point
+    Gauss–Legendre rule against the same rule on its two halves and
+    subdivides until they agree within ``tol * max(1, |integral|)``.
+    """
+    whole, samples = _gauss8(f, a, b)
+    return _gauss_refine(f, a, b, whole, samples, tol, depth)
+
+
+def _gauss_refine(f, a, b, whole, samples, tol, depth):
+    cut = _key_switch(f, samples, tol)
+    if cut is None:
         m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, fa, m, fm, flm, left, 0.5 * tol, depth - 1) + recurse(
-            m, fm, b, fb, frm, right, 0.5 * tol, depth - 1
-        )
-
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return recurse(a, fa, b, fb, fm, whole, tol, depth)
+        left, left_samples = _gauss8(f, a, m)
+        right, right_samples = _gauss8(f, m, b)
+        merged = sorted(samples + left_samples + right_samples, key=lambda s: s[0])
+        cut = _key_switch(f, merged, tol)
+        if cut is None:
+            estimate = left + right
+            if depth <= 0 or abs(estimate - whole) <= tol * max(1.0, abs(estimate)):
+                return estimate
+            return _gauss_refine(
+                f, a, m, left, left_samples, 0.5 * tol, depth - 1
+            ) + _gauss_refine(f, m, b, right, right_samples, 0.5 * tol, depth - 1)
+    if depth <= 0:
+        return whole
+    return adaptive_gauss(f, a, cut, 0.5 * tol, depth - 1) + adaptive_gauss(
+        f, cut, b, 0.5 * tol, depth - 1
+    )
 
 
 def _monotone_pieces(
@@ -204,7 +286,7 @@ def breather_cycle_displacement(
     For dry and Newtonian substrates the velocity is linear in the rate, so
     each monotone piece contributes ``coefficient * (length change)`` exactly
     and the result is independent of how fast the path is traced.  General
-    laws are integrated with adaptive Simpson quadrature split at the rate's
+    laws are integrated with :func:`adaptive_gauss` split at the rate's
     sign changes.
     """
     if period <= 0.0:
@@ -223,11 +305,11 @@ def breather_cycle_displacement(
             total += (c_up if dl > 0.0 else c_down) * dl if dl != 0.0 else 0.0
         else:
 
-            def integrand(t: float) -> float:
+            def integrand(t: float) -> tuple[float, None]:
                 ldot = profile_rate(t)
-                return breather_velocity(law, ldot) if ldot != 0.0 else 0.0
+                return (breather_velocity(law, ldot) if ldot != 0.0 else 0.0), None
 
-            total += _adaptive_simpson(integrand, t0, t1, tol)
+            total += adaptive_gauss(integrand, t0, t1, tol)
     return total
 
 

@@ -358,6 +358,8 @@ class CompositeStride:
         tol = 1e-12 * (self.h * (self.lam + self.delta)) ** 2
         if abs(b1 * c2 - b2 * c1) > tol or abs(d1 * a2 - d2 * a1) > tol:
             raise ValueError("scaling edges failed the proportionality check")
+        # Built once: shape_at/rate_at run once per balance solve.
+        object.__setattr__(self, "_path", self.as_path())
 
     @property
     def vertices(self) -> tuple[tuple[float, float], ...]:
@@ -383,10 +385,10 @@ class CompositeStride:
         return (0.0, q, 2.0 * q, 3.0 * q, self.period)
 
     def shape_at(self, t: float) -> PiecewiseAffineShape:
-        return self.as_path().shape_at(t)
+        return self._path.shape_at(t)
 
     def rate_at(self, t: float) -> ShapeRate:
-        return self.as_path().rate_at(t)
+        return self._path.rate_at(t)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ field.  Numbers are emitted with ``output.precision`` significant digits
 diffable.
 
 Exit codes: 0 success, 1 runtime/solver failure (or failed verification),
-2 configuration error.
+2 configuration error, including a step too small to integrate.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .body import (
     SquareWave,
     TwoSegmentPath,
 )
-from .errors import ConfigError, UnsupportedPairError
+from .errors import ConfigError, StepLimitError, UnsupportedPairError
 from .friction import FrictionLaw
 
 SCHEMA_VERSION = 1
@@ -563,7 +563,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(cfg, out)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, StepLimitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # solver/runtime failures

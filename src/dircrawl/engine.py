@@ -2,20 +2,24 @@
 
 Because the substrate is homogeneous, the solved left-end velocity depends
 on time only (never on position), so trajectories are pure quadrature of
-``x1dot(t)``.  The integrator is composite midpoint with sample points
-forced at every gait corner/stage boundary; between corners the velocity is
-smooth (often constant), so midpoint keeps full accuracy with no special
-handling of kinks.
+``x1dot(t)``.  Two integrators share the gait's stage boundaries (corners):
+
+* the midpoint grid, composite midpoint with sample points forced at every
+  corner, which ``simulate`` always uses and ``cycle_displacement`` uses
+  when given an explicit ``dt``;
+* the default per-cycle integrator, :func:`dircrawl.analytic.adaptive_gauss`
+  on each stage, split wherever the balance structure (regime and the sign
+  pattern of the velocity field) changes inside the stage.  Between such
+  switches the velocity is smooth, often constant, so a few Gauss–Legendre
+  nodes per piece reach the accuracy of thousands of midpoint steps.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Any, Sequence
+from typing import Any, Sequence, Union
 
 import numpy as np
 
@@ -28,7 +32,12 @@ from .body import (
     GaitProgram,
     SquareWave,
 )
-from .errors import DegenerateSubstrateError, MixedRheologyError, UnsupportedPairError
+from .errors import (
+    DegenerateSubstrateError,
+    MixedRheologyError,
+    StepLimitError,
+    UnsupportedPairError,
+)
 from .friction import FrictionLaw
 
 __all__ = [
@@ -48,6 +57,12 @@ __all__ = [
 ]
 
 _DEFAULT_STEPS_PER_PERIOD = 2000
+# Most midpoint steps one call may take; a smaller dt raises StepLimitError
+# before any grid is built.
+_MAX_STEPS = 1_000_000
+# Error tolerance of the default per-cycle integrator on each stage,
+# relative to max(1, |stage displacement|).
+_CYCLE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -73,7 +88,13 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class CycleReport:
-    """Per-cycle displacement accounting for one gait period."""
+    """Per-cycle displacement accounting for one gait period.
+
+    ``n_steps`` is the number of balance solves the cycle took; each one is
+    counted once in ``meta["regime_counts"]``.  ``dt`` is the target step of
+    the midpoint grid, or None when the default stage-wise Gauss–Legendre
+    integrator ran (its solves are quadrature nodes, not steps of one size).
+    """
 
     gait_kind: str
     net_displacement: float
@@ -83,25 +104,44 @@ class CycleReport:
     rel_residual: float | None
     admissibility: analytic.WaveAdmissibility | None
     n_steps: int
-    dt: float
+    dt: float | None
     meta: dict[str, Any]
 
 
-def _stage_grid(gait: GaitProgram, dt: float) -> tuple[list[float], list[int]]:
-    """One period of sample times plus the stage index of each step."""
+def _stage_spans(gait: GaitProgram) -> list[tuple[float, float]]:
+    """The gait's stages in one period, between consecutive corner times."""
     T = gait.period
     corners = sorted({min(max(c, 0.0), T) for c in gait.corner_times()} | {0.0, T})
+    return list(zip(corners, corners[1:]))
+
+
+def _stage_grid(
+    gait: GaitProgram, dt: float, n_periods: int = 1
+) -> tuple[list[float], list[int]]:
+    """One period of sample times plus the stage index of each step.
+
+    Raises :class:`StepLimitError` when ``n_periods`` periods at ``dt``
+    would take more than ``_MAX_STEPS`` steps, before building anything.
+    """
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    spans = _stage_spans(gait)
+    # Upper bound on the step count below; float arithmetic, so a tiny dt
+    # cannot make it build a huge integer or list.
+    steps = n_periods * (gait.period / dt + len(spans))
+    if not steps <= _MAX_STEPS:
+        raise StepLimitError(
+            f"dt={dt!r} needs about {steps:.3g} steps for {n_periods} period(s), "
+            f"more than the limit of {_MAX_STEPS}"
+        )
     times: list[float] = [0.0]
     stages: list[int] = []
-    for k in range(len(corners) - 1):
-        a, b = corners[k], corners[k + 1]
-        if b <= a:
-            continue
+    for k, (a, b) in enumerate(spans):
         n = max(1, math.ceil((b - a) / dt - 1e-9))
         for j in range(1, n + 1):
             times.append(a + (b - a) * j / n)
             stages.append(k)
-    times[-1] = T
+    times[-1] = gait.period
     return times, stages
 
 
@@ -114,18 +154,17 @@ def simulate(
 ) -> Trajectory:
     """Integrate the gait for ``n_periods`` periods starting from ``x0``.
 
-    ``dt`` is the target step within each stage (default: period/2000);
-    stage boundaries are always sampled exactly.
+    Always on the midpoint grid: ``dt`` is the target step within each
+    stage (default: period/2000); stage boundaries are always sampled
+    exactly.
     """
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
     T = gait.period
     if dt is None:
         dt = T / _DEFAULT_STEPS_PER_PERIOD
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
 
-    period_times, _ = _stage_grid(gait, dt)
+    period_times, _ = _stage_grid(gait, dt, n_periods)
     times: list[float] = [0.0]
     for p in range(n_periods):
         offset = p * T
@@ -171,11 +210,18 @@ _STAGE_LABELS = {
 }
 
 
+# Stage or edge breakdown of a closed form, where verify checks one.
+_Breakdown = Union[analytic.SlidingDisplacement, analytic.StrideDisplacement, None]
+
+
 def _analytic_cycle_value(
     law: FrictionLaw, gait: GaitProgram
-) -> tuple[float | None, analytic.WaveAdmissibility | None, str | None]:
+) -> tuple[
+    float | None, analytic.WaveAdmissibility | None, str | None, _Breakdown
+]:
     """Closed-form per-cycle displacement when one exists, plus wave
-    admissibility and a note when no closed form applies."""
+    admissibility, a note when no closed form applies, and the stage or
+    edge breakdown of the closed form for sliding waves and strides."""
     if isinstance(gait, Breather):
         value = analytic.breather_cycle_displacement(
             law,
@@ -184,7 +230,7 @@ def _analytic_cycle_value(
             gait.period,
             corners=gait.monotone_corners(),
         )
-        return value, None, None
+        return value, None, None, None
     if isinstance(gait, ConstantLength):
         value = analytic.breather_cycle_displacement(
             law,
@@ -193,42 +239,37 @@ def _analytic_cycle_value(
             gait.period,
             corners=gait.monotone_corners(),
         )
-        return value, None, None
+        return value, None, None, None
     if isinstance(gait, CompositeStride):
         try:
             stride = analytic.composite_stride_displacement(
                 law, gait.lam, gait.delta, gait.h
             )
         except MixedRheologyError as exc:
-            return None, None, str(exc)
-        return stride.total, None, None
+            return None, None, str(exc), None
+        return stride.total, None, None, stride
     if isinstance(gait, SquareWave):
         adm = analytic.wave_admissibility(
             law, gait.epsilon, gait.speed, gait.delta, gait.ref_length
         )
         if adm.regime == "stick_slip":
-            return analytic.stickslip_displacement(gait.epsilon, gait.delta), adm, None
+            value = analytic.stickslip_displacement(gait.epsilon, gait.delta)
+            return value, adm, None, None
         if adm.regime == "sliding":
             sliding = analytic.sliding_cycle_displacement(
                 law, gait.epsilon, gait.speed, gait.delta, gait.ref_length
             )
-            return sliding.total, adm, None
-        return None, adm, f"wave infeasible: {adm.violated_condition}"
-    return None, None, f"no closed form for gait {type(gait).__name__}"
+            return sliding.total, adm, None, sliding
+        return None, adm, f"wave infeasible: {adm.violated_condition}", None
+    return None, None, f"no closed form for gait {type(gait).__name__}", None
 
 
-def cycle_displacement(
-    law: FrictionLaw, gait: GaitProgram, dt: float | None = None
-) -> CycleReport:
-    """Simulate one period and attach the matching closed form when one
-    exists (simulation always runs, even for infeasible wave requests)."""
-    T = gait.period
-    if dt is None:
-        dt = T / _DEFAULT_STEPS_PER_PERIOD
+def _midpoint_cycle(
+    law: FrictionLaw, gait: GaitProgram, dt: float
+) -> tuple[float, list[float], dict[str, int]]:
+    """Net displacement, per-stage sums and regime counts on the midpoint grid."""
     period_times, stages = _stage_grid(gait, dt)
-
-    n_stages = max(stages) + 1 if stages else 1
-    stage_sums = [0.0] * n_stages
+    stage_sums = [0.0] * (stages[-1] + 1)
     x = 0.0
     regime_counts: dict[str, int] = {}
     for i in range(len(period_times) - 1):
@@ -238,14 +279,45 @@ def cycle_displacement(
         x += dx
         stage_sums[stages[i]] += dx
         regime_counts[sol.regime] = regime_counts.get(sol.regime, 0) + 1
+    return x, stage_sums, regime_counts
+
+
+def _gauss_cycle(
+    law: FrictionLaw, gait: GaitProgram
+) -> tuple[float, list[float], dict[str, int]]:
+    """Net displacement, per-stage integrals and regime counts from the
+    stage-wise adaptive Gauss–Legendre integrator."""
+    regime_counts: dict[str, int] = {}
+
+    def velocity(t: float) -> tuple[float, tuple[str, tuple[int, ...]]]:
+        rate = gait.rate_at(t)
+        sol = solve_velocity(law, gait.shape_at(t), rate)
+        regime_counts[sol.regime] = regime_counts.get(sol.regime, 0) + 1
+        x = sol.x1dot
+        signs = tuple((x + r > 0.0) - (x + r < 0.0) for pair in rate.seg_rates for r in pair)
+        return x, (sol.regime, signs)
+
+    stage_sums = [
+        analytic.adaptive_gauss(velocity, a, b, _CYCLE_TOL) for a, b in _stage_spans(gait)
+    ]
+    return sum(stage_sums), stage_sums, regime_counts
+
+
+def _cycle(
+    law: FrictionLaw, gait: GaitProgram, dt: float | None
+) -> tuple[CycleReport, _Breakdown]:
+    if dt is None:
+        x, stage_sums, regime_counts = _gauss_cycle(law, gait)
+    else:
+        x, stage_sums, regime_counts = _midpoint_cycle(law, gait, dt)
 
     labels = _STAGE_LABELS.get(type(gait))
-    if labels is not None and len(labels) == n_stages:
+    if labels is not None and len(labels) == len(stage_sums):
         contributions = tuple(zip(labels, stage_sums))
     else:
         contributions = tuple((f"stage_{k}", s) for k, s in enumerate(stage_sums))
 
-    value, adm, note = _analytic_cycle_value(law, gait)
+    value, adm, note, breakdown = _analytic_cycle_value(law, gait)
     abs_res = abs(x - value) if value is not None else None
     rel_res = abs_res / max(1.0, abs(value)) if value is not None else None
 
@@ -254,7 +326,7 @@ def cycle_displacement(
         meta["note"] = note
     if isinstance(gait, CompositeStride):
         meta["edge_parameterization"] = "constant speed in shape space over quarter periods"
-    return CycleReport(
+    report = CycleReport(
         gait_kind=type(gait).__name__,
         net_displacement=x,
         contributions=contributions,
@@ -262,10 +334,23 @@ def cycle_displacement(
         abs_residual=abs_res,
         rel_residual=rel_res,
         admissibility=adm,
-        n_steps=len(period_times) - 1,
+        n_steps=sum(regime_counts.values()),
         dt=dt,
         meta=meta,
     )
+    return report, breakdown
+
+
+def cycle_displacement(
+    law: FrictionLaw, gait: GaitProgram, dt: float | None = None
+) -> CycleReport:
+    """Integrate one period and attach the matching closed form when one
+    exists (integration always runs, even for infeasible wave requests).
+
+    With ``dt=None`` the default stage-wise Gauss–Legendre integrator runs;
+    an explicit ``dt`` selects the midpoint grid that ``simulate`` uses.
+    """
+    return _cycle(law, gait, dt)[0]
 
 
 @dataclass(frozen=True)
@@ -302,35 +387,30 @@ def verify(
     Raises :class:`UnsupportedPairError` when no closed form covers the
     (law, gait) pair.
     """
-    report = cycle_displacement(law, gait, dt=dt)
+    report, breakdown = _cycle(law, gait, dt)
     if report.analytic_value is None:
         raise UnsupportedPairError(
             f"no closed-form reference for {type(gait).__name__} on this substrate"
             + (f" ({report.meta.get('note')})" if report.meta.get("note") else "")
         )
     checks = [_check("cycle_displacement", report.net_displacement, report.analytic_value, tol)]
-    if isinstance(gait, SquareWave) and report.admissibility is not None:
-        if report.admissibility.regime == "sliding":
-            sliding = analytic.sliding_cycle_displacement(
-                law, gait.epsilon, gait.speed, gait.delta, gait.ref_length
+    if isinstance(breakdown, analytic.SlidingDisplacement):
+        for label, target in zip(
+            ("wave_enter", "wave_inside", "wave_exit"),
+            (breakdown.enter, breakdown.inside, breakdown.exit),
+        ):
+            numeric = dict(report.contributions)[label]
+            checks.append(_check(f"stage:{label}", numeric, target, tol))
+        checks.append(
+            _check(
+                "stage_identity_exit_minus_enter",
+                breakdown.exit - breakdown.enter,
+                gait.epsilon * gait.delta,
+                1e-10,
             )
-            for label, target in zip(
-                ("wave_enter", "wave_inside", "wave_exit"),
-                (sliding.enter, sliding.inside, sliding.exit),
-            ):
-                numeric = dict(report.contributions)[label]
-                checks.append(_check(f"stage:{label}", numeric, target, tol))
-            checks.append(
-                _check(
-                    "stage_identity_exit_minus_enter",
-                    sliding.exit - sliding.enter,
-                    gait.epsilon * gait.delta,
-                    1e-10,
-                )
-            )
-    if isinstance(gait, CompositeStride) and report.analytic_value is not None:
-        stride = analytic.composite_stride_displacement(law, gait.lam, gait.delta, gait.h)
-        for (label, numeric), target in zip(report.contributions, stride.edges):
+        )
+    if isinstance(breakdown, analytic.StrideDisplacement):
+        for (label, numeric), target in zip(report.contributions, breakdown.edges):
             checks.append(_check(f"edge:{label}", numeric, target, tol))
     return VerifyReport(tuple(checks))
 
@@ -361,28 +441,22 @@ def sweep(
     gait: GaitProgram,
     axes: Sequence[tuple[str, Sequence[float]]],
     dt: float | None = None,
-    workers: int | None = None,
 ) -> list[SweepRow]:
     """Cartesian-product sweep over ``law.*`` / ``gait.*`` fields.
 
     Each axis is ``(path, values)`` with path like ``"gait.epsilon"`` or
-    ``"law.tau_plus"``.  Rows are returned in grid order (last axis fastest)
-    regardless of execution order; per-row failures are captured in the row.
-    Set ``workers`` (or the ``DIRCRAWL_SWEEP_WORKERS`` environment variable)
-    to evaluate rows in a thread pool.
+    ``"law.tau_plus"``.  Rows are returned in grid order (last axis fastest);
+    per-row failures are captured in the row, except :class:`StepLimitError`,
+    which rejects ``dt`` for the whole sweep.
     """
     for path, _ in axes:
         target, _, field_name = path.partition(".")
         if target not in ("law", "gait") or not field_name:
             raise ValueError(f"axis path must be 'law.<field>' or 'gait.<field>', got {path!r}")
 
-    if workers is None:
-        workers = int(os.environ.get("DIRCRAWL_SWEEP_WORKERS", "0") or 0)
-
     grid = list(product(*(values for _, values in axes))) if axes else [()]
 
-    def run(idx_point: tuple[int, tuple[float, ...]]) -> SweepRow:
-        idx, point = idx_point
+    def run(idx: int, point: tuple[float, ...]) -> SweepRow:
         params = tuple((axes[k][0], float(v)) for k, v in enumerate(point))
         try:
             row_law, row_gait = law, gait
@@ -393,17 +467,12 @@ def sweep(
                 else:
                     row_gait = _apply_axis(row_gait, field_name, value)
             return SweepRow(idx, params, cycle_displacement(row_law, row_gait, dt=dt), None)
+        except StepLimitError:
+            raise
         except Exception as exc:  # captured per row by contract
             return SweepRow(idx, params, None, f"{type(exc).__name__}: {exc}")
 
-    items = list(enumerate(grid))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, items))
-    else:
-        rows = [run(item) for item in items]
-    rows.sort(key=lambda r: r.index)
-    return rows
+    return [run(idx, point) for idx, point in enumerate(grid)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,5 +19,10 @@ class UnsupportedPairError(ValueError):
     """No closed-form reference value exists for the given law/gait pair."""
 
 
+class StepLimitError(ValueError):
+    """The requested ``dt`` would need more integration steps than the
+    engine takes in one call."""
+
+
 class ConfigError(ValueError):
     """Invalid run configuration (bad value, unknown key, wrong type)."""

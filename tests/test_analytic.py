@@ -5,6 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from dircrawl.analytic import (
+    _GL8,
+    adaptive_gauss,
     breather_cycle_displacement,
     breather_roots,
     breather_velocity,
@@ -219,6 +221,36 @@ class TestBreatherCycle:
         law = FrictionLaw(1, 0.5, 0, 0)
         with pytest.raises(ValueError):
             breather_cycle_displacement(law, lambda t: 1.0 + t, lambda t: 1.0, 1.0)
+
+
+class TestAdaptiveGauss:
+    def test_nodes_and_weights_match_leggauss(self):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(8)
+        assert [x for x, _ in _GL8] == [float(x) for x in nodes]
+        assert [w for _, w in _GL8] == [float(w) for w in weights]
+
+    def test_degree_15_polynomial_is_exact_without_refinement(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t**15 - 3.0 * t**4, None
+
+        value = adaptive_gauss(f, 0.0, 2.0, 1e-12)
+        assert math.isclose(value, 2.0**16 / 16 - 3.0 * 2.0**5 / 5, rel_tol=1e-14)
+        assert len(calls) == 24  # the rule on [0, 2] and on its two halves
+
+    def test_jump_between_nodes_is_split_at_the_key_switch(self):
+        # a unit step at s, between nodes of the rule on [0, 1] and on its
+        # halves; the key marks which side of the step a sample lies on
+        s = 0.7071067811865476
+
+        def f(t):
+            return (1.0, "up") if t < s else (0.0, "down")
+
+        assert abs(adaptive_gauss(f, 0.0, 1.0, 1e-11) - s) <= 1e-10
 
 
 class TestConstantLengthReduction:

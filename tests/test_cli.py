@@ -205,6 +205,14 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(out), "--tol", "1e-12"]) == 1
         assert json.loads(out.read_text())["passed"] is False
 
+    def test_step_limit_exit_two(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, breather_config(sweep={"axes": [{"path": "gait.delta", "values": [0.5]}]})
+        )
+        for command in ("simulate", "analytic", "verify", "sweep"):
+            assert main([command, "--config", cfg, "--dt", "1e-300"]) == 2
+            assert "dt=1e-300" in capsys.readouterr().err
+
     def test_unsupported_pair_exit_one(self, tmp_path, capsys):
         data = breather_config(
             substrate={"tau_minus": 1.0, "tau_plus": 0.5, "mu_minus": 1.0, "mu_plus": 0.5},

@@ -11,7 +11,7 @@ from dircrawl.analytic import (
     stickslip_max_displacement_dry,
 )
 from dircrawl.body import Breather, CompositeStride, ConstantLength, SquareWave, TwoSegmentPath
-from dircrawl.errors import UnsupportedPairError
+from dircrawl.errors import StepLimitError, UnsupportedPairError
 from dircrawl.friction import FrictionLaw, scale
 
 
@@ -164,6 +164,57 @@ class TestCycleDisplacement:
         assert rep.rel_residual < 1e-6
 
 
+class TestDefaultCycleIntegrator:
+    def test_report_counts_every_solve(self):
+        cases = [
+            (FrictionLaw(2.0, 1.0, 3.0, 1.0), Breather(ref_length=1.0, delta=0.7, period=1.0)),
+            (FrictionLaw(0.5, 0.5, 0, 0), CompositeStride(lam=0.1, delta=1.0, h=2.0)),
+            (FrictionLaw(0, 0, 1, 1), SquareWave(ref_length=1.0, delta=0.25, epsilon=1.0, speed=1.0)),
+        ]
+        for law, gait in cases:
+            rep = engine.cycle_displacement(law, gait)
+            assert rep.dt is None
+            assert sum(rep.meta["regime_counts"].values()) == rep.n_steps
+            assert 0 < rep.n_steps <= 250
+            assert rep.rel_residual <= 1e-10
+
+    def test_stick_switch_inside_a_stage_is_located(self):
+        # an infeasible dry wave whose stuck part changes at ~75 % of the
+        # wave_enter stage, between quadrature nodes; the reference is the
+        # midpoint grid at period/1e5
+        law = FrictionLaw(0.20889590966551302, 0.6026284597498451, 0, 0)
+        g = SquareWave(
+            ref_length=1.3126626747736565,
+            delta=1.1694255394340776,
+            epsilon=0.41516595258148437,
+            speed=1.8385421628495706,
+        )
+        rep = engine.cycle_displacement(law, g)
+        assert abs(rep.net_displacement - (-0.1862688612638633)) <= 2e-5
+
+    def test_explicit_dt_selects_the_midpoint_grid(self):
+        law = FrictionLaw(0.75, 0.25, 0, 0)
+        g = Breather(ref_length=1.0, delta=1.0, period=1.0)
+        rep = engine.cycle_displacement(law, g, dt=g.period / 2000)
+        assert rep.dt == g.period / 2000
+        assert rep.n_steps == 2000
+        assert rep.net_displacement == engine.simulate(law, g).net_displacement
+
+
+class TestStepLimit:
+    def test_tiny_dt_rejected_before_any_grid(self):
+        law = FrictionLaw(0.75, 0.25, 0, 0)
+        g = Breather(ref_length=1.0, delta=1.0, period=1.0)
+        with pytest.raises(StepLimitError, match="dt=1e-300"):
+            engine.cycle_displacement(law, g, dt=1e-300)
+        with pytest.raises(StepLimitError, match="dt"):
+            engine.simulate(law, g, dt=1e-300)
+        with pytest.raises(StepLimitError, match="dt"):
+            engine.simulate(law, g, n_periods=10**9)
+        with pytest.raises(StepLimitError, match="dt"):
+            engine.sweep(law, g, axes=[("gait.delta", (0.5, 1.0))], dt=1e-300)
+
+
 class TestVerify:
     def test_breather_pass(self):
         law = FrictionLaw(0.75, 0.25, 0, 0)
@@ -188,7 +239,8 @@ class TestVerify:
     def test_negative_control_fails(self):
         law = FrictionLaw(0.75, 0.25, 0, 0)
         g = Breather(ref_length=1.0, delta=1.0, period=1.0)
-        rep = engine.verify(law, g, tol=1e-12)  # tighter than the integrator error
+        # the midpoint grid at period/2000, tighter than its error
+        rep = engine.verify(law, g, dt=g.period / 2000, tol=1e-12)
         assert not rep.passed
         assert rep.checks[0].residual > 0.0
 
@@ -228,16 +280,6 @@ class TestSweep:
         rows = engine.sweep(law, g, axes=[("law.tau_minus", (0.6, 0.75))], dt=0.01)
         assert all(r.error is None for r in rows)
         assert rows[0].report.net_displacement != rows[1].report.net_displacement
-
-    def test_parallel_matches_serial(self):
-        law = FrictionLaw(1.0, 1.0, 0, 0)
-        g = SquareWave(ref_length=1.0, delta=0.1, epsilon=0.5, speed=1.0)
-        axes = [("gait.epsilon", (0.2, 0.4, 0.6))]
-        serial = engine.sweep(law, g, axes, dt=g.period / 50, workers=1)
-        parallel = engine.sweep(law, g, axes, dt=g.period / 50, workers=4)
-        assert [r.report.net_displacement for r in serial] == [
-            r.report.net_displacement for r in parallel
-        ]
 
     def test_empty_axes_single_row(self):
         law = FrictionLaw(0.75, 0.25, 0, 0)
@@ -319,21 +361,6 @@ class TestConstantLengthReduction:
             t1 = engine.simulate(law, cl, dt=1.0 / 200)
             t2 = engine.simulate(law, br, dt=1.0 / 200)
             assert np.max(np.abs(t1.x1 - t2.x1)) <= 1e-9
-
-
-class TestSweepWorkerEnv:
-    def test_env_var_controls_workers(self, monkeypatch):
-        monkeypatch.setenv("DIRCRAWL_SWEEP_WORKERS", "3")
-        law = FrictionLaw(1.0, 1.0, 0, 0)
-        g = SquareWave(ref_length=1.0, delta=0.1, epsilon=0.5, speed=1.0)
-        rows = engine.sweep(law, g, axes=[("gait.epsilon", (0.2, 0.4))], dt=g.period / 50)
-        assert [r.index for r in rows] == [0, 1]
-        serial = engine.sweep(
-            law, g, axes=[("gait.epsilon", (0.2, 0.4))], dt=g.period / 50, workers=1
-        )
-        assert [r.report.net_displacement for r in rows] == [
-            r.report.net_displacement for r in serial
-        ]
 
 
 class TestCustomProfileGait:
