@@ -10,6 +10,9 @@ Rates are stored per interval as one-sided end values because traveling-wave
 gaits produce velocity fields that jump at the wave fronts; for smooth gaits
 the pairs are simply continuous nodal values.  The pointwise rate at ``X = 0``
 is always zero (the arc-length origin is pinned to the left end).
+
+Besides ``shape_at``/``rate_at`` for one time, every gait has ``sample``,
+which evaluates a block of times at once as arrays (see :func:`sample`).
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Union
+
+import numpy as np
 
 __all__ = [
     "PiecewiseAffineShape",
@@ -31,12 +36,11 @@ __all__ = [
     "GaitProgram",
     "shape_at",
     "rate_at",
+    "sample",
     "length",
     "eulerian_velocity",
     "zero_crossings",
 ]
-
-_CORNER_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,28 +81,24 @@ class ShapeRate:
 
     ``seg_rates[i]`` holds the rate at the left and right end of interval
     ``i``; the two values differ from the neighbouring interval's when the
-    rate field jumps at the node (traveling waves).  ``one_sided`` flags
-    rates taken at a gait corner time, where the right-sided convention is
-    used.
+    rate field jumps at the node (traveling waves).  At a gait corner time
+    the rate is the right-sided one.
     """
 
     ref: tuple[float, ...]
     seg_rates: tuple[tuple[float, float], ...]
-    one_sided: bool = False
 
     def __post_init__(self) -> None:
         if len(self.seg_rates) != len(self.ref) - 1:
             raise ValueError("need exactly one rate pair per node interval")
 
     @classmethod
-    def from_nodal(
-        cls, ref: tuple[float, ...], values: tuple[float, ...], one_sided: bool = False
-    ) -> "ShapeRate":
+    def from_nodal(cls, ref: tuple[float, ...], values: tuple[float, ...]) -> "ShapeRate":
         """Build a continuous rate field from plain nodal values."""
         if len(values) != len(ref):
             raise ValueError("need one nodal rate per node")
         pairs = tuple((values[i], values[i + 1]) for i in range(len(ref) - 1))
-        return cls(ref, pairs, one_sided)
+        return cls(ref, pairs)
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,17 @@ class Breather:
     def rate_at(self, t: float) -> ShapeRate:
         ldot = self.length_rate_at(t)
         ref = (0.0, self.ref_length)
-        return ShapeRate(ref, ((0.0, ldot),), one_sided=_near_corner(t, self))
+        return ShapeRate(ref, ((0.0, ldot),))
+
+    def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ts = times.tolist()
+        l = np.array([self.length_at(t) for t in ts], dtype=float)
+        _require_valid(self, times, l > 0.0)
+        arcs = np.zeros((len(ts), 2))
+        arcs[:, 1] = l
+        rates = np.zeros((len(ts), 1, 2))
+        rates[:, 0, 1] = [self.length_rate_at(t) for t in ts]
+        return arcs, rates
 
 
 @dataclass(frozen=True)
@@ -259,7 +269,20 @@ class ConstantLength:
     def rate_at(self, t: float) -> ShapeRate:
         l1dot = self.seg1_rate_at(t)
         ref = (0.0, self.split, self.ref_length)
-        return ShapeRate(ref, ((0.0, l1dot), (l1dot, 0.0)), one_sided=_near_corner(t, self))
+        return ShapeRate(ref, ((0.0, l1dot), (l1dot, 0.0)))
+
+    def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ts = times.tolist()
+        l1 = np.array([self.seg1_length_at(t) for t in ts], dtype=float)
+        _require_valid(self, times, (0.0 < l1) & (l1 < self.ref_length))
+        arcs = np.zeros((len(ts), 3))
+        arcs[:, 1] = l1
+        arcs[:, 2] = self.ref_length
+        l1dot = np.array([self.seg1_rate_at(t) for t in ts], dtype=float)
+        rates = np.zeros((len(ts), 2, 2))
+        rates[:, 0, 1] = l1dot
+        rates[:, 1, 0] = l1dot
+        return arcs, rates
 
 
 @dataclass(frozen=True)
@@ -323,7 +346,30 @@ class TwoSegmentPath:
         l2dot = (self.l2[k + 1] - self.l2[k]) / dt
         ref = (0.0, self.split, self.ref_length)
         pairs = ((0.0, l1dot), (l1dot, l1dot + l2dot))
-        return ShapeRate(ref, pairs, one_sided=_near_corner(t, self))
+        return ShapeRate(ref, pairs)
+
+    def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # _locate, shape_at and rate_at on arrays, operation for operation
+        T = np.asarray(self.times, dtype=float)
+        L1 = np.asarray(self.l1, dtype=float)
+        L2 = np.asarray(self.l2, dtype=float)
+        tm = np.remainder(times, self.period)
+        k = np.minimum(np.searchsorted(T, tm, side="right") - 1, len(T) - 2)
+        theta = (tm - T[k]) / (T[k + 1] - T[k])
+        l1 = L1[k] + theta * (L1[k + 1] - L1[k])
+        l2 = L2[k] + theta * (L2[k + 1] - L2[k])
+        arcs = np.zeros((len(tm), 3))
+        arcs[:, 1] = l1
+        arcs[:, 2] = l1 + l2
+        _require_valid(self, times, (arcs[:, 1] > 0.0) & (arcs[:, 2] > arcs[:, 1]))
+        dt = T[k + 1] - T[k]
+        l1dot = (L1[k + 1] - L1[k]) / dt
+        l2dot = (L2[k + 1] - L2[k]) / dt
+        rates = np.zeros((len(tm), 2, 2))
+        rates[:, 0, 1] = l1dot
+        rates[:, 1, 0] = l1dot
+        rates[:, 1, 1] = l1dot + l2dot
+        return arcs, rates
 
 
 @dataclass(frozen=True)
@@ -389,6 +435,9 @@ class CompositeStride:
 
     def rate_at(self, t: float) -> ShapeRate:
         return self._path.rate_at(t)
+
+    def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._path.sample(times)
 
 
 @dataclass(frozen=True)
@@ -498,20 +547,61 @@ class SquareWave:
         pts, rates = self._nodes_and_rates(t)
         ref = tuple(p[0] for p in pts)
         pairs = tuple((r, r) for r in rates)
-        return ShapeRate(ref, pairs, one_sided=_near_corner(t, self))
+        return ShapeRate(ref, pairs)
+
+    def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays of ``_nodes_and_rates``, with every row padded to three
+        pieces by zero-length pieces that repeat the last node and rate.
+
+        Each of the three nodes after ``(0, 0)`` is computed for every
+        branch of ``_nodes_and_rates`` with its presence mask and the rate of
+        the piece ending at it; present nodes are then moved to the front.
+        """
+        L, d, e, c = self.ref_length, self.delta, self.epsilon, self.speed
+        tm = np.remainder(times, self.period)
+        ct = c * tm
+        enter = tm < d / c
+        inside = ~enter & (tm < L / c)
+        leave = ~enter & ~inside
+        front = np.minimum(ct, L)
+        back = ct - d
+        s_end = L + e * (L + d - ct)
+        enter_front = enter & (front > 0.0) & (front < L) & ((1.0 + e) * front < L + e * front)
+        has_back = inside & (back > 0.0) | leave & (0.0 < back) & (back < L) & (back < s_end)
+        has_front = inside & (front < L) & (front + e * d < L + e * d)
+        last_arc = np.where(
+            enter, np.where(front <= 0.0, L, L + e * front), np.where(inside, L + e * d, s_end)
+        )
+        last_rate = np.where(
+            enter,
+            np.where((front <= 0.0) | enter_front, e * c, 0.0),
+            np.where(inside & ~has_front | leave & has_back, -e * c, 0.0),
+        )
+        ref = np.stack([np.where(enter, front, back), front, np.full_like(tm, L)], axis=1)
+        arc = np.stack([np.where(enter, (1.0 + e) * front, back), front + e * d, last_arc], axis=1)
+        rate = np.stack([np.zeros_like(tm), np.full_like(tm, -e * c), last_rate], axis=1)
+        present = np.stack([enter_front | has_back, has_front, np.ones_like(enter)], axis=1)
+        order = np.argsort(~present, axis=1, kind="stable")
+        pad = np.arange(3) >= present.sum(axis=1)[:, None]
+        ref, arc, rate = (
+            np.where(pad, a[:, 2:], np.take_along_axis(a, order, axis=1)) for a in (ref, arc, rate)
+        )
+        refs = np.concatenate([np.zeros((len(tm), 1)), ref], axis=1)
+        arcs = np.concatenate([np.zeros((len(tm), 1)), arc], axis=1)
+        ok = pad | (np.diff(refs, axis=1) > 0.0) & (np.diff(arcs, axis=1) > 0.0)
+        _require_valid(self, times, ok.all(axis=1))
+        return arcs, np.repeat(rate[:, :, None], 2, axis=2)
 
 
 GaitProgram = Union[Breather, ConstantLength, TwoSegmentPath, CompositeStride, SquareWave]
 
 
-def _near_corner(t: float, gait: GaitProgram) -> bool:
-    T = gait.period
-    tm = t % T
-    tol = _CORNER_RTOL * T
-    for corner in gait.corner_times():
-        if abs(tm - corner) <= tol or abs(tm - corner + T) <= tol:
-            return True
-    return False
+def _require_valid(gait: GaitProgram, times: np.ndarray, ok: np.ndarray) -> None:
+    """Raise the error ``shape_at`` raises at the first time not ``ok``."""
+    if not ok.all():
+        t = times.tolist()[int(np.argmin(ok))]
+        gait.shape_at(t)
+        raise ValueError(f"gait produced an invalid shape at t={t}")
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +617,19 @@ def shape_at(gait: GaitProgram, t: float) -> PiecewiseAffineShape:
 def rate_at(gait: GaitProgram, t: float) -> ShapeRate:
     """Shape rate at time ``t``; right-sided at gait corner times."""
     return gait.rate_at(t)
+
+
+def sample(gait: GaitProgram, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``shape_at`` and ``rate_at`` at each of ``times``, as arrays.
+
+    Returns nodal arc-lengths ``(n, P + 1)`` and per-piece end rates
+    ``(n, P, 2)``, with ``P`` fixed per gait: 1 for a breather, 2 for the
+    two-segment gaits, 3 for a square wave, whose rows with fewer pieces
+    end in zero-length pieces repeating the last node and rate.  Every value
+    is the one ``shape_at``/``rate_at`` compute, bit for bit, and an invalid
+    shape raises the error ``shape_at`` raises at the first such time.
+    """
+    return gait.sample(np.asarray(times, dtype=float))
 
 
 def length(shape: PiecewiseAffineShape) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
@@ -85,6 +86,12 @@ def _require_number(block: str, key: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{block}.{key}: expected a number, got {value!r}")
     return float(value)
+
+
+def _require_finite_positive(name: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{name}: must be finite and positive, got {value!r}")
+    return value
 
 
 def _reject_unknown(block: str, data: dict, allowed: Sequence[str]) -> None:
@@ -173,15 +180,14 @@ class RunConfig:
         _reject_unknown("numeric", numeric, ("dt", "n_periods", "tolerance"))
         dt = numeric.get("dt")
         if dt is not None:
-            dt = _require_number("numeric", "dt", dt)
-            if dt <= 0.0:
-                raise ConfigError("numeric.dt: must be positive")
+            dt = _require_finite_positive("numeric.dt", _require_number("numeric", "dt", dt))
         n_periods = numeric.get("n_periods", 1)
         if isinstance(n_periods, bool) or not isinstance(n_periods, int) or n_periods < 1:
             raise ConfigError(f"numeric.n_periods: expected a positive integer, got {n_periods!r}")
-        tolerance = _require_number("numeric", "tolerance", numeric.get("tolerance", 1e-6))
-        if tolerance <= 0.0:
-            raise ConfigError("numeric.tolerance: must be positive")
+        tolerance = _require_finite_positive(
+            "numeric.tolerance",
+            _require_number("numeric", "tolerance", numeric.get("tolerance", 1e-6)),
+        )
 
         output = data.get("output", {})
         if not isinstance(output, dict):
@@ -527,17 +533,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     updates: dict[str, Any] = {}
     if args.dt is not None:
-        if args.dt <= 0.0:
-            raise ConfigError("--dt: must be positive")
-        updates["dt"] = args.dt
+        updates["dt"] = _require_finite_positive("--dt", args.dt)
     if args.periods is not None:
         if args.periods < 1:
             raise ConfigError("--periods: must be >= 1")
         updates["n_periods"] = args.periods
     if args.tol is not None:
-        if args.tol <= 0.0:
-            raise ConfigError("--tol: must be positive")
-        updates["tolerance"] = args.tol
+        updates["tolerance"] = _require_finite_positive("--tol", args.tol)
     if getattr(args, "format", None) is not None:
         updates["out_format"] = args.format
     return replace(cfg, **updates) if updates else cfg

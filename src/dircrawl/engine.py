@@ -6,7 +6,10 @@ on time only (never on position), so trajectories are pure quadrature of
 
 * the midpoint grid, composite midpoint with sample points forced at every
   corner, which ``simulate`` always uses and ``cycle_displacement`` uses
-  when given an explicit ``dt``;
+  when given an explicit ``dt``.  Its step times are all known up front, so
+  one kernel samples the gait and solves the balance for a block of steps
+  at a time (``body.sample``, ``balance.solve_velocity_batch``), bit for bit
+  as the scalar ``solve_velocity`` loop would;
 * the default per-cycle integrator, :func:`dircrawl.analytic.adaptive_gauss`
   on each stage, split wherever the balance structure (regime and the sign
   pattern of the velocity field) changes inside the stage.  Between such
@@ -24,7 +27,7 @@ from typing import Any, Sequence, Union
 import numpy as np
 
 from . import analytic
-from .balance import solve_velocity
+from .balance import REGIMES, solve_velocity, solve_velocity_batch
 from .body import (
     Breather,
     CompositeStride,
@@ -60,6 +63,10 @@ _DEFAULT_STEPS_PER_PERIOD = 2000
 # Most midpoint steps one call may take; a smaller dt raises StepLimitError
 # before any grid is built.
 _MAX_STEPS = 1_000_000
+# Steps the midpoint kernel samples and solves at once.  Fixed blocks keep
+# the numpy temporaries one size from block to block, so the allocator
+# reuses them instead of growing the heap with each run length.
+_BLOCK = 512
 # Error tolerance of the default per-cycle integrator on each stage,
 # relative to max(1, |stage displacement|).
 _CYCLE_TOL = 1e-11
@@ -71,7 +78,9 @@ class Trajectory:
 
     ``regimes[i]`` tags the balance regime of the step from ``times[i]`` to
     ``times[i+1]``; positions satisfy ``x2 - x1 == l`` at every sample by
-    construction.
+    construction.  ``meta`` records the run's ``regime_counts`` (steps per
+    regime, in order of first occurrence) and ``residual_max``, the largest
+    force residual of any step's balance solve.
     """
 
     times: np.ndarray
@@ -117,14 +126,14 @@ def _stage_spans(gait: GaitProgram) -> list[tuple[float, float]]:
 
 def _stage_grid(
     gait: GaitProgram, dt: float, n_periods: int = 1
-) -> tuple[list[float], list[int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One period of sample times plus the stage index of each step.
 
     Raises :class:`StepLimitError` when ``n_periods`` periods at ``dt``
     would take more than ``_MAX_STEPS`` steps, before building anything.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     spans = _stage_spans(gait)
     # Upper bound on the step count below; float arithmetic, so a tiny dt
     # cannot make it build a huge integer or list.
@@ -134,15 +143,15 @@ def _stage_grid(
             f"dt={dt!r} needs about {steps:.3g} steps for {n_periods} period(s), "
             f"more than the limit of {_MAX_STEPS}"
         )
-    times: list[float] = [0.0]
-    stages: list[int] = []
+    times = [np.zeros(1)]
+    stages = []
     for k, (a, b) in enumerate(spans):
         n = max(1, math.ceil((b - a) / dt - 1e-9))
-        for j in range(1, n + 1):
-            times.append(a + (b - a) * j / n)
-            stages.append(k)
-    times[-1] = gait.period
-    return times, stages
+        times.append(a + (b - a) * np.arange(1, n + 1) / n)
+        stages.append(np.full(n, k))
+    grid = np.concatenate(times)
+    grid[-1] = gait.period
+    return grid, np.concatenate(stages)
 
 
 def simulate(
@@ -165,43 +174,88 @@ def simulate(
         dt = T / _DEFAULT_STEPS_PER_PERIOD
 
     period_times, _ = _stage_grid(gait, dt, n_periods)
-    times: list[float] = [0.0]
-    for p in range(n_periods):
-        offset = p * T
-        times.extend(offset + t for t in period_times[1:])
+    times = np.concatenate(
+        [period_times[:1]] + [p * T + period_times[1:] for p in range(n_periods)]
+    )
 
-    x1 = np.empty(len(times))
     lengths = np.empty(len(times))
-    regimes: list[str] = []
+    lengths[0] = gait.shape_at(float(times[0])).length
+    x1dot, codes, residual_max = _midpoint_kernel(law, gait, times, lengths)
+    x1 = np.empty(len(times))
     x1[0] = x0
-    lengths[0] = gait.shape_at(times[0]).length
-    for i in range(len(times) - 1):
-        t0, t1 = times[i], times[i + 1]
-        tm = 0.5 * (t0 + t1)
-        try:
-            sol = solve_velocity(law, gait.shape_at(tm), gait.rate_at(tm))
-        except DegenerateSubstrateError as exc:
-            raise DegenerateSubstrateError(f"{exc} (at t = {tm})") from exc
-        x1[i + 1] = x1[i] + sol.x1dot * (t1 - t0)
-        lengths[i + 1] = gait.shape_at(t1).length
-        regimes.append(sol.regime)
+    x1[1:] = x1dot * np.diff(times)
+    np.add.accumulate(x1, out=x1)  # x1[i + 1] = x1[i] + x1dot * dt, in step order
 
-    times_arr = np.asarray(times)
     meta = {
         "gait_kind": type(gait).__name__,
         "n_periods": n_periods,
         "dt": dt,
         "law": law,
         "gait": gait,
+        "regime_counts": _regime_counts(codes),
+        "residual_max": residual_max,
     }
     return Trajectory(
-        times=times_arr,
+        times=times,
         x1=x1,
         x2=x1 + lengths,
         l=lengths,
-        regimes=tuple(regimes),
+        regimes=tuple(np.asarray(REGIMES, dtype=object)[codes]),
         meta=meta,
     )
+
+
+def _midpoint_kernel(
+    law: FrictionLaw, gait: GaitProgram, times: np.ndarray, lengths: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Balance velocity and regime code of every step of the grid ``times``,
+    solved at the step midpoints, plus the largest residual.
+
+    With ``lengths`` given, it is filled with the body length at each grid
+    time after the first.  Steps go in blocks of ``_BLOCK``; every value is
+    the one the scalar loop (``solve_velocity`` per step, then ``shape_at``
+    at the step's end) computes.  A failing block is replayed through that
+    loop, so the error raised is the first the scalar loop would raise.
+    """
+    n = len(times) - 1
+    x1dot = np.empty(n)
+    codes = np.empty(n, dtype=np.int8)
+    residual_max = 0.0
+    for i0 in range(0, n, _BLOCK):
+        i1 = min(i0 + _BLOCK, n)
+        ends = times[i0 + 1 : i1 + 1]
+        mids = 0.5 * (times[i0:i1] + ends)
+        try:
+            sol = solve_velocity_batch(law, *gait.sample(mids))
+            if lengths is not None:
+                lengths[i0 + 1 : i1 + 1] = gait.sample(ends)[0][:, -1]
+        except Exception:
+            _scalar_steps(law, gait, mids, ends if lengths is not None else None)
+            raise
+        x1dot[i0:i1] = sol.x1dot
+        codes[i0:i1] = sol.regime
+        residual_max = max(residual_max, float(sol.residual.max()))
+    return x1dot, codes, residual_max
+
+
+def _scalar_steps(
+    law: FrictionLaw, gait: GaitProgram, mids: np.ndarray, ends: np.ndarray | None
+) -> None:
+    """The scalar midpoint loop over one block, run for its errors only."""
+    for i, tm in enumerate(mids.tolist()):
+        try:
+            solve_velocity(law, gait.shape_at(tm), gait.rate_at(tm))
+        except DegenerateSubstrateError as exc:
+            raise DegenerateSubstrateError(f"{exc} (at t = {tm})") from exc
+        if ends is not None:
+            gait.shape_at(float(ends[i]))
+
+
+def _regime_counts(codes: np.ndarray) -> dict[str, int]:
+    """Steps per regime, keyed in order of first occurrence."""
+    steps = [np.flatnonzero(codes == c) for c in range(len(REGIMES))]
+    seen = sorted((int(idx[0]), c) for c, idx in enumerate(steps) if len(idx))
+    return {REGIMES[c]: len(steps[c]) for _, c in seen}
 
 
 _STAGE_LABELS = {
@@ -268,18 +322,16 @@ def _midpoint_cycle(
     law: FrictionLaw, gait: GaitProgram, dt: float
 ) -> tuple[float, list[float], dict[str, int]]:
     """Net displacement, per-stage sums and regime counts on the midpoint grid."""
-    period_times, stages = _stage_grid(gait, dt)
-    stage_sums = [0.0] * (stages[-1] + 1)
-    x = 0.0
-    regime_counts: dict[str, int] = {}
-    for i in range(len(period_times) - 1):
-        t0, t1 = period_times[i], period_times[i + 1]
-        sol = solve_velocity(law, gait.shape_at(0.5 * (t0 + t1)), gait.rate_at(0.5 * (t0 + t1)))
-        dx = sol.x1dot * (t1 - t0)
-        x += dx
-        stage_sums[stages[i]] += dx
-        regime_counts[sol.regime] = regime_counts.get(sol.regime, 0) + 1
-    return x, stage_sums, regime_counts
+    times, stages = _stage_grid(gait, dt)
+    x1dot, codes, _ = _midpoint_kernel(law, gait, times, None)
+    dx = x1dot * np.diff(times)
+    stage_sums = [_sum_in_order(dx[stages == k]) for k in range(stages[-1] + 1)]
+    return _sum_in_order(dx), stage_sums, _regime_counts(codes)
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...``, left to right."""
+    return float(np.add.accumulate(np.concatenate([[0.0], values]))[-1])
 
 
 def _gauss_cycle(
@@ -385,8 +437,10 @@ def verify(
     """Compare simulated displacements against the closed forms.
 
     Raises :class:`UnsupportedPairError` when no closed form covers the
-    (law, gait) pair.
+    (law, gait) pair, and ``ValueError`` for a non-finite ``tol``.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     report, breakdown = _cycle(law, gait, dt)
     if report.analytic_value is None:
         raise UnsupportedPairError(

@@ -177,3 +177,41 @@ def newtonian_sliding_literal(beta, epsilon, delta, L):
         + 2.0 * L * (1.0 + e) * e * b2 / (d * d)
         * math.log(L / (delta * (1.0 + e) * b2 + (L - delta)))
     )
+
+
+def reference_simulate(law, gait, n_periods: int = 1, dt=None, x0: float = 0.0):
+    """The scalar midpoint step loop that ``engine.simulate`` ran before it
+    was batched: one ``solve_velocity`` per step, times built as Python
+    floats.  Returns ``(times, x1, lengths, regimes)`` as lists.
+
+    Kept verbatim (apart from the step cap) so that the batched kernel can
+    be compared with it bit for bit.
+    """
+    from dircrawl.balance import solve_velocity
+
+    T = gait.period
+    if dt is None:
+        dt = T / 2000
+    corners = sorted({min(max(c, 0.0), T) for c in gait.corner_times()} | {0.0, T})
+    period_times = [0.0]
+    for a, b in zip(corners, corners[1:]):
+        n = max(1, math.ceil((b - a) / dt - 1e-9))
+        for j in range(1, n + 1):
+            period_times.append(a + (b - a) * j / n)
+    period_times[-1] = T
+    times = [0.0]
+    for p in range(n_periods):
+        offset = p * T
+        times.extend(offset + t for t in period_times[1:])
+
+    x1 = [x0]
+    lengths = [gait.shape_at(times[0]).length]
+    regimes = []
+    for i in range(len(times) - 1):
+        t0, t1 = times[i], times[i + 1]
+        tm = 0.5 * (t0 + t1)
+        sol = solve_velocity(law, gait.shape_at(tm), gait.rate_at(tm))
+        x1.append(x1[i] + sol.x1dot * (t1 - t0))
+        lengths.append(gait.shape_at(t1).length)
+        regimes.append(sol.regime)
+    return times, x1, lengths, regimes

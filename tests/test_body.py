@@ -345,17 +345,6 @@ class TestZeroCrossings:
         assert math.isclose(hi, 1.05, rel_tol=1e-12)
 
 
-class TestCornerFlag:
-    def test_rate_flagged_one_sided_at_stage_boundaries(self):
-        w = SquareWave(ref_length=1.0, delta=0.2, epsilon=0.5, speed=1.0)
-        assert w.rate_at(0.0).one_sided
-        assert w.rate_at(0.2).one_sided
-        assert not w.rate_at(0.1).one_sided
-        g = Breather(ref_length=1.0, delta=0.5, period=1.0)
-        assert g.rate_at(0.5).one_sided
-        assert not g.rate_at(0.3).one_sided
-
-
 class TestCrossingIdentity:
     def test_breather_rest_point_ratio(self):
         import random

@@ -213,6 +213,22 @@ class TestVerifyCommand:
             assert main([command, "--config", cfg, "--dt", "1e-300"]) == 2
             assert "dt=1e-300" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--dt", "nan"), ("--dt", "inf"), ("--tol", "nan"), ("--tol", "inf")]
+    )
+    def test_non_finite_step_or_tolerance_exit_two(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path, breather_config())
+        assert main(["verify", "--config", cfg, flag, value]) == 2
+        assert f"{flag}: must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["dt", "tolerance"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_numeric_config_rejected(self, key, value):
+        data = breather_config()
+        data["numeric"][key] = value
+        with pytest.raises(ConfigError, match=f"numeric.{key}: must be finite"):
+            RunConfig.from_dict(data)
+
     def test_unsupported_pair_exit_one(self, tmp_path, capsys):
         data = breather_config(
             substrate={"tau_minus": 1.0, "tau_plus": 0.5, "mu_minus": 1.0, "mu_plus": 0.5},

@@ -214,6 +214,21 @@ class TestStepLimit:
         with pytest.raises(StepLimitError, match="dt"):
             engine.sweep(law, g, axes=[("gait.delta", (0.5, 1.0))], dt=1e-300)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        law = FrictionLaw(0.75, 0.25, 0, 0)
+        g = Breather(ref_length=1.0, delta=1.0, period=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            engine.simulate(law, g, dt=dt)
+        with pytest.raises(ValueError, match="finite"):
+            engine.cycle_displacement(law, g, dt=dt)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_verify_tolerance_rejected(self, tol):
+        law = FrictionLaw(0.75, 0.25, 0, 0)
+        with pytest.raises(ValueError, match="tol"):
+            engine.verify(law, Breather(ref_length=1.0, delta=1.0, period=1.0), tol=tol)
+
 
 class TestVerify:
     def test_breather_pass(self):

@@ -1,7 +1,9 @@
 """Golden byte guard for the CLI outputs that run on the midpoint grid.
 
-``simulate`` at its default step, and ``analytic``/``verify``/``sweep`` with
-an explicit ``numeric.dt``, all integrate on the fixed midpoint grid, so
+``simulate`` at its default step (over one period, and over three for two
+of the families, so that the grid times offset by whole periods are covered
+too), and ``analytic``/``verify``/``sweep`` with an explicit ``numeric.dt``,
+all integrate on the fixed midpoint grid, so
 their output bytes are a contract: any change to them is a behaviour change.
 Each case is run through ``main`` and the SHA-256 of the produced file is
 compared with ``golden_cli.json``.
@@ -58,6 +60,8 @@ CASES = {
     "simulate/composite_stride_newtonian": ("simulate", _NEWTONIAN, "composite_stride", None, None),
     "simulate/sliding_wave": ("simulate", _SLIDING, "sliding_wave", None, None),
     "simulate/stick_slip_wave": ("simulate", _STICK, "stick_slip_wave", None, None),
+    "simulate/breather_mixed_3_periods": ("simulate", _MIXED, "breather", None, None),
+    "simulate/stick_slip_wave_3_periods": ("simulate", _STICK, "stick_slip_wave", None, None),
     "analytic/breather_dry": ("analytic", _DRY, "breather", 0.0005, None),
     "analytic/constant_length_newtonian": ("analytic", _NEWTONIAN, "constant_length", 0.0005, None),
     "analytic/two_segment_dry": ("analytic", _DRY, "two_segment", 0.0005, None),
@@ -75,6 +79,12 @@ CASES = {
     ),
 }
 
+# name -> numeric.n_periods, for the cases that run more than one period
+N_PERIODS = {
+    "simulate/breather_mixed_3_periods": 3,
+    "simulate/stick_slip_wave_3_periods": 3,
+}
+
 
 def render(name: str, workdir: Path) -> bytes:
     """Output bytes of one golden case, run through the CLI entry point."""
@@ -82,6 +92,8 @@ def render(name: str, workdir: Path) -> bytes:
     cfg = {"schema": 1, "substrate": substrate, "gait": _GAITS[gait]}
     if dt is not None:
         cfg["numeric"] = {"dt": dt}
+    if name in N_PERIODS:
+        cfg["numeric"] = {"n_periods": N_PERIODS[name]}
     if axes is not None:
         cfg["sweep"] = {"axes": [{"path": p, "values": v} for p, v in axes]}
     stem = name.replace("/", "_")
