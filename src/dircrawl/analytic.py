@@ -240,17 +240,22 @@ def _gauss_refine(f, a, b, whole, samples, tol, depth):
     )
 
 
+def _corner_spans(corners: Sequence[float], period: float) -> list[tuple[float, float]]:
+    """Intervals of ``[0, period]`` between consecutive ``corners``, clamped into it."""
+    pts = sorted({min(max(c, 0.0), period) for c in corners} | {0.0, period})
+    return list(zip(pts, pts[1:]))
+
+
 def _monotone_pieces(
     rate: Callable[[float], float], period: float, corners: Sequence[float] | None
 ) -> list[tuple[float, float]]:
     """Time intervals on which the length profile is monotone."""
     if corners is not None:
-        pts = sorted({min(max(c, 0.0), period) for c in corners} | {0.0, period})
-        return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
+        return _corner_spans(corners, period)
     n = 2048
     ts = [period * i / n for i in range(n + 1)]
     vals = [rate(t) for t in ts]
-    splits = [0.0]
+    splits = []
     for i in range(n):
         if vals[i] == 0.0 or vals[i] * vals[i + 1] >= 0.0:
             continue
@@ -267,9 +272,7 @@ def _monotone_pieces(
             else:
                 lo, flo = mid, fmid
         splits.append(0.5 * (lo + hi))
-    splits.append(period)
-    splits = sorted(set(splits))
-    return [(splits[i], splits[i + 1]) for i in range(len(splits) - 1)]
+    return _corner_spans(splits, period)
 
 
 def breather_cycle_displacement(
@@ -357,13 +360,13 @@ def composite_stride_displacement(
     """
     if lam <= 0.0 or delta <= 0.0 or h <= 1.0:
         raise ValueError("stride requires lam > 0, delta > 0, h > 1")
-    if not (law.is_dry or law.is_newtonian):
+    coeffs = _rate_independent_coefficients(law)
+    if coeffs is None:
         raise MixedRheologyError(
             "stride closed forms cover only pure dry or pure Newtonian "
             "substrates; simulate the gait with engine.simulate instead"
         )
-    c_up = breather_velocity(law, 1.0)
-    c_down = -breather_velocity(law, -1.0)
+    c_up, c_down = coeffs
     grow = (h - 1.0) * (2.0 * lam + delta)
     seg1_contract = c_down * (-delta)
     scale_up = c_up * grow

@@ -73,9 +73,11 @@ class BalanceSolution:
     stick_intervals: tuple[tuple[float, float], ...] = ()
 
 
-def _pieces(
-    shape: PiecewiseAffineShape, rate: ShapeRate
-) -> list[tuple[float, float, float, float]]:
+# (s0, s1, r0, r1) per piece: end arc-lengths and end rates
+_Pieces = list[tuple[float, float, float, float]]
+
+
+def _pieces(shape: PiecewiseAffineShape, rate: ShapeRate) -> _Pieces:
     if shape.ref != rate.ref:
         raise ValueError("shape and rate are defined on different node sets")
     out = []
@@ -96,10 +98,15 @@ def total_force(
     ``[-tau_plus, tau_minus]`` times their length.  The result is a point
     unless some positive-length part is at rest.
     """
+    return _force(law, _pieces(shape, rate), x1dot)
+
+
+def _force(law: FrictionLaw, pieces: _Pieces, x1dot: float) -> ForceValue:
+    """:func:`total_force` over the pieces of :func:`_pieces`."""
     tm, tp, mm, mp = law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus
     point_sum = 0.0
     static_len = 0.0
-    for s0, s1, r0, r1 in _pieces(shape, rate):
+    for s0, s1, r0, r1 in pieces:
         seg = s1 - s0
         v0 = x1dot + r0
         v1 = x1dot + r1
@@ -127,9 +134,7 @@ def total_force(
 
 
 def _segment_poly(
-    law: FrictionLaw,
-    pieces: list[tuple[float, float, float, float]],
-    x_probe: float,
+    law: FrictionLaw, pieces: _Pieces, x_probe: float
 ) -> tuple[float, float, float]:
     """Coefficients (a, b, c) of the total force a*x^2 + b*x + c, valid on
     the breakpoint-free segment containing ``x_probe``."""
@@ -222,7 +227,7 @@ def solve_velocity(
     atol = 1e-13 * max(fscale, 1e-300)
 
     breaks = sorted({-r for r in rates_all})
-    fvals = [total_force(law, shape, rate, b) for b in breaks]
+    fvals = [_force(law, pieces, b) for b in breaks]
 
     candidates: list[tuple[float, float]] = []
 
@@ -243,7 +248,7 @@ def solve_velocity(
                     "its polynomial there has no root in floating point"
                 )
             if len(roots) > 1:
-                roots.sort(key=lambda x: abs(_force_mag(law, shape, rate, x)))
+                roots.sort(key=lambda x: abs(_force_mag(law, pieces, x)))
             candidates.append((roots[0], roots[0]))
         elif f_right_of_g0 <= atol and f_left_of_g1 >= -atol:
             candidates.append((g0, g1))  # force within tolerance on the whole gap
@@ -295,7 +300,7 @@ def solve_velocity(
     else:
         regime = SLIDING
 
-    residual = _force_mag(law, shape, rate, x_star)
+    residual = _force_mag(law, pieces, x_star)
     if not (math.isfinite(residual) and residual <= _RESIDUAL_RTOL * fscale):
         raise DegenerateSubstrateError(
             f"force balance unresolved at this scale: residual {residual!r} "
@@ -574,10 +579,8 @@ def _closest_to_zero(lo: float, hi: float) -> float:
     return hi if hi < 0.0 else lo
 
 
-def _force_mag(
-    law: FrictionLaw, shape: PiecewiseAffineShape, rate: ShapeRate, x: float
-) -> float:
-    fv = total_force(law, shape, rate, x)
+def _force_mag(law: FrictionLaw, pieces: _Pieces, x: float) -> float:
+    fv = _force(law, pieces, x)
     if fv.contains(0.0):
         return 0.0
     return min(abs(fv.lo), abs(fv.hi))

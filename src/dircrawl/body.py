@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -131,8 +131,68 @@ def _bump_rate(delta: float, period: float, t: float) -> float:
     return delta * (math.pi / period) * math.sin(2.0 * math.pi * t / period)
 
 
+def _require_finite(gait: GaitProgram) -> None:
+    """Raise ``ValueError`` naming the first number among the gait's fields,
+    or inside a tuple field, that is not finite."""
+    for f in fields(gait):
+        value = getattr(gait, f.name)
+        items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
+        for i, v in items:
+            if isinstance(v, (int, float)) and not math.isfinite(v):
+                where = f.name if i is None else f"{f.name}[{i}]"
+                raise ValueError(f"{where} must be finite, got {v!r}")
+
+
+class _ProfileGait:
+    """A shape driven by one length profile ``p(t)``: the body length of a
+    :class:`Breather`, the first segment's length of a :class:`ConstantLength`.
+    """
+
+    def _check_profile(self, rest: float) -> None:
+        """Checks shared by both gaits; ``rest`` is the default bump's value
+        at t = 0, kept as ``_rest`` (read on every profile evaluation)."""
+        _require_finite(self)
+        if self.ref_length <= 0.0 or self.period <= 0.0:
+            raise ValueError("ref_length and period must be positive")
+        if (self.profile is None) != (self.profile_rate is None):
+            raise ValueError("supply both profile and profile_rate, or neither")
+        object.__setattr__(self, "_rest", rest)
+
+    def _value(self, t: float) -> float:
+        tm = t % self.period
+        if self.profile is not None:
+            return self.profile(tm)
+        return _bump(self._rest, self.delta, self.period, tm)
+
+    def _rate(self, t: float) -> float:
+        tm = t % self.period
+        if self.profile_rate is not None:
+            return self.profile_rate(tm)
+        return _bump_rate(self.delta, self.period, tm)
+
+    def corner_times(self) -> tuple[float, ...]:
+        if self.corners is not None:
+            return self.corners
+        if self.profile is not None:
+            return (0.0, self.period)
+        return (0.0, 0.5 * self.period, self.period)
+
+    def monotone_corners(self) -> tuple[float, ...] | None:
+        """Times splitting the profile into monotone pieces, when known."""
+        return None if self.corners is None and self.profile is not None else self.corner_times()
+
+    def _sample_profile(
+        self, times: np.ndarray, valid: Callable[[np.ndarray], np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Profile values at ``times``, checked with ``valid``, and rates."""
+        ts = times.tolist()
+        p = np.array([self._value(t) for t in ts], dtype=float)
+        _require_valid(self, times, valid(p))
+        return p, np.array([self._rate(t) for t in ts], dtype=float)
+
+
 @dataclass(frozen=True)
-class Breather:
+class Breather(_ProfileGait):
     """One-segment crawler deforming affinely; shape fully described by its
     length ``l(t)``.
 
@@ -150,37 +210,12 @@ class Breather:
     corners: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.ref_length <= 0.0 or self.period <= 0.0:
-            raise ValueError("ref_length and period must be positive")
+        self._check_profile(self.ref_length)
         if self.delta <= -self.ref_length:
             raise ValueError("delta must exceed -ref_length so the length stays positive")
-        if (self.profile is None) != (self.profile_rate is None):
-            raise ValueError("supply both profile and profile_rate, or neither")
 
-    def length_at(self, t: float) -> float:
-        tm = t % self.period
-        if self.profile is not None:
-            return self.profile(tm)
-        return _bump(self.ref_length, self.delta, self.period, tm)
-
-    def length_rate_at(self, t: float) -> float:
-        tm = t % self.period
-        if self.profile_rate is not None:
-            return self.profile_rate(tm)
-        return _bump_rate(self.delta, self.period, tm)
-
-    def corner_times(self) -> tuple[float, ...]:
-        if self.corners is not None:
-            return self.corners
-        if self.profile is not None:
-            return (0.0, self.period)
-        return (0.0, 0.5 * self.period, self.period)
-
-    def monotone_corners(self) -> tuple[float, ...] | None:
-        """Times splitting the profile into monotone pieces, when known."""
-        if self.corners is not None:
-            return self.corners
-        return None if self.profile is not None else self.corner_times()
+    length_at = _ProfileGait._value
+    length_rate_at = _ProfileGait._rate
 
     def shape_at(self, t: float) -> PiecewiseAffineShape:
         l = self.length_at(t)
@@ -194,18 +229,16 @@ class Breather:
         return ShapeRate(ref, ((0.0, ldot),))
 
     def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ts = times.tolist()
-        l = np.array([self.length_at(t) for t in ts], dtype=float)
-        _require_valid(self, times, l > 0.0)
-        arcs = np.zeros((len(ts), 2))
+        l, ldot = self._sample_profile(times, lambda l: l > 0.0)
+        arcs = np.zeros((len(l), 2))
         arcs[:, 1] = l
-        rates = np.zeros((len(ts), 1, 2))
-        rates[:, 0, 1] = [self.length_rate_at(t) for t in ts]
+        rates = np.zeros((len(l), 1, 2))
+        rates[:, 0, 1] = ldot
         return arcs, rates
 
 
 @dataclass(frozen=True)
-class ConstantLength:
+class ConstantLength(_ProfileGait):
     """Two adjacent segments whose lengths sum to the fixed total
     ``ref_length``; the single shape parameter is the first segment's length.
 
@@ -222,41 +255,16 @@ class ConstantLength:
     corners: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.ref_length <= 0.0 or self.period <= 0.0:
-            raise ValueError("ref_length and period must be positive")
+        self._check_profile(self.seg1_rest)
         if not 0.0 < self.split < self.ref_length:
             raise ValueError("split must lie strictly inside (0, ref_length)")
-        if (self.profile is None) != (self.profile_rate is None):
-            raise ValueError("supply both profile and profile_rate, or neither")
         lo = min(self.seg1_rest, self.seg1_rest + self.delta)
         hi = max(self.seg1_rest, self.seg1_rest + self.delta)
         if self.profile is None and not (0.0 < lo and hi < self.ref_length):
             raise ValueError("first segment length must stay inside (0, ref_length)")
 
-    def seg1_length_at(self, t: float) -> float:
-        tm = t % self.period
-        if self.profile is not None:
-            return self.profile(tm)
-        return _bump(self.seg1_rest, self.delta, self.period, tm)
-
-    def seg1_rate_at(self, t: float) -> float:
-        tm = t % self.period
-        if self.profile_rate is not None:
-            return self.profile_rate(tm)
-        return _bump_rate(self.delta, self.period, tm)
-
-    def corner_times(self) -> tuple[float, ...]:
-        if self.corners is not None:
-            return self.corners
-        if self.profile is not None:
-            return (0.0, self.period)
-        return (0.0, 0.5 * self.period, self.period)
-
-    def monotone_corners(self) -> tuple[float, ...] | None:
-        """Times splitting the profile into monotone pieces, when known."""
-        if self.corners is not None:
-            return self.corners
-        return None if self.profile is not None else self.corner_times()
+    seg1_length_at = _ProfileGait._value
+    seg1_rate_at = _ProfileGait._rate
 
     def shape_at(self, t: float) -> PiecewiseAffineShape:
         l1 = self.seg1_length_at(t)
@@ -272,14 +280,13 @@ class ConstantLength:
         return ShapeRate(ref, ((0.0, l1dot), (l1dot, 0.0)))
 
     def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ts = times.tolist()
-        l1 = np.array([self.seg1_length_at(t) for t in ts], dtype=float)
-        _require_valid(self, times, (0.0 < l1) & (l1 < self.ref_length))
-        arcs = np.zeros((len(ts), 3))
+        l1, l1dot = self._sample_profile(
+            times, lambda l1: (0.0 < l1) & (l1 < self.ref_length)
+        )
+        arcs = np.zeros((len(l1), 3))
         arcs[:, 1] = l1
         arcs[:, 2] = self.ref_length
-        l1dot = np.array([self.seg1_rate_at(t) for t in ts], dtype=float)
-        rates = np.zeros((len(ts), 2, 2))
+        rates = np.zeros((len(l1), 2, 2))
         rates[:, 0, 1] = l1dot
         rates[:, 1, 0] = l1dot
         return arcs, rates
@@ -303,6 +310,7 @@ class TwoSegmentPath:
     l2: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         n = len(self.times)
         if n < 2 or len(self.l1) != n or len(self.l2) != n:
             raise ValueError("times, l1 and l2 must have equal length >= 2")
@@ -392,6 +400,7 @@ class CompositeStride:
     period: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.lam <= 0.0 or self.delta <= 0.0:
             raise ValueError("lam and delta must be positive")
         if self.h <= 1.0:
@@ -458,6 +467,7 @@ class SquareWave:
     speed: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.ref_length <= 0.0:
             raise ValueError("ref_length must be positive")
         if not 0.0 < self.delta < self.ref_length:

@@ -50,27 +50,6 @@ def _fmt(x: float, precision: int = 17) -> str:
 # Configuration
 # ---------------------------------------------------------------------------
 
-_GAIT_FIELDS: dict[str, dict[str, str]] = {
-    # config key -> dataclass field
-    "breather": {"L": "ref_length", "delta": "delta", "T": "period"},
-    "constant_length": {
-        "L": "ref_length",
-        "x_star": "split",
-        "l1_rest": "seg1_rest",
-        "delta": "delta",
-        "T": "period",
-    },
-    "two_segment": {
-        "L": "ref_length",
-        "x_star": "split",
-        "times": "times",
-        "l1": "l1",
-        "l2": "l2",
-    },
-    "composite_stride": {"lambda": "lam", "delta": "delta", "h": "h", "T": "period"},
-    "square_wave": {"L": "ref_length", "delta": "delta", "epsilon": "epsilon", "c": "speed"},
-}
-
 _GAIT_CLASSES = {
     "breather": Breather,
     "constant_length": ConstantLength,
@@ -140,11 +119,11 @@ class RunConfig:
         if not isinstance(gait_block, dict):
             raise ConfigError("gait: required object with a 'kind' tag")
         kind = gait_block.get("kind")
-        if kind not in _GAIT_FIELDS:
+        if kind not in _GAIT_CLASSES:
             raise ConfigError(
-                f"gait.kind: expected one of {sorted(_GAIT_FIELDS)}, got {kind!r}"
+                f"gait.kind: expected one of {sorted(_GAIT_CLASSES)}, got {kind!r}"
             )
-        field_map = _GAIT_FIELDS[kind]
+        field_map = engine._GAIT_KEYS[_GAIT_CLASSES[kind]]
         allowed = ["kind", *field_map.keys()]
         if kind == "square_wave":
             allowed.append("regime")
@@ -246,7 +225,7 @@ class RunConfig:
         """Canonical echo of the configuration; parsing it reproduces an
         identical RunConfig."""
         gait_block: dict[str, Any] = {"kind": self.gait_kind}
-        for key, field_name in _GAIT_FIELDS[self.gait_kind].items():
+        for key, field_name in engine._GAIT_KEYS[type(self.gait)].items():
             value = getattr(self.gait, field_name)
             gait_block[key] = list(value) if isinstance(value, tuple) else value
         if self.requested_regime is not None:
@@ -274,9 +253,12 @@ class RunConfig:
 
 
 def _load_config(path: str) -> RunConfig:
+    def reject_constant(name: str) -> float:
+        raise ConfigError(f"{path}: {name}: config numbers must be finite")
+
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -472,16 +454,25 @@ def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     epsilons = _parse_float_list(args.epsilons, "--epsilons") if args.epsilons else None
+    alphas = _parse_float_list(args.alphas, "--alphas") if args.alphas else None
+    betas_squared = (
+        _parse_float_list(args.betas_squared, "--betas-squared") if args.betas_squared else None
+    )
+    for flag, values, ok, domain in (
+        ("--epsilons", epsilons or (), lambda v: v > -1.0, "> -1"),
+        ("--alphas", alphas or (), lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+        ("--betas-squared", betas_squared or (), lambda v: v > 0.0, "> 0"),
+        ("--length", (args.length,), lambda v: v > 0.0, "> 0"),
+        ("--delta-over-l", (args.delta_over_l,), lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ):
+        for v in values:
+            if not (math.isfinite(v) and ok(v)):
+                raise ConfigError(f"{flag}: each value must be finite and {domain}, got {v!r}")
     if args.name == "fig6":
-        alphas = _parse_float_list(args.alphas, "--alphas") if args.alphas else None
         rows = engine.figure6_data(alphas=alphas, epsilons=epsilons, L=args.length)
         _write_csv(args.out, engine.FIG6_COLUMNS, rows)
     else:
-        betas = None
-        if args.betas_squared:
-            betas = tuple(
-                b2**0.5 for b2 in _parse_float_list(args.betas_squared, "--betas-squared")
-            )
+        betas = None if betas_squared is None else tuple(b2**0.5 for b2 in betas_squared)
         rows = engine.figure7_data(
             betas=betas, epsilons=epsilons, delta_over_length=args.delta_over_l
         )

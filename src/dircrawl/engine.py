@@ -34,6 +34,7 @@ from .body import (
     ConstantLength,
     GaitProgram,
     SquareWave,
+    TwoSegmentPath,
 )
 from .errors import (
     DegenerateSubstrateError,
@@ -119,9 +120,7 @@ class CycleReport:
 
 def _stage_spans(gait: GaitProgram) -> list[tuple[float, float]]:
     """The gait's stages in one period, between consecutive corner times."""
-    T = gait.period
-    corners = sorted({min(max(c, 0.0), T) for c in gait.corner_times()} | {0.0, T})
-    return list(zip(corners, corners[1:]))
+    return analytic._corner_spans(gait.corner_times(), gait.period)
 
 
 def _stage_grid(
@@ -276,22 +275,9 @@ def _analytic_cycle_value(
     """Closed-form per-cycle displacement when one exists, plus wave
     admissibility, a note when no closed form applies, and the stage or
     edge breakdown of the closed form for sliding waves and strides."""
-    if isinstance(gait, Breather):
+    if isinstance(gait, (Breather, ConstantLength)):
         value = analytic.breather_cycle_displacement(
-            law,
-            gait.length_at,
-            gait.length_rate_at,
-            gait.period,
-            corners=gait.monotone_corners(),
-        )
-        return value, None, None, None
-    if isinstance(gait, ConstantLength):
-        value = analytic.breather_cycle_displacement(
-            law,
-            gait.seg1_length_at,
-            gait.seg1_rate_at,
-            gait.period,
-            corners=gait.monotone_corners(),
+            law, gait._value, gait._rate, gait.period, corners=gait.monotone_corners()
         )
         return value, None, None, None
     if isinstance(gait, CompositeStride):
@@ -480,11 +466,31 @@ class SweepRow:
     error: str | None
 
 
-_FIELD_ALIASES = {"lambda": "lam", "L": "ref_length", "T": "period", "x_star": "split", "c": "speed"}
+# Configuration key -> constructor field, per gait class: the CLI's gait
+# keys, which sweep axes may use in place of the field names.
+_GAIT_KEYS: dict[type, dict[str, str]] = {
+    Breather: {"L": "ref_length", "delta": "delta", "T": "period"},
+    ConstantLength: {
+        "L": "ref_length",
+        "x_star": "split",
+        "l1_rest": "seg1_rest",
+        "delta": "delta",
+        "T": "period",
+    },
+    TwoSegmentPath: {
+        "L": "ref_length",
+        "x_star": "split",
+        "times": "times",
+        "l1": "l1",
+        "l2": "l2",
+    },
+    CompositeStride: {"lambda": "lam", "delta": "delta", "h": "h", "T": "period"},
+    SquareWave: {"L": "ref_length", "delta": "delta", "epsilon": "epsilon", "c": "speed"},
+}
 
 
 def _apply_axis(obj: Any, field_name: str, value: float) -> Any:
-    name = _FIELD_ALIASES.get(field_name, field_name)
+    name = _GAIT_KEYS.get(type(obj), {}).get(field_name, field_name)
     if not hasattr(obj, name):
         raise ValueError(f"{type(obj).__name__} has no field {field_name!r}")
     return replace(obj, **{name: value})
@@ -550,11 +556,13 @@ def figure6_data(
         alphas = (0.25, 0.5, 0.75)
     if epsilons is None:
         epsilons = _FIG_DEFAULT_EPSILONS
+    if not (math.isfinite(L) and L > 0.0):
+        raise ValueError(f"L must be finite and positive, got {L!r}")
     rows = []
     for a in alphas:
         for e in epsilons:
-            if e <= -1.0:
-                raise ValueError("epsilon must exceed -1")
+            if not (math.isfinite(e) and e > -1.0):
+                raise ValueError(f"epsilon must be finite and exceed -1, got {e!r}")
             value = 0.0 if e == 0.0 else analytic.stickslip_max_displacement_dry(a, e, L) / L
             rows.append((float(a), float(e), value))
     return rows

@@ -19,6 +19,44 @@ from dircrawl.body import (
 )
 from oracles import shape_value
 
+# One valid instance of each gait, as constructor keyword arguments.
+_VALID_GAITS = {
+    Breather: {"ref_length": 1.0, "delta": 0.5, "period": 1.0, "corners": (0.0, 0.5, 1.0)},
+    ConstantLength: {
+        "ref_length": 1.0, "split": 0.5, "seg1_rest": 0.4, "delta": 0.3, "period": 1.0,
+    },
+    TwoSegmentPath: {
+        "ref_length": 1.0,
+        "split": 0.5,
+        "times": (0.0, 0.4, 1.0),
+        "l1": (0.4, 0.6, 0.4),
+        "l2": (0.5, 0.55, 0.5),
+    },
+    CompositeStride: {"lam": 0.5, "delta": 0.5, "h": 2.0, "period": 1.0},
+    SquareWave: {"ref_length": 1.0, "delta": 0.2, "epsilon": 0.5, "speed": 1.0},
+}
+
+
+class TestNonFiniteGaitFields:
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(cls, name) for cls, kwargs in _VALID_GAITS.items() for name in kwargs],
+        ids=lambda x: getattr(x, "__name__", x),
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected_naming_the_field(self, cls, name, bad):
+        kwargs = dict(_VALID_GAITS[cls])
+        cls(**kwargs)  # valid as given
+        value = kwargs[name]
+        if isinstance(value, tuple):
+            kwargs[name] = (value[0], bad, *value[2:])
+            where = rf"{name}\[1\]"
+        else:
+            kwargs[name] = bad
+            where = name
+        with pytest.raises(ValueError, match=rf"^{where} must be finite, got {bad!r}$"):
+            cls(**kwargs)
+
 
 class TestShapeValidation:
     def test_first_node_pinned(self):

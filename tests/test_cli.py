@@ -229,6 +229,35 @@ class TestVerifyCommand:
         with pytest.raises(ConfigError, match=f"numeric.{key}: must be finite"):
             RunConfig.from_dict(data)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_json_non_finite_constant_exit_two(self, tmp_path, capsys, constant):
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            json.dumps(breather_config()).replace('"delta": 1.0', f'"delta": {constant}'),
+            encoding="utf-8",
+        )
+        assert main(["analytic", "--config", str(path)]) == 2
+        assert f"{constant}: config numbers must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "gait, key, field",
+        [
+            ({"kind": "breather", "L": 1.0, "delta": 1.0, "T": 1.0}, "T", "period"),
+            (
+                {"kind": "composite_stride", "lambda": 0.5, "delta": 0.5, "h": 2.0, "T": 1.0},
+                "h",
+                "h",
+            ),
+        ],
+    )
+    def test_overflowing_gait_number_exit_two(self, tmp_path, capsys, gait, key, field):
+        # 1e999 parses to inf, which the gait constructor rejects
+        text = json.dumps(breather_config(gait=gait))
+        path = tmp_path / "cfg.json"
+        path.write_text(text.replace(f'"{key}": {gait[key]}', f'"{key}": 1e999'), encoding="utf-8")
+        assert main(["analytic", "--config", str(path)]) == 2
+        assert f"gait: {field} must be finite, got inf" in capsys.readouterr().err
+
     def test_unsupported_pair_exit_one(self, tmp_path, capsys):
         data = breather_config(
             substrate={"tau_minus": 1.0, "tau_plus": 0.5, "mu_minus": 1.0, "mu_plus": 0.5},
@@ -312,6 +341,27 @@ class TestFigureCommand:
         assert lines[0] == "alpha,epsilon,dx1_over_L"
         assert len(lines) == 3
         assert math.isclose(float(lines[1].split(",")[2]), -0.2, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "name, flag, value",
+        [
+            ("fig6", "--length", "-1"),
+            ("fig6", "--length", "nan"),
+            ("fig6", "--epsilons", "0.5,nan"),
+            ("fig6", "--epsilons", "-1"),
+            ("fig6", "--alphas", "1"),
+            ("fig6", "--alphas", "inf"),
+            ("fig7", "--delta-over-l", "nan"),
+            ("fig7", "--delta-over-l", "1"),
+            ("fig7", "--betas-squared", "0"),
+            ("fig7", "--epsilons", "inf"),
+        ],
+    )
+    def test_out_of_domain_flag_exit_two(self, capsys, name, flag, value):
+        assert main(["figure", name, f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: {flag}: each value must be finite" in captured.err
 
     def test_figure_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

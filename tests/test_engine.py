@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -289,6 +290,23 @@ class TestSweep:
         assert rows[0].error is None
         assert rows[1].report is None and "ValueError" in rows[1].error
 
+    @pytest.mark.parametrize(
+        "gait, key, field, values",
+        [
+            (ConstantLength(1.0, 0.5, 0.4, 0.3, 1.0), "l1_rest", "seg1_rest", (0.2, 0.3, 0.5)),
+            (ConstantLength(1.0, 0.5, 0.4, 0.3, 1.0), "T", "period", (0.5, 2.0)),
+            (SquareWave(1.0, 0.1, 0.5, 1.0), "c", "speed", (0.5, 2.0)),
+        ],
+    )
+    def test_config_keys_as_gait_axes(self, gait, key, field, values):
+        # every gait key of the CLI configuration names a sweep axis
+        law = FrictionLaw(1.0, 0.5, 1.0, 0.5)
+        rows = engine.sweep(law, gait, axes=[(f"gait.{key}", values)], dt=0.01)
+        for row, value in zip(rows, values, strict=True):
+            assert row.error is None
+            expected = engine.cycle_displacement(law, replace(gait, **{field: value}), dt=0.01)
+            assert row.report == expected
+
     def test_law_axis(self):
         law = FrictionLaw(0.75, 0.25, 0, 0)
         g = Breather(ref_length=1.0, delta=1.0, period=1.0)
@@ -353,6 +371,21 @@ class TestFigureData:
             engine.figure6_data(epsilons=(-1.5,))
         with pytest.raises(ValueError):
             engine.figure7_data(delta_over_length=1.5)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"L": -1.0}, "L must be finite and positive"),
+            ({"L": 0.0}, "L must be finite and positive"),
+            ({"L": math.nan}, "L must be finite and positive"),
+            ({"L": math.inf}, "L must be finite and positive"),
+            ({"epsilons": (0.5, math.nan)}, "epsilon must be finite"),
+            ({"epsilons": (math.inf,)}, "epsilon must be finite"),
+        ],
+    )
+    def test_fig6_rejects_non_finite_or_non_positive_inputs(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            engine.figure6_data(**kwargs)
 
 
 class TestScaleInvariance:

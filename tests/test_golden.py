@@ -70,9 +70,13 @@ CASES = {
     "analytic/infeasible_wave": ("analytic", _SLIDING, "infeasible_wave", 0.00095, None),
     "verify/breather_newtonian": ("verify", _NEWTONIAN, "breather", 0.0005, None),
     "verify/composite_stride_dry": ("verify", _DRY, "composite_stride", 0.0005, None),
+    "verify/constant_length_dry": ("verify", _DRY, "constant_length", 0.0005, None),
     "verify/sliding_wave": ("verify", _SLIDING, "sliding_wave", 0.0006, None),
     "verify/stick_slip_wave": ("verify", _STICK, "stick_slip_wave", 0.0004, None),
     "sweep/breather_dry": ("sweep", _DRY, "breather", 0.001, [("gait.delta", [0.5, 1.0])]),
+    "sweep/constant_length_newtonian": (
+        "sweep", _NEWTONIAN, "constant_length", 0.001, [("gait.T", [0.5, 1.0, 2.0])]
+    ),
     "sweep/wave": (
         "sweep", _STICK, "stick_slip_wave", 0.001,
         [("gait.epsilon", [-0.5, 0.5]), ("gait.delta", [0.1, 0.2, 0.9])],
