@@ -9,6 +9,7 @@ The package splits into small, composable layers:
 - ``analytic``: closed-form per-cycle displacements for every standard gait;
 - ``balance``: the exact quasi-static force-balance solver;
 - ``engine``: trajectory integration, verification, sweeps, figure data;
+- ``midpoint``: the time-stepped midpoint grid, the one module using numpy;
 - ``cli``: the ``dircrawl`` command-line front end.
 """
 

@@ -608,7 +608,9 @@ def sliding_cycle_displacement(
     Evaluated in a form that is uniformly stable across the parameter locus
     where the viscosity of the stretched region matches the rest of the body
     (where the textbook log expression degenerates); the exit contribution
-    always exceeds the entry one by exactly ``epsilon * delta``.
+    always exceeds the entry one by exactly ``epsilon * delta``.  Raises
+    ``ValueError`` where it leaves the float range (``u * u`` overflowing
+    would zero the exit term).
     """
     _require_sliding(law, epsilon, c, delta, L)
     tb, mb, tf, mf = _wave_params(law, epsilon)
@@ -620,7 +622,13 @@ def sliding_cycle_displacement(
     exit_ = p * delta * delta / (L * mf) * s
     enter = exit_ - e * delta
     inside = delta * (L - delta) * p / (L * mf + delta * d)
-    return SlidingDisplacement(enter + inside + exit_, enter, inside, exit_)
+    total = enter + inside + exit_
+    if not (math.isfinite(u * u) and math.isfinite(total)):
+        raise ValueError(
+            f"epsilon={epsilon!r} is out of range for this law and width: the "
+            "sliding displacement overflows in floating point"
+        )
+    return SlidingDisplacement(total, enter, inside, exit_)
 
 
 def newtonian_sliding_displacement(

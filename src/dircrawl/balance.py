@@ -15,19 +15,12 @@ an interval).  The solution set of the balance is a closed interval; when it
 has positive measure (dry plateaus, one-sided frictionless substrates) the
 element closest to zero is returned, so that a vanishing force imbalance
 produces no motion.
-
-``solve_velocity_batch`` solves many shapes at once with numpy.  It makes
-the same float operations as ``solve_velocity``, in the same order, so its
-rows are bit-identical to the scalar solver's; rows it cannot settle that
-way go to the scalar solver, which stays the oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .body import PiecewiseAffineShape, ShapeRate
 from .errors import DegenerateSubstrateError
@@ -39,16 +32,14 @@ __all__ = [
     "WHOLE_BODY_STICK",
     "REGIMES",
     "BalanceSolution",
-    "BatchSolution",
     "total_force",
     "solve_velocity",
-    "solve_velocity_batch",
 ]
 
 SLIDING = "sliding"
 STICK_SLIP = "stick_slip"
 WHOLE_BODY_STICK = "whole_body_stick"
-#: Regimes in the order of the codes ``solve_velocity_batch`` returns.
+#: Regimes in the order of the codes ``midpoint.solve_velocity_batch`` returns.
 REGIMES = (SLIDING, STICK_SLIP, WHOLE_BODY_STICK)
 
 _INF = math.inf
@@ -312,265 +303,6 @@ def solve_velocity(
         residual=residual,
         stick_intervals=tuple(stick),
     )
-
-
-@dataclass(frozen=True)
-class BatchSolution:
-    """Rows of :class:`BalanceSolution` as arrays: ``regime`` holds indices
-    into :data:`REGIMES`.  Stick intervals are not reported."""
-
-    x1dot: np.ndarray
-    regime: np.ndarray
-    residual: np.ndarray
-
-
-def solve_velocity_batch(
-    law: FrictionLaw, arcs: np.ndarray, rates: np.ndarray
-) -> BatchSolution:
-    """``solve_velocity`` for every row of a block of shapes.
-
-    ``arcs`` holds nodal arc-lengths ``(n, P + 1)`` and ``rates`` per-piece
-    end rates ``(n, P, 2)``, as :func:`dircrawl.body.sample` returns them,
-    rows padded at the end by zero-length pieces that repeat the last node
-    and rate; the padding changes nothing.  Each row equals what
-    ``solve_velocity`` returns for that shape, bit for bit: the candidate
-    search is the scalar one, evaluated for all rows at once with the same
-    float operations in the same order, and sums are accumulated in piece
-    order.  A row where that search is not conclusive (a probe on a
-    breakpoint, a bracket without exactly one root, no candidate, or a
-    residual the scalar solver rejects) is handed to ``solve_velocity``
-    itself, which also raises its errors.
-    """
-    n = arcs.shape[0]
-    # Rows run along the last axis of every array below, so that numpy's
-    # inner loops run over the block; pieces, breakpoints and candidates
-    # run along the first.
-    arc = np.ascontiguousarray(arcs.T)
-    rate = np.ascontiguousarray(rates.transpose(1, 2, 0))
-    s0, s1 = arc[:-1], arc[1:]
-    seg = s1 - s0
-    r0, r1 = rate[:, 0], rate[:, 1]
-    l_total = arc[-1]
-    flat = rate.reshape(-1, n)  # every rate, in the scalar's order
-    vscale = np.maximum(1.0, np.abs(flat).max(axis=0))
-    with np.errstate(all="ignore"):
-        fscale = (
-            law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * vscale
-        ) * l_total
-        atol = 1e-13 * np.maximum(fscale, 1e-300)
-        # A breakpoint repeated within a row only repeats a candidate that
-        # comes earlier in the scalar order, so the choice is unchanged:
-        # rates that repeat another in every row are dropped, and the
-        # remaining repeats need no dedup.
-        distinct = [
-            j for j in range(len(flat))
-            if not any(np.array_equal(flat[j], flat[i]) for i in range(j))
-        ]
-        breaks = np.sort(-flat[distinct], axis=0)
-        pieces = (seg[:, None], r0[:, None], r1[:, None])
-
-        f_lo, f_hi = _total_force_rows(law, *pieces, breaks)
-
-        # Polynomials on the left tail, each gap and the right tail.
-        b0, b1 = breaks[:1], breaks[-1:]
-        probes = np.concatenate(
-            [b0 - 1.0 - np.abs(b0), 0.5 * (breaks[:-1] + breaks[1:]), b1 + 1.0 + np.abs(b1)]
-        )
-        lo = np.concatenate([np.full_like(b0, -_INF), breaks])
-        hi = np.concatenate([breaks, np.full_like(b1, _INF)])
-        span = np.concatenate([np.abs(b0), breaks[1:] - breaks[:-1], np.abs(b1)])
-        a, bq, cq, on_break = _segment_poly_rows(law, *pieces, probes)
-        root, n_roots = _poly_roots_rows(a, bq, cq, lo, hi, span)
-        root = _closest_to_zero_rows(root, root)
-
-        # Candidates in the scalar order: breakpoints, gaps, left, right tail.
-        fr, fl = f_lo[:-1], f_hi[1:]
-        bracket = (fr > atol) & (fl < -atol)
-        f0, f1 = f_hi[0], f_lo[-1]
-        left_root = (f0 < -atol) & (law.mu_minus > 0.0)
-        left_flat = (np.abs(f0) <= atol) & (law.mu_minus == 0.0)
-        right_root = (f1 > atol) & (law.mu_plus > 0.0)
-        right_flat = (np.abs(f1) <= atol) & (law.mu_plus == 0.0)
-        values = np.concatenate(
-            [
-                _closest_to_zero_rows(breaks, breaks),
-                np.where(bracket, root[1:-1], _closest_to_zero_rows(breaks[:-1], breaks[1:])),
-                np.where(left_root, root[0], _closest_to_zero_rows(-_INF, breaks[0]))[None],
-                np.where(right_root, root[-1], _closest_to_zero_rows(breaks[-1], _INF))[None],
-            ]
-        )
-        valid = np.concatenate(
-            [
-                (f_lo <= atol) & (f_hi >= -atol),
-                bracket | (fr <= atol) & (fl >= -atol),
-                (left_root & (n_roots[0] > 0) | left_flat)[None],
-                (right_root & (n_roots[-1] > 0) | right_flat)[None],
-            ]
-        )
-        rare = (
-            (bracket & (on_break[1:-1] | (n_roots[1:-1] != 1))).any(axis=0)
-            | left_root & on_break[0]
-            | right_root & on_break[-1]
-            | ~valid.any(axis=0)
-            | (valid & ~np.isfinite(values)).any(axis=0)
-        )
-        # np.argmin takes the first minimum, as min(..., key=abs) does.
-        x = values[np.argmin(np.where(valid, np.abs(values), _INF), axis=0), np.arange(n)]
-
-        # Classify the velocity field at the solution; padding never sticks.
-        sticks = (r0 == r1) & (np.abs(x + r0) <= 1e-12 * vscale) & (seg > 0.0)
-        stick_len = np.zeros(n)
-        run_lo = np.zeros(n)
-        for j in range(len(sticks)):
-            starts = sticks[j] & ~sticks[j - 1] if j > 0 else sticks[j]
-            run_lo = np.where(starts, s0[j], run_lo)
-            ends = sticks[j] & ~sticks[j + 1] if j + 1 < len(sticks) else sticks[j]
-            stick_len = np.where(ends, stick_len + (s1[j] - run_lo), stick_len)
-        regime = np.where(
-            stick_len >= l_total * (1.0 - 1e-12), 2, np.where(sticks.any(axis=0), 1, 0)
-        ).astype(np.int8)
-
-        x_lo, x_hi = (f[0] for f in _total_force_rows(law, *pieces, x[None]))
-        residual = np.where(
-            (x_lo <= 0.0) & (0.0 <= x_hi), 0.0, np.minimum(np.abs(x_lo), np.abs(x_hi))
-        )
-        rare |= ~(np.isfinite(residual) & (residual <= _RESIDUAL_RTOL * fscale))
-
-    for i in np.flatnonzero(rare).tolist():
-        real = np.flatnonzero(seg[:, i] > 0.0)
-        nodes = tuple(arcs[i, [0, *(real + 1).tolist()]].tolist())
-        pairs = tuple(tuple(pair) for pair in rates[i, real].tolist())
-        sol = solve_velocity(law, PiecewiseAffineShape(nodes, nodes), ShapeRate(nodes, pairs))
-        x[i] = sol.x1dot
-        regime[i] = REGIMES.index(sol.regime)
-        residual[i] = sol.residual
-    return BatchSolution(x1dot=x, regime=regime, residual=residual)
-
-
-def _total_force_rows(
-    law: FrictionLaw, seg: np.ndarray, r0: np.ndarray, r1: np.ndarray, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``total_force`` of each row's pieces (``seg``, ``r0``, ``r1`` shaped
-    ``(P, 1, n)``) at each ``x[m, i]``: bounds ``(lo, hi)`` shaped like ``x``.
-
-    Each piece adds the scalar's one or two terms, in piece order; a piece
-    with one term adds 0.0 in place of the second, which changes no partial
-    sum (they start at +0.0, so none is -0.0).
-    """
-    tm, tp, mm, mp = law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus
-    v0 = x + r0
-    v1 = x + r1
-    static = (v0 == 0.0) & (v1 == 0.0)
-    neg = (v0 <= 0.0) & (v1 <= 0.0) & ~static
-    pos = (v0 >= 0.0) & (v1 >= 0.0) & ~static
-    len_a = v0 / (v0 - v1) * seg
-    len_b = seg - len_a
-    up = v0 < 0.0  # a crossing from negative to positive
-    first = np.where(
-        neg,
-        tm * seg - mm * 0.5 * (v0 + v1) * seg,
-        np.where(
-            pos,
-            -tp * seg - mp * 0.5 * (v0 + v1) * seg,
-            np.where(up, tm * len_a - mm * 0.5 * v0 * len_a, -tp * len_a - mp * 0.5 * v0 * len_a),
-        ),
-    )
-    second = np.where(up, -tp * len_b - mp * 0.5 * v1 * len_b, tm * len_b - mm * 0.5 * v1 * len_b)
-    one_term = neg | pos | static
-    point_sum = np.zeros(x.shape)
-    for j in range(len(first)):
-        point_sum = point_sum + np.where(static[j], 0.0, first[j])
-        point_sum = point_sum + np.where(one_term[j], 0.0, second[j])
-    static_len = _ordered_sum(np.where(static, seg, 0.0))
-    has_static = static_len > 0.0
-    return (
-        np.where(has_static, point_sum - tp * static_len, point_sum),
-        np.where(has_static, point_sum + tm * static_len, point_sum),
-    )
-
-
-def _segment_poly_rows(
-    law: FrictionLaw, seg: np.ndarray, r0: np.ndarray, r1: np.ndarray, x_probe: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``_segment_poly`` at each probe ``x_probe[m, i]``: coefficients
-    ``a, b, c`` plus a mask of the probes that landed on a breakpoint."""
-    tm, tp, mm, mp = law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus
-    v0 = x_probe + r0
-    v1 = x_probe + r1
-    neg = (v0 < 0.0) & (v1 < 0.0)
-    pos = (v0 > 0.0) & (v1 > 0.0)
-    up = (v0 < 0.0) & (0.0 < v1)
-    down = (v1 < 0.0) & (0.0 < v0)
-    k = np.where(up, seg / (r1 - r0), seg / (r0 - r1))
-    one_sign = neg | pos
-    a = np.where(one_sign, 0.0, 0.5 * (mm - mp) * k)
-    b = np.where(
-        neg,
-        -mm * seg,
-        np.where(
-            pos,
-            -mp * seg,
-            np.where(up, (-tm - tp + mm * r0 - mp * r1) * k, (-tm - tp - mp * r0 + mm * r1) * k),
-        ),
-    )
-    c = np.where(
-        neg,
-        tm * seg - mm * 0.5 * (r0 + r1) * seg,
-        np.where(
-            pos,
-            -tp * seg - mp * 0.5 * (r0 + r1) * seg,
-            np.where(
-                up,
-                (-tm * r0 - tp * r1 + 0.5 * (mm * r0 * r0 - mp * r1 * r1)) * k,
-                (-tp * r0 - tm * r1 + 0.5 * (mm * r1 * r1 - mp * r0 * r0)) * k,
-            ),
-        ),
-    )
-    on_break = ~(one_sign | up | down).all(axis=0)
-    return _ordered_sum(a), _ordered_sum(b), _ordered_sum(c), on_break
-
-
-def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the first axis from +0.0, left to right, as the scalar
-    ``+=`` loops add (``np.sum`` adds pairwise)."""
-    total = np.zeros(terms.shape[1:])
-    for term in terms:
-        total = total + term
-    return total
-
-
-def _poly_roots_rows(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray, span: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_poly_roots_in`` elementwise, with the span it derives from
-    ``lo``/``hi`` passed in: the first root kept, and how many were kept."""
-    slack = 1e-12 * np.maximum(span, 1.0)
-
-    def keep(x: np.ndarray) -> np.ndarray:
-        return (lo - slack <= x) & (x <= hi + slack)
-
-    x_lin = -c / b
-    disc = b * b - 4.0 * a * c
-    near = (disc < 0.0) & (disc > -1e-12 * (b * b + np.abs(4.0 * a * c)))
-    disc = np.where(near, 0.0, disc)
-    sq = np.sqrt(disc)
-    q = np.where(b != 0.0, -0.5 * (b + np.copysign(sq, b)), -0.5 * sq)
-    x1 = np.where(q != 0.0, q / a, 0.0)  # q == 0 leaves the single root 0.0
-    x2 = c / q
-    keep1 = keep(x1)
-    keep2 = (q != 0.0) & keep(x2)
-    linear = a == 0.0
-    first = np.where(linear, x_lin, np.where(keep1, x1, x2))
-    n_roots = np.where(
-        linear,
-        np.where(b == 0.0, 0, keep(x_lin)),
-        np.where(disc < 0.0, 0, keep1.astype(int) + keep2),
-    )
-    return first, n_roots
-
-
-def _closest_to_zero_rows(lo, hi) -> np.ndarray:
-    return np.where((lo <= 0.0) & (0.0 <= hi), 0.0, np.where(hi < 0.0, hi, lo))
 
 
 def _closest_to_zero(lo: float, hi: float) -> float:

@@ -10,9 +10,6 @@ Rates are stored per interval as one-sided end values because traveling-wave
 gaits produce velocity fields that jump at the wave fronts; for smooth gaits
 the pairs are simply continuous nodal values.  The pointwise rate at ``X = 0``
 is always zero (the arc-length origin is pinned to the left end).
-
-Besides ``shape_at``/``rate_at`` for one time, every gait has ``sample``,
-which evaluates a block of times at once as arrays (see :func:`sample`).
 """
 
 from __future__ import annotations
@@ -21,8 +18,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import Callable, Union
-
-import numpy as np
 
 __all__ = [
     "PiecewiseAffineShape",
@@ -36,7 +31,6 @@ __all__ = [
     "GaitProgram",
     "shape_at",
     "rate_at",
-    "sample",
     "length",
     "eulerian_velocity",
     "zero_crossings",
@@ -181,15 +175,6 @@ class _ProfileGait:
         """Times splitting the profile into monotone pieces, when known."""
         return None if self.corners is None and self.profile is not None else self.corner_times()
 
-    def _sample_profile(
-        self, times: np.ndarray, valid: Callable[[np.ndarray], np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Profile values at ``times``, checked with ``valid``, and rates."""
-        ts = times.tolist()
-        p = np.array([self._value(t) for t in ts], dtype=float)
-        _require_valid(self, times, valid(p))
-        return p, np.array([self._rate(t) for t in ts], dtype=float)
-
 
 @dataclass(frozen=True)
 class Breather(_ProfileGait):
@@ -227,14 +212,6 @@ class Breather(_ProfileGait):
         ldot = self.length_rate_at(t)
         ref = (0.0, self.ref_length)
         return ShapeRate(ref, ((0.0, ldot),))
-
-    def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        l, ldot = self._sample_profile(times, lambda l: l > 0.0)
-        arcs = np.zeros((len(l), 2))
-        arcs[:, 1] = l
-        rates = np.zeros((len(l), 1, 2))
-        rates[:, 0, 1] = ldot
-        return arcs, rates
 
 
 @dataclass(frozen=True)
@@ -278,18 +255,6 @@ class ConstantLength(_ProfileGait):
         l1dot = self.seg1_rate_at(t)
         ref = (0.0, self.split, self.ref_length)
         return ShapeRate(ref, ((0.0, l1dot), (l1dot, 0.0)))
-
-    def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        l1, l1dot = self._sample_profile(
-            times, lambda l1: (0.0 < l1) & (l1 < self.ref_length)
-        )
-        arcs = np.zeros((len(l1), 3))
-        arcs[:, 1] = l1
-        arcs[:, 2] = self.ref_length
-        rates = np.zeros((len(l1), 2, 2))
-        rates[:, 0, 1] = l1dot
-        rates[:, 1, 0] = l1dot
-        return arcs, rates
 
 
 @dataclass(frozen=True)
@@ -355,29 +320,6 @@ class TwoSegmentPath:
         ref = (0.0, self.split, self.ref_length)
         pairs = ((0.0, l1dot), (l1dot, l1dot + l2dot))
         return ShapeRate(ref, pairs)
-
-    def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # _locate, shape_at and rate_at on arrays, operation for operation
-        T = np.asarray(self.times, dtype=float)
-        L1 = np.asarray(self.l1, dtype=float)
-        L2 = np.asarray(self.l2, dtype=float)
-        tm = np.remainder(times, self.period)
-        k = np.minimum(np.searchsorted(T, tm, side="right") - 1, len(T) - 2)
-        theta = (tm - T[k]) / (T[k + 1] - T[k])
-        l1 = L1[k] + theta * (L1[k + 1] - L1[k])
-        l2 = L2[k] + theta * (L2[k + 1] - L2[k])
-        arcs = np.zeros((len(tm), 3))
-        arcs[:, 1] = l1
-        arcs[:, 2] = l1 + l2
-        _require_valid(self, times, (arcs[:, 1] > 0.0) & (arcs[:, 2] > arcs[:, 1]))
-        dt = T[k + 1] - T[k]
-        l1dot = (L1[k + 1] - L1[k]) / dt
-        l2dot = (L2[k + 1] - L2[k]) / dt
-        rates = np.zeros((len(tm), 2, 2))
-        rates[:, 0, 1] = l1dot
-        rates[:, 1, 0] = l1dot
-        rates[:, 1, 1] = l1dot + l2dot
-        return arcs, rates
 
 
 @dataclass(frozen=True)
@@ -445,9 +387,6 @@ class CompositeStride:
     def rate_at(self, t: float) -> ShapeRate:
         return self._path.rate_at(t)
 
-    def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._path.sample(times)
-
 
 @dataclass(frozen=True)
 class SquareWave:
@@ -503,7 +442,7 @@ class SquareWave:
             front = min(ct, L)
             pts = [(0.0, 0.0)]
             rates = []
-            if front <= 0.0:
+            if (1.0 + e) * front <= 0.0:  # no stretched region, or one of no arc-length
                 pts.append((L, L))
                 rates.append(e * c)
             elif front < L and (1.0 + e) * front < L + e * front:
@@ -559,59 +498,8 @@ class SquareWave:
         pairs = tuple((r, r) for r in rates)
         return ShapeRate(ref, pairs)
 
-    def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays of ``_nodes_and_rates``, with every row padded to three
-        pieces by zero-length pieces that repeat the last node and rate.
-
-        Each of the three nodes after ``(0, 0)`` is computed for every
-        branch of ``_nodes_and_rates`` with its presence mask and the rate of
-        the piece ending at it; present nodes are then moved to the front.
-        """
-        L, d, e, c = self.ref_length, self.delta, self.epsilon, self.speed
-        tm = np.remainder(times, self.period)
-        ct = c * tm
-        enter = tm < d / c
-        inside = ~enter & (tm < L / c)
-        leave = ~enter & ~inside
-        front = np.minimum(ct, L)
-        back = ct - d
-        s_end = L + e * (L + d - ct)
-        enter_front = enter & (front > 0.0) & (front < L) & ((1.0 + e) * front < L + e * front)
-        has_back = inside & (back > 0.0) | leave & (0.0 < back) & (back < L) & (back < s_end)
-        has_front = inside & (front < L) & (front + e * d < L + e * d)
-        last_arc = np.where(
-            enter, np.where(front <= 0.0, L, L + e * front), np.where(inside, L + e * d, s_end)
-        )
-        last_rate = np.where(
-            enter,
-            np.where((front <= 0.0) | enter_front, e * c, 0.0),
-            np.where(inside & ~has_front | leave & has_back, -e * c, 0.0),
-        )
-        ref = np.stack([np.where(enter, front, back), front, np.full_like(tm, L)], axis=1)
-        arc = np.stack([np.where(enter, (1.0 + e) * front, back), front + e * d, last_arc], axis=1)
-        rate = np.stack([np.zeros_like(tm), np.full_like(tm, -e * c), last_rate], axis=1)
-        present = np.stack([enter_front | has_back, has_front, np.ones_like(enter)], axis=1)
-        order = np.argsort(~present, axis=1, kind="stable")
-        pad = np.arange(3) >= present.sum(axis=1)[:, None]
-        ref, arc, rate = (
-            np.where(pad, a[:, 2:], np.take_along_axis(a, order, axis=1)) for a in (ref, arc, rate)
-        )
-        refs = np.concatenate([np.zeros((len(tm), 1)), ref], axis=1)
-        arcs = np.concatenate([np.zeros((len(tm), 1)), arc], axis=1)
-        ok = pad | (np.diff(refs, axis=1) > 0.0) & (np.diff(arcs, axis=1) > 0.0)
-        _require_valid(self, times, ok.all(axis=1))
-        return arcs, np.repeat(rate[:, :, None], 2, axis=2)
-
 
 GaitProgram = Union[Breather, ConstantLength, TwoSegmentPath, CompositeStride, SquareWave]
-
-
-def _require_valid(gait: GaitProgram, times: np.ndarray, ok: np.ndarray) -> None:
-    """Raise the error ``shape_at`` raises at the first time not ``ok``."""
-    if not ok.all():
-        t = times.tolist()[int(np.argmin(ok))]
-        gait.shape_at(t)
-        raise ValueError(f"gait produced an invalid shape at t={t}")
 
 
 # ---------------------------------------------------------------------------
@@ -627,19 +515,6 @@ def shape_at(gait: GaitProgram, t: float) -> PiecewiseAffineShape:
 def rate_at(gait: GaitProgram, t: float) -> ShapeRate:
     """Shape rate at time ``t``; right-sided at gait corner times."""
     return gait.rate_at(t)
-
-
-def sample(gait: GaitProgram, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``shape_at`` and ``rate_at`` at each of ``times``, as arrays.
-
-    Returns nodal arc-lengths ``(n, P + 1)`` and per-piece end rates
-    ``(n, P, 2)``, with ``P`` fixed per gait: 1 for a breather, 2 for the
-    two-segment gaits, 3 for a square wave, whose rows with fewer pieces
-    end in zero-length pieces repeating the last node and rate.  Every value
-    is the one ``shape_at``/``rate_at`` compute, bit for bit, and an invalid
-    shape raises the error ``shape_at`` raises at the first such time.
-    """
-    return gait.sample(np.asarray(times, dtype=float))
 
 
 def length(shape: PiecewiseAffineShape) -> float:

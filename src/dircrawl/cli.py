@@ -473,9 +473,10 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         _write_csv(args.out, engine.FIG6_COLUMNS, rows)
     else:
         betas = None if betas_squared is None else tuple(b2**0.5 for b2 in betas_squared)
-        rows = engine.figure7_data(
-            betas=betas, epsilons=epsilons, delta_over_length=args.delta_over_l
-        )
+        try:
+            rows = engine.figure7_data(betas, epsilons, args.delta_over_l)
+        except ValueError as exc:  # flags in range can still overflow the sliding formula
+            raise ConfigError(str(exc)) from exc
         _write_csv(args.out, engine.FIG7_COLUMNS, rows)
     return 0
 

@@ -6,10 +6,9 @@ on time only (never on position), so trajectories are pure quadrature of
 
 * the midpoint grid, composite midpoint with sample points forced at every
   corner, which ``simulate`` always uses and ``cycle_displacement`` uses
-  when given an explicit ``dt``.  Its step times are all known up front, so
-  one kernel samples the gait and solves the balance for a block of steps
-  at a time (``body.sample``, ``balance.solve_velocity_batch``), bit for bit
-  as the scalar ``solve_velocity`` loop would;
+  when given an explicit ``dt``.  It runs in :mod:`dircrawl.midpoint`, the
+  package's one numpy module, imported on first use so that the scalar
+  paths never load numpy;
 * the default per-cycle integrator, :func:`dircrawl.analytic.adaptive_gauss`
   on each stage, split wherever the balance structure (regime and the sign
   pattern of the velocity field) changes inside the stage.  Between such
@@ -24,10 +23,8 @@ from dataclasses import dataclass, replace
 from itertools import product
 from typing import Any, Sequence, Union
 
-import numpy as np
-
 from . import analytic
-from .balance import REGIMES, solve_velocity, solve_velocity_batch
+from .balance import solve_velocity
 from .body import (
     Breather,
     CompositeStride,
@@ -36,12 +33,7 @@ from .body import (
     SquareWave,
     TwoSegmentPath,
 )
-from .errors import (
-    DegenerateSubstrateError,
-    MixedRheologyError,
-    StepLimitError,
-    UnsupportedPairError,
-)
+from .errors import MixedRheologyError, StepLimitError, UnsupportedPairError
 from .friction import FrictionLaw
 
 __all__ = [
@@ -61,13 +53,6 @@ __all__ = [
 ]
 
 _DEFAULT_STEPS_PER_PERIOD = 2000
-# Most midpoint steps one call may take; a smaller dt raises StepLimitError
-# before any grid is built.
-_MAX_STEPS = 1_000_000
-# Steps the midpoint kernel samples and solves at once.  Fixed blocks keep
-# the numpy temporaries one size from block to block, so the allocator
-# reuses them instead of growing the heap with each run length.
-_BLOCK = 512
 # Error tolerance of the default per-cycle integrator on each stage,
 # relative to max(1, |stage displacement|).
 _CYCLE_TOL = 1e-11
@@ -75,7 +60,8 @@ _CYCLE_TOL = 1e-11
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled motion of the crawler.
+    """Sampled motion of the crawler: ``times``, ``x1``, ``x2`` and ``l`` are
+    float64 numpy arrays.
 
     ``regimes[i]`` tags the balance regime of the step from ``times[i]`` to
     ``times[i+1]``; positions satisfy ``x2 - x1 == l`` at every sample by
@@ -84,10 +70,10 @@ class Trajectory:
     force residual of any step's balance solve.
     """
 
-    times: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    l: np.ndarray
+    times: Any
+    x1: Any
+    x2: Any
+    l: Any
     regimes: tuple[str, ...]
     meta: dict[str, Any]
 
@@ -118,41 +104,6 @@ class CycleReport:
     meta: dict[str, Any]
 
 
-def _stage_spans(gait: GaitProgram) -> list[tuple[float, float]]:
-    """The gait's stages in one period, between consecutive corner times."""
-    return analytic._corner_spans(gait.corner_times(), gait.period)
-
-
-def _stage_grid(
-    gait: GaitProgram, dt: float, n_periods: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """One period of sample times plus the stage index of each step.
-
-    Raises :class:`StepLimitError` when ``n_periods`` periods at ``dt``
-    would take more than ``_MAX_STEPS`` steps, before building anything.
-    """
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    spans = _stage_spans(gait)
-    # Upper bound on the step count below; float arithmetic, so a tiny dt
-    # cannot make it build a huge integer or list.
-    steps = n_periods * (gait.period / dt + len(spans))
-    if not steps <= _MAX_STEPS:
-        raise StepLimitError(
-            f"dt={dt!r} needs about {steps:.3g} steps for {n_periods} period(s), "
-            f"more than the limit of {_MAX_STEPS}"
-        )
-    times = [np.zeros(1)]
-    stages = []
-    for k, (a, b) in enumerate(spans):
-        n = max(1, math.ceil((b - a) / dt - 1e-9))
-        times.append(a + (b - a) * np.arange(1, n + 1) / n)
-        stages.append(np.full(n, k))
-    grid = np.concatenate(times)
-    grid[-1] = gait.period
-    return grid, np.concatenate(stages)
-
-
 def simulate(
     law: FrictionLaw,
     gait: GaitProgram,
@@ -168,93 +119,26 @@ def simulate(
     """
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
-    T = gait.period
     if dt is None:
-        dt = T / _DEFAULT_STEPS_PER_PERIOD
+        dt = gait.period / _DEFAULT_STEPS_PER_PERIOD
 
-    period_times, _ = _stage_grid(gait, dt, n_periods)
-    times = np.concatenate(
-        [period_times[:1]] + [p * T + period_times[1:] for p in range(n_periods)]
+    from . import midpoint
+
+    times, x1, lengths, regimes, regime_counts, residual_max = midpoint.simulate(
+        law, gait, n_periods, dt, x0
     )
-
-    lengths = np.empty(len(times))
-    lengths[0] = gait.shape_at(float(times[0])).length
-    x1dot, codes, residual_max = _midpoint_kernel(law, gait, times, lengths)
-    x1 = np.empty(len(times))
-    x1[0] = x0
-    x1[1:] = x1dot * np.diff(times)
-    np.add.accumulate(x1, out=x1)  # x1[i + 1] = x1[i] + x1dot * dt, in step order
-
     meta = {
         "gait_kind": type(gait).__name__,
         "n_periods": n_periods,
         "dt": dt,
         "law": law,
         "gait": gait,
-        "regime_counts": _regime_counts(codes),
+        "regime_counts": regime_counts,
         "residual_max": residual_max,
     }
     return Trajectory(
-        times=times,
-        x1=x1,
-        x2=x1 + lengths,
-        l=lengths,
-        regimes=tuple(np.asarray(REGIMES, dtype=object)[codes]),
-        meta=meta,
+        times=times, x1=x1, x2=x1 + lengths, l=lengths, regimes=regimes, meta=meta
     )
-
-
-def _midpoint_kernel(
-    law: FrictionLaw, gait: GaitProgram, times: np.ndarray, lengths: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Balance velocity and regime code of every step of the grid ``times``,
-    solved at the step midpoints, plus the largest residual.
-
-    With ``lengths`` given, it is filled with the body length at each grid
-    time after the first.  Steps go in blocks of ``_BLOCK``; every value is
-    the one the scalar loop (``solve_velocity`` per step, then ``shape_at``
-    at the step's end) computes.  A failing block is replayed through that
-    loop, so the error raised is the first the scalar loop would raise.
-    """
-    n = len(times) - 1
-    x1dot = np.empty(n)
-    codes = np.empty(n, dtype=np.int8)
-    residual_max = 0.0
-    for i0 in range(0, n, _BLOCK):
-        i1 = min(i0 + _BLOCK, n)
-        ends = times[i0 + 1 : i1 + 1]
-        mids = 0.5 * (times[i0:i1] + ends)
-        try:
-            sol = solve_velocity_batch(law, *gait.sample(mids))
-            if lengths is not None:
-                lengths[i0 + 1 : i1 + 1] = gait.sample(ends)[0][:, -1]
-        except Exception:
-            _scalar_steps(law, gait, mids, ends if lengths is not None else None)
-            raise
-        x1dot[i0:i1] = sol.x1dot
-        codes[i0:i1] = sol.regime
-        residual_max = max(residual_max, float(sol.residual.max()))
-    return x1dot, codes, residual_max
-
-
-def _scalar_steps(
-    law: FrictionLaw, gait: GaitProgram, mids: np.ndarray, ends: np.ndarray | None
-) -> None:
-    """The scalar midpoint loop over one block, run for its errors only."""
-    for i, tm in enumerate(mids.tolist()):
-        try:
-            solve_velocity(law, gait.shape_at(tm), gait.rate_at(tm))
-        except DegenerateSubstrateError as exc:
-            raise DegenerateSubstrateError(f"{exc} (at t = {tm})") from exc
-        if ends is not None:
-            gait.shape_at(float(ends[i]))
-
-
-def _regime_counts(codes: np.ndarray) -> dict[str, int]:
-    """Steps per regime, keyed in order of first occurrence."""
-    steps = [np.flatnonzero(codes == c) for c in range(len(REGIMES))]
-    seen = sorted((int(idx[0]), c) for c, idx in enumerate(steps) if len(idx))
-    return {REGIMES[c]: len(steps[c]) for _, c in seen}
 
 
 _STAGE_LABELS = {
@@ -304,22 +188,6 @@ def _analytic_cycle_value(
     return None, None, f"no closed form for gait {type(gait).__name__}", None
 
 
-def _midpoint_cycle(
-    law: FrictionLaw, gait: GaitProgram, dt: float
-) -> tuple[float, list[float], dict[str, int]]:
-    """Net displacement, per-stage sums and regime counts on the midpoint grid."""
-    times, stages = _stage_grid(gait, dt)
-    x1dot, codes, _ = _midpoint_kernel(law, gait, times, None)
-    dx = x1dot * np.diff(times)
-    stage_sums = [_sum_in_order(dx[stages == k]) for k in range(stages[-1] + 1)]
-    return _sum_in_order(dx), stage_sums, _regime_counts(codes)
-
-
-def _sum_in_order(values: np.ndarray) -> float:
-    """``0.0 + values[0] + values[1] + ...``, left to right."""
-    return float(np.add.accumulate(np.concatenate([[0.0], values]))[-1])
-
-
 def _gauss_cycle(
     law: FrictionLaw, gait: GaitProgram
 ) -> tuple[float, list[float], dict[str, int]]:
@@ -335,9 +203,8 @@ def _gauss_cycle(
         signs = tuple((x + r > 0.0) - (x + r < 0.0) for pair in rate.seg_rates for r in pair)
         return x, (sol.regime, signs)
 
-    stage_sums = [
-        analytic.adaptive_gauss(velocity, a, b, _CYCLE_TOL) for a, b in _stage_spans(gait)
-    ]
+    spans = analytic._corner_spans(gait.corner_times(), gait.period)
+    stage_sums = [analytic.adaptive_gauss(velocity, a, b, _CYCLE_TOL) for a, b in spans]
     return sum(stage_sums), stage_sums, regime_counts
 
 
@@ -347,7 +214,9 @@ def _cycle(
     if dt is None:
         x, stage_sums, regime_counts = _gauss_cycle(law, gait)
     else:
-        x, stage_sums, regime_counts = _midpoint_cycle(law, gait, dt)
+        from . import midpoint
+
+        x, stage_sums, regime_counts = midpoint.cycle(law, gait, dt)
 
     labels = _STAGE_LABELS.get(type(gait))
     if labels is not None and len(labels) == len(stage_sums):
@@ -583,9 +452,11 @@ def figure7_data(
         raise ValueError("delta_over_length must lie in (0, 1)")
     rows = []
     for b in betas:
+        if not (b > 0.0 and math.isfinite(b * b)):
+            raise ValueError(f"beta must be positive with a finite square, got {b!r}")
         for e in epsilons:
-            if not -1.0 < e:
-                raise ValueError("epsilon must exceed -1")
+            if not (math.isfinite(e) and e > -1.0):
+                raise ValueError(f"epsilon must be finite and exceed -1, got {e!r}")
             value = (
                 0.0
                 if e == 0.0

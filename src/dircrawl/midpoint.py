@@ -1,0 +1,511 @@
+"""The midpoint grid: the package's one numpy module.
+
+``engine.simulate``, and ``engine.cycle_displacement`` given an explicit
+``dt``, integrate on a composite midpoint grid with a sample at every
+corner.  Its step times are known up front, so the gait is sampled and the
+balance solved for a block of steps at a time, bit for bit as the scalar
+loop (``shape_at``/``rate_at`` and ``balance.solve_velocity`` per step)
+would: the same float operations in the same order.
+
+Block format: ``n`` shapes are nodal arc-lengths ``arcs`` ``(n, P + 1)`` and
+per-piece end rates ``rates`` ``(n, P, 2)``, ``P`` fixed per gait: 1 for a
+breather, 2 for the two-segment gaits, 3 for a square wave, whose rows with
+fewer pieces end in zero-length pieces repeating the last node and rate.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter
+from typing import Callable
+
+import numpy as np
+
+from . import analytic, balance, body
+from .body import GaitProgram
+from .errors import DegenerateSubstrateError, StepLimitError
+from .friction import FrictionLaw
+
+__all__ = ["sample", "solve_velocity_batch", "simulate", "cycle"]
+
+# Most midpoint steps one call may take; a smaller dt raises StepLimitError
+# before any grid is built.
+_MAX_STEPS = 1_000_000
+# Steps the kernel samples and solves at once.  Fixed blocks keep the numpy
+# temporaries one size from block to block, so the allocator reuses them
+# instead of growing the heap with each run length.
+_BLOCK = 512
+
+
+def simulate(
+    law: FrictionLaw, gait: GaitProgram, n_periods: int, dt: float, x0: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str, ...], dict[str, int], float]:
+    """Grid times, left-end positions and body lengths over ``n_periods``
+    periods from ``x0``, the regime of each step, the steps per regime and
+    the largest force residual."""
+    times, _ = _stage_grid(gait, dt, n_periods)
+    lengths = np.empty(len(times))
+    lengths[0] = gait.shape_at(float(times[0])).length
+    x1dot, regimes, residual_max = _kernel(law, gait, times, lengths)
+    # x1[i + 1] = x1[i] + x1dot * dt, in step order
+    x1 = np.add.accumulate(np.concatenate([[x0], x1dot * np.diff(times)]))
+    return times, x1, lengths, regimes, dict(Counter(regimes)), residual_max
+
+
+def cycle(
+    law: FrictionLaw, gait: GaitProgram, dt: float
+) -> tuple[float, list[float], dict[str, int]]:
+    """Net displacement over one period, per-stage sums and regime counts."""
+    times, stages = _stage_grid(gait, dt)
+    x1dot, regimes, _ = _kernel(law, gait, times, None)
+    dx = x1dot * np.diff(times)
+    stage_sums = [_sum_in_order(dx[stages == k]) for k in range(stages[-1] + 1)]
+    return _sum_in_order(dx), stage_sums, dict(Counter(regimes))
+
+
+def _stage_grid(
+    gait: GaitProgram, dt: float, n_periods: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times over ``n_periods`` periods, plus the stage index of
+    each step of the first.
+
+    Raises :class:`StepLimitError` when ``n_periods`` periods at ``dt``
+    would take more than ``_MAX_STEPS`` steps, before building anything.
+    """
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    spans = analytic._corner_spans(gait.corner_times(), gait.period)
+    # Upper bound on the step count below; float arithmetic, so a tiny dt
+    # cannot make it build a huge integer or list.
+    steps = n_periods * (gait.period / dt + len(spans))
+    if not steps <= _MAX_STEPS:
+        raise StepLimitError(
+            f"dt={dt!r} needs about {steps:.3g} steps for {n_periods} period(s), "
+            f"more than the limit of {_MAX_STEPS}"
+        )
+    times = [np.zeros(1)]
+    stages = []
+    for k, (a, b) in enumerate(spans):
+        n = max(1, math.ceil((b - a) / dt - 1e-9))
+        times.append(a + (b - a) * np.arange(1, n + 1) / n)
+        stages.append(np.full(n, k))
+    grid = np.concatenate(times)
+    grid[-1] = gait.period
+    periods = [p * gait.period + grid[1:] for p in range(n_periods)]
+    return np.concatenate([grid[:1], *periods]), np.concatenate(stages)
+
+
+def _kernel(
+    law: FrictionLaw, gait: GaitProgram, times: np.ndarray, lengths: np.ndarray | None
+) -> tuple[np.ndarray, tuple[str, ...], float]:
+    """Balance velocity and regime of every step of the grid ``times``,
+    solved at the step midpoints, plus the largest residual; ``lengths``,
+    when given, gets the body length at each later grid time (no rates).
+
+    A failing block is replayed through the scalar loop, for its errors
+    only, so the error raised is the first the scalar loop would raise.
+    """
+    n = len(times) - 1
+    x1dot = np.empty(n)
+    codes = np.empty(n, dtype=np.int8)
+    residual_max = 0.0
+    for i0 in range(0, n, _BLOCK):
+        i1 = min(i0 + _BLOCK, n)
+        ends = times[i0 + 1 : i1 + 1]
+        mids = 0.5 * (times[i0:i1] + ends)
+        try:
+            x, regime, residual = solve_velocity_batch(law, *sample(gait, mids))
+            if lengths is not None:
+                lengths[i0 + 1 : i1 + 1] = _shapes(gait, ends)[0][:, -1]
+        except Exception:
+            for tm, te in zip(mids.tolist(), ends.tolist()):  # the scalar loop
+                try:
+                    balance.solve_velocity(law, gait.shape_at(tm), gait.rate_at(tm))
+                except DegenerateSubstrateError as exc:
+                    raise DegenerateSubstrateError(f"{exc} (at t = {tm})") from exc
+                if lengths is not None:
+                    gait.shape_at(te)
+            raise
+        x1dot[i0:i1] = x
+        codes[i0:i1] = regime
+        residual_max = max(residual_max, float(residual.max()))
+    return x1dot, tuple(np.asarray(balance.REGIMES, dtype=object)[codes]), residual_max
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...``, left to right."""
+    return float(np.add.accumulate(np.concatenate([[0.0], values]))[-1])
+
+
+# Checked block arcs, and a function computing their rates from what the arcs left.
+_Shapes = tuple[np.ndarray, Callable[[], np.ndarray]]
+
+
+def sample(gait: GaitProgram, times) -> tuple[np.ndarray, np.ndarray]:
+    """``shape_at`` and ``rate_at`` at each of ``times``, as one block; an
+    invalid shape raises the error ``shape_at`` raises at the first such time."""
+    arcs, rates = _shapes(gait, np.asarray(times, dtype=float))
+    return arcs, rates()
+
+
+def _shapes(gait: GaitProgram, times: np.ndarray) -> _Shapes:
+    if isinstance(gait, body.CompositeStride):
+        gait = gait._path
+    if isinstance(gait, body.TwoSegmentPath):
+        return _path_shapes(gait, times)
+    if isinstance(gait, body.SquareWave):
+        return _wave_shapes(gait, times)
+    return _profile_shapes(gait, times)
+
+
+def _profile_shapes(gait: GaitProgram, times: np.ndarray) -> _Shapes:
+    """Breathers (one piece, length ``p``) and constant-length crawlers (two
+    pieces split at the first segment's length ``p``); the ``2:`` and ``1:``
+    slices below are empty for a breather."""
+    ts = times.tolist()
+    p = np.array([gait._value(t) for t in ts], dtype=float)
+    if isinstance(gait, body.Breather):
+        n_pieces, ok = 1, p > 0.0
+    else:
+        n_pieces, ok = 2, (0.0 < p) & (p < gait.ref_length)
+    _require_valid(gait, times, ok)
+    arcs = np.zeros((len(p), n_pieces + 1))
+    arcs[:, 1] = p
+    arcs[:, 2:] = gait.ref_length
+
+    def rates() -> np.ndarray:
+        pdot = np.array([gait._rate(t) for t in ts], dtype=float)
+        out = np.zeros((len(p), n_pieces, 2))
+        out[:, 0, 1] = pdot
+        out[:, 1:, 0] = pdot[:, None]
+        return out
+
+    return arcs, rates
+
+
+def _path_shapes(gait: body.TwoSegmentPath, times: np.ndarray) -> _Shapes:
+    # _locate, shape_at and rate_at on arrays, operation for operation
+    T = np.asarray(gait.times, dtype=float)
+    L1 = np.asarray(gait.l1, dtype=float)
+    L2 = np.asarray(gait.l2, dtype=float)
+    tm = np.remainder(times, gait.period)
+    k = np.minimum(np.searchsorted(T, tm, side="right") - 1, len(T) - 2)
+    theta = (tm - T[k]) / (T[k + 1] - T[k])
+    l1 = L1[k] + theta * (L1[k + 1] - L1[k])
+    l2 = L2[k] + theta * (L2[k + 1] - L2[k])
+    arcs = np.zeros((len(tm), 3))
+    arcs[:, 1] = l1
+    arcs[:, 2] = l1 + l2
+    _require_valid(gait, times, (arcs[:, 1] > 0.0) & (arcs[:, 2] > arcs[:, 1]))
+
+    def rates() -> np.ndarray:
+        dt = T[k + 1] - T[k]
+        l1dot = (L1[k + 1] - L1[k]) / dt
+        l2dot = (L2[k + 1] - L2[k]) / dt
+        out = np.zeros((len(tm), 2, 2))
+        out[:, 0, 1] = l1dot
+        out[:, 1, 0] = l1dot
+        out[:, 1, 1] = l1dot + l2dot
+        return out
+
+    return arcs, rates
+
+
+def _wave_shapes(gait: body.SquareWave, times: np.ndarray) -> _Shapes:
+    """``SquareWave._nodes_and_rates`` on arrays: each of the three nodes
+    after ``(0, 0)`` is computed for every branch with its presence mask;
+    present nodes are then moved to the front and the rest become padding."""
+    L, d, e, c = gait.ref_length, gait.delta, gait.epsilon, gait.speed
+    tm = np.remainder(times, gait.period)
+    ct = c * tm
+    enter = tm < d / c
+    inside = ~enter & (tm < L / c)
+    leave = ~enter & ~inside
+    front = np.minimum(ct, L)
+    back = ct - d
+    s_end = L + e * (L + d - ct)
+    empty = (1.0 + e) * front <= 0.0
+    enter_front = enter & ~empty & (front < L) & ((1.0 + e) * front < L + e * front)
+    has_back = inside & (back > 0.0) | leave & (0.0 < back) & (back < L) & (back < s_end)
+    has_front = inside & (front < L) & (front + e * d < L + e * d)
+    last_arc = np.where(
+        enter, np.where(empty, L, L + e * front), np.where(inside, L + e * d, s_end)
+    )
+    ref = np.stack([np.where(enter, front, back), front, np.full_like(tm, L)], axis=1)
+    arc = np.stack([np.where(enter, (1.0 + e) * front, back), front + e * d, last_arc], axis=1)
+    present = np.stack([enter_front | has_back, has_front, np.ones_like(enter)], axis=1)
+    order = np.argsort(~present, axis=1, kind="stable")
+    pad = np.arange(3) >= present.sum(axis=1)[:, None]
+
+    def in_order(a: np.ndarray) -> np.ndarray:
+        return np.where(pad, a[:, 2:], np.take_along_axis(a, order, axis=1))
+
+    refs = np.concatenate([np.zeros((len(tm), 1)), in_order(ref)], axis=1)
+    arcs = np.concatenate([np.zeros((len(tm), 1)), in_order(arc)], axis=1)
+    ok = pad | (np.diff(refs, axis=1) > 0.0) & (np.diff(arcs, axis=1) > 0.0)
+    _require_valid(gait, times, ok.all(axis=1))
+
+    def rates() -> np.ndarray:
+        last_rate = np.where(
+            enter,
+            np.where(empty | enter_front, e * c, 0.0),
+            np.where(inside & ~has_front | leave & has_back, -e * c, 0.0),
+        )
+        rate = np.stack([np.zeros_like(tm), np.full_like(tm, -e * c), last_rate], axis=1)
+        return np.repeat(in_order(rate)[:, :, None], 2, axis=2)
+
+    return arcs, rates
+
+
+def _require_valid(gait: GaitProgram, times: np.ndarray, ok: np.ndarray) -> None:
+    """Raise the error ``shape_at`` raises at the first time not ``ok``."""
+    if not ok.all():
+        t = times.tolist()[int(np.argmin(ok))]
+        gait.shape_at(t)
+        raise ValueError(f"gait produced an invalid shape at t={t}")
+
+
+def solve_velocity_batch(
+    law: FrictionLaw, arcs: np.ndarray, rates: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``balance.solve_velocity`` for every row of a block of shapes: the
+    rows' ``x1dot``, regime (an index into ``balance.REGIMES``) and residual.
+
+    The candidate search is the scalar one, for all rows at once, with sums
+    accumulated in piece order.  A row where it is not conclusive (a probe
+    on a breakpoint, a bracket without exactly one root, no candidate, or a
+    residual the scalar solver rejects) goes to ``solve_velocity`` itself,
+    which also raises its errors.
+    """
+    n = arcs.shape[0]
+    # Rows run along the last axis of every array below, so that numpy's
+    # inner loops run over the block; pieces, breakpoints and candidates
+    # run along the first.
+    arc = np.ascontiguousarray(arcs.T)
+    rate = np.ascontiguousarray(rates.transpose(1, 2, 0))
+    s0, s1 = arc[:-1], arc[1:]
+    seg = s1 - s0
+    r0, r1 = rate[:, 0], rate[:, 1]
+    l_total = arc[-1]
+    flat = rate.reshape(-1, n)  # every rate, in the scalar's order
+    vscale = np.maximum(1.0, np.abs(flat).max(axis=0))
+    with np.errstate(all="ignore"):
+        fscale = (
+            law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * vscale
+        ) * l_total
+        atol = 1e-13 * np.maximum(fscale, 1e-300)
+        # A breakpoint repeated within a row only repeats a candidate that
+        # comes earlier in the scalar order, so the choice is unchanged:
+        # rates that repeat another in every row are dropped, and the
+        # remaining repeats need no dedup.
+        distinct = [
+            j for j in range(len(flat))
+            if not any(np.array_equal(flat[j], flat[i]) for i in range(j))
+        ]
+        breaks = np.sort(-flat[distinct], axis=0)
+        pieces = (seg[:, None], r0[:, None], r1[:, None])
+
+        f_lo, f_hi = _total_force_rows(law, *pieces, breaks)
+
+        # Polynomials on the left tail, each gap and the right tail.
+        b0, b1 = breaks[:1], breaks[-1:]
+        probes = np.concatenate(
+            [b0 - 1.0 - np.abs(b0), 0.5 * (breaks[:-1] + breaks[1:]), b1 + 1.0 + np.abs(b1)]
+        )
+        lo = np.concatenate([np.full_like(b0, -math.inf), breaks])
+        hi = np.concatenate([breaks, np.full_like(b1, math.inf)])
+        span = np.concatenate([np.abs(b0), breaks[1:] - breaks[:-1], np.abs(b1)])
+        a, bq, cq, on_break = _segment_poly_rows(law, *pieces, probes)
+        root, n_roots = _poly_roots_rows(a, bq, cq, lo, hi, span)
+        root = _closest_to_zero_rows(root, root)
+
+        # Candidates in the scalar order: breakpoints, gaps, left, right tail.
+        fr, fl = f_lo[:-1], f_hi[1:]
+        bracket = (fr > atol) & (fl < -atol)
+        f0, f1 = f_hi[0], f_lo[-1]
+        left_root = (f0 < -atol) & (law.mu_minus > 0.0)
+        left_flat = (np.abs(f0) <= atol) & (law.mu_minus == 0.0)
+        right_root = (f1 > atol) & (law.mu_plus > 0.0)
+        right_flat = (np.abs(f1) <= atol) & (law.mu_plus == 0.0)
+        values = np.concatenate(
+            [
+                _closest_to_zero_rows(breaks, breaks),
+                np.where(bracket, root[1:-1], _closest_to_zero_rows(breaks[:-1], breaks[1:])),
+                np.where(left_root, root[0], _closest_to_zero_rows(-math.inf, breaks[0]))[None],
+                np.where(right_root, root[-1], _closest_to_zero_rows(breaks[-1], math.inf))[None],
+            ]
+        )
+        valid = np.concatenate(
+            [
+                (f_lo <= atol) & (f_hi >= -atol),
+                bracket | (fr <= atol) & (fl >= -atol),
+                (left_root & (n_roots[0] > 0) | left_flat)[None],
+                (right_root & (n_roots[-1] > 0) | right_flat)[None],
+            ]
+        )
+        rare = (
+            (bracket & (on_break[1:-1] | (n_roots[1:-1] != 1))).any(axis=0)
+            | left_root & on_break[0]
+            | right_root & on_break[-1]
+            | ~valid.any(axis=0)
+            | (valid & ~np.isfinite(values)).any(axis=0)
+        )
+        # np.argmin takes the first minimum, as min(..., key=abs) does.
+        x = values[np.argmin(np.where(valid, np.abs(values), math.inf), axis=0), np.arange(n)]
+
+        # Classify the velocity field at the solution; padding never sticks.
+        sticks = (r0 == r1) & (np.abs(x + r0) <= 1e-12 * vscale) & (seg > 0.0)
+        stick_len = np.zeros(n)
+        run_lo = np.zeros(n)
+        for j in range(len(sticks)):
+            starts = sticks[j] & ~sticks[j - 1] if j > 0 else sticks[j]
+            run_lo = np.where(starts, s0[j], run_lo)
+            ends = sticks[j] & ~sticks[j + 1] if j + 1 < len(sticks) else sticks[j]
+            stick_len = np.where(ends, stick_len + (s1[j] - run_lo), stick_len)
+        regime = np.where(
+            stick_len >= l_total * (1.0 - 1e-12), 2, np.where(sticks.any(axis=0), 1, 0)
+        ).astype(np.int8)
+
+        x_lo, x_hi = (f[0] for f in _total_force_rows(law, *pieces, x[None]))
+        residual = np.where(
+            (x_lo <= 0.0) & (0.0 <= x_hi), 0.0, np.minimum(np.abs(x_lo), np.abs(x_hi))
+        )
+        rare |= ~(np.isfinite(residual) & (residual <= balance._RESIDUAL_RTOL * fscale))
+
+    # Through the module, so that a replaced balance.solve_velocity sees these rows.
+    for i in np.flatnonzero(rare).tolist():
+        real = np.flatnonzero(seg[:, i] > 0.0)
+        nodes = tuple(arcs[i, [0, *(real + 1).tolist()]].tolist())
+        pairs = tuple(tuple(pair) for pair in rates[i, real].tolist())
+        sol = balance.solve_velocity(
+            law, body.PiecewiseAffineShape(nodes, nodes), body.ShapeRate(nodes, pairs)
+        )
+        x[i] = sol.x1dot
+        regime[i] = balance.REGIMES.index(sol.regime)
+        residual[i] = sol.residual
+    return x, regime, residual
+
+
+def _total_force_rows(
+    law: FrictionLaw, seg: np.ndarray, r0: np.ndarray, r1: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``balance.total_force`` of each row's pieces (``seg``, ``r0``, ``r1``
+    shaped ``(P, 1, n)``) at each ``x[m, i]``: bounds ``(lo, hi)`` shaped
+    like ``x``.  Each piece adds the scalar's one or two terms, in piece
+    order; a piece with one term adds 0.0 in place of the second, which
+    changes no partial sum (they start at +0.0, so none is -0.0)."""
+    tm, tp, mm, mp = law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus
+    v0 = x + r0
+    v1 = x + r1
+    static = (v0 == 0.0) & (v1 == 0.0)
+    neg = (v0 <= 0.0) & (v1 <= 0.0) & ~static
+    pos = (v0 >= 0.0) & (v1 >= 0.0) & ~static
+    len_a = v0 / (v0 - v1) * seg
+    len_b = seg - len_a
+    up = v0 < 0.0  # a crossing from negative to positive
+    first = np.where(
+        neg,
+        tm * seg - mm * 0.5 * (v0 + v1) * seg,
+        np.where(
+            pos,
+            -tp * seg - mp * 0.5 * (v0 + v1) * seg,
+            np.where(up, tm * len_a - mm * 0.5 * v0 * len_a, -tp * len_a - mp * 0.5 * v0 * len_a),
+        ),
+    )
+    second = np.where(up, -tp * len_b - mp * 0.5 * v1 * len_b, tm * len_b - mm * 0.5 * v1 * len_b)
+    one_term = neg | pos | static
+    point_sum = np.zeros(x.shape)
+    for j in range(len(first)):
+        point_sum = point_sum + np.where(static[j], 0.0, first[j])
+        point_sum = point_sum + np.where(one_term[j], 0.0, second[j])
+    static_len = _ordered_sum(np.where(static, seg, 0.0))
+    has_static = static_len > 0.0
+    return (
+        np.where(has_static, point_sum - tp * static_len, point_sum),
+        np.where(has_static, point_sum + tm * static_len, point_sum),
+    )
+
+
+def _segment_poly_rows(
+    law: FrictionLaw, seg: np.ndarray, r0: np.ndarray, r1: np.ndarray, x_probe: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``balance._segment_poly`` at each probe ``x_probe[m, i]``:
+    coefficients ``a, b, c`` plus a mask of the probes that landed on a
+    breakpoint."""
+    tm, tp, mm, mp = law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus
+    v0 = x_probe + r0
+    v1 = x_probe + r1
+    neg = (v0 < 0.0) & (v1 < 0.0)
+    pos = (v0 > 0.0) & (v1 > 0.0)
+    up = (v0 < 0.0) & (0.0 < v1)
+    down = (v1 < 0.0) & (0.0 < v0)
+    k = np.where(up, seg / (r1 - r0), seg / (r0 - r1))
+    one_sign = neg | pos
+    a = np.where(one_sign, 0.0, 0.5 * (mm - mp) * k)
+    b = np.where(
+        neg,
+        -mm * seg,
+        np.where(
+            pos,
+            -mp * seg,
+            np.where(up, (-tm - tp + mm * r0 - mp * r1) * k, (-tm - tp - mp * r0 + mm * r1) * k),
+        ),
+    )
+    c = np.where(
+        neg,
+        tm * seg - mm * 0.5 * (r0 + r1) * seg,
+        np.where(
+            pos,
+            -tp * seg - mp * 0.5 * (r0 + r1) * seg,
+            np.where(
+                up,
+                (-tm * r0 - tp * r1 + 0.5 * (mm * r0 * r0 - mp * r1 * r1)) * k,
+                (-tp * r0 - tm * r1 + 0.5 * (mm * r1 * r1 - mp * r0 * r0)) * k,
+            ),
+        ),
+    )
+    on_break = ~(one_sign | up | down).all(axis=0)
+    return _ordered_sum(a), _ordered_sum(b), _ordered_sum(c), on_break
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis from +0.0, left to right, as the scalar
+    ``+=`` loops add (``np.sum`` adds pairwise)."""
+    total = np.zeros(terms.shape[1:])
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _poly_roots_rows(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray, span: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``balance._poly_roots_in`` elementwise, with the span it derives from
+    ``lo``/``hi`` passed in: the first root kept, and how many were kept."""
+    slack = 1e-12 * np.maximum(span, 1.0)
+
+    def keep(x: np.ndarray) -> np.ndarray:
+        return (lo - slack <= x) & (x <= hi + slack)
+
+    x_lin = -c / b
+    disc = b * b - 4.0 * a * c
+    near = (disc < 0.0) & (disc > -1e-12 * (b * b + np.abs(4.0 * a * c)))
+    disc = np.where(near, 0.0, disc)
+    sq = np.sqrt(disc)
+    q = np.where(b != 0.0, -0.5 * (b + np.copysign(sq, b)), -0.5 * sq)
+    x1 = np.where(q != 0.0, q / a, 0.0)  # q == 0 leaves the single root 0.0
+    x2 = c / q
+    keep1 = keep(x1)
+    keep2 = (q != 0.0) & keep(x2)
+    linear = a == 0.0
+    first = np.where(linear, x_lin, np.where(keep1, x1, x2))
+    n_roots = np.where(
+        linear,
+        np.where(b == 0.0, 0, keep(x_lin)),
+        np.where(disc < 0.0, 0, keep1.astype(int) + keep2),
+    )
+    return first, n_roots
+
+
+def _closest_to_zero_rows(lo, hi) -> np.ndarray:
+    return np.where((lo <= 0.0) & (0.0 <= hi), 0.0, np.where(hi < 0.0, hi, lo))

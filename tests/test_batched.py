@@ -1,8 +1,8 @@
 """The batched midpoint kernel against the scalar path it replaced.
 
 ``engine.simulate`` and explicit-``dt`` cycles sample the gait for a block
-of steps at once (``gait.sample``) and solve the balance for the whole block
-(``balance.solve_velocity_batch``).  Every float operation is the one the
+of steps at once (``midpoint.sample``) and solve the balance for the whole
+block (``midpoint.solve_velocity_batch``).  Every float operation is the one the
 scalar path made, in the same order, so the results must be equal bit for
 bit, not merely close: ``oracles.reference_simulate`` keeps the scalar step
 loop, and ``solve_velocity`` stays the oracle of each row.
@@ -20,11 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dircrawl
-from dircrawl import balance, body, engine
-from dircrawl.balance import REGIMES, solve_velocity, solve_velocity_batch
+from dircrawl import balance, engine, midpoint
+from dircrawl.balance import REGIMES, solve_velocity
 from dircrawl.body import Breather, CompositeStride, ConstantLength, SquareWave, TwoSegmentPath
 from dircrawl.errors import DegenerateSubstrateError
 from dircrawl.friction import FrictionLaw
+from dircrawl.midpoint import solve_velocity_batch
 from oracles import reference_simulate
 
 _spec = importlib.util.spec_from_file_location(
@@ -52,6 +53,27 @@ def test_simulate_matches_scalar_loop_bit_for_bit(cls):
         assert traj.l.tobytes() == _bits(lengths), seed
         assert traj.x2.tobytes() == (np.asarray(x1) + np.asarray(lengths)).tobytes(), seed
         assert traj.regimes == tuple(regimes), seed
+
+
+def test_step_ends_need_no_profile_rate():
+    # The rate has no value at its corner t = 0.5, a step end the scalar
+    # loop only takes the length of; midpoints never land there.
+    gait = Breather(
+        1.0,
+        0.5,
+        1.0,
+        profile=lambda t: 1.0 + 0.5 * (0.5 - abs(t - 0.5)),
+        profile_rate=lambda t: 0.5 * (0.5 - t) / abs(0.5 - t),
+        corners=(0.0, 0.5, 1.0),
+    )
+    law = FrictionLaw(0.75, 0.25, 0.0, 0.0)
+    times, x1, lengths, regimes = reference_simulate(law, gait, n_periods=2, dt=0.001)
+    traj = engine.simulate(law, gait, n_periods=2, dt=0.001)
+    assert traj.times.tobytes() == _bits(times)
+    assert traj.x1.tobytes() == _bits(x1)
+    assert traj.l.tobytes() == _bits(lengths)
+    assert traj.regimes == tuple(regimes)
+    assert traj.net_displacement == 0.25
 
 
 def test_explicit_dt_cycle_matches_scalar_loop_bit_for_bit():
@@ -104,7 +126,7 @@ def test_batched_solver_equals_scalar_solver_exactly(law, gait, fractions):
     # random times plus every corner time, where rates vanish or jump
     corners = [c + p * gait.period for c in gait.corner_times() for p in (0, 1)]
     times = [f * gait.period for f in fractions] + corners
-    arcs, rates = body.sample(gait, times)
+    arcs, rates = midpoint.sample(gait, times)
     expected = []
     for i, t in enumerate(times):
         shape, rate = gait.shape_at(t), gait.rate_at(t)
@@ -120,11 +142,11 @@ def test_batched_solver_equals_scalar_solver_exactly(law, gait, fractions):
         with pytest.raises(DegenerateSubstrateError):
             solve_velocity_batch(law, arcs, rates)
         return
-    got = solve_velocity_batch(law, arcs, rates)
+    x1dot, regime, residual = solve_velocity_batch(law, arcs, rates)
     for i, sol in enumerate(expected):
-        assert got.x1dot[i] == sol.x1dot, (times[i], got.x1dot[i], sol)
-        assert REGIMES[got.regime[i]] == sol.regime, (times[i], sol)
-        assert got.residual[i] == sol.residual, (times[i], got.residual[i], sol)
+        assert x1dot[i] == sol.x1dot, (times[i], x1dot[i], sol)
+        assert REGIMES[regime[i]] == sol.regime, (times[i], sol)
+        assert residual[i] == sol.residual, (times[i], residual[i], sol)
 
 
 def test_benchmark_rows_settle_without_the_scalar_solver(monkeypatch):
@@ -146,7 +168,7 @@ def test_sampler_raises_the_scalar_shape_error():
     with pytest.raises(ValueError) as scalar:
         gait.shape_at(0.75)
     with pytest.raises(ValueError) as batched:
-        body.sample(gait, [0.25, 0.75, 0.9])
+        midpoint.sample(gait, [0.25, 0.75, 0.9])
     assert str(batched.value) == str(scalar.value)
 
 
@@ -180,7 +202,7 @@ def test_unresolvable_balance_raises_typed_error(gait, t):
     with pytest.raises(DegenerateSubstrateError):
         solve_velocity(_MIXED, gait.shape_at(t), gait.rate_at(t))
     with pytest.raises(DegenerateSubstrateError):
-        solve_velocity_batch(_MIXED, *body.sample(gait, [0.5 * gait.period, t]))
+        solve_velocity_batch(_MIXED, *midpoint.sample(gait, [0.5 * gait.period, t]))
     with pytest.raises(DegenerateSubstrateError, match="at t = "):
         engine.simulate(_MIXED, gait)
     with pytest.raises(DegenerateSubstrateError):

@@ -182,6 +182,13 @@ class TestSquareWave:
         s = w.shape_at(0.1)
         assert length(s) < 1.0
 
+    def test_contraction_front_of_no_arc_length_is_merged(self):
+        # At t = 5e-324 the stretched region's arc-length (1 + eps) * c * t
+        # rounds to 0.0: it is dropped, as at t = 0, not left as a node at s = 0.
+        w = SquareWave(ref_length=1.0, delta=0.25, epsilon=-0.5, speed=1.0)
+        assert w.shape_at(5e-324) == w.shape_at(0.0)
+        assert w.rate_at(5e-324) == w.rate_at(0.0)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

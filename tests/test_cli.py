@@ -363,6 +363,14 @@ class TestFigureCommand:
         assert captured.out == ""
         assert f"config error: {flag}: each value must be finite" in captured.err
 
+    @pytest.mark.parametrize("epsilon", ["1e200", "1e300"])
+    def test_overflowing_amplitude_exit_two(self, capsys, epsilon):
+        argv = ["figure", "fig7", "--epsilons", epsilon, "--betas-squared", "0.25"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: epsilon={float(epsilon)!r} is out of range" in captured.err
+
     def test_figure_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["figure", "fig7", "--out", str(a)])

@@ -387,6 +387,52 @@ class TestFigureData:
         with pytest.raises(ValueError, match=match):
             engine.figure6_data(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"epsilons": (math.inf,)}, "epsilon must be finite"),
+            ({"epsilons": (0.5, math.nan)}, "epsilon must be finite"),
+            ({"epsilons": (-1.0,)}, "epsilon must be finite and exceed -1"),
+            ({"betas": (math.inf,)}, "beta must be positive"),
+            ({"betas": (math.nan,)}, "beta must be positive"),
+            ({"betas": (0.0,)}, "beta must be positive"),
+            ({"betas": (1e200,)}, "beta must be positive with a finite square"),
+            # the sliding formula leaves the float range: a NaN total ...
+            ({"betas": (0.5,), "epsilons": (1e200,)}, r"epsilon=1e\+200 is out of range"),
+            ({"betas": (0.5,), "epsilons": (1e300,)}, r"epsilon=1e\+300 is out of range"),
+            # ... and u * u overflowing, which zeroed the exit term (5.0e152
+            # where the value is 1.0e153)
+            ({"betas": (10.0,), "epsilons": (1e153,)}, r"epsilon=1e\+153 is out of range"),
+        ],
+    )
+    def test_fig7_rejects_non_finite_or_out_of_range_inputs(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            engine.figure7_data(**kwargs)
+
+    def test_fig7_large_finite_amplitude_still_tabulated(self):
+        [(_, _, _, value)] = engine.figure7_data(betas=(0.5,), epsilons=(1e150,))
+        assert value == 1e150
+
+    def test_default_rows_match_the_exact_solver(self):
+        # Each default row with epsilon != 0 is the per-cycle displacement of
+        # a square wave, which the stage-wise integrator reproduces: fig6 on a
+        # dry law at the widest stick-slip wave, fig7 on a Newtonian law at
+        # delta / L = 0.25 (both with L = 1).
+        cases = []
+        for a, e, value in engine.figure6_data():
+            law = FrictionLaw(a, 1.0 - a, 0.0, 0.0)
+            if e != 0.0:
+                wave = SquareWave(1.0, stickslip_delta_max(law, e, 1.0, 1.0), e, 1.0)
+                cases.append((law, wave, value))
+        for b, _, e, value in engine.figure7_data():
+            if e != 0.0:
+                law = FrictionLaw(0.0, 0.0, b * b, 1.0)
+                cases.append((law, SquareWave(1.0, 0.25, e, 1.0), value))
+        assert len(cases) == 3 * 98 + 5 * 98
+        for law, wave, value in cases:
+            x = engine.cycle_displacement(law, wave).net_displacement
+            assert abs(x - value) <= 1e-6 * max(1.0, abs(value)), (law, wave, x, value)
+
 
 class TestScaleInvariance:
     def test_simulated_displacement_invariant_under_law_scaling(self):

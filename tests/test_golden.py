@@ -5,6 +5,8 @@ of the families, so that the grid times offset by whole periods are covered
 too), and ``analytic``/``verify``/``sweep`` with an explicit ``numeric.dt``,
 all integrate on the fixed midpoint grid, so
 their output bytes are a contract: any change to them is a behaviour change.
+The ``figure`` tables, closed forms printed row by row, are pinned the same
+way, at their defaults and with custom flags.
 Each case is run through ``main`` and the SHA-256 of the produced file is
 compared with ``golden_cli.json``.
 
@@ -89,9 +91,27 @@ N_PERIODS = {
     "simulate/stick_slip_wave_3_periods": 3,
 }
 
+# name -> arguments of a ``figure`` case, which reads no configuration
+FIGURES = {
+    "figure/fig6": ("fig6",),
+    "figure/fig6_custom": (
+        "fig6", "--alphas", "0.3,0.6", "--epsilons=-0.5,0.25,1.5", "--length", "2.0",
+    ),
+    "figure/fig7": ("fig7",),
+    "figure/fig7_custom": (
+        "fig7", "--betas-squared", "0.3,3", "--epsilons=-0.7,0.4,2", "--delta-over-l", "0.4",
+    ),
+}
+NAMES = sorted([*CASES, *FIGURES])
+
 
 def render(name: str, workdir: Path) -> bytes:
     """Output bytes of one golden case, run through the CLI entry point."""
+    stem = name.replace("/", "_")
+    out_path = workdir / f"{stem}.out"
+    if name in FIGURES:
+        assert main(["figure", *FIGURES[name], "--out", str(out_path)]) == 0, name
+        return out_path.read_bytes()
     command, substrate, gait, dt, axes = CASES[name]
     cfg = {"schema": 1, "substrate": substrate, "gait": _GAITS[gait]}
     if dt is not None:
@@ -100,9 +120,7 @@ def render(name: str, workdir: Path) -> bytes:
         cfg["numeric"] = {"n_periods": N_PERIODS[name]}
     if axes is not None:
         cfg["sweep"] = {"axes": [{"path": p, "values": v} for p, v in axes]}
-    stem = name.replace("/", "_")
     cfg_path = workdir / f"{stem}.json"
-    out_path = workdir / f"{stem}.out"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     code = main([command, "--config", str(cfg_path), "--out", str(out_path)])
     assert code == 0, f"{name}: exit {code}"
@@ -113,17 +131,17 @@ def digest(data: bytes) -> dict[str, object]:
     return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", NAMES)
 def test_cli_output_bytes_unchanged(name, tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert digest(render(name, tmp_path)) == golden[name]
 
 
 def test_golden_file_covers_every_case():
-    assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(CASES)
+    assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == NAMES
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        table = {name: digest(render(name, Path(tmp))) for name in sorted(CASES)}
+        table = {name: digest(render(name, Path(tmp))) for name in NAMES}
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
