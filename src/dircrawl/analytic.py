@@ -75,11 +75,19 @@ def breather_roots(law: FrictionLaw, ldot: float) -> BreatherRoots:
     p = directional_pair(law, elongating=ldot > 0.0)
     if abs(p.mu_1 - p.mu_2) <= _MU_BRANCH_RTOL * max(p.mu_1, p.mu_2, 1.0):
         raise ValueError("viscosities coincide; the balance is linear, not quadratic")
-    disc = (
-        p.mu_1 * p.mu_2
-        + ((p.tau_2 - p.tau_1) / ldot) ** 2
-        + 2.0 * (p.mu_2 * p.tau_1 - p.mu_1 * p.tau_2) / ldot
-    )
+    try:
+        disc = (
+            p.mu_1 * p.mu_2
+            + ((p.tau_2 - p.tau_1) / ldot) ** 2
+            + 2.0 * (p.mu_2 * p.tau_1 - p.mu_1 * p.tau_2) / ldot
+        )
+    except OverflowError:
+        disc = math.inf
+    if not math.isfinite(disc):
+        raise ValueError(
+            f"ldot={ldot!r} is out of range for this law: the discriminant "
+            "overflows in floating point"
+        )
     if disc < 0.0:
         raise ValueError(f"negative discriminant {disc}: invalid friction law")
     sq = math.sqrt(disc)
@@ -246,12 +254,9 @@ def _corner_spans(corners: Sequence[float], period: float) -> list[tuple[float, 
     return list(zip(pts, pts[1:]))
 
 
-def _monotone_pieces(
-    rate: Callable[[float], float], period: float, corners: Sequence[float] | None
-) -> list[tuple[float, float]]:
-    """Time intervals on which the length profile is monotone."""
-    if corners is not None:
-        return _corner_spans(corners, period)
+def _turning_points(rate: Callable[[float], float], period: float) -> list[float]:
+    """Times in ``(0, period)`` where ``rate`` changes sign: a scan of 2048
+    steps, each sign change refined by bisection."""
     n = 2048
     ts = [period * i / n for i in range(n + 1)]
     vals = [rate(t) for t in ts]
@@ -272,7 +277,7 @@ def _monotone_pieces(
             else:
                 lo, flo = mid, fmid
         splits.append(0.5 * (lo + hi))
-    return _corner_spans(splits, period)
+    return splits
 
 
 def breather_cycle_displacement(
@@ -298,10 +303,11 @@ def breather_cycle_displacement(
     if abs(l1 - l0) > 1e-9 * max(1.0, abs(l0)):
         raise ValueError(f"profile is not periodic: l(0)={l0}, l(T)={l1}")
 
-    pieces = _monotone_pieces(profile_rate, period, corners)
+    if corners is None:
+        corners = _turning_points(profile_rate, period)
     coeffs = _rate_independent_coefficients(law)
     total = 0.0
-    for t0, t1 in pieces:
+    for t0, t1 in _corner_spans(corners, period):
         dl = profile(t1) - profile(t0)
         if coeffs is not None:
             c_up, c_down = coeffs
@@ -466,15 +472,10 @@ def _check_wave_args(epsilon: float, c: float, delta: float, L: float) -> None:
 
 def stickslip_delta_max(law: FrictionLaw, epsilon: float, c: float, L: float) -> float:
     """Largest wave width for which the undeformed part of the body can stick."""
-    if epsilon > 0.0:
-        tau_hold = law.tau_plus
-        drive = (law.tau_minus + law.mu_minus * epsilon * c) * (1.0 + epsilon)
-    else:
-        tau_hold = law.tau_minus
-        drive = (law.tau_plus - law.mu_plus * epsilon * c) * (1.0 + epsilon)
-    if tau_hold == 0.0:
+    tb, mb, tf, _ = _wave_params(law, epsilon)
+    if tf == 0.0:
         return 0.0
-    return tau_hold * L / (drive + tau_hold)
+    return tf * L / ((tb + mb * epsilon * c) * (1.0 + epsilon) + tf)
 
 
 def sliding_delta_max(law: FrictionLaw, epsilon: float, c: float, L: float) -> float:
@@ -493,9 +494,8 @@ def wave_admissibility(
     _check_wave_args(epsilon, c, delta, L)
     ss_max = stickslip_delta_max(law, epsilon, c, L)
     sl_max = sliding_delta_max(law, epsilon, c, L)
-    tau_hold = law.tau_plus if epsilon > 0.0 else law.tau_minus
-    mu_front = law.mu_plus if epsilon > 0.0 else law.mu_minus
-    if tau_hold != 0.0:
+    _, _, tau_front, mu_front = _wave_params(law, epsilon)
+    if tau_front != 0.0:
         if delta <= ss_max:
             return WaveAdmissibility("stick_slip", ss_max, None, ss_max, sl_max)
         return WaveAdmissibility(

@@ -19,6 +19,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import Callable, Union
 
+from .analytic import _turning_points
+
 __all__ = [
     "PiecewiseAffineShape",
     "ShapeRate",
@@ -165,15 +167,19 @@ class _ProfileGait:
         return _bump_rate(self.delta, self.period, tm)
 
     def corner_times(self) -> tuple[float, ...]:
+        """Times splitting the period into pieces on which the profile is
+        monotone: ``corners`` when given, else the default bump's half
+        period, else a custom profile's turning points, scanned once."""
         if self.corners is not None:
             return self.corners
-        if self.profile is not None:
-            return (0.0, self.period)
-        return (0.0, 0.5 * self.period, self.period)
+        if self.profile is None:
+            return (0.0, 0.5 * self.period, self.period)
+        if "_turning" not in self.__dict__:
+            turning = (0.0, *_turning_points(self._rate, self.period), self.period)
+            object.__setattr__(self, "_turning", turning)
+        return self._turning
 
-    def monotone_corners(self) -> tuple[float, ...] | None:
-        """Times splitting the profile into monotone pieces, when known."""
-        return None if self.corners is None and self.profile is not None else self.corner_times()
+    monotone_corners = corner_times
 
 
 @dataclass(frozen=True)
@@ -349,12 +355,6 @@ class CompositeStride:
             raise ValueError("h must exceed 1")
         if self.period <= 0.0:
             raise ValueError("period must be positive")
-        # Scaling edges must be rays through the origin (cross product zero),
-        # otherwise they are not whole-body proportional deformations.
-        (a1, a2), (b1, b2), (c1, c2), (d1, d2) = self.vertices
-        tol = 1e-12 * (self.h * (self.lam + self.delta)) ** 2
-        if abs(b1 * c2 - b2 * c1) > tol or abs(d1 * a2 - d2 * a1) > tol:
-            raise ValueError("scaling edges failed the proportionality check")
         # Built once: shape_at/rate_at run once per balance solve.
         object.__setattr__(self, "_path", self.as_path())
 
@@ -378,8 +378,7 @@ class CompositeStride:
         )
 
     def corner_times(self) -> tuple[float, ...]:
-        q = self.period / 4.0
-        return (0.0, q, 2.0 * q, 3.0 * q, self.period)
+        return self._path.times
 
     def shape_at(self, t: float) -> PiecewiseAffineShape:
         return self._path.shape_at(t)

@@ -22,7 +22,8 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Sequence
 
 from . import engine
@@ -271,10 +272,14 @@ def _load_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
 def _open_out(path: str | None):
+    """The output file, or stdout for None or ``-`` (left open)."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
 def _write_csv(
@@ -283,43 +288,19 @@ def _write_csv(
     rows: Sequence[Sequence[Any]],
     precision: int = 17,
 ) -> None:
-    fh, close = _open_out(path)
-    try:
+    with _open_out(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow(
                 [_fmt(v, precision) if isinstance(v, float) else v for v in row]
             )
-    finally:
-        if close:
-            fh.close()
 
 
 def _write_json(path: str | None, obj: Any) -> None:
-    fh, close = _open_out(path)
-    try:
+    with _open_out(path) as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
-    finally:
-        if close:
-            fh.close()
-
-
-def _float_or_none(x: float | None) -> float | None:
-    return None if x is None else float(x)
-
-
-def _admissibility_dict(adm) -> dict[str, Any] | None:
-    if adm is None:
-        return None
-    return {
-        "regime": adm.regime,
-        "delta_max": adm.delta_max,
-        "violated_condition": adm.violated_condition,
-        "stickslip_delta_max": adm.stickslip_delta_max,
-        "sliding_delta_max": adm.sliding_delta_max,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -357,20 +338,20 @@ def _cmd_simulate(cfg: RunConfig, out: str | None) -> int:
 
 def _cmd_analytic(cfg: RunConfig, out: str | None) -> int:
     report = engine.cycle_displacement(cfg.law, cfg.gait, dt=cfg.dt)
-    adm = _admissibility_dict(report.admissibility)
+    adm = report.admissibility
     feasible = None
     if cfg.requested_regime is not None and adm is not None:
-        feasible = adm["regime"] == cfg.requested_regime
+        feasible = adm.regime == cfg.requested_regime
     obj = {
         "schema": SCHEMA_VERSION,
         "command": "analytic",
         "gait_kind": report.gait_kind,
-        "analytic_value": _float_or_none(report.analytic_value),
+        "analytic_value": report.analytic_value,
         "net_displacement_numeric": report.net_displacement,
         "contributions": {k: v for k, v in report.contributions},
-        "abs_residual": _float_or_none(report.abs_residual),
-        "rel_residual": _float_or_none(report.rel_residual),
-        "admissibility": adm,
+        "abs_residual": report.abs_residual,
+        "rel_residual": report.rel_residual,
+        "admissibility": None if adm is None else asdict(adm),
         "requested_regime": cfg.requested_regime,
         "requested_regime_feasible": feasible,
         "note": report.meta.get("note"),
@@ -389,17 +370,7 @@ def _cmd_verify(cfg: RunConfig, out: str | None) -> int:
         "schema": SCHEMA_VERSION,
         "command": "verify",
         "passed": report.passed,
-        "checks": [
-            {
-                "name": c.name,
-                "numeric": c.numeric,
-                "analytic": c.analytic,
-                "residual": c.residual,
-                "tolerance": c.tolerance,
-                "passed": c.passed,
-            }
-            for c in report.checks
-        ],
+        "checks": [asdict(c) for c in report.checks],
     }
     _write_json(out, obj)
     return 0 if report.passed else 1
@@ -462,14 +433,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         ("--epsilons", epsilons or (), lambda v: v > -1.0, "> -1"),
         ("--alphas", alphas or (), lambda v: 0.0 < v < 1.0, "in (0, 1)"),
         ("--betas-squared", betas_squared or (), lambda v: v > 0.0, "> 0"),
-        ("--length", (args.length,), lambda v: v > 0.0, "> 0"),
         ("--delta-over-l", (args.delta_over_l,), lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     ):
         for v in values:
             if not (math.isfinite(v) and ok(v)):
                 raise ConfigError(f"{flag}: each value must be finite and {domain}, got {v!r}")
     if args.name == "fig6":
-        rows = engine.figure6_data(alphas=alphas, epsilons=epsilons, L=args.length)
+        rows = engine.figure6_data(alphas=alphas, epsilons=epsilons)
         _write_csv(args.out, engine.FIG6_COLUMNS, rows)
     else:
         betas = None if betas_squared is None else tuple(b2**0.5 for b2 in betas_squared)
@@ -518,7 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--alphas", default=None, help="fig6: comma-separated alpha values")
     fig.add_argument("--betas-squared", default=None, help="fig7: comma-separated beta^2 values")
     fig.add_argument("--delta-over-l", type=float, default=0.25, help="fig7 wave width / length")
-    fig.add_argument("--length", type=float, default=1.0, help="fig6 body length")
     return parser
 
 

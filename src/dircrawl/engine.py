@@ -161,7 +161,7 @@ def _analytic_cycle_value(
     edge breakdown of the closed form for sliding waves and strides."""
     if isinstance(gait, (Breather, ConstantLength)):
         value = analytic.breather_cycle_displacement(
-            law, gait._value, gait._rate, gait.period, corners=gait.monotone_corners()
+            law, gait._value, gait._rate, gait.period, corners=gait.corner_times()
         )
         return value, None, None, None
     if isinstance(gait, CompositeStride):
@@ -304,10 +304,8 @@ def verify(
         )
     checks = [_check("cycle_displacement", report.net_displacement, report.analytic_value, tol)]
     if isinstance(breakdown, analytic.SlidingDisplacement):
-        for label, target in zip(
-            ("wave_enter", "wave_inside", "wave_exit"),
-            (breakdown.enter, breakdown.inside, breakdown.exit),
-        ):
+        targets = (breakdown.enter, breakdown.inside, breakdown.exit)
+        for label, target in zip(_STAGE_LABELS[SquareWave], targets):
             numeric = dict(report.contributions)[label]
             checks.append(_check(f"stage:{label}", numeric, target, tol))
         checks.append(
@@ -417,22 +415,24 @@ _FIG_DEFAULT_EPSILONS = tuple(round(-0.98 + 0.02 * k, 10) for k in range(99))
 def figure6_data(
     alphas: Sequence[float] | None = None,
     epsilons: Sequence[float] | None = None,
-    L: float = 1.0,
 ) -> list[tuple[float, float, float]]:
-    """Best stick-slip displacement per cycle on dry substrates, tabulated
-    over wave amplitude for one curve per asymmetry ratio."""
+    """Best stick-slip displacement per cycle over body length on dry
+    substrates, tabulated over wave amplitude for one curve per asymmetry
+    ratio.  The ratio does not depend on the length, so it is evaluated
+    at L = 1."""
     if alphas is None:
         alphas = (0.25, 0.5, 0.75)
     if epsilons is None:
         epsilons = _FIG_DEFAULT_EPSILONS
-    if not (math.isfinite(L) and L > 0.0):
-        raise ValueError(f"L must be finite and positive, got {L!r}")
+    for a in alphas:
+        if not 0.0 < a < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {a!r}")
     rows = []
     for a in alphas:
         for e in epsilons:
             if not (math.isfinite(e) and e > -1.0):
                 raise ValueError(f"epsilon must be finite and exceed -1, got {e!r}")
-            value = 0.0 if e == 0.0 else analytic.stickslip_max_displacement_dry(a, e, L) / L
+            value = 0.0 if e == 0.0 else analytic.stickslip_max_displacement_dry(a, e, 1.0)
             rows.append((float(a), float(e), value))
     return rows
 

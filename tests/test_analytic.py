@@ -161,6 +161,13 @@ class TestBreatherRoots:
         with pytest.raises(ValueError):
             breather_roots(FrictionLaw(1, 1, 2, 2), 1.0)
 
+    @pytest.mark.parametrize("ldot", [1e-200, -1e-200, 1e-320])
+    def test_overflowing_discriminant_rejected_naming_ldot(self, ldot):
+        # breather_velocity covers these rates (-3.3e-201 at 1e-200); the
+        # raw quadratic's (tau gap / ldot) ** 2 leaves the float range
+        with pytest.raises(ValueError, match=f"ldot={ldot!r} is out of range"):
+            breather_roots(FrictionLaw(1.0, 0.5, 2.0, 1.0), ldot)
+
 
 class TestBreatherCycle:
     def test_dry_closed_form(self):

@@ -291,6 +291,14 @@ class TestCompositeStride:
         with pytest.raises(ValueError):
             CompositeStride(**kwargs)
 
+    def test_builds_where_the_squared_size_overflows(self):
+        # h * (lam + delta) = 3e154, whose square is past the float range
+        g = CompositeStride(lam=1e154, delta=5e153, h=2.0)
+        assert g.corner_times() == (0.0, 0.25, 0.5, 0.75, 1.0)
+        arc = g.shape_at(0.5).arc
+        assert arc[1] == 2e154
+        assert math.isclose(arc[2], 5e154, rel_tol=1e-15)
+
 
 class TestModuleOps:
     def test_shape_and_rate_dispatch(self):

@@ -375,10 +375,11 @@ class TestFigureData:
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            ({"L": -1.0}, "L must be finite and positive"),
-            ({"L": 0.0}, "L must be finite and positive"),
-            ({"L": math.nan}, "L must be finite and positive"),
-            ({"L": math.inf}, "L must be finite and positive"),
+            # alpha is checked even where epsilon = 0 tabulates no formula
+            ({"alphas": (5.0, math.nan), "epsilons": (0.0,)}, "alpha must lie in .* got 5.0"),
+            ({"alphas": (0.5, math.nan), "epsilons": (0.0,)}, "alpha must lie in .* got nan"),
+            ({"alphas": (math.inf,), "epsilons": (0.0,)}, "alpha must lie in .* got inf"),
+            ({"alphas": (0.0,), "epsilons": (0.0,)}, "alpha must lie in .* got 0.0"),
             ({"epsilons": (0.5, math.nan)}, "epsilon must be finite"),
             ({"epsilons": (math.inf,)}, "epsilon must be finite"),
         ],
@@ -476,6 +477,25 @@ class TestCustomProfileGait:
         rep = engine.cycle_displacement(law, gait, dt=1.0 / 4000)
         assert rep.analytic_value is not None
         assert rep.rel_residual < 1e-5
+
+    def test_verify_splits_at_a_turning_point_near_the_start(self):
+        # The rate changes sign at t ~ 0.011, between the first Gauss nodes
+        # of the whole period: unless the stage-wise integrator splits there,
+        # it misses the sign change (rel. residual 2.7e-6).
+        law = FrictionLaw(1.117181065183956, 0.238563090350834, 0, 0)
+        period, delta, phase = 7.273878794699237, -0.18132132766060885, 0.49847647904585
+
+        def profile(t):
+            return 1.0 + delta * math.sin(math.pi * (t / period + phase)) ** 2
+
+        def profile_rate(t):
+            return delta * (math.pi / period) * math.sin(2.0 * math.pi * (t / period + phase))
+
+        gait = Breather(1.0, delta, period, profile=profile, profile_rate=profile_rate)
+        assert 0.011 < gait.corner_times()[1] < 0.012
+        report = engine.verify(law, gait)
+        assert report.passed
+        assert report.checks[0].residual <= 1e-12
 
 
 class TestWaveConvergence:

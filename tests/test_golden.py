@@ -95,7 +95,7 @@ N_PERIODS = {
 FIGURES = {
     "figure/fig6": ("fig6",),
     "figure/fig6_custom": (
-        "fig6", "--alphas", "0.3,0.6", "--epsilons=-0.5,0.25,1.5", "--length", "2.0",
+        "fig6", "--alphas", "0.3,0.6", "--epsilons=-0.5,0.25,1.5",
     ),
     "figure/fig7": ("fig7",),
     "figure/fig7_custom": (
