@@ -145,37 +145,30 @@ def _rate_independent_coefficients(law: FrictionLaw) -> tuple[float, float] | No
     return None
 
 
-# 8-point Gauss–Legendre nodes on [-1, 1] with their weights, equal to
-# numpy.polynomial.legendre.leggauss(8).  Literals, because importing
-# numpy.polynomial costs more resident memory than the whole rule saves.
-_GL8 = (
-    (-0.9602898564975362, 0.10122853629037706),
-    (-0.7966664774136267, 0.22238103445337443),
-    (-0.525532409916329, 0.3137066458778869),
-    (-0.18343464249564978, 0.36268378337836166),
-    (0.18343464249564978, 0.36268378337836166),
-    (0.525532409916329, 0.3137066458778869),
-    (0.7966664774136267, 0.22238103445337443),
-    (0.9602898564975362, 0.10122853629037706),
+# Gauss–Kronrod 7–15 rule on [-1, 1] (QUADPACK dqk15; Piessens et al. 1983),
+# nodes ascending: (node, Kronrod weight, Gauss weight).  The 7-point
+# Gauss–Legendre rule is nested in it, with weight 0 at the Kronrod-only
+# nodes.  Literals, because importing numpy.polynomial costs more resident
+# memory than the whole rule saves.
+_QK15 = (
+    (-0.9914553711208126, 0.022935322010529224, 0.0),
+    (-0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (-0.8648644233597691, 0.10479001032225019, 0.0),
+    (-0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (-0.5860872354676911, 0.1690047266392679, 0.0),
+    (-0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (-0.20778495500789848, 0.20443294007529889, 0.0),
+    (0.0, 0.20948214108472782, 0.4179591836734694),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.9914553711208126, 0.022935322010529224, 0.0),
 )
 
 _Sample = tuple[float, float, Hashable]  # (t, value, key)
-
-
-def _gauss8(
-    f: Callable[[float], tuple[float, Hashable]], a: float, b: float
-) -> tuple[float, list[_Sample]]:
-    """The 8-point rule over [a, b] and the samples it took."""
-    half = 0.5 * (b - a)
-    mid = a + half
-    total = 0.0
-    samples = []
-    for x, w in _GL8:
-        t = mid + half * x
-        value, key = f(t)
-        total += w * value
-        samples.append((t, value, key))
-    return half * total, samples
 
 
 def _key_switch(
@@ -215,32 +208,39 @@ def adaptive_gauss(
 
     This is the package's one quadrature routine.  ``key`` tags the
     structure the integrand was computed under (``None`` when there is
-    none).  Wherever two neighbouring samples differ in key, the interval
-    is cut at the switch, located by bisection, and each side is integrated
-    on its own: an integrand that jumps or kinks between nodes can
-    otherwise fool the error estimate.  Each piece compares the 8-point
-    Gauss–Legendre rule against the same rule on its two halves and
-    subdivides until they agree within ``tol * max(1, |integral|)``.
+    none).  Each panel takes the 15 nodes of the Gauss–Kronrod 7–15 rule.
+    Wherever two neighbouring samples differ in key, the panel is cut at
+    the switch, located by bisection, and each side is integrated on its
+    own: an integrand that jumps or kinks between nodes can otherwise fool
+    the error estimate.  Otherwise the Kronrod value is accepted when
+    QUADPACK's error estimate is within ``tol * max(1, |integral|)``, and
+    the panel is bisected when it is not.
     """
-    whole, samples = _gauss8(f, a, b)
-    return _gauss_refine(f, a, b, whole, samples, tol, depth)
-
-
-def _gauss_refine(f, a, b, whole, samples, tol, depth):
+    half = 0.5 * (b - a)
+    mid = a + half
+    kronrod = gauss = 0.0
+    samples = []
+    for x, wk, wg in _QK15:
+        t = mid + half * x
+        value, key = f(t)
+        kronrod += wk * value
+        gauss += wg * value
+        samples.append((t, value, key))
+    whole = half * kronrod
     cut = _key_switch(f, samples, tol)
     if cut is None:
-        m = 0.5 * (a + b)
-        left, left_samples = _gauss8(f, a, m)
-        right, right_samples = _gauss8(f, m, b)
-        merged = sorted(samples + left_samples + right_samples, key=lambda s: s[0])
-        cut = _key_switch(f, merged, tol)
-        if cut is None:
-            estimate = left + right
-            if depth <= 0 or abs(estimate - whole) <= tol * max(1.0, abs(estimate)):
-                return estimate
-            return _gauss_refine(
-                f, a, m, left, left_samples, 0.5 * tol, depth - 1
-            ) + _gauss_refine(f, m, b, right, right_samples, 0.5 * tol, depth - 1)
+        # dqk15's estimate: |K - G|, scaled down where it is small against
+        # the spread of the integrand about its mean
+        err = abs(half * (kronrod - gauss))
+        mean = 0.5 * kronrod
+        resasc = abs(half) * sum(
+            wk * abs(value - mean) for (_, wk, _), (_, value, _) in zip(_QK15, samples)
+        )
+        if err != 0.0 and resasc != 0.0:
+            err = resasc * min(1.0, 200.0 * err / resasc) ** 1.5
+        if err <= tol * max(1.0, abs(whole)):
+            return whole
+        cut = mid
     if depth <= 0:
         return whole
     return adaptive_gauss(f, a, cut, 0.5 * tol, depth - 1) + adaptive_gauss(

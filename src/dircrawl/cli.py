@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -529,6 +530,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, StepLimitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early, as ``| head`` does: not an error.
+        # Point stdout at devnull so the interpreter's final flush does not
+        # raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
     except Exception as exc:  # solver/runtime failures
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

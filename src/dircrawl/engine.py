@@ -10,10 +10,11 @@ on time only (never on position), so trajectories are pure quadrature of
   package's one numpy module, imported on first use so that the scalar
   paths never load numpy;
 * the default per-cycle integrator, :func:`dircrawl.analytic.adaptive_gauss`
-  on each stage, split wherever the balance structure (regime and the sign
-  pattern of the velocity field) changes inside the stage.  Between such
-  switches the velocity is smooth, often constant, so a few Gauss–Legendre
-  nodes per piece reach the accuracy of thousands of midpoint steps.
+  on each stage: Gauss–Kronrod 7–15 panels, cut wherever the balance
+  structure (regime and the sign pattern of the velocity field) changes
+  inside the stage.  Between such switches the velocity is smooth, often
+  constant, so one 15-node panel per piece usually reaches the accuracy of
+  thousands of midpoint steps.
 """
 
 from __future__ import annotations
@@ -87,9 +88,11 @@ class CycleReport:
     """Per-cycle displacement accounting for one gait period.
 
     ``n_steps`` is the number of balance solves the cycle took; each one is
-    counted once in ``meta["regime_counts"]``.  ``dt`` is the target step of
-    the midpoint grid, or None when the default stage-wise Gauss–Legendre
-    integrator ran (its solves are quadrature nodes, not steps of one size).
+    counted once in ``meta["regime_counts"]``, and ``meta["residual_max"]``
+    is the largest force residual of any of them.  ``dt`` is the target
+    step of the midpoint grid, or None when the default stage-wise
+    Gauss–Kronrod integrator ran (its solves are quadrature nodes and
+    switch bisections, not steps of one size).
     """
 
     gait_kind: str
@@ -190,33 +193,39 @@ def _analytic_cycle_value(
 
 def _gauss_cycle(
     law: FrictionLaw, gait: GaitProgram
-) -> tuple[float, list[float], dict[str, int]]:
-    """Net displacement, per-stage integrals and regime counts from the
-    stage-wise adaptive Gauss–Legendre integrator."""
+) -> tuple[float, list[float], dict[str, int], float]:
+    """Net displacement, per-stage integrals, regime counts and the largest
+    force residual from the stage-wise Gauss–Kronrod integrator.
+
+    Every balance solve counts, the ones that locate a switch included.
+    """
     regime_counts: dict[str, int] = {}
+    residual_max = 0.0
 
     def velocity(t: float) -> tuple[float, tuple[str, tuple[int, ...]]]:
+        nonlocal residual_max
         rate = gait.rate_at(t)
         sol = solve_velocity(law, gait.shape_at(t), rate)
         regime_counts[sol.regime] = regime_counts.get(sol.regime, 0) + 1
+        residual_max = max(residual_max, sol.residual)
         x = sol.x1dot
         signs = tuple((x + r > 0.0) - (x + r < 0.0) for pair in rate.seg_rates for r in pair)
         return x, (sol.regime, signs)
 
     spans = analytic._corner_spans(gait.corner_times(), gait.period)
     stage_sums = [analytic.adaptive_gauss(velocity, a, b, _CYCLE_TOL) for a, b in spans]
-    return sum(stage_sums), stage_sums, regime_counts
+    return sum(stage_sums), stage_sums, regime_counts, residual_max
 
 
 def _cycle(
     law: FrictionLaw, gait: GaitProgram, dt: float | None
 ) -> tuple[CycleReport, _Breakdown]:
     if dt is None:
-        x, stage_sums, regime_counts = _gauss_cycle(law, gait)
+        x, stage_sums, regime_counts, residual_max = _gauss_cycle(law, gait)
     else:
         from . import midpoint
 
-        x, stage_sums, regime_counts = midpoint.cycle(law, gait, dt)
+        x, stage_sums, regime_counts, residual_max = midpoint.cycle(law, gait, dt)
 
     labels = _STAGE_LABELS.get(type(gait))
     if labels is not None and len(labels) == len(stage_sums):
@@ -228,7 +237,7 @@ def _cycle(
     abs_res = abs(x - value) if value is not None else None
     rel_res = abs_res / max(1.0, abs(value)) if value is not None else None
 
-    meta: dict[str, Any] = {"regime_counts": regime_counts}
+    meta: dict[str, Any] = {"regime_counts": regime_counts, "residual_max": residual_max}
     if note:
         meta["note"] = note
     if isinstance(gait, CompositeStride):
@@ -254,8 +263,9 @@ def cycle_displacement(
     """Integrate one period and attach the matching closed form when one
     exists (integration always runs, even for infeasible wave requests).
 
-    With ``dt=None`` the default stage-wise Gauss–Legendre integrator runs;
-    an explicit ``dt`` selects the midpoint grid that ``simulate`` uses.
+    With ``dt=None`` the default stage-wise Gauss–Kronrod integrator runs,
+    15 balance solves per panel; an explicit ``dt`` selects the midpoint
+    grid that ``simulate`` uses.
     """
     return _cycle(law, gait, dt)[0]
 

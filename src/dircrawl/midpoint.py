@@ -54,13 +54,14 @@ def simulate(
 
 def cycle(
     law: FrictionLaw, gait: GaitProgram, dt: float
-) -> tuple[float, list[float], dict[str, int]]:
-    """Net displacement over one period, per-stage sums and regime counts."""
+) -> tuple[float, list[float], dict[str, int], float]:
+    """Net displacement over one period, per-stage sums, regime counts and
+    the largest force residual."""
     times, stages = _stage_grid(gait, dt)
-    x1dot, regimes, _ = _kernel(law, gait, times, None)
+    x1dot, regimes, residual_max = _kernel(law, gait, times, None)
     dx = x1dot * np.diff(times)
     stage_sums = [_sum_in_order(dx[stages == k]) for k in range(stages[-1] + 1)]
-    return _sum_in_order(dx), stage_sums, dict(Counter(regimes))
+    return _sum_in_order(dx), stage_sums, dict(Counter(regimes)), residual_max
 
 
 def _stage_grid(

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from dircrawl.analytic import (
-    _GL8,
+    _QK15,
     adaptive_gauss,
     breather_cycle_displacement,
     breather_roots,
@@ -231,23 +231,31 @@ class TestBreatherCycle:
 
 
 class TestAdaptiveGauss:
-    def test_nodes_and_weights_match_leggauss(self):
+    def test_kronrod_rule_is_exact_to_degree_22_and_nests_leggauss_7(self):
         from numpy.polynomial.legendre import leggauss
 
-        nodes, weights = leggauss(8)
-        assert [x for x, _ in _GL8] == [float(x) for x in nodes]
-        assert [w for _, w in _GL8] == [float(w) for w in weights]
+        nodes = [x for x, _, _ in _QK15]
+        assert nodes == sorted(nodes)
+        for degree in range(23):
+            exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+            value = math.fsum(wk * x**degree for x, wk, _ in _QK15)
+            assert abs(value - exact) <= 4e-16, degree
+        gauss = [(x, wg) for x, _, wg in _QK15 if wg != 0.0]
+        g_nodes, g_weights = leggauss(7)
+        assert len(gauss) == 7
+        for (x, wg), gx, gw in zip(gauss, g_nodes.tolist(), g_weights.tolist()):
+            assert abs(x - gx) <= 4e-16 and abs(wg - gw) <= 4e-16
 
-    def test_degree_15_polynomial_is_exact_without_refinement(self):
+    def test_degree_13_polynomial_is_exact_in_one_panel(self):
         calls = []
 
         def f(t):
             calls.append(t)
-            return t**15 - 3.0 * t**4, None
+            return t**13 - 3.0 * t**4, None
 
         value = adaptive_gauss(f, 0.0, 2.0, 1e-12)
-        assert math.isclose(value, 2.0**16 / 16 - 3.0 * 2.0**5 / 5, rel_tol=1e-14)
-        assert len(calls) == 24  # the rule on [0, 2] and on its two halves
+        assert math.isclose(value, 2.0**14 / 14 - 3.0 * 2.0**5 / 5, rel_tol=1e-14)
+        assert len(calls) == 15  # G7 is exact, so the one panel is accepted
 
     def test_jump_between_nodes_is_split_at_the_key_switch(self):
         # a unit step at s, between nodes of the rule on [0, 1] and on its

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dircrawl.cli import RunConfig, main
 from dircrawl.errors import ConfigError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -385,6 +391,24 @@ class TestFigureCommand:
         main(["figure", "fig7", "--out", str(a)])
         main(["figure", "fig7", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_closed_stdout_is_not_an_error(self):
+        # 99 alphas x 99 epsilons make ~420 kB of rows, more than a pipe
+        # holds, so the child is still writing when the reader closes it
+        alphas = ",".join(str(k / 100) for k in range(1, 100))
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dircrawl", "figure", "fig6", "--alphas", alphas],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.stdout.readline() == b"alpha,epsilon,dx1_over_L\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert stderr == b""
 
 
 class TestOtherGaitConfigs:

@@ -1,19 +1,41 @@
+import importlib.util
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dircrawl import engine
+import dircrawl
+from dircrawl import engine, midpoint
 from dircrawl.analytic import (
     newtonian_sliding_displacement,
     sliding_cycle_displacement,
     stickslip_delta_max,
     stickslip_max_displacement_dry,
 )
+from dircrawl.balance import solve_velocity
 from dircrawl.body import Breather, CompositeStride, ConstantLength, SquareWave, TwoSegmentPath
 from dircrawl.errors import StepLimitError, UnsupportedPairError
 from dircrawl.friction import FrictionLaw, scale
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+)
+inputs = sys.modules.get(_spec.name)
+if inputs is None:
+    inputs = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(inputs)
+
+# Classes of the benchmark's cycles workload, with the switch-locating dry
+# infeasible wave among them.
+_RESIDUAL_CLASSES = (
+    "breather/mixed",
+    "composite_stride/mixed",
+    "sliding_wave/dry",
+    "sliding_wave/newtonian",
+)
 
 
 class TestSimulate:
@@ -200,6 +222,48 @@ class TestDefaultCycleIntegrator:
         assert rep.dt == g.period / 2000
         assert rep.n_steps == 2000
         assert rep.net_displacement == engine.simulate(law, g).net_displacement
+
+
+    @pytest.mark.parametrize("cls", _RESIDUAL_CLASSES)
+    def test_residual_max_is_the_largest_scalar_residual(self, monkeypatch, cls):
+        law, gait = inputs.draw(1, "cycles", 0, cls, dircrawl).build(dircrawl)
+        residuals = []
+
+        def recording_solve(*args):
+            sol = solve_velocity(*args)
+            residuals.append(sol.residual)
+            return sol
+
+        monkeypatch.setattr(engine, "solve_velocity", recording_solve)
+        rep = engine.cycle_displacement(law, gait)
+        assert len(residuals) == rep.n_steps
+        assert rep.meta["residual_max"] == max(residuals)
+
+    @pytest.mark.parametrize("cls", _RESIDUAL_CLASSES)
+    def test_midpoint_residual_max_is_the_largest_scalar_residual(self, cls):
+        law, gait = inputs.draw(1, "cycles", 0, cls, dircrawl).build(dircrawl)
+        dt = gait.period / 200
+        rep = engine.cycle_displacement(law, gait, dt=dt)
+        times, _ = midpoint._stage_grid(gait, dt)
+        mids = 0.5 * (times[:-1] + times[1:])
+        solves = [solve_velocity(law, gait.shape_at(t), gait.rate_at(t)) for t in mids.tolist()]
+        assert rep.meta["residual_max"] == max(sol.residual for sol in solves)
+
+    def test_solve_counts_on_the_benchmark_rotation(self):
+        # the per-panel cost of the rule: 15 solves per stage wherever the
+        # velocity is smooth across it, as on every stage of these classes
+        exact = {"breather/dry": 30, "breather/newtonian": 30}
+        exact.update({"constant_length/dry": 30, "constant_length/newtonian": 30})
+        exact.update({f"composite_stride/{law}": 60 for law in inputs.LAWS})
+        exact.update({f"stick_slip_wave/{law}": 45 for law in inputs.LAWS})
+        counts = []
+        for seed in range(1, 11):
+            for case in inputs.rotation(seed, "cycles", 0, dircrawl):
+                rep = engine.cycle_displacement(*case.build(dircrawl))
+                counts.append(rep.n_steps)
+                if case.cls in exact:
+                    assert rep.n_steps == exact[case.cls], (seed, case.cls)
+        assert sum(counts) / len(counts) <= 62
 
 
 class TestStepLimit:
