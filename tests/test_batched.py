@@ -239,3 +239,49 @@ def test_simulate_reports_regime_counts_and_residual_max(law, gait):
     mids = 0.5 * (traj.times[:-1] + traj.times[1:])
     solves = [solve_velocity(law, gait.shape_at(t), gait.rate_at(t)) for t in mids.tolist()]
     assert traj.meta["residual_max"] == max(sol.residual for sol in solves)
+
+
+# -- the scalar fallback ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "gait",
+    [
+        SquareWave(1.0, 0.3, 0.5, 1.0),  # rows of one, two and three pieces
+        Breather(1.0, 0.5, 1.0),
+        _THREE_REGIMES,
+    ],
+)
+def test_rows_the_batch_cannot_settle_fall_back_to_the_scalar_solver(monkeypatch, gait):
+    # Report two roots, the first of them 0.0, for every bracketed row: the
+    # batch's own answer for it is then wrong, and only balance.solve_velocity
+    # can give back the rows the batch settles unpatched.
+    times = (np.arange(64) / 32 + 0.013) * gait.period
+    arcs, rates = midpoint.sample(gait, times)
+    laws = [
+        FrictionLaw(0.75, 0.25, 0.0, 0.0),
+        FrictionLaw(0.0, 0.0, 1.0, 0.4),
+        FrictionLaw(1.0, 0.5, 1.0, 0.5),
+    ]
+    settled = [solve_velocity_batch(law, arcs, rates) for law in laws]
+    poly_roots_rows = midpoint._poly_roots_rows
+
+    def two_roots(*args):
+        first, n_roots = poly_roots_rows(*args)
+        return np.zeros_like(first), np.full_like(n_roots, 2)
+
+    fallback_pieces = []
+    monkeypatch.setattr(midpoint, "_poly_roots_rows", two_roots)
+    monkeypatch.setattr(
+        balance,
+        "solve_velocity",
+        lambda law, shape, rate: fallback_pieces.append(len(rate.seg_rates))
+        or solve_velocity(law, shape, rate),
+    )
+    for law, expected in zip(laws, settled):
+        got = solve_velocity_batch(law, arcs, rates)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), law
+    assert fallback_pieces
+    if isinstance(gait, SquareWave):
+        assert {2, 3} <= set(fallback_pieces)  # padded rows reach it unpadded
