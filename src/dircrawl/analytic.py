@@ -75,6 +75,9 @@ def breather_roots(law: FrictionLaw, ldot: float) -> BreatherRoots:
     p = directional_pair(law, elongating=ldot > 0.0)
     if abs(p.mu_1 - p.mu_2) <= _MU_BRANCH_RTOL * max(p.mu_1, p.mu_2, 1.0):
         raise ValueError("viscosities coincide; the balance is linear, not quadratic")
+    # Every term is >= 0, so the discriminant is never negative: tau_1 >= 0
+    # >= tau_2 while elongating and tau_1 <= 0 <= tau_2 while contracting, so
+    # (mu_2 * tau_1 - mu_1 * tau_2) / ldot >= 0 in both directions.
     try:
         disc = (
             p.mu_1 * p.mu_2
@@ -88,8 +91,6 @@ def breather_roots(law: FrictionLaw, ldot: float) -> BreatherRoots:
             f"ldot={ldot!r} is out of range for this law: the discriminant "
             "overflows in floating point"
         )
-    if disc < 0.0:
-        raise ValueError(f"negative discriminant {disc}: invalid friction law")
     sq = math.sqrt(disc)
     base = p.mu_2 + (p.tau_1 - p.tau_2) / ldot
     c_minus = (base - sq) / (p.mu_1 - p.mu_2)
@@ -131,7 +132,7 @@ def breather_velocity(law: FrictionLaw, ldot: float) -> float:
         + 2.0 * (p.mu_2 * p.tau_1 - p.mu_1 * p.tau_2) / ldot
     )
     num = 2.0 * p.tau_2 / ldot - p.mu_2
-    den = p.mu_2 + w + math.sqrt(max(disc, 0.0))
+    den = p.mu_2 + w + math.sqrt(disc)
     if den == 0.0:
         return 0.0  # nothing resists ahead of the motion; rest is admissible
     c = num / den

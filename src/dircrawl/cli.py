@@ -110,10 +110,9 @@ class RunConfig:
         if not isinstance(sub, dict):
             raise ConfigError("substrate: required object with tau/mu parameters")
         _reject_unknown("substrate", sub, _LAW_KEYS)
+        params = {k: _require_number("substrate", k, sub.get(k, 0.0)) for k in _LAW_KEYS}
         try:
-            law = FrictionLaw(
-                **{k: _require_number("substrate", k, sub.get(k, 0.0)) for k in _LAW_KEYS}
-            )
+            law = FrictionLaw(**params)
         except ValueError as exc:
             raise ConfigError(f"substrate: {exc}") from exc
 
@@ -457,6 +456,15 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The subcommands that run a JSON configuration; ``figure`` is the only other.
+_CONFIG_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "analytic": _cmd_analytic,
+    "verify": _cmd_verify,
+    "sweep": _cmd_sweep,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dircrawl",
@@ -476,11 +484,9 @@ def _build_parser() -> argparse.ArgumentParser:
             help="print the normalized configuration to stdout before running",
         )
 
-    sim = sub.add_parser("simulate")
-    add_common(sim)
-    sim.add_argument("--format", choices=("csv", "json"), default=None)
-    for name in ("analytic", "verify", "sweep"):
+    for name in _CONFIG_COMMANDS:
         add_common(sub.add_parser(name))
+    sub.choices["simulate"].add_argument("--format", choices=("csv", "json"), default=None)
 
     fig = sub.add_parser("figure")
     fig.add_argument("name", choices=("fig6", "fig7"))
@@ -518,15 +524,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             json.dump(cfg.to_dict(), sys.stdout, indent=2)
             sys.stdout.write("\n")
         out = args.out if args.out is not None else cfg.out_path
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, out)
-        if args.command == "analytic":
-            return _cmd_analytic(cfg, out)
-        if args.command == "verify":
-            return _cmd_verify(cfg, out)
-        if args.command == "sweep":
-            return _cmd_sweep(cfg, out)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return _CONFIG_COMMANDS[args.command](cfg, out)
     except (ConfigError, StepLimitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

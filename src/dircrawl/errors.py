@@ -2,8 +2,9 @@
 
 
 class DegenerateSubstrateError(RuntimeError):
-    """The force balance has no solution: the substrate cannot resist the
-    imposed shape change and the body would slide without bound."""
+    """Floating point cannot resolve the force balance.  A valid law always
+    has a solution, since friction only opposes sliding; this is raised at
+    scales where the forces overflow or the balance is lost to rounding."""
 
 
 class MixedRheologyError(ValueError):

@@ -308,46 +308,37 @@ def solve_velocity_batch(
 
         f_lo, f_hi = _total_force_rows(law, *pieces, breaks)
 
-        # Polynomials on the left tail, each gap and the right tail.
-        b0, b1 = breaks[:1], breaks[-1:]
-        probes = np.concatenate(
-            [b0 - 1.0 - np.abs(b0), 0.5 * (breaks[:-1] + breaks[1:]), b1 + 1.0 + np.abs(b1)]
-        )
-        lo = np.concatenate([np.full_like(b0, -math.inf), breaks])
-        hi = np.concatenate([breaks, np.full_like(b1, math.inf)])
-        span = np.concatenate([np.abs(b0), breaks[1:] - breaks[:-1], np.abs(b1)])
-        a, bq, cq, on_break = _segment_poly_rows(law, *pieces, probes)
-        root, n_roots = _poly_roots_rows(a, bq, cq, lo, hi, span)
+        # Polynomials on each gap between breakpoints.  The tails hold no
+        # root: the force is never negative at breaks[0] and never positive
+        # at breaks[-1] (see balance.solve_velocity).
+        lo, hi = breaks[:-1], breaks[1:]
+        a, bq, cq, on_break = _segment_poly_rows(law, *pieces, 0.5 * (lo + hi))
+        root, n_roots = _poly_roots_rows(a, bq, cq, lo, hi)
         root = _closest_to_zero_rows(root, root)
 
-        # Candidates in the scalar order: breakpoints, gaps, left, right tail.
+        # Candidates in the scalar order: breakpoints, gaps, left, right flat tail.
         fr, fl = f_lo[:-1], f_hi[1:]
         bracket = (fr > atol) & (fl < -atol)
-        f0, f1 = f_hi[0], f_lo[-1]
-        left_root = (f0 < -atol) & (law.mu_minus > 0.0)
-        left_flat = (np.abs(f0) <= atol) & (law.mu_minus == 0.0)
-        right_root = (f1 > atol) & (law.mu_plus > 0.0)
-        right_flat = (np.abs(f1) <= atol) & (law.mu_plus == 0.0)
+        left_flat = (np.abs(f_hi[0]) <= atol) & (law.mu_minus == 0.0)
+        right_flat = (np.abs(f_lo[-1]) <= atol) & (law.mu_plus == 0.0)
         values = np.concatenate(
             [
                 _closest_to_zero_rows(breaks, breaks),
-                np.where(bracket, root[1:-1], _closest_to_zero_rows(breaks[:-1], breaks[1:])),
-                np.where(left_root, root[0], _closest_to_zero_rows(-math.inf, breaks[0]))[None],
-                np.where(right_root, root[-1], _closest_to_zero_rows(breaks[-1], math.inf))[None],
+                np.where(bracket, root, _closest_to_zero_rows(lo, hi)),
+                _closest_to_zero_rows(-math.inf, breaks[:1]),
+                _closest_to_zero_rows(breaks[-1:], math.inf),
             ]
         )
         valid = np.concatenate(
             [
                 (f_lo <= atol) & (f_hi >= -atol),
                 bracket | (fr <= atol) & (fl >= -atol),
-                (left_root & (n_roots[0] > 0) | left_flat)[None],
-                (right_root & (n_roots[-1] > 0) | right_flat)[None],
+                left_flat[None],
+                right_flat[None],
             ]
         )
         rare = (
-            (bracket & (on_break[1:-1] | (n_roots[1:-1] != 1))).any(axis=0)
-            | left_root & on_break[0]
-            | right_root & on_break[-1]
+            (bracket & (on_break | (n_roots != 1))).any(axis=0)
             | ~valid.any(axis=0)
             | (valid & ~np.isfinite(values)).any(axis=0)
         )
@@ -479,11 +470,11 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def _poly_roots_rows(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray, span: np.ndarray
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``balance._poly_roots_in`` elementwise, with the span it derives from
-    ``lo``/``hi`` passed in: the first root kept, and how many were kept."""
-    slack = 1e-12 * np.maximum(span, 1.0)
+    """``balance._poly_roots_in`` elementwise: the first root kept, and how
+    many were kept."""
+    slack = 1e-12 * np.maximum(hi - lo, 1.0)
 
     def keep(x: np.ndarray) -> np.ndarray:
         return (lo - slack <= x) & (x <= hi + slack)

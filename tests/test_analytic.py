@@ -22,6 +22,8 @@ from dircrawl.analytic import (
     stickslip_max_displacement_dry,
     wave_admissibility,
 )
+from dircrawl.balance import solve_velocity
+from dircrawl.body import Breather
 from dircrawl.errors import MixedRheologyError, RegimeMismatchError
 from dircrawl.friction import FrictionLaw, normalize_orientation, scale
 from oracles import (
@@ -65,6 +67,22 @@ class TestBreatherVelocity:
     def test_zero_rate_rejected(self):
         with pytest.raises(ValueError):
             breather_velocity(FrictionLaw(1, 1, 1, 1), 0.0)
+
+    @pytest.mark.parametrize(
+        "law, t",
+        [
+            (FrictionLaw(0.0, 0.0, 1.0, 0.0), 0.25),  # elongating
+            (FrictionLaw(0.0, 0.0, 0.0, 1.0), 0.75),  # contracting
+        ],
+    )
+    def test_frictionless_ahead_of_the_motion(self, law, t):
+        # Nothing resists the half that slides ahead, so every velocity from
+        # rest onward balances; both take the one closest to zero.
+        gait = Breather(1.0, 0.5, 1.0)
+        ldot = gait.length_rate_at(t)
+        assert ldot > 0.0 if t < 0.5 else ldot < 0.0
+        sol = solve_velocity(law, gait.shape_at(t), gait.rate_at(t))
+        assert breather_velocity(law, ldot) == sol.x1dot == 0.0
 
     def test_sign_structure(self):
         rng = random.Random(11)

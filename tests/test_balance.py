@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dircrawl.analytic import breather_velocity, stickslip_delta_max
+from dircrawl.analytic import breather_roots, breather_velocity, stickslip_delta_max
 from dircrawl.balance import (
     SLIDING,
     STICK_SLIP,
@@ -260,3 +262,48 @@ class TestStickForceWindow:
             t = 0.5 * (w.corner_times()[1] + w.corner_times()[2])
             fv = total_force(law, w.shape_at(t), w.rate_at(t), 0.0)
             assert fv.contains(0.0) == admissible
+
+
+# -- why no balance root lies beyond the extreme breakpoints ------------------
+
+_magnitude = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
+_laws = st.tuples(_magnitude, _magnitude, _magnitude, _magnitude).filter(any)
+_rates = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1e300, 1e300))
+
+
+@st.composite
+def _shapes(draw):
+    """One to three pieces of any length, with arbitrary end rates."""
+    nodes = [0.0]
+    for _ in range(draw(st.integers(1, 3))):
+        nodes.append(nodes[-1] + draw(st.floats(1e-300, 1e300)))
+    assume(all(a < b for a, b in zip(nodes, nodes[1:])))
+    nodes = tuple(nodes)
+    pairs = tuple((draw(_rates), draw(_rates)) for _ in nodes[1:])
+    return PiecewiseAffineShape(nodes, nodes), ShapeRate(nodes, pairs)
+
+
+class TestSignOfTheTails:
+    """Friction only opposes sliding.  Once every point slides backward (at
+    or left of the smallest breakpoint) the force is >= 0, and once every
+    point slides forward it is <= 0, so the solvers search no tail for a
+    root.  NaN, from overflow, is neither."""
+
+    @settings(max_examples=500)
+    @given(params=_laws, shape_rate=_shapes())
+    def test_force_never_points_into_a_tail(self, params, shape_rate):
+        law = FrictionLaw(*params)
+        shape, rate = shape_rate
+        ends = [r for pair in rate.seg_rates for r in pair]
+        assert not total_force(law, shape, rate, -max(ends)).hi < 0.0
+        assert not total_force(law, shape, rate, -min(ends)).lo > 0.0
+
+    @settings(max_examples=500)
+    @given(params=_laws, ldot=st.one_of(st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300)))
+    def test_breather_discriminant_is_never_negative(self, params, ldot):
+        try:
+            roots = breather_roots(FrictionLaw(*params), ldot)
+        except ValueError as exc:
+            assert "viscosities coincide" in str(exc) or "overflows" in str(exc)
+            return
+        assert roots.discriminant >= 0.0

@@ -87,6 +87,72 @@ class TestConfigParsing:
             RunConfig.from_dict(data)
 
 
+_WAVE = {"kind": "square_wave", "L": 1.0, "delta": 0.1, "epsilon": 0.5, "c": 1.0}
+_PATH = {
+    "kind": "two_segment",
+    "L": 1.0,
+    "x_star": 0.5,
+    "times": [0.0, 0.5, 1.0],
+    "l1": [0.4, 0.6, 0.4],
+    "l2": [0.5, 0.55, 0.5],
+}
+
+
+def _analytic(**overrides):
+    return ["analytic"], breather_config(**overrides)
+
+
+def _sweep(*axes):
+    return ["sweep"], breather_config(sweep={"axes": list(axes)})
+
+
+class TestConfigErrors:
+    """Every configuration error exits 2 through ``main``, with nothing on
+    stdout and one stderr line that starts by naming the field at fault."""
+
+    @pytest.mark.parametrize(
+        "argv, data, message",
+        [
+            (*_analytic(substrate={"tau_minus": "x"}), "substrate.tau_minus: expected a number"),
+            (["analytic"], [breather_config()], "top level: expected a JSON object"),
+            (*_analytic(substrate=None), "substrate: required object"),
+            (*_analytic(gait=["breather"]), "gait: required object"),
+            (*_analytic(gait={"kind": "breather", "L": 1.0, "delta": 1.0}), "gait.T: required"),
+            (*_analytic(gait={**_PATH, "times": 0.5}), "gait.times: expected a non-empty array"),
+            (*_analytic(gait={**_PATH, "l1": []}), "gait.l1: expected a non-empty array"),
+            (*_analytic(gait={**_WAVE, "regime": "walk"}), "gait.regime: expected"),
+            (*_analytic(numeric=[]), "numeric: expected an object"),
+            (*_analytic(numeric={"n_periods": 0}), "numeric.n_periods: expected"),
+            (*_analytic(numeric={"n_periods": 1.5}), "numeric.n_periods: expected"),
+            (*_analytic(output="csv"), "output: expected an object"),
+            (*_analytic(output={"format": "xml"}), "output.format: expected"),
+            (*_analytic(output={"path": 7}), "output.path: expected a string"),
+            (*_analytic(output={"precision": 18}), "output.precision: expected"),
+            (["sweep"], breather_config(sweep=[]), "sweep: expected an object"),
+            (*_sweep(), "sweep.axes: expected a non-empty array"),
+            (*_sweep("gait.delta"), "sweep.axes[0]: expected an object"),
+            (*_sweep({"path": "delta", "values": [0.5]}), "sweep.axes[0].path: expected"),
+            (*_sweep({"path": "gait.delta", "values": []}), "sweep.axes[0].values: expected"),
+            (["analytic"], None, "cannot read config"),  # and names the path
+            (["simulate", "--periods", "0"], breather_config(), "--periods: must be >= 1"),
+            (["figure", "fig6", "--epsilons", "0.1,x"], None, "--epsilons: expected"),
+        ],
+    )
+    def test_exit_two_naming_the_field(self, tmp_path, capsys, argv, data, message):
+        path = tmp_path / "cfg.json"
+        if data is not None:
+            path.write_text(json.dumps(data), encoding="utf-8")
+        if argv[0] != "figure":
+            argv = [argv[0], "--config", str(path), *argv[1:]]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: {message}")
+        assert err.count("\n") == 1
+        if data is None and argv[0] != "figure":
+            assert str(path) in err
+
+
 class TestSimulateCommand:
     def test_csv_trajectory(self, tmp_path):
         cfg = write_config(tmp_path, breather_config())
@@ -307,6 +373,28 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, breather_config())
         assert main(["sweep", "--config", cfg]) == 2
         assert "sweep" in capsys.readouterr().err
+
+    def test_failing_row_keeps_its_place_and_names_the_error(self, tmp_path, capsys):
+        data = breather_config(
+            substrate={"tau_minus": 1.0, "tau_plus": 1.0},
+            gait=_WAVE,
+            sweep={"axes": [{"path": "gait.delta", "values": [0.2, 1.5]}]},
+        )
+        assert main(["sweep", "--config", write_config(tmp_path, data)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert lines[1].startswith("0,0.20000000000000001,") and lines[1].endswith(",stick_slip,")
+        assert lines[2] == "1,1.5,,,,,ValueError: delta must satisfy 0 < delta < ref_length"
+
+    def test_unknown_axis_field_fails_every_row_naming_it(self, tmp_path, capsys):
+        data = breather_config(
+            gait=_WAVE, sweep={"axes": [{"path": "gait.bogus", "values": [1.0, 2.0]}]}
+        )
+        assert main(["sweep", "--config", write_config(tmp_path, data)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "0,1,,,,,ValueError: SquareWave has no field 'bogus'",
+            "1,2,,,,,ValueError: SquareWave has no field 'bogus'",
+        ]
 
     def test_sweep_deterministic(self, tmp_path):
         data = breather_config(

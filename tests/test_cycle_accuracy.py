@@ -2,7 +2,7 @@
 
 The inputs are the first rotation of ``perfbench``'s ``cycles`` workload for
 seeds 1-10: 15 gait-by-law classes each.  Where a closed form exists, the
-default (stage-wise Gauss–Legendre) path must match it to 1e-10 relative.
+default (stage-wise Gauss–Kronrod) path must match it to 1e-10 relative.
 The three classes without one are compared with the midpoint grid at
 period/1e5; the default path must be no farther from it than the midpoint
 grid at period/2000, the integrator it replaced.  Those references take
