@@ -1,0 +1,97 @@
+"""Golden guard for the library's numeric results.
+
+``test_golden.py`` pins the CLI's output bytes; this pins what the library
+returns, bit for bit, on the benchmark's own inputs (``perfbench/inputs.py``,
+``trajectory`` rotation, seeds 101-103 across all 15 gait-by-law classes):
+
+* ``cycles``: default (Gauss–Kronrod) cycles: net displacement, the
+  per-stage contributions with their labels, the closed-form value,
+  ``n_steps`` and ``residual_max``;
+* ``cycles_dt400``: the same on the midpoint grid at ``dt = period/400``;
+* ``verify``: every check of ``engine.verify``, or the error it raises
+  (type and message);
+* ``simulate``: the bytes of the ``times``, ``x1``, ``x2`` and ``l`` arrays
+  of a 2-period ``simulate``, plus its regimes.
+
+Floats enter the digests through ``float.hex``, so any change in any bit
+shows.  A change to a digest is a behaviour change: regenerate them only on
+purpose, with::
+
+    PYTHONPATH=src python tests/test_library_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import dircrawl
+from dircrawl import engine
+
+GOLDEN = Path(__file__).with_name("golden_library.json")
+SEEDS = (101, 102, 103)
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+)
+inputs = sys.modules.get(_spec.name)
+if inputs is None:
+    inputs = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(inputs)
+
+
+def _hex(x) -> str:
+    return "None" if x is None else float(x).hex()
+
+
+def _cycle(report: engine.CycleReport) -> str:
+    parts = [
+        _hex(report.net_displacement),
+        *(f"{label}={_hex(v)}" for label, v in report.contributions),
+        _hex(report.analytic_value),
+        str(report.n_steps),
+        _hex(report.meta["residual_max"]),
+    ]
+    return " ".join(parts)
+
+
+def _verify(law, gait) -> str:
+    try:
+        report = engine.verify(law, gait)
+    except Exception as exc:  # the error is part of the result
+        return f"{type(exc).__name__}: {exc}"
+    return " ".join(
+        f"{c.name}:{_hex(c.numeric)}:{_hex(c.analytic)}:{c.passed}" for c in report.checks
+    )
+
+
+def digests() -> dict[str, str]:
+    """One SHA-256 per kind of result, over every input in order."""
+    hashes = {name: hashlib.sha256() for name in ("cycles", "cycles_dt400", "verify", "simulate")}
+    for seed in SEEDS:
+        for case in inputs.rotation(seed, "trajectory", 0, dircrawl):
+            law, gait = case.build(dircrawl)
+            tag = f"{seed}/{case.cls}|".encode()
+            for h in hashes.values():
+                h.update(tag)
+            hashes["cycles"].update(_cycle(engine.cycle_displacement(law, gait)).encode())
+            hashes["cycles_dt400"].update(
+                _cycle(engine.cycle_displacement(law, gait, dt=gait.period / 400)).encode()
+            )
+            hashes["verify"].update(_verify(law, gait).encode())
+            traj = engine.simulate(law, gait, n_periods=2)
+            for array in (traj.times, traj.x1, traj.x2, traj.l):
+                hashes["simulate"].update(array.tobytes())
+            hashes["simulate"].update(",".join(traj.regimes).encode())
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+def test_library_results_unchanged():
+    assert digests() == json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(digests(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
