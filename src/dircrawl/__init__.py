@@ -50,9 +50,6 @@ from .body import (
     SquareWave,
     TwoSegmentPath,
     eulerian_velocity,
-    length,
-    rate_at,
-    shape_at,
     zero_crossings,
 )
 from .engine import (
@@ -113,9 +110,6 @@ __all__ = [
     "CompositeStride",
     "SquareWave",
     "GaitProgram",
-    "shape_at",
-    "rate_at",
-    "length",
     "eulerian_velocity",
     "zero_crossings",
     # analytic

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .body import PiecewiseAffineShape, ShapeRate
+from .body import PiecewiseAffineShape, ShapeRate, _check_same_nodes
 from .errors import DegenerateSubstrateError
 from .friction import ForceValue, FrictionLaw
 
@@ -72,8 +72,7 @@ _Pieces = list[tuple[float, float, float, float]]
 
 
 def _pieces(shape: PiecewiseAffineShape, rate: ShapeRate) -> _Pieces:
-    if shape.ref != rate.ref:
-        raise ValueError("shape and rate are defined on different node sets")
+    _check_same_nodes(shape, rate)
     out = []
     for i in range(len(shape.ref) - 1):
         r0, r1 = rate.seg_rates[i]
@@ -121,10 +120,8 @@ def _force(law: FrictionLaw, pieces: _Pieces, x1dot: float) -> ForceValue:
                 point_sum += -tp * len_a - mp * 0.5 * v0 * len_a
                 point_sum += tm * len_b - mm * 0.5 * v1 * len_b
     if static_len > 0.0:
-        return ForceValue.interval(
-            point_sum - tp * static_len, point_sum + tm * static_len
-        )
-    return ForceValue.point(point_sum)
+        return ForceValue(point_sum - tp * static_len, point_sum + tm * static_len)
+    return ForceValue(point_sum, point_sum)
 
 
 def _segment_poly(

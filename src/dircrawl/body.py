@@ -31,9 +31,6 @@ __all__ = [
     "CompositeStride",
     "SquareWave",
     "GaitProgram",
-    "shape_at",
-    "rate_at",
-    "length",
     "eulerian_velocity",
     "zero_crossings",
 ]
@@ -61,10 +58,6 @@ class PiecewiseAffineShape:
                 raise ValueError("reference coordinates must be strictly increasing")
             if not self.arc[i + 1] > self.arc[i]:
                 raise ValueError("arc-lengths must be strictly increasing")
-
-    @property
-    def ref_length(self) -> float:
-        return self.ref[-1]
 
     @property
     def length(self) -> float:
@@ -502,23 +495,8 @@ GaitProgram = Union[Breather, ConstantLength, TwoSegmentPath, CompositeStride, S
 
 
 # ---------------------------------------------------------------------------
-# Module-level operations
+# Velocity field
 # ---------------------------------------------------------------------------
-
-
-def shape_at(gait: GaitProgram, t: float) -> PiecewiseAffineShape:
-    """Shape prescribed by the gait at time ``t`` (reduced mod the period)."""
-    return gait.shape_at(t)
-
-
-def rate_at(gait: GaitProgram, t: float) -> ShapeRate:
-    """Shape rate at time ``t``; right-sided at gait corner times."""
-    return gait.rate_at(t)
-
-
-def length(shape: PiecewiseAffineShape) -> float:
-    """Current body length (arc-length of the right end)."""
-    return shape.length
 
 
 def _rate_at_arc(shape: PiecewiseAffineShape, rate: ShapeRate, s: float) -> float:

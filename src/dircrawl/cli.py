@@ -36,7 +36,7 @@ from .body import (
     SquareWave,
     TwoSegmentPath,
 )
-from .errors import ConfigError, StepLimitError, UnsupportedPairError
+from .errors import ConfigError, StepLimitError
 from .friction import FrictionLaw
 
 SCHEMA_VERSION = 1
@@ -312,9 +312,9 @@ def _cmd_simulate(cfg: RunConfig, out: str | None) -> int:
     traj = engine.simulate(cfg.law, cfg.gait, n_periods=cfg.n_periods, dt=cfg.dt)
     if cfg.out_format == "csv":
         rows = []
-        n_steps = len(traj.regimes)
+        last = len(traj.regimes) - 1
         for i, t in enumerate(traj.times):
-            regime = traj.regimes[min(i, n_steps - 1)] if n_steps else ""
+            regime = traj.regimes[min(i, last)]
             rows.append(
                 (float(t), float(traj.x1[i]), float(traj.x2[i]), float(traj.l[i]), regime)
             )
@@ -361,11 +361,7 @@ def _cmd_analytic(cfg: RunConfig, out: str | None) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, out: str | None) -> int:
-    try:
-        report = engine.verify(cfg.law, cfg.gait, dt=cfg.dt, tol=cfg.tolerance)
-    except UnsupportedPairError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = engine.verify(cfg.law, cfg.gait, dt=cfg.dt, tol=cfg.tolerance)
     obj = {
         "schema": SCHEMA_VERSION,
         "command": "verify",
@@ -397,8 +393,8 @@ def _cmd_sweep(cfg: RunConfig, out: str | None) -> int:
             if rep.admissibility is not None:
                 regime = rep.admissibility.regime
             else:
-                counts = rep.meta.get("regime_counts", {})
-                regime = max(counts, key=counts.get) if counts else ""
+                counts = rep.meta["regime_counts"]
+                regime = max(counts, key=counts.get)
             out_rows.append(
                 (
                     row.index,

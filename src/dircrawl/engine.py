@@ -391,7 +391,7 @@ def sweep(
         if target not in ("law", "gait") or not field_name:
             raise ValueError(f"axis path must be 'law.<field>' or 'gait.<field>', got {path!r}")
 
-    grid = list(product(*(values for _, values in axes))) if axes else [()]
+    grid = list(product(*(values for _, values in axes)))
 
     def run(idx: int, point: tuple[float, ...]) -> SweepRow:
         params = tuple((axes[k][0], float(v)) for k, v in enumerate(point))

@@ -84,14 +84,6 @@ class ForceValue:
         if self.lo > self.hi:
             raise ValueError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
 
-    @classmethod
-    def point(cls, value: float) -> "ForceValue":
-        return cls(value, value)
-
-    @classmethod
-    def interval(cls, lo: float, hi: float) -> "ForceValue":
-        return cls(lo, hi)
-
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
@@ -126,10 +118,12 @@ class DirectionalPair:
 def evaluate(law: FrictionLaw, v: float) -> ForceValue:
     """Force density exerted by the substrate on material sliding at ``v``."""
     if v < 0.0:
-        return ForceValue.point(law.tau_minus - law.mu_minus * v)
+        f = law.tau_minus - law.mu_minus * v
+        return ForceValue(f, f)
     if v > 0.0:
-        return ForceValue.point(-law.tau_plus - law.mu_plus * v)
-    return ForceValue.interval(-law.tau_plus, law.tau_minus)
+        f = -law.tau_plus - law.mu_plus * v
+        return ForceValue(f, f)
+    return ForceValue(-law.tau_plus, law.tau_minus)
 
 
 def scale(law: FrictionLaw, k: float) -> FrictionLaw:

@@ -12,9 +12,6 @@ from dircrawl.body import (
     SquareWave,
     TwoSegmentPath,
     eulerian_velocity,
-    length,
-    rate_at,
-    shape_at,
     zero_crossings,
 )
 from oracles import shape_value
@@ -152,10 +149,10 @@ class TestSquareWave:
     def test_length_branches(self):
         L, d, e, c = 1.0, 0.2, 0.5, 1.0
         w = SquareWave(ref_length=L, delta=d, epsilon=e, speed=c)
-        assert math.isclose(length(w.shape_at(0.1)), L + e * c * 0.1, rel_tol=1e-14)
-        assert math.isclose(length(w.shape_at(0.5)), L + e * d, rel_tol=1e-14)
+        assert math.isclose(w.shape_at(0.1).length, L + e * c * 0.1, rel_tol=1e-14)
+        assert math.isclose(w.shape_at(0.5).length, L + e * d, rel_tol=1e-14)
         t = 1.1  # leaving stage
-        assert math.isclose(length(w.shape_at(t)), L + e * (L + d - c * t), rel_tol=1e-12)
+        assert math.isclose(w.shape_at(t).length, L + e * (L + d - c * t), rel_tol=1e-12)
 
     def test_periodicity(self):
         w = SquareWave(ref_length=1.0, delta=0.2, epsilon=0.5, speed=1.0)
@@ -180,7 +177,7 @@ class TestSquareWave:
     def test_contraction_wave_valid(self):
         w = SquareWave(ref_length=1.0, delta=0.2, epsilon=-0.5, speed=1.0)
         s = w.shape_at(0.1)
-        assert length(s) < 1.0
+        assert s.length < 1.0
 
     def test_contraction_front_of_no_arc_length_is_merged(self):
         # At t = 5e-324 the stretched region's arc-length (1 + eps) * c * t
@@ -301,14 +298,9 @@ class TestCompositeStride:
 
 
 class TestModuleOps:
-    def test_shape_and_rate_dispatch(self):
-        g = Breather(ref_length=1.0, delta=0.5, period=1.0)
-        assert shape_at(g, 0.25).arc == g.shape_at(0.25).arc
-        assert rate_at(g, 0.25).seg_rates == g.rate_at(0.25).seg_rates
-
     def test_length_examples(self):
-        assert length(PiecewiseAffineShape((0.0, 1.0), (0.0, 1.0))) == 1.0
-        assert length(PiecewiseAffineShape((0.0, 1.0), (0.0, 1.3))) == 1.3
+        assert PiecewiseAffineShape((0.0, 1.0), (0.0, 1.0)).length == 1.0
+        assert PiecewiseAffineShape((0.0, 1.0), (0.0, 1.3)).length == 1.3
 
 
 class TestEulerianVelocity:
