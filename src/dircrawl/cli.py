@@ -199,8 +199,12 @@ class RunConfig:
                 _reject_unknown(f"sweep.axes[{i}]", axis, ("path", "values"))
                 path = axis.get("path")
                 values = axis.get("values")
-                if not isinstance(path, str) or "." not in path:
+                if not isinstance(path, str):
                     raise ConfigError(f"sweep.axes[{i}].path: expected 'law.<f>' or 'gait.<f>'")
+                try:
+                    engine._axis_field(gait, path)
+                except ValueError as exc:
+                    raise ConfigError(f"sweep.axes[{i}].path: {exc}") from exc
                 if not isinstance(values, list) or not values:
                     raise ConfigError(f"sweep.axes[{i}].values: expected a non-empty array")
                 axes.append(

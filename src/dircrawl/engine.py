@@ -20,7 +20,7 @@ on time only (never on position), so trajectories are pure quadrature of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 from typing import Any, Sequence, Union
 
@@ -228,10 +228,13 @@ def _cycle(
         x, stage_sums, regime_counts, residual_max = midpoint.cycle(law, gait, dt)
 
     labels = _STAGE_LABELS.get(type(gait))
-    if labels is not None and len(labels) == len(stage_sums):
-        contributions = tuple(zip(labels, stage_sums))
+    if labels is None:
+        labels = [f"stage_{k}" for k in range(len(stage_sums))]
     else:
-        contributions = tuple((f"stage_{k}", s) for k, s in enumerate(stage_sums))
+        # one stage per corner interval of positive width, as both integrators cut
+        corners = gait.corner_times()
+        labels = [label for label, a, b in zip(labels, corners, corners[1:]) if b > a]
+    contributions = tuple(zip(labels, stage_sums, strict=True))
 
     value, adm, note, breakdown = _analytic_cycle_value(law, gait)
     abs_res = abs(x - value) if value is not None else None
@@ -313,11 +316,13 @@ def verify(
             + (f" ({report.meta.get('note')})" if report.meta.get("note") else "")
         )
     checks = [_check("cycle_displacement", report.net_displacement, report.analytic_value, tol)]
+    # Paired by label: a corner interval of zero width has no stage, and
+    # its integral is 0.
+    stages = dict(report.contributions)
     if isinstance(breakdown, analytic.SlidingDisplacement):
         targets = (breakdown.enter, breakdown.inside, breakdown.exit)
         for label, target in zip(_STAGE_LABELS[SquareWave], targets):
-            numeric = dict(report.contributions)[label]
-            checks.append(_check(f"stage:{label}", numeric, target, tol))
+            checks.append(_check(f"stage:{label}", stages.get(label, 0.0), target, tol))
         checks.append(
             _check(
                 "stage_identity_exit_minus_enter",
@@ -327,8 +332,8 @@ def verify(
             )
         )
     if isinstance(breakdown, analytic.StrideDisplacement):
-        for (label, numeric), target in zip(report.contributions, breakdown.edges):
-            checks.append(_check(f"edge:{label}", numeric, target, tol))
+        for label, target in zip(_STAGE_LABELS[CompositeStride], breakdown.edges):
+            checks.append(_check(f"edge:{label}", stages.get(label, 0.0), target, tol))
     return VerifyReport(tuple(checks))
 
 
@@ -366,11 +371,23 @@ _GAIT_KEYS: dict[type, dict[str, str]] = {
 }
 
 
-def _apply_axis(obj: Any, field_name: str, value: float) -> Any:
-    name = _GAIT_KEYS.get(type(obj), {}).get(field_name, field_name)
-    if not hasattr(obj, name):
-        raise ValueError(f"{type(obj).__name__} has no field {field_name!r}")
-    return replace(obj, **{name: value})
+def _axis_field(gait: GaitProgram, path: str) -> tuple[str, str]:
+    """``("law" | "gait", constructor field)`` that the sweep axis ``path``
+    sets: ``law.<field>``, or ``gait.<key>`` with a configuration key or
+    the field it names.  Raises ``ValueError`` naming the path otherwise."""
+    target, _, key = path.partition(".")
+    if target == "law":
+        names = {f.name: f.name for f in fields(FrictionLaw)}
+        owner = FrictionLaw.__name__
+    elif target == "gait":
+        keys = _GAIT_KEYS[type(gait)]
+        names = {**{f: f for f in keys.values()}, **keys}
+        owner = type(gait).__name__
+    else:
+        raise ValueError(f"expected 'law.<field>' or 'gait.<field>', got {path!r}")
+    if key not in names:
+        raise ValueError(f"{path!r}: {owner} has no field {key!r}")
+    return target, names[key]
 
 
 def sweep(
@@ -382,27 +399,24 @@ def sweep(
     """Cartesian-product sweep over ``law.*`` / ``gait.*`` fields.
 
     Each axis is ``(path, values)`` with path like ``"gait.epsilon"`` or
-    ``"law.tau_plus"``.  Rows are returned in grid order (last axis fastest);
-    per-row failures are captured in the row, except :class:`StepLimitError`,
-    which rejects ``dt`` for the whole sweep.
+    ``"law.tau_plus"``; an unknown path raises ``ValueError`` before any row
+    runs.  Each row builds its law and its gait from all of its values at
+    once, so a row does not depend on the order of the axes.  Rows are
+    returned in grid order (last axis fastest); per-row failures are
+    captured in the row, except :class:`StepLimitError`, which rejects
+    ``dt`` for the whole sweep.
     """
-    for path, _ in axes:
-        target, _, field_name = path.partition(".")
-        if target not in ("law", "gait") or not field_name:
-            raise ValueError(f"axis path must be 'law.<field>' or 'gait.<field>', got {path!r}")
-
+    targets = [_axis_field(gait, path) for path, _ in axes]
     grid = list(product(*(values for _, values in axes)))
 
     def run(idx: int, point: tuple[float, ...]) -> SweepRow:
         params = tuple((axes[k][0], float(v)) for k, v in enumerate(point))
+        updates: dict[str, dict[str, float]] = {"law": {}, "gait": {}}
+        for (target, name), value in zip(targets, point):
+            updates[target][name] = value
         try:
-            row_law, row_gait = law, gait
-            for (path, _), value in zip(axes, point):
-                target, _, field_name = path.partition(".")
-                if target == "law":
-                    row_law = _apply_axis(row_law, field_name, value)
-                else:
-                    row_gait = _apply_axis(row_gait, field_name, value)
+            row_law = replace(law, **updates["law"])
+            row_gait = replace(gait, **updates["gait"])
             return SweepRow(idx, params, cycle_displacement(row_law, row_gait, dt=dt), None)
         except StepLimitError:
             raise

@@ -276,6 +276,19 @@ class TestAnalyticCommand:
 
 
 class TestVerifyCommand:
+    def test_wave_whose_inside_stage_collapses(self, tmp_path, capsys):
+        data = breather_config(
+            substrate={"tau_minus": 0.0, "tau_plus": 0.0, "mu_minus": 1.0, "mu_plus": 2.0},
+            gait={"kind": "square_wave", "L": 1.0, "delta": 0.9999999999999999,
+                  "epsilon": 1.0, "c": 3.0},
+            numeric={},
+        )
+        assert main(["verify", "--config", write_config(tmp_path, data)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        names = [c["name"] for c in json.loads(captured.out)["checks"]]
+        assert names[1:4] == ["stage:wave_enter", "stage:wave_inside", "stage:wave_exit"]
+
     def test_pass_exit_zero(self, tmp_path):
         cfg = write_config(tmp_path, breather_config())
         out = tmp_path / "verify.json"
@@ -386,15 +399,16 @@ class TestSweepCommand:
         assert lines[1].startswith("0,0.20000000000000001,") and lines[1].endswith(",stick_slip,")
         assert lines[2] == "1,1.5,,,,,ValueError: delta must satisfy 0 < delta < ref_length"
 
-    def test_unknown_axis_field_fails_every_row_naming_it(self, tmp_path, capsys):
+    def test_unknown_axis_field_is_a_config_error(self, tmp_path, capsys):
         data = breather_config(
             gait=_WAVE, sweep={"axes": [{"path": "gait.bogus", "values": [1.0, 2.0]}]}
         )
-        assert main(["sweep", "--config", write_config(tmp_path, data)]) == 0
-        assert capsys.readouterr().out.splitlines()[1:] == [
-            "0,1,,,,,ValueError: SquareWave has no field 'bogus'",
-            "1,2,,,,,ValueError: SquareWave has no field 'bogus'",
-        ]
+        assert main(["sweep", "--config", write_config(tmp_path, data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: sweep.axes[0].path: 'gait.bogus': SquareWave has no field 'bogus'\n"
+        )
 
     def test_sweep_deterministic(self, tmp_path):
         data = breather_config(

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -310,6 +311,20 @@ class TestVerify:
         assert "stage_identity_exit_minus_enter" in names
         assert rep.passed
 
+    @pytest.mark.parametrize("dt", [None, 0.6666666666666666 / 400])
+    def test_wave_whose_inside_stage_collapses(self, dt):
+        # delta / c == L / c in floating point: the inside stage has no width
+        law = FrictionLaw(0, 0, 1, 2)
+        g = SquareWave(ref_length=1.0, delta=0.9999999999999999, epsilon=1.0, speed=3.0)
+        assert g.corner_times()[1] == g.corner_times()[2]
+        report = engine.cycle_displacement(law, g, dt=dt)
+        assert [label for label, _ in report.contributions] == ["wave_enter", "wave_exit"]
+        checks = {c.name: c for c in engine.verify(law, g, dt=dt).checks}
+        assert checks["stage:wave_enter"].numeric == dict(report.contributions)["wave_enter"]
+        assert checks["stage:wave_inside"].numeric == 0.0
+        assert checks["stage:wave_exit"].numeric == dict(report.contributions)["wave_exit"]
+        assert all(c.passed for c in checks.values())
+
     def test_stride_includes_edge_checks(self):
         law = FrictionLaw(0.6, 0.4, 0, 0)
         rep = engine.verify(law, CompositeStride(lam=0.5, delta=0.5, h=2.0), tol=1e-6)
@@ -389,6 +404,32 @@ class TestSweep:
         g = Breather(ref_length=1.0, delta=0.5, period=1.0)
         with pytest.raises(ValueError):
             engine.sweep(law, g, axes=[("delta", (0.1,))])
+
+    @pytest.mark.parametrize(
+        "path", ["gait.bogus", "gait.profile", "gait.", "law.bogus", "body.delta"]
+    )
+    def test_unknown_axis_raises_before_any_row(self, path, monkeypatch):
+        def no_row(*args, **kwargs):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(engine, "cycle_displacement", no_row)
+        law = FrictionLaw(1, 1, 0, 0)
+        g = Breather(ref_length=1.0, delta=0.5, period=1.0)
+        with pytest.raises(ValueError, match=re.escape(repr(path))):
+            engine.sweep(law, g, axes=[("gait.delta", (0.1,)), (path, (0.1,))])
+
+    def test_row_does_not_depend_on_axis_order(self):
+        # delta = 1.5 is valid only together with L = 2.0: applied one axis
+        # at a time, the order (delta, L) would reject the row
+        law = FrictionLaw(1, 1, 0, 0)
+        g = SquareWave(1.0, 0.2, -0.5, 1.5)
+        axes = [("gait.delta", (1.5,)), ("gait.L", (2.0,))]
+        forward = engine.sweep(law, g, axes=axes)
+        backward = engine.sweep(law, g, axes=axes[::-1])
+        assert forward[0].error is None and backward[0].error is None
+        assert forward[0].report == backward[0].report
+        expected = engine.cycle_displacement(law, SquareWave(2.0, 1.5, -0.5, 1.5))
+        assert forward[0].report == expected
 
 
 class TestFigureData:
