@@ -19,10 +19,11 @@ swaps the roles of the two sliding directions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
-from .errors import MixedRheologyError, RegimeMismatchError
+from .errors import DegenerateSubstrateError, MixedRheologyError, RegimeMismatchError
 from .friction import FrictionLaw, alpha, directional_pair
 
 __all__ = [
@@ -171,6 +172,11 @@ _QK15 = (
 
 _Sample = tuple[float, float, Hashable]  # (t, value, key)
 
+# dqk15's roundoff floor on a panel's error, relative to the integral of |f|.
+_ROUNDOFF = 50.0 * sys.float_info.epsilon
+# Most panels one adaptive_gauss call takes; the benchmark's cycles need ~22.
+_MAX_PANELS = 1000
+
 
 def _key_switch(
     f: Callable[[float], tuple[float, Hashable]], samples: list[_Sample], tol: float
@@ -214,39 +220,54 @@ def adaptive_gauss(
     the switch, located by bisection, and each side is integrated on its
     own: an integrand that jumps or kinks between nodes can otherwise fool
     the error estimate.  Otherwise the Kronrod value is accepted when
-    QUADPACK's error estimate is within ``tol * max(1, |integral|)``, and
-    the panel is bisected when it is not.
+    QUADPACK's error estimate is within ``tol * max(1, |integral|)``, or
+    within the roundoff floor ``50 * eps * integral of |value|`` below
+    which rounding noise hides the error, and the panel is bisected when
+    it is neither.  Raises :class:`DegenerateSubstrateError` when one call
+    takes more than ``_MAX_PANELS`` panels: the integral does not settle.
     """
-    half = 0.5 * (b - a)
-    mid = a + half
-    kronrod = gauss = 0.0
-    samples = []
-    for x, wk, wg in _QK15:
-        t = mid + half * x
-        value, key = f(t)
-        kronrod += wk * value
-        gauss += wg * value
-        samples.append((t, value, key))
-    whole = half * kronrod
-    cut = _key_switch(f, samples, tol)
-    if cut is None:
-        # dqk15's estimate: |K - G|, scaled down where it is small against
-        # the spread of the integrand about its mean
-        err = abs(half * (kronrod - gauss))
-        mean = 0.5 * kronrod
-        resasc = abs(half) * sum(
-            wk * abs(value - mean) for (_, wk, _), (_, value, _) in zip(_QK15, samples)
-        )
-        if err != 0.0 and resasc != 0.0:
-            err = resasc * min(1.0, 200.0 * err / resasc) ** 1.5
-        if err <= tol * max(1.0, abs(whole)):
+    panels = 0
+
+    def panel(a: float, b: float, tol: float, depth: int) -> float:
+        nonlocal panels
+        panels += 1
+        if panels > _MAX_PANELS:
+            raise DegenerateSubstrateError(
+                f"integral does not settle: more than {_MAX_PANELS} panels "
+                "(the integrand's rounding noise exceeds the tolerance)"
+            )
+        half = 0.5 * (b - a)
+        mid = a + half
+        kronrod = gauss = 0.0
+        samples = []
+        for x, wk, wg in _QK15:
+            t = mid + half * x
+            value, key = f(t)
+            kronrod += wk * value
+            gauss += wg * value
+            samples.append((t, value, key))
+        whole = half * kronrod
+        cut = _key_switch(f, samples, tol)
+        if cut is None:
+            # dqk15's estimate: |K - G|, scaled down where it is small against
+            # the spread of the integrand about its mean
+            err = abs(half * (kronrod - gauss))
+            mean = 0.5 * kronrod
+            resasc = abs(half) * sum(
+                wk * abs(value - mean) for (_, wk, _), (_, value, _) in zip(_QK15, samples)
+            )
+            if err != 0.0 and resasc != 0.0:
+                err = resasc * min(1.0, 200.0 * err / resasc) ** 1.5
+            resabs = abs(half) * sum(wk * abs(value) for (_, wk, _), (_, value, _) in zip(_QK15, samples))
+            bound = tol * max(1.0, abs(whole))
+            if err <= bound or bound < _ROUNDOFF * resabs:
+                return whole
+            cut = mid
+        if depth <= 0:
             return whole
-        cut = mid
-    if depth <= 0:
-        return whole
-    return adaptive_gauss(f, a, cut, 0.5 * tol, depth - 1) + adaptive_gauss(
-        f, cut, b, 0.5 * tol, depth - 1
-    )
+        return panel(a, cut, 0.5 * tol, depth - 1) + panel(cut, b, 0.5 * tol, depth - 1)
+
+    return panel(a, b, tol, depth)
 
 
 def _corner_spans(corners: Sequence[float], period: float) -> list[tuple[float, float]]:

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from dircrawl.analytic import (
+    _MAX_PANELS,
     _QK15,
     adaptive_gauss,
     breather_cycle_displacement,
@@ -24,7 +25,7 @@ from dircrawl.analytic import (
 )
 from dircrawl.balance import solve_velocity
 from dircrawl.body import Breather
-from dircrawl.errors import MixedRheologyError, RegimeMismatchError
+from dircrawl.errors import DegenerateSubstrateError, MixedRheologyError, RegimeMismatchError
 from dircrawl.friction import FrictionLaw, normalize_orientation, scale
 from oracles import (
     literal_sliding_stages,
@@ -284,6 +285,31 @@ class TestAdaptiveGauss:
             return (1.0, "up") if t < s else (0.0, "down")
 
         assert abs(adaptive_gauss(f, 0.0, 1.0, 1e-11) - s) <= 1e-10
+
+    def test_panel_at_the_roundoff_floor_is_accepted(self):
+        # noise of ~1e-15 relative: a tolerance of 1e-20 asks for more than
+        # the arithmetic resolves, so the first panel is the answer
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return 1.0 + 1e-15 * math.sin(1e6 * t), None
+
+        assert math.isclose(adaptive_gauss(f, 0.0, 1.0, 1e-20), 1.0, rel_tol=1e-14)
+        assert len(calls) == 15
+
+    def test_integral_that_does_not_settle_raises_at_the_panel_cap(self):
+        # noise of order 1 everywhere: without the cap every panel would be
+        # bisected down to depth 30
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return math.sin(1e12 * t), None
+
+        with pytest.raises(DegenerateSubstrateError, match="does not settle"):
+            adaptive_gauss(f, 0.0, 1.0, 1e-11)
+        assert len(calls) == 15 * _MAX_PANELS
 
 
 class TestConstantLengthReduction:

@@ -2,6 +2,7 @@ import importlib.util
 import math
 import re
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 import dircrawl
 from dircrawl import engine, midpoint
 from dircrawl.analytic import (
+    breather_cycle_displacement,
     newtonian_sliding_displacement,
     sliding_cycle_displacement,
     stickslip_delta_max,
@@ -18,7 +20,7 @@ from dircrawl.analytic import (
 )
 from dircrawl.balance import solve_velocity
 from dircrawl.body import Breather, CompositeStride, ConstantLength, SquareWave, TwoSegmentPath
-from dircrawl.errors import StepLimitError, UnsupportedPairError
+from dircrawl.errors import DegenerateSubstrateError, StepLimitError, UnsupportedPairError
 from dircrawl.friction import FrictionLaw, scale
 
 _spec = importlib.util.spec_from_file_location(
@@ -748,3 +750,64 @@ class TestContractionStickSlip:
         assert np.all(mids[moving] < 0.2 + 1e-9)
         assert np.allclose(dx[moving] / dts[moving], -eps, atol=1e-12)  # advances
         assert abs(traj.net_displacement - 0.1) < 1e-9
+
+
+class TestQuadratureEnds:
+    """Valid finite inputs on which the stage quadrature once bisected for
+    minutes: rounding noise above the halved tolerance.  Each now ends
+    within the roundoff floor or the panel cap."""
+
+    _WAVE = (
+        FrictionLaw(0.0, 0.0, 0.00018866186498003342, 157.14419170756986),
+        SquareWave(1.1489763556450128e47, 7.850980785793529e46, -0.06540698360063446,
+                   0.17948090247364346),
+    )
+    _CRAWLER = (
+        FrictionLaw(0.21575675093424648, 0.012476091315653297, 0.0, 1.2511143662935717e-46),
+        ConstantLength(1.112923033649893e112, 8.427881197470771e111, 9.710837291971716e111,
+                       3.4305174716382735e49, 22.158276859990146),
+    )
+    _PATH = (
+        FrictionLaw(1.6103380928135822, 11.86880718981462, 12.80343468216912,
+                    2.0684963240096477e-248),
+        TwoSegmentPath(
+            2.833294107905351e-48, 2.6897775842482797e-48,
+            (0.0, 2.9954615176409873e-09, 5.9909230352819745e-09),
+            (0.3554148601609768, 4.804291435865886e-285, 0.3554148601609768),
+            (44.48592935306706, 0.0034274577159614877, 44.48592935306706),
+        ),
+    )
+
+    @pytest.mark.parametrize("case", ["wave", "crawler"])
+    def test_cycle_matches_its_closed_form(self, case):
+        law, gait = {"wave": self._WAVE, "crawler": self._CRAWLER}[case]
+        t0 = time.perf_counter()
+        report = engine.cycle_displacement(law, gait)
+        assert time.perf_counter() - t0 <= 2.0
+        assert math.isfinite(report.net_displacement)
+        assert report.rel_residual <= 5e-7
+
+    def test_noisy_path_raises_at_the_panel_cap(self):
+        law, gait = self._PATH
+        t0 = time.perf_counter()
+        with pytest.raises(DegenerateSubstrateError, match="does not settle"):
+            engine.cycle_displacement(law, gait)
+        assert time.perf_counter() - t0 <= 2.0
+
+    def test_sweep_row_at_the_panel_cap_fails_alone(self):
+        law, gait = self._PATH
+        rows = engine.sweep(law, gait, axes=[("law.mu_plus", (law.mu_plus, 1.0))])
+        assert rows[0].error.startswith("DegenerateSubstrateError: integral does not settle")
+        assert rows[1].error is None
+
+    def test_mixed_law_closed_form(self):
+        # the numeric cycle gives the same value, -delta to the last digit
+        law = FrictionLaw(4.0518886347503145e81, 0.004387196184849628, 0.0, 0.01767026899884136)
+        gait = ConstantLength(4.4627618067239796e114, 1.3884449687629416e114,
+                              1.6262750364375248e114, 5.388666356227551e111, 4.41731009718889e-71)
+        t0 = time.perf_counter()
+        value = breather_cycle_displacement(
+            law, gait._value, gait._rate, gait.period, corners=gait.corner_times()
+        )
+        assert time.perf_counter() - t0 <= 2.0
+        assert math.isclose(value, -gait.delta, rel_tol=5e-7)
