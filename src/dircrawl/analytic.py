@@ -174,7 +174,8 @@ _Sample = tuple[float, float, Hashable]  # (t, value, key)
 
 # dqk15's roundoff floor on a panel's error, relative to the integral of |f|.
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
-# Most panels one adaptive_gauss call takes; the benchmark's cycles need ~22.
+# Most panels one adaptive_gauss call takes; a call on the benchmark's
+# inputs (seeds 101-140) takes at most 11.
 _MAX_PANELS = 1000
 
 
@@ -221,10 +222,11 @@ def adaptive_gauss(
     own: an integrand that jumps or kinks between nodes can otherwise fool
     the error estimate.  Otherwise the Kronrod value is accepted when
     QUADPACK's error estimate is within ``tol * max(1, |integral|)``, or
-    within the roundoff floor ``50 * eps * integral of |value|`` below
-    which rounding noise hides the error, and the panel is bisected when
-    it is neither.  Raises :class:`DegenerateSubstrateError` when one call
-    takes more than ``_MAX_PANELS`` panels: the integral does not settle.
+    when that bound is below the roundoff floor, ``50 * eps`` times the
+    integral of ``|value|`` over the panel, where rounding noise hides the
+    error; the panel is bisected when it is neither.  Raises
+    :class:`DegenerateSubstrateError` when one call takes more than
+    ``_MAX_PANELS`` panels: the integral does not settle.
     """
     panels = 0
 
@@ -253,12 +255,11 @@ def adaptive_gauss(
             # the spread of the integrand about its mean
             err = abs(half * (kronrod - gauss))
             mean = 0.5 * kronrod
-            resasc = abs(half) * sum(
-                wk * abs(value - mean) for (_, wk, _), (_, value, _) in zip(_QK15, samples)
-            )
+            weighted = [(wk, value) for (_, wk, _), (_, value, _) in zip(_QK15, samples)]
+            resasc = abs(half) * sum(wk * abs(value - mean) for wk, value in weighted)
+            resabs = abs(half) * sum(wk * abs(value) for wk, value in weighted)
             if err != 0.0 and resasc != 0.0:
                 err = resasc * min(1.0, 200.0 * err / resasc) ** 1.5
-            resabs = abs(half) * sum(wk * abs(value) for (_, wk, _), (_, value, _) in zip(_QK15, samples))
             bound = tol * max(1.0, abs(whole))
             if err <= bound or bound < _ROUNDOFF * resabs:
                 return whole
