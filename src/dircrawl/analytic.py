@@ -385,7 +385,8 @@ def composite_stride_displacement(
     """Closed-form stride displacement for rate-independent substrates.
 
     Only pure dry or pure Newtonian laws are supported here; anything mixed
-    is rate-dependent and must be simulated (``engine.simulate``).
+    is rate-dependent and must be simulated (``engine.simulate``).  Raises
+    ``ValueError`` where the displacement leaves the float range.
     """
     if lam <= 0.0 or delta <= 0.0 or h <= 1.0:
         raise ValueError("stride requires lam > 0, delta > 0, h > 1")
@@ -420,7 +421,13 @@ def composite_stride_displacement(
             b / (b + 1.0) * (2.0 * lam * (h - 1.0) + delta * h)
             - 1.0 / (b + 1.0) * (2.0 * lam * (h - 1.0) + delta * (2.0 * h - 1.0))
         )
-    return StrideDisplacement(total, seg1_contract, scale_up, seg1_extend, scale_down)
+    stride = StrideDisplacement(total, seg1_contract, scale_up, seg1_extend, scale_down)
+    if not all(math.isfinite(v) for v in (total, *stride.edges)):
+        raise ValueError(
+            f"h={h!r} is out of range for lam={lam!r}: the stride displacement "
+            "overflows in floating point"
+        )
+    return stride
 
 
 def negative_displacement_feasible(
@@ -507,7 +514,10 @@ def sliding_delta_max(law: FrictionLaw, epsilon: float, c: float, L: float) -> f
     if tf != 0.0 or mf == 0.0:
         return 0.0
     drive = mf * epsilon * c
-    return drive * L / (drive + tb * (1.0 + epsilon))
+    den = drive + tb * (1.0 + epsilon)
+    if den == 0.0:  # no yield behind the wave, and the drive underflowed
+        return L
+    return drive * L / den
 
 
 def wave_admissibility(
@@ -517,6 +527,11 @@ def wave_admissibility(
     _check_wave_args(epsilon, c, delta, L)
     ss_max = stickslip_delta_max(law, epsilon, c, L)
     sl_max = sliding_delta_max(law, epsilon, c, L)
+    if not (math.isfinite(ss_max) and math.isfinite(sl_max)):
+        raise ValueError(
+            f"epsilon={epsilon!r} is out of range for this law and length: the "
+            "width bounds overflow in floating point"
+        )
     _, _, tau_front, mu_front = _wave_params(law, epsilon)
     if tau_front != 0.0:
         if delta <= ss_max:
@@ -540,9 +555,16 @@ def stickslip_displacement(epsilon: float, delta: float) -> float:
     """Per-cycle displacement of a stick-slip wave: ``-epsilon * delta``.
 
     Negative for extension waves (the body recoils against the wave) and
-    positive for contraction waves.  Admissibility is not checked here.
+    positive for contraction waves.  Admissibility is not checked here;
+    raises ``ValueError`` where the product leaves the float range.
     """
-    return -epsilon * delta
+    value = -epsilon * delta
+    if not math.isfinite(value):
+        raise ValueError(
+            f"epsilon={epsilon!r} and delta={delta!r}: the stick-slip "
+            "displacement overflows in floating point"
+        )
+    return value
 
 
 def stickslip_max_displacement_dry(alpha_value: float, epsilon: float, L: float) -> float:
@@ -633,23 +655,26 @@ def sliding_cycle_displacement(
     (where the textbook log expression degenerates); the exit contribution
     always exceeds the entry one by exactly ``epsilon * delta``.  Raises
     ``ValueError`` where it leaves the float range (``u * u`` overflowing
-    would zero the exit term).
+    would zero the exit term; ``L * mu`` underflowing would divide by zero).
     """
     _require_sliding(law, epsilon, c, delta, L)
     tb, mb, tf, mf = _wave_params(law, epsilon)
     e = epsilon
     d = (1.0 + e) * mb - mf
-    u = delta * d / (L * mf)
-    p = (1.0 + e) * (tb + mb * e * c) / c
-    s = _u_minus_log1p_over_u2(u)
-    exit_ = p * delta * delta / (L * mf) * s
-    enter = exit_ - e * delta
-    inside = delta * (L - delta) * p / (L * mf + delta * d)
-    total = enter + inside + exit_
+    try:
+        u = delta * d / (L * mf)
+        p = (1.0 + e) * (tb + mb * e * c) / c
+        s = _u_minus_log1p_over_u2(u)
+        exit_ = p * delta * delta / (L * mf) * s
+        enter = exit_ - e * delta
+        inside = delta * (L - delta) * p / (L * mf + delta * d)
+        total = enter + inside + exit_
+    except ZeroDivisionError:
+        u = total = math.nan
     if not (math.isfinite(u * u) and math.isfinite(total)):
         raise ValueError(
             f"epsilon={epsilon!r} is out of range for this law and width: the "
-            "sliding displacement overflows in floating point"
+            "sliding displacement leaves the float range"
         )
     return SlidingDisplacement(total, enter, inside, exit_)
 
