@@ -52,6 +52,13 @@ __all__ = [
 _MU_BRANCH_RTOL = 1e-12
 
 
+def _require_in_range(what: str, *values: float) -> None:
+    """Raise ``ValueError`` naming the input ``what`` when a closed form left
+    the float range (a non-finite value among ``values``)."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} is out of range: the closed form overflows in floating point")
+
+
 # ---------------------------------------------------------------------------
 # Breathers
 # ---------------------------------------------------------------------------
@@ -87,11 +94,7 @@ def breather_roots(law: FrictionLaw, ldot: float) -> BreatherRoots:
         )
     except OverflowError:
         disc = math.inf
-    if not math.isfinite(disc):
-        raise ValueError(
-            f"ldot={ldot!r} is out of range for this law: the discriminant "
-            "overflows in floating point"
-        )
+    _require_in_range(f"ldot={ldot!r}", disc)
     sq = math.sqrt(disc)
     base = p.mu_2 + (p.tau_1 - p.tau_2) / ldot
     c_minus = (base - sq) / (p.mu_1 - p.mu_2)
@@ -421,13 +424,8 @@ def composite_stride_displacement(
             b / (b + 1.0) * (2.0 * lam * (h - 1.0) + delta * h)
             - 1.0 / (b + 1.0) * (2.0 * lam * (h - 1.0) + delta * (2.0 * h - 1.0))
         )
-    stride = StrideDisplacement(total, seg1_contract, scale_up, seg1_extend, scale_down)
-    if not all(math.isfinite(v) for v in (total, *stride.edges)):
-        raise ValueError(
-            f"h={h!r} is out of range for lam={lam!r}: the stride displacement "
-            "overflows in floating point"
-        )
-    return stride
+    _require_in_range(f"h={h!r}", total, seg1_contract, scale_up, seg1_extend, scale_down)
+    return StrideDisplacement(total, seg1_contract, scale_up, seg1_extend, scale_down)
 
 
 def negative_displacement_feasible(
@@ -527,11 +525,7 @@ def wave_admissibility(
     _check_wave_args(epsilon, c, delta, L)
     ss_max = stickslip_delta_max(law, epsilon, c, L)
     sl_max = sliding_delta_max(law, epsilon, c, L)
-    if not (math.isfinite(ss_max) and math.isfinite(sl_max)):
-        raise ValueError(
-            f"epsilon={epsilon!r} is out of range for this law and length: the "
-            "width bounds overflow in floating point"
-        )
+    _require_in_range(f"epsilon={epsilon!r}", ss_max, sl_max)
     _, _, tau_front, mu_front = _wave_params(law, epsilon)
     if tau_front != 0.0:
         if delta <= ss_max:
@@ -558,13 +552,8 @@ def stickslip_displacement(epsilon: float, delta: float) -> float:
     positive for contraction waves.  Admissibility is not checked here;
     raises ``ValueError`` where the product leaves the float range.
     """
-    value = -epsilon * delta
-    if not math.isfinite(value):
-        raise ValueError(
-            f"epsilon={epsilon!r} and delta={delta!r}: the stick-slip "
-            "displacement overflows in floating point"
-        )
-    return value
+    _require_in_range(f"epsilon={epsilon!r}", -epsilon * delta)
+    return -epsilon * delta
 
 
 def stickslip_max_displacement_dry(alpha_value: float, epsilon: float, L: float) -> float:
@@ -671,11 +660,7 @@ def sliding_cycle_displacement(
         total = enter + inside + exit_
     except ZeroDivisionError:
         u = total = math.nan
-    if not (math.isfinite(u * u) and math.isfinite(total)):
-        raise ValueError(
-            f"epsilon={epsilon!r} is out of range for this law and width: the "
-            "sliding displacement leaves the float range"
-        )
+    _require_in_range(f"epsilon={epsilon!r}", u * u, total)
     return SlidingDisplacement(total, enter, inside, exit_)
 
 

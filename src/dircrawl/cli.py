@@ -199,8 +199,6 @@ class RunConfig:
                 _reject_unknown(f"sweep.axes[{i}]", axis, ("path", "values"))
                 path = axis.get("path")
                 values = axis.get("values")
-                if not isinstance(path, str):
-                    raise ConfigError(f"sweep.axes[{i}].path: expected 'law.<f>' or 'gait.<f>'")
                 try:
                     engine._axis_field(gait, path)
                 except ValueError as exc:

@@ -130,15 +130,7 @@ def simulate(
     times, x1, lengths, regimes, regime_counts, residual_max = midpoint.simulate(
         law, gait, n_periods, dt, x0
     )
-    meta = {
-        "gait_kind": type(gait).__name__,
-        "n_periods": n_periods,
-        "dt": dt,
-        "law": law,
-        "gait": gait,
-        "regime_counts": regime_counts,
-        "residual_max": residual_max,
-    }
+    meta = {"regime_counts": regime_counts, "residual_max": residual_max}
     return Trajectory(
         times=times, x1=x1, x2=x1 + lengths, l=lengths, regimes=regimes, meta=meta
     )
@@ -316,8 +308,7 @@ def verify(
             + (f" ({report.meta.get('note')})" if report.meta.get("note") else "")
         )
     checks = [_check("cycle_displacement", report.net_displacement, report.analytic_value, tol)]
-    # Paired by label: a corner interval of zero width has no stage, and
-    # its integral is 0.
+    # Paired by label: a zero-width corner interval has no stage; its integral is 0.
     stages = dict(report.contributions)
     if isinstance(breakdown, analytic.SlidingDisplacement):
         targets = (breakdown.enter, breakdown.inside, breakdown.exit)
@@ -375,19 +366,14 @@ def _axis_field(gait: GaitProgram, path: str) -> tuple[str, str]:
     """``("law" | "gait", constructor field)`` that the sweep axis ``path``
     sets: ``law.<field>``, or ``gait.<key>`` with a configuration key or
     the field it names.  Raises ``ValueError`` naming the path otherwise."""
-    target, _, key = path.partition(".")
-    if target == "law":
-        names = {f.name: f.name for f in fields(FrictionLaw)}
-        owner = FrictionLaw.__name__
-    elif target == "gait":
-        keys = _GAIT_KEYS[type(gait)]
-        names = {**{f: f for f in keys.values()}, **keys}
-        owner = type(gait).__name__
-    else:
+    target, _, key = path.partition(".") if isinstance(path, str) else (None, "", "")
+    owner = {"law": FrictionLaw, "gait": type(gait)}.get(target)
+    if owner is None:
         raise ValueError(f"expected 'law.<field>' or 'gait.<field>', got {path!r}")
-    if key not in names:
-        raise ValueError(f"{path!r}: {owner} has no field {key!r}")
-    return target, names[key]
+    name = _GAIT_KEYS.get(owner, {}).get(key, key)
+    if name not in {f.name for f in fields(owner)}:
+        raise ValueError(f"{path!r}: {owner.__name__} has no field {key!r}")
+    return target, name
 
 
 def sweep(

@@ -136,6 +136,7 @@ class TestConfigErrors:
             (["analytic"], None, "cannot read config"),  # and names the path
             (["simulate", "--periods", "0"], breather_config(), "--periods: must be >= 1"),
             (["figure", "fig6", "--epsilons", "0.1,x"], None, "--epsilons: expected"),
+            (*_sweep({"path": 5, "values": [0.5]}), "sweep.axes[0].path: expected"),
         ],
     )
     def test_exit_two_naming_the_field(self, tmp_path, capsys, argv, data, message):

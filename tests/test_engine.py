@@ -408,7 +408,7 @@ class TestSweep:
             engine.sweep(law, g, axes=[("delta", (0.1,))])
 
     @pytest.mark.parametrize(
-        "path", ["gait.bogus", "gait.profile", "gait.", "law.bogus", "body.delta"]
+        "path", ["gait.bogus", "gait.", "law.bogus", "law.delta", "body.delta"]
     )
     def test_unknown_axis_raises_before_any_row(self, path, monkeypatch):
         def no_row(*args, **kwargs):
