@@ -259,8 +259,9 @@ def cycle_displacement(
     exists (integration always runs, even for infeasible wave requests).
 
     With ``dt=None`` the default stage-wise Gauss–Kronrod integrator runs,
-    15 balance solves per panel; an explicit ``dt`` selects the midpoint
-    grid that ``simulate`` uses.
+    15 balance solves per panel, and raises :class:`DegenerateSubstrateError`
+    where a stage integral does not settle; an explicit ``dt`` selects the
+    midpoint grid that ``simulate`` uses.
     """
     return _cycle(law, gait, dt)[0]
 

@@ -2,9 +2,11 @@
 
 
 class DegenerateSubstrateError(RuntimeError):
-    """Floating point cannot resolve the force balance.  A valid law always
-    has a solution, since friction only opposes sliding; this is raised at
-    scales where the forces overflow or the balance is lost to rounding."""
+    """Floating point cannot resolve the motion.  A valid law always has a
+    solution, since friction only opposes sliding; this is raised at scales
+    where the forces overflow or the balance is lost to rounding, and where
+    a cycle's stage integral does not settle within the quadrature's panel
+    cap because the velocity's rounding noise exceeds the tolerance."""
 
 
 class MixedRheologyError(ValueError):
