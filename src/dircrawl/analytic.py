@@ -552,8 +552,9 @@ def stickslip_displacement(epsilon: float, delta: float) -> float:
     positive for contraction waves.  Admissibility is not checked here;
     raises ``ValueError`` where the product leaves the float range.
     """
-    _require_in_range(f"epsilon={epsilon!r}", -epsilon * delta)
-    return -epsilon * delta
+    value = -epsilon * delta
+    _require_in_range(f"epsilon={epsilon!r}", value)
+    return value
 
 
 def stickslip_max_displacement_dry(alpha_value: float, epsilon: float, L: float) -> float:

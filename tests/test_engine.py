@@ -807,7 +807,7 @@ class TestQuadratureEnds:
                               1.6262750364375248e114, 5.388666356227551e111, 4.41731009718889e-71)
         t0 = time.perf_counter()
         value = breather_cycle_displacement(
-            law, gait._value, gait._rate, gait.period, corners=gait.corner_times()
+            law, gait.seg1_length_at, gait.seg1_rate_at, gait.period, corners=gait.corner_times()
         )
         assert time.perf_counter() - t0 <= 2.0
         assert math.isclose(value, -gait.delta, rel_tol=5e-7)

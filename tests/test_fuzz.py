@@ -104,11 +104,9 @@ def _configs(draw) -> tuple[str, dict]:
 
 def _numbers_finite(text: str, out_format: str) -> bool:
     if out_format == "json":
-        def reject(name):
-            raise AssertionError(f"non-finite number {name} in the output")
-
-        json.loads(text, parse_constant=reject)
-        return True
+        constants = []  # NaN, Infinity, -Infinity
+        json.loads(text, parse_constant=constants.append)
+        return not constants
     for row in csv.reader(io.StringIO(text)):
         for cell in row:
             try:
