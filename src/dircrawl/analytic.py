@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
 from .errors import DegenerateSubstrateError, MixedRheologyError, RegimeMismatchError
-from .friction import FrictionLaw, alpha, directional_pair
+from .friction import DirectionalPair, FrictionLaw, alpha, directional_pair
 
 __all__ = [
     "BreatherRoots",
@@ -127,8 +127,10 @@ def breather_velocity(law: FrictionLaw, ldot: float) -> float:
         raise ValueError("ldot must be nonzero; a static body is the solver's job")
     p = directional_pair(law, elongating=ldot > 0.0)
     tau_gap = p.tau_1 - p.tau_2
-    if tau_gap != 0.0 and abs(ldot) < abs(tau_gap) * 1e-100:
-        return (p.tau_2 / tau_gap) * ldot  # yield-dominated limit, before w overflows
+    if tau_gap != 0.0 and max(1.0, p.mu_1, p.mu_2) * abs(ldot) < abs(tau_gap) * 1e-100:
+        # yield-dominated limit, before w overflows: the viscous forces
+        # mu * |ldot| are negligible against the yield gap too
+        return (p.tau_2 / tau_gap) * ldot
     w = tau_gap / ldot
     disc = (
         p.mu_1 * p.mu_2
@@ -136,11 +138,33 @@ def breather_velocity(law: FrictionLaw, ldot: float) -> float:
         + 2.0 * (p.mu_2 * p.tau_1 - p.mu_1 * p.tau_2) / ldot
     )
     num = 2.0 * p.tau_2 / ldot - p.mu_2
+    if not (math.isfinite(disc) and math.isfinite(num)):
+        return min(max(_scaled_ratio(p, ldot), -1.0), 0.0) * ldot
     den = p.mu_2 + w + math.sqrt(disc)
     if den == 0.0:
         return 0.0  # nothing resists ahead of the motion; rest is admissible
     c = num / den
     return min(max(c, -1.0), 0.0) * ldot
+
+
+def _scaled_ratio(p: DirectionalPair, ldot: float) -> float:
+    """``x1dot / ldot`` of :func:`breather_velocity` where its terms overflow.
+
+    With ``A = |tau_1| / |ldot|`` and ``B = |tau_2| / |ldot|`` the ratio is
+    ``-(2B + mu_2) / (mu_2 + A + B + sqrt(mu_1 mu_2 + (A + B)^2 + 2 (mu_2 A
+    + mu_1 B)))``, every term non-negative and the whole homogeneous of
+    degree 0 in ``(A, B, mu_1, mu_2)``.  All four are divided by a power of
+    two near the largest, so no product leaves the float range; a term that
+    underflows is then negligible against the others.
+    """
+    frac, exp_l = math.frexp(abs(ldot))
+    terms = ((abs(p.tau_1), -exp_l), (abs(p.tau_2), -exp_l), (p.mu_1, 0), (p.mu_2, 0))
+    e = max(math.frexp(v)[1] + shift for v, shift in terms if v != 0.0)
+    a, b, m1, m2 = (math.ldexp(v, shift - e) for v, shift in terms)
+    a, b = a / frac, b / frac
+    w = a + b
+    disc = m1 * m2 + w * w + 2.0 * (m2 * a + m1 * b)
+    return -(2.0 * b + m2) / (m2 + w + math.sqrt(disc))
 
 
 def _rate_independent_coefficients(law: FrictionLaw) -> tuple[float, float] | None:

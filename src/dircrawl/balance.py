@@ -18,11 +18,19 @@ each is <= 0.  The solution set of the balance is a closed interval; when it
 has positive measure (dry plateaus, one-sided frictionless substrates) the
 element closest to zero is returned, so that a vanishing force imbalance
 produces no motion.
+
+``solve_velocity`` is the public entry point: it takes a validated shape
+and rate and returns a :class:`BalanceSolution`.  The work is done by the
+private ``_solve`` on plain ``(s0, s1, r0, r1)`` piece tuples, which the
+default cycle integrator calls directly with the pieces of a gait's
+``_pieces_at(t)``; it also returns the sign pattern of the velocity at the
+piece ends, which that integrator keys its panel cuts on.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .body import PiecewiseAffineShape, ShapeRate, _check_same_nodes
@@ -91,11 +99,16 @@ def total_force(
     ``[-tau_plus, tau_minus]`` times their length.  The result is a point
     unless some positive-length part is at rest.
     """
-    return _force(law, _pieces(shape, rate), x1dot)
+    return ForceValue(*_force(law, _pieces(shape, rate), x1dot))
 
 
-def _force(law: FrictionLaw, pieces: _Pieces, x1dot: float) -> ForceValue:
-    """:func:`total_force` over the pieces of :func:`_pieces`."""
+def _force(law: FrictionLaw, pieces: _Pieces, x1dot: float) -> tuple[float, float]:
+    """:func:`total_force` over the pieces of :func:`_pieces`, as ``(lo, hi)``.
+
+    ``lo <= hi`` always holds, so :class:`ForceValue`'s order check is not
+    needed here: ``tau_minus`` and ``tau_plus`` are >= 0, so the static
+    terms only move ``lo`` down and ``hi`` up (IEEE rounding is monotone),
+    and a NaN bound compares false."""
     tm, tp, mm, mp = law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus
     point_sum = 0.0
     static_len = 0.0
@@ -120,8 +133,8 @@ def _force(law: FrictionLaw, pieces: _Pieces, x1dot: float) -> ForceValue:
                 point_sum += -tp * len_a - mp * 0.5 * v0 * len_a
                 point_sum += tm * len_b - mm * 0.5 * v1 * len_b
     if static_len > 0.0:
-        return ForceValue(point_sum - tp * static_len, point_sum + tm * static_len)
-    return ForceValue(point_sum, point_sum)
+        return point_sum - tp * static_len, point_sum + tm * static_len
+    return point_sum, point_sum
 
 
 def _segment_poly(
@@ -202,8 +215,17 @@ def solve_velocity(
     the force at the returned velocity is not finite or exceeds
     ``1e-9 * fscale`` (a real solution is within ~1e-15 of it).
     """
-    pieces = _pieces(shape, rate)
-    l_total = shape.length
+    x, regime, residual, stick, _ = _solve(law, _pieces(shape, rate), shape.length)
+    return BalanceSolution(x1dot=x, regime=regime, residual=residual, stick_intervals=stick)
+
+
+def _solve(
+    law: FrictionLaw, pieces: _Pieces, l_total: float
+) -> tuple[float, str, float, tuple[tuple[float, float], ...], tuple[int, ...]]:
+    """:func:`solve_velocity` on plain pieces of total length ``l_total``:
+    ``(x1dot, regime, residual, stick_intervals, signs)``, where ``signs``
+    holds the sign (-1, 0 or 1) of ``x1dot + r`` at each piece end, in
+    piece order.  The pieces are trusted to come from a valid shape."""
     rates_all = [r for p in pieces for r in (p[2], p[3])]
     vscale = max(1.0, max(abs(r) for r in rates_all))
     fscale = (
@@ -216,14 +238,14 @@ def solve_velocity(
 
     candidates: list[tuple[float, float]] = []
 
-    for b, fv in zip(breaks, fvals):
-        if fv.lo <= atol and fv.hi >= -atol:
+    for b, (lo, hi) in zip(breaks, fvals):
+        if lo <= atol and hi >= -atol:
             candidates.append((b, b))
 
     for k in range(len(breaks) - 1):
         g0, g1 = breaks[k], breaks[k + 1]
-        f_right_of_g0 = fvals[k].lo
-        f_left_of_g1 = fvals[k + 1].hi
+        f_right_of_g0 = fvals[k][0]
+        f_left_of_g1 = fvals[k + 1][1]
         if f_right_of_g0 > atol and f_left_of_g1 < -atol:
             a, bq, cq = _segment_poly(law, pieces, 0.5 * (g0 + g1))
             roots = _poly_roots_in(a, bq, cq, g0, g1)
@@ -233,20 +255,20 @@ def solve_velocity(
                     "its polynomial there has no root in floating point"
                 )
             if len(roots) > 1:
-                roots.sort(key=lambda x: abs(_force_mag(law, pieces, x)))
+                roots.sort(key=lambda x: _force_mag(_force(law, pieces, x)))
             candidates.append((roots[0], roots[0]))
         elif f_right_of_g0 <= atol and f_left_of_g1 >= -atol:
             candidates.append((g0, g1))  # force within tolerance on the whole gap
 
     # The tails hold no root: at breaks[0] every piece-end velocity
     # r - max(r) is <= 0 (IEEE subtraction is monotone), so every term of
-    # the force is >= 0 and fvals[0].hi is never negative; at breaks[-1],
-    # likewise, fvals[-1].lo is never positive.  Without viscosity in the
+    # the force is >= 0 and fvals[0] is never negative; at breaks[-1],
+    # likewise, fvals[-1] is never positive.  Without viscosity in the
     # tail's direction the force is constant there, and when that constant
     # is zero the whole tail solves the balance.
-    if abs(fvals[0].hi) <= atol and law.mu_minus == 0.0:
+    if abs(fvals[0][1]) <= atol and law.mu_minus == 0.0:
         candidates.append((-_INF, breaks[0]))
-    if abs(fvals[-1].lo) <= atol and law.mu_plus == 0.0:
+    if abs(fvals[-1][0]) <= atol and law.mu_plus == 0.0:
         candidates.append((breaks[-1], _INF))
 
     if not candidates:
@@ -259,9 +281,14 @@ def solve_velocity(
 
     # Classify the velocity field at the solution.
     stick: list[tuple[float, float]] = []
+    signs: list[int] = []
     stick_tol = 1e-12 * vscale
     for s0, s1, r0, r1 in pieces:
-        if r0 == r1 and abs(x_star + r0) <= stick_tol:
+        v0 = x_star + r0
+        v1 = x_star + r1
+        signs.append((v0 > 0.0) - (v0 < 0.0))
+        signs.append((v1 > 0.0) - (v1 < 0.0))
+        if r0 == r1 and abs(v0) <= stick_tol:
             if stick and stick[-1][1] == s0:
                 stick[-1] = (stick[-1][0], s1)
             else:
@@ -274,18 +301,17 @@ def solve_velocity(
     else:
         regime = SLIDING
 
-    residual = _force_mag(law, pieces, x_star)
+    # x_star at a breakpoint (0.0 at -0.0 included): reuse its force, the
+    # same bits, since a zero's sign changes no term of _force
+    k = bisect_left(breaks, x_star)
+    hit = k < len(breaks) and breaks[k] == x_star
+    residual = _force_mag(fvals[k] if hit else _force(law, pieces, x_star))
     if not (math.isfinite(residual) and residual <= _RESIDUAL_RTOL * fscale):
         raise DegenerateSubstrateError(
             f"force balance unresolved at this scale: residual {residual!r} "
             f"at x1dot={x_star!r} against a force scale of {fscale!r}"
         )
-    return BalanceSolution(
-        x1dot=x_star,
-        regime=regime,
-        residual=residual,
-        stick_intervals=tuple(stick),
-    )
+    return x_star, regime, residual, tuple(stick), tuple(signs)
 
 
 def _closest_to_zero(lo: float, hi: float) -> float:
@@ -294,8 +320,9 @@ def _closest_to_zero(lo: float, hi: float) -> float:
     return hi if hi < 0.0 else lo
 
 
-def _force_mag(law: FrictionLaw, pieces: _Pieces, x: float) -> float:
-    fv = _force(law, pieces, x)
-    if fv.contains(0.0):
+def _force_mag(force: tuple[float, float]) -> float:
+    """Distance of a ``(lo, hi)`` force from zero."""
+    lo, hi = force
+    if lo <= 0.0 <= hi:
         return 0.0
-    return min(abs(fv.lo), abs(fv.hi))
+    return min(abs(lo), abs(hi))

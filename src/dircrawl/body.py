@@ -36,6 +36,18 @@ __all__ = [
 ]
 
 
+_REF_ORDER = "reference coordinates must be strictly increasing"
+_ARC_ORDER = "arc-lengths must be strictly increasing"
+
+# What a gait's ``_pieces_at(t)`` returns: one ``(s0, s1, r0, r1)`` tuple per
+# interval, its end arc-lengths and end rates, plus the body length.  The
+# default cycle integrator hands it straight to ``balance._solve``; the per-time
+# checks ``shape_at`` makes are kept, with the same messages, while the ones
+# the gait's constructor already guarantees (node sets, first node, one rate
+# pair per interval) are not repeated.
+_PiecesAt = tuple[list[tuple[float, float, float, float]], float]
+
+
 @dataclass(frozen=True)
 class PiecewiseAffineShape:
     """Nodal representation of the arc-length map ``s(X)``.
@@ -55,9 +67,9 @@ class PiecewiseAffineShape:
             raise ValueError("first node must be (0, 0)")
         for i in range(len(self.ref) - 1):
             if not self.ref[i + 1] > self.ref[i]:
-                raise ValueError("reference coordinates must be strictly increasing")
+                raise ValueError(_REF_ORDER)
             if not self.arc[i + 1] > self.arc[i]:
-                raise ValueError("arc-lengths must be strictly increasing")
+                raise ValueError(_ARC_ORDER)
 
     @property
     def length(self) -> float:
@@ -201,16 +213,25 @@ class Breather(_ProfileGait):
     length_at = _ProfileGait._value
     length_rate_at = _ProfileGait._rate
 
-    def shape_at(self, t: float) -> PiecewiseAffineShape:
+    def _length_checked(self, t: float) -> float:
         l = self.length_at(t)
         if l <= 0.0:
             raise ValueError(f"profile produced non-positive length {l} at t={t}")
-        return PiecewiseAffineShape((0.0, self.ref_length), (0.0, l))
+        return l
+
+    def shape_at(self, t: float) -> PiecewiseAffineShape:
+        return PiecewiseAffineShape((0.0, self.ref_length), (0.0, self._length_checked(t)))
 
     def rate_at(self, t: float) -> ShapeRate:
         ldot = self.length_rate_at(t)
         ref = (0.0, self.ref_length)
         return ShapeRate(ref, ((0.0, ldot),))
+
+    def _pieces_at(self, t: float) -> _PiecesAt:
+        l = self._length_checked(t)
+        if not l > 0.0:
+            raise ValueError(_ARC_ORDER)
+        return [(0.0, l, 0.0, self.length_rate_at(t))], l
 
 
 @dataclass(frozen=True)
@@ -242,18 +263,26 @@ class ConstantLength(_ProfileGait):
     seg1_length_at = _ProfileGait._value
     seg1_rate_at = _ProfileGait._rate
 
-    def shape_at(self, t: float) -> PiecewiseAffineShape:
+    def _l1_checked(self, t: float) -> float:
         l1 = self.seg1_length_at(t)
         if not 0.0 < l1 < self.ref_length:
             raise ValueError(f"profile produced l1={l1} outside (0, {self.ref_length})")
+        return l1
+
+    def shape_at(self, t: float) -> PiecewiseAffineShape:
         return PiecewiseAffineShape(
-            (0.0, self.split, self.ref_length), (0.0, l1, self.ref_length)
+            (0.0, self.split, self.ref_length), (0.0, self._l1_checked(t), self.ref_length)
         )
 
     def rate_at(self, t: float) -> ShapeRate:
         l1dot = self.seg1_rate_at(t)
         ref = (0.0, self.split, self.ref_length)
         return ShapeRate(ref, ((0.0, l1dot), (l1dot, 0.0)))
+
+    def _pieces_at(self, t: float) -> _PiecesAt:
+        l1 = self._l1_checked(t)  # 0 < l1 < ref_length: both pieces have length
+        l1dot = self.seg1_rate_at(t)
+        return [(0.0, l1, 0.0, l1dot), (l1, self.ref_length, l1dot, 0.0)], self.ref_length
 
 
 @dataclass(frozen=True)
@@ -285,6 +314,12 @@ class TwoSegmentPath:
                 raise ValueError("times must be strictly increasing")
         if any(v <= 0.0 for v in self.l1) or any(v <= 0.0 for v in self.l2):
             raise ValueError("segment lengths must stay positive")
+        for i, (l1, l2) in enumerate(zip(self.l1, self.l2)):
+            if l1 + l2 == l1:
+                raise ValueError(
+                    f"l2[{i}]={l2!r} is absorbed by l1[{i}]={l1!r}: "
+                    "l1 + l2 must exceed l1 in floating point"
+                )
         if self.l1[0] != self.l1[-1] or self.l2[0] != self.l2[-1]:
             raise ValueError("path must close: first and last shape point equal")
         if not 0.0 < self.split < self.ref_length:
@@ -303,22 +338,36 @@ class TwoSegmentPath:
         theta = (tm - self.times[k]) / (self.times[k + 1] - self.times[k])
         return k, theta
 
-    def shape_at(self, t: float) -> PiecewiseAffineShape:
-        k, theta = self._locate(t)
+    def _lengths(self, k: int, theta: float) -> tuple[float, float]:
         l1 = self.l1[k] + theta * (self.l1[k + 1] - self.l1[k])
         l2 = self.l2[k] + theta * (self.l2[k + 1] - self.l2[k])
+        return l1, l2
+
+    def _rates(self, k: int) -> tuple[float, float]:
+        dt = self.times[k + 1] - self.times[k]
+        return (self.l1[k + 1] - self.l1[k]) / dt, (self.l2[k + 1] - self.l2[k]) / dt
+
+    def shape_at(self, t: float) -> PiecewiseAffineShape:
+        l1, l2 = self._lengths(*self._locate(t))
         return PiecewiseAffineShape(
             (0.0, self.split, self.ref_length), (0.0, l1, l1 + l2)
         )
 
     def rate_at(self, t: float) -> ShapeRate:
         k, _ = self._locate(t)
-        dt = self.times[k + 1] - self.times[k]
-        l1dot = (self.l1[k + 1] - self.l1[k]) / dt
-        l2dot = (self.l2[k + 1] - self.l2[k]) / dt
+        l1dot, l2dot = self._rates(k)
         ref = (0.0, self.split, self.ref_length)
         pairs = ((0.0, l1dot), (l1dot, l1dot + l2dot))
         return ShapeRate(ref, pairs)
+
+    def _pieces_at(self, t: float) -> _PiecesAt:
+        k, theta = self._locate(t)
+        l1, l2 = self._lengths(k, theta)
+        s_end = l1 + l2
+        if not (l1 > 0.0 and s_end > l1):
+            raise ValueError(_ARC_ORDER)
+        l1dot, l2dot = self._rates(k)
+        return [(0.0, l1, 0.0, l1dot), (l1, s_end, l1dot, l1dot + l2dot)], s_end
 
 
 @dataclass(frozen=True)
@@ -348,8 +397,12 @@ class CompositeStride:
             raise ValueError("h must exceed 1")
         if self.period <= 0.0:
             raise ValueError("period must be positive")
-        # Built once: shape_at/rate_at run once per balance solve.
-        object.__setattr__(self, "_path", self.as_path())
+        # Built once: _pieces_at/shape_at/rate_at run once per balance solve.
+        try:
+            path = self.as_path()
+        except ValueError as exc:
+            raise ValueError(f"lam, delta, h and period give no valid path: {exc}") from exc
+        object.__setattr__(self, "_path", path)
 
     @property
     def vertices(self) -> tuple[tuple[float, float], ...]:
@@ -378,6 +431,9 @@ class CompositeStride:
 
     def rate_at(self, t: float) -> ShapeRate:
         return self._path.rate_at(t)
+
+    def _pieces_at(self, t: float) -> _PiecesAt:
+        return self._path._pieces_at(t)
 
 
 @dataclass(frozen=True)
@@ -489,6 +545,17 @@ class SquareWave:
         ref = tuple(p[0] for p in pts)
         pairs = tuple((r, r) for r in rates)
         return ShapeRate(ref, pairs)
+
+    def _pieces_at(self, t: float) -> _PiecesAt:
+        pts, rates = self._nodes_and_rates(t)
+        pieces = []
+        for (x0, s0), (x1, s1), r in zip(pts, pts[1:], rates):
+            if not x1 > x0:
+                raise ValueError(_REF_ORDER)
+            if not s1 > s0:
+                raise ValueError(_ARC_ORDER)
+            pieces.append((s0, s1, r, r))
+        return pieces, pts[-1][1]
 
 
 GaitProgram = Union[Breather, ConstantLength, TwoSegmentPath, CompositeStride, SquareWave]

@@ -14,7 +14,10 @@ on time only (never on position), so trajectories are pure quadrature of
   structure (regime and the sign pattern of the velocity field) changes
   inside the stage.  Between such switches the velocity is smooth, often
   constant, so one 15-node panel per piece usually reaches the accuracy of
-  thousands of midpoint steps.
+  thousands of midpoint steps.  Each node is solved by ``balance._solve``
+  on the gait's ``_pieces_at(t)`` piece tuples, which gives the same bits
+  as ``balance.solve_velocity`` on ``shape_at``/``rate_at`` without
+  building and validating those objects per solve.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from dataclasses import dataclass, fields, replace
 from itertools import product
 from typing import Any, Sequence, Union
 
-from . import analytic
-from .balance import solve_velocity
+from . import analytic, balance
 from .body import (
     Breather,
     CompositeStride,
@@ -194,15 +196,16 @@ def _gauss_cycle(
     regime_counts: dict[str, int] = {}
     residual_max = 0.0
 
+    pieces_at = gait._pieces_at
+    solve = balance._solve
+
     def velocity(t: float) -> tuple[float, tuple[str, tuple[int, ...]]]:
         nonlocal residual_max
-        rate = gait.rate_at(t)
-        sol = solve_velocity(law, gait.shape_at(t), rate)
-        regime_counts[sol.regime] = regime_counts.get(sol.regime, 0) + 1
-        residual_max = max(residual_max, sol.residual)
-        x = sol.x1dot
-        signs = tuple((x + r > 0.0) - (x + r < 0.0) for pair in rate.seg_rates for r in pair)
-        return x, (sol.regime, signs)
+        x, regime, residual, _, signs = solve(law, *pieces_at(t))
+        regime_counts[regime] = regime_counts.get(regime, 0) + 1
+        if residual > residual_max:
+            residual_max = residual
+        return x, (regime, signs)
 
     spans = analytic._corner_spans(gait.corner_times(), gait.period)
     stage_sums = [analytic.adaptive_gauss(velocity, a, b, _CYCLE_TOL) for a, b in spans]

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from dircrawl.analytic import (
     _MAX_PANELS,
     _QK15,
+    _scaled_ratio,
     adaptive_gauss,
     breather_cycle_displacement,
     breather_roots,
@@ -24,9 +25,9 @@ from dircrawl.analytic import (
     wave_admissibility,
 )
 from dircrawl.balance import solve_velocity
-from dircrawl.body import Breather
+from dircrawl.body import Breather, PiecewiseAffineShape, ShapeRate
 from dircrawl.errors import DegenerateSubstrateError, MixedRheologyError, RegimeMismatchError
-from dircrawl.friction import FrictionLaw, normalize_orientation, scale
+from dircrawl.friction import FrictionLaw, directional_pair, normalize_orientation, scale
 from oracles import (
     literal_sliding_stages,
     newtonian_sliding_literal,
@@ -68,6 +69,25 @@ class TestBreatherVelocity:
     def test_zero_rate_rejected(self):
         with pytest.raises(ValueError):
             breather_velocity(FrictionLaw(1, 1, 1, 1), 0.0)
+
+    @pytest.mark.parametrize("ldot", [30.0, -30.0, 1e-5, 1e100])
+    def test_viscous_force_beyond_the_yield_gap(self, ldot):
+        # |ldot| is far below the yield gap, but mu_minus * |ldot| is far
+        # above it: not the yield-dominated limit, and w * w overflows
+        law = FrictionLaw(3.03e-184, 7.21e245, 1.59e285, 0.792)
+        shape = PiecewiseAffineShape((0.0, 1.0), (0.0, 1.0))
+        sol = solve_velocity(law, shape, ShapeRate((0.0, 1.0), ((0.0, ldot),)))
+        assert abs(breather_velocity(law, ldot) - sol.x1dot) <= 1e-12 * abs(ldot)
+
+    def test_scaled_ratio_matches_the_direct_root(self):
+        # the overflow fallback evaluates the same root in scaled terms
+        rng = random.Random(17)
+        for _ in range(200):
+            law = random_law(rng)
+            for ldot in (0.3, -2.0):
+                p = directional_pair(law, ldot > 0.0)
+                direct = breather_velocity(law, ldot) / ldot
+                assert math.isclose(_scaled_ratio(p, ldot), direct, rel_tol=1e-13, abs_tol=1e-15)
 
     @pytest.mark.parametrize(
         "law, t",

@@ -259,6 +259,20 @@ class TestTwoSegmentPath:
         assert math.isclose(b1, 0.3, rel_tol=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "l1, l2, i",
+        [((1e20, 1e20 + 1e5, 1e20), (1.0, 1.0, 1.0), 0), ((1.0, 1e20, 1.0), (1.0, 1e3, 1.0), 1)],
+    )
+    def test_absorbed_segment_rejected_naming_it(self, l1, l2, i):
+        # l1 + l2 == l1 in floating point: the path has no second segment
+        with pytest.raises(ValueError, match=rf"^l2\[{i}\]=.* is absorbed by l1\[{i}\]="):
+            TwoSegmentPath(1.0, 0.5, (0.0, 1.0, 2.0), l1, l2)
+
+    def test_absorbed_stride_segment_rejected(self):
+        with pytest.raises(ValueError, match=r"lam, delta, h and period give no valid path: l2\[0\]"):
+            CompositeStride(lam=1.0, delta=1e20, h=2.0)
+
+
 class TestCompositeStride:
     def test_vertices_visited_in_order(self):
         g = CompositeStride(lam=1.0, delta=1.0, h=2.0, period=4.0)

@@ -355,6 +355,16 @@ class TestVerifyCommand:
         assert main(["analytic", "--config", str(path)]) == 2
         assert f"gait: {field} must be finite, got inf" in capsys.readouterr().err
 
+    def test_absorbed_path_segment_exit_two(self, tmp_path, capsys):
+        # l2 vanishes against l1 = 1e20 in floating point
+        gait = {"kind": "two_segment", "L": 1.0, "x_star": 0.5, "times": [0, 1, 2],
+                "l1": [1e20, 1e20, 1e20], "l2": [1, 2, 1]}
+        cfg = write_config(tmp_path, breather_config(gait=gait))
+        assert main(["analytic", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "config error: gait: l2[0]=1.0 is absorbed by l1[0]=1e+20" in err
+
     def test_unsupported_pair_exit_one(self, tmp_path, capsys):
         data = breather_config(
             substrate={"tau_minus": 1.0, "tau_plus": 0.5, "mu_minus": 1.0, "mu_plus": 0.5},

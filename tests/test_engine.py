@@ -229,17 +229,20 @@ class TestDefaultCycleIntegrator:
 
     @pytest.mark.parametrize("cls", _RESIDUAL_CLASSES)
     def test_residual_max_is_the_largest_scalar_residual(self, monkeypatch, cls):
+        # the default path solves from _pieces_at; record where, then re-solve
+        # each time through the public, validating solve_velocity
         law, gait = inputs.draw(1, "cycles", 0, cls, dircrawl).build(dircrawl)
-        residuals = []
+        pieces_at = type(gait)._pieces_at
+        times = []
 
-        def recording_solve(*args):
-            sol = solve_velocity(*args)
-            residuals.append(sol.residual)
-            return sol
+        def recording_pieces_at(self, t):
+            times.append(t)
+            return pieces_at(self, t)
 
-        monkeypatch.setattr(engine, "solve_velocity", recording_solve)
+        monkeypatch.setattr(type(gait), "_pieces_at", recording_pieces_at)
         rep = engine.cycle_displacement(law, gait)
-        assert len(residuals) == rep.n_steps
+        assert len(times) == rep.n_steps
+        residuals = [solve_velocity(law, gait.shape_at(t), gait.rate_at(t)).residual for t in times]
         assert rep.meta["residual_max"] == max(residuals)
 
     @pytest.mark.parametrize("cls", _RESIDUAL_CLASSES)
