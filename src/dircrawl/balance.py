@@ -30,7 +30,6 @@ piece ends, which that integrator keys its panel cuts on.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .body import PiecewiseAffineShape, ShapeRate, _check_same_nodes
@@ -301,11 +300,7 @@ def _solve(
     else:
         regime = SLIDING
 
-    # x_star at a breakpoint (0.0 at -0.0 included): reuse its force, the
-    # same bits, since a zero's sign changes no term of _force
-    k = bisect_left(breaks, x_star)
-    hit = k < len(breaks) and breaks[k] == x_star
-    residual = _force_mag(fvals[k] if hit else _force(law, pieces, x_star))
+    residual = _force_mag(_force(law, pieces, x_star))
     if not (math.isfinite(residual) and residual <= _RESIDUAL_RTOL * fscale):
         raise DegenerateSubstrateError(
             f"force balance unresolved at this scale: residual {residual!r} "

@@ -55,7 +55,6 @@ def _hex(values) -> tuple[str, ...]:
 
 @pytest.mark.parametrize("cls", inputs.CLASSES)
 def test_lean_solve_matches_solve_velocity_bit_for_bit(cls):
-    breakpoint_hits = 0
     for seed in _SEEDS:
         law, gait = inputs.draw(seed, "cycles", 0, cls, dircrawl).build(dircrawl)
         for t in _times(gait, random.Random(seed)):
@@ -75,12 +74,6 @@ def test_lean_solve_matches_solve_velocity_bit_for_bit(cls):
             assert [_hex(iv) for iv in stick] == [_hex(iv) for iv in sol.stick_intervals]
             pattern = tuple((x + r > 0.0) - (x + r < 0.0) for pair in rate.seg_rates for r in pair)
             assert signs == pattern, (seed, t)
-            # a residual reused from a breakpoint's force equals a fresh one
-            fresh = balance._force_mag(balance._force(law, pieces, x))
-            assert _hex([residual]) == _hex([fresh]), (seed, t)
-            breakpoint_hits += any(x == -r for p in pieces for r in p[2:])
-    if cls.startswith("stick_slip_wave"):
-        assert breakpoint_hits > 0, breakpoint_hits  # the reuse is exercised
 
 
 def _absorbing_path() -> tuple[TwoSegmentPath, float]:
