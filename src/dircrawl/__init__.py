@@ -22,7 +22,6 @@ from .analytic import (
     breather_roots,
     breather_velocity,
     composite_stride_displacement,
-    constant_length_velocity,
     negative_displacement_feasible,
     newtonian_sliding_displacement,
     sliding_cycle_displacement,
@@ -40,7 +39,6 @@ from .balance import (
     total_force,
 )
 from .body import (
-    BodyState,
     Breather,
     CompositeStride,
     ConstantLength,
@@ -49,8 +47,6 @@ from .body import (
     ShapeRate,
     SquareWave,
     TwoSegmentPath,
-    eulerian_velocity,
-    zero_crossings,
 )
 from .engine import (
     CycleReport,
@@ -80,8 +76,6 @@ from .friction import (
     beta,
     directional_pair,
     evaluate,
-    is_directional,
-    normalize_orientation,
     scale,
 )
 
@@ -95,23 +89,18 @@ __all__ = [
     "DirectionalPair",
     "evaluate",
     "scale",
-    "is_directional",
-    "normalize_orientation",
     "directional_pair",
     "alpha",
     "beta",
     # body
     "PiecewiseAffineShape",
     "ShapeRate",
-    "BodyState",
     "Breather",
     "ConstantLength",
     "TwoSegmentPath",
     "CompositeStride",
     "SquareWave",
     "GaitProgram",
-    "eulerian_velocity",
-    "zero_crossings",
     # analytic
     "BreatherRoots",
     "StrideDisplacement",
@@ -120,7 +109,6 @@ __all__ = [
     "breather_roots",
     "breather_velocity",
     "breather_cycle_displacement",
-    "constant_length_velocity",
     "composite_stride_displacement",
     "negative_displacement_feasible",
     "wave_admissibility",

@@ -34,7 +34,6 @@ __all__ = [
     "breather_roots",
     "breather_velocity",
     "breather_cycle_displacement",
-    "constant_length_velocity",
     "composite_stride_displacement",
     "negative_displacement_feasible",
     "wave_admissibility",
@@ -50,6 +49,12 @@ __all__ = [
 # Viscosity contrast below this (relative) routes the breather balance to the
 # linear branch; the quadratic root expression cancels catastrophically there.
 _MU_BRANCH_RTOL = 1e-12
+
+# breather_velocity evaluates its root directly only where every nonzero
+# input lies in [2**-250, 2**250]: every nonzero term then lies between
+# 2**-1000 and 2**1003, inside the normal float range.
+_DIRECT_MIN = 2.0**-250
+_DIRECT_MAX = 2.0**250
 
 
 def _require_in_range(what: str, *values: float) -> None:
@@ -121,34 +126,35 @@ def breather_velocity(law: FrictionLaw, ldot: float) -> float:
     raw root expressions degrade.  For substrates that are frictionless in
     one direction the solution set of the balance is a half-line; the root
     then sits at a boundary of [-1, 0] and matches the closest-to-zero rule
-    of :func:`dircrawl.balance.solve_velocity`.
+    of :func:`dircrawl.balance.solve_velocity`.  Inputs that could push a
+    term out of the normal float range take the scaled form of
+    :func:`_scaled_terms`.
     """
     if ldot == 0.0:
         raise ValueError("ldot must be nonzero; a static body is the solver's job")
     p = directional_pair(law, elongating=ldot > 0.0)
-    tau_gap = p.tau_1 - p.tau_2
-    if tau_gap != 0.0 and max(1.0, p.mu_1, p.mu_2) * abs(ldot) < abs(tau_gap) * 1e-100:
-        # yield-dominated limit, before w overflows: the viscous forces
-        # mu * |ldot| are negligible against the yield gap too
-        return (p.tau_2 / tau_gap) * ldot
-    w = tau_gap / ldot
-    disc = (
-        p.mu_1 * p.mu_2
-        + w * w
-        + 2.0 * (p.mu_2 * p.tau_1 - p.mu_1 * p.tau_2) / ldot
-    )
-    num = 2.0 * p.tau_2 / ldot - p.mu_2
-    if not (math.isfinite(disc) and math.isfinite(num)):
-        return min(max(_scaled_ratio(p, ldot), -1.0), 0.0) * ldot
-    den = p.mu_2 + w + math.sqrt(disc)
+    lo, hi = _DIRECT_MIN, _DIRECT_MAX
+    if (
+        lo <= abs(ldot) <= hi
+        and (p.tau_1 == 0.0 or lo <= abs(p.tau_1) <= hi)
+        and (p.tau_2 == 0.0 or lo <= abs(p.tau_2) <= hi)
+        and (p.mu_1 == 0.0 or lo <= p.mu_1 <= hi)
+        and (p.mu_2 == 0.0 or lo <= p.mu_2 <= hi)
+    ):
+        w = (p.tau_1 - p.tau_2) / ldot
+        disc = p.mu_1 * p.mu_2 + w * w + 2.0 * (p.mu_2 * p.tau_1 - p.mu_1 * p.tau_2) / ldot
+        num = 2.0 * p.tau_2 / ldot - p.mu_2
+        den = p.mu_2 + w + math.sqrt(disc)
+    else:
+        num, den = _scaled_terms(p, ldot)
     if den == 0.0:
         return 0.0  # nothing resists ahead of the motion; rest is admissible
-    c = num / den
-    return min(max(c, -1.0), 0.0) * ldot
+    return min(max(num / den, -1.0), 0.0) * ldot
 
 
-def _scaled_ratio(p: DirectionalPair, ldot: float) -> float:
-    """``x1dot / ldot`` of :func:`breather_velocity` where its terms overflow.
+def _scaled_terms(p: DirectionalPair, ldot: float) -> tuple[float, float]:
+    """Numerator and denominator of ``x1dot / ldot`` in
+    :func:`breather_velocity`, where its terms leave the normal float range.
 
     With ``A = |tau_1| / |ldot|`` and ``B = |tau_2| / |ldot|`` the ratio is
     ``-(2B + mu_2) / (mu_2 + A + B + sqrt(mu_1 mu_2 + (A + B)^2 + 2 (mu_2 A
@@ -164,7 +170,7 @@ def _scaled_ratio(p: DirectionalPair, ldot: float) -> float:
     a, b = a / frac, b / frac
     w = a + b
     disc = m1 * m2 + w * w + 2.0 * (m2 * a + m1 * b)
-    return -(2.0 * b + m2) / (m2 + w + math.sqrt(disc))
+    return -(2.0 * b + m2), m2 + w + math.sqrt(disc)
 
 
 def _rate_independent_coefficients(law: FrictionLaw) -> tuple[float, float] | None:
@@ -370,18 +376,6 @@ def breather_cycle_displacement(
 
             total += adaptive_gauss(integrand, t0, t1, tol)
     return total
-
-
-def constant_length_velocity(law: FrictionLaw, seg1_length: float, seg1_rate: float) -> float:
-    """Left-end velocity of a constant-total-length two-segment crawler.
-
-    The balance decouples into two independent one-segment balances, so the
-    result equals :func:`breather_velocity` of the first segment's rate and
-    is independent of the current segment length.
-    """
-    if seg1_length <= 0.0:
-        raise ValueError("seg1_length must be positive")
-    return breather_velocity(law, seg1_rate)
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,12 @@ from .analytic import _turning_points
 __all__ = [
     "PiecewiseAffineShape",
     "ShapeRate",
-    "BodyState",
     "Breather",
     "ConstantLength",
     "TwoSegmentPath",
     "CompositeStride",
     "SquareWave",
     "GaitProgram",
-    "eulerian_velocity",
-    "zero_crossings",
 ]
 
 
@@ -92,26 +89,6 @@ class ShapeRate:
     def __post_init__(self) -> None:
         if len(self.seg_rates) != len(self.ref) - 1:
             raise ValueError("need exactly one rate pair per node interval")
-
-    @classmethod
-    def from_nodal(cls, ref: tuple[float, ...], values: tuple[float, ...]) -> "ShapeRate":
-        """Build a continuous rate field from plain nodal values."""
-        if len(values) != len(ref):
-            raise ValueError("need one nodal rate per node")
-        pairs = tuple((values[i], values[i + 1]) for i in range(len(ref) - 1))
-        return cls(ref, pairs)
-
-
-@dataclass(frozen=True)
-class BodyState:
-    """Position of the body: left end plus current shape."""
-
-    x1: float
-    shape: PiecewiseAffineShape
-
-    @property
-    def x2(self) -> float:
-        return self.x1 + self.shape.length
 
 
 def _check_same_nodes(shape: PiecewiseAffineShape, rate: ShapeRate) -> None:
@@ -559,88 +536,3 @@ class SquareWave:
 
 
 GaitProgram = Union[Breather, ConstantLength, TwoSegmentPath, CompositeStride, SquareWave]
-
-
-# ---------------------------------------------------------------------------
-# Velocity field
-# ---------------------------------------------------------------------------
-
-
-def _rate_at_arc(shape: PiecewiseAffineShape, rate: ShapeRate, s: float) -> float:
-    """Rate field value at arc-length ``s``, right-continuous at nodes."""
-    arc = shape.arc
-    idx = min(bisect_right(arc, s) - 1, len(arc) - 2)
-    idx = max(idx, 0)
-    s0, s1 = arc[idx], arc[idx + 1]
-    r0, r1 = rate.seg_rates[idx]
-    theta = (s - s0) / (s1 - s0)
-    return r0 + theta * (r1 - r0)
-
-
-def eulerian_velocity(
-    shape: PiecewiseAffineShape, rate: ShapeRate, x1dot: float, s_query: float
-) -> float:
-    """Velocity of the material point currently at arc-length ``s_query``."""
-    _check_same_nodes(shape, rate)
-    if not 0.0 <= s_query <= shape.length:
-        raise ValueError(f"arc-length {s_query} outside [0, {shape.length}]")
-    return x1dot + _rate_at_arc(shape, rate, s_query)
-
-
-def zero_crossings(
-    shape: PiecewiseAffineShape, rate: ShapeRate, x1dot: float
-) -> list[tuple[float, float]]:
-    """Zero set of the velocity field, in arc-length.
-
-    Returns ordered ``(lo, hi)`` pairs: ``lo == hi`` marks an isolated point
-    where the velocity changes sign, ``lo < hi`` a maximal interval where
-    the velocity vanishes identically.  Points where the velocity touches
-    zero without changing sign are not reported.
-    """
-    _check_same_nodes(shape, rate)
-    arc = shape.arc
-    vtol = 0.0  # the field is exact piecewise-affine algebra; exact zeros only
-
-    # Collect raw zero components piece by piece.
-    raw: list[tuple[float, float]] = []
-    for i in range(len(arc) - 1):
-        s0, s1 = arc[i], arc[i + 1]
-        r0, r1 = rate.seg_rates[i]
-        v0, v1 = x1dot + r0, x1dot + r1
-        if abs(v0) <= vtol and abs(v1) <= vtol:
-            raw.append((s0, s1))
-        elif v0 * v1 < 0.0:
-            sz = s0 + (s1 - s0) * (-v0) / (v1 - v0)
-            raw.append((sz, sz))
-        elif v0 == 0.0:
-            raw.append((s0, s0))
-        elif v1 == 0.0:
-            raw.append((s1, s1))
-    if not raw:
-        return []
-
-    # Merge touching components.
-    merged: list[list[float]] = [list(raw[0])]
-    for lo, hi in raw[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-
-    # Keep intervals always; keep points only where the sign changes across.
-    def sign_near(s: float, side: int) -> float:
-        probe = s + side * 1e-9 * max(shape.length, 1.0)
-        probe = min(max(probe, 0.0), shape.length)
-        v = x1dot + _rate_at_arc(shape, rate, probe)
-        return math.copysign(1.0, v) if v != 0.0 else 0.0
-
-    out: list[tuple[float, float]] = []
-    for lo, hi in merged:
-        if hi > lo:
-            out.append((lo, hi))
-            continue
-        before = sign_near(lo, -1) if lo > 0.0 else 0.0
-        after = sign_near(hi, +1) if hi < shape.length else 0.0
-        if before != 0.0 and after != 0.0 and before != after:
-            out.append((lo, hi))
-    return out

@@ -120,10 +120,13 @@ def simulate(
 
     Always on the midpoint grid: ``dt`` is the target step within each
     stage (default: period/2000); stage boundaries are always sampled
-    exactly.
+    exactly.  Raises ``ValueError`` naming ``n_periods`` unless it is a
+    positive ``int``, and naming ``x0`` unless it is finite.
     """
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
+    if isinstance(n_periods, bool) or not isinstance(n_periods, int) or n_periods < 1:
+        raise ValueError(f"n_periods must be a positive integer, got {n_periods!r}")
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0!r}")
     if dt is None:
         dt = gait.period / _DEFAULT_STEPS_PER_PERIOD
 
@@ -288,6 +291,11 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
+def _require_finite_positive(name: str, value: float) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _check(name: str, numeric: float, target: float, tol: float) -> VerifyCheck:
     residual = abs(numeric - target)
     return VerifyCheck(
@@ -301,10 +309,10 @@ def verify(
     """Compare simulated displacements against the closed forms.
 
     Raises :class:`UnsupportedPairError` when no closed form covers the
-    (law, gait) pair, and ``ValueError`` for a non-finite ``tol``.
+    (law, gait) pair, and ``ValueError`` unless ``tol`` is finite and
+    positive.
     """
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol!r}")
+    _require_finite_positive("tol", tol)
     report, breakdown = _cycle(law, gait, dt)
     if report.analytic_value is None:
         raise UnsupportedPairError(
@@ -394,9 +402,12 @@ def sweep(
     once, so a row does not depend on the order of the axes.  Rows are
     returned in grid order (last axis fastest); per-row failures are
     captured in the row, except :class:`StepLimitError`, which rejects
-    ``dt`` for the whole sweep.
+    ``dt`` for the whole sweep.  A ``dt`` that is not finite and positive
+    raises ``ValueError`` before any row, too.
     """
     targets = [_axis_field(gait, path) for path, _ in axes]
+    if dt is not None:
+        _require_finite_positive("dt", dt)
     grid = list(product(*(values for _, values in axes)))
 
     def run(idx: int, point: tuple[float, ...]) -> SweepRow:

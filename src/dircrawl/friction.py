@@ -30,8 +30,6 @@ __all__ = [
     "DirectionalPair",
     "evaluate",
     "scale",
-    "is_directional",
-    "normalize_orientation",
     "directional_pair",
     "alpha",
     "beta",
@@ -137,36 +135,6 @@ def scale(law: FrictionLaw, k: float) -> FrictionLaw:
     return FrictionLaw(
         law.tau_minus * k, law.tau_plus * k, law.mu_minus * k, law.mu_plus * k
     )
-
-
-def is_directional(law: FrictionLaw) -> bool:
-    """True unless the law is an odd function of velocity.
-
-    Odd laws (``tau_minus == tau_plus`` and ``mu_minus == mu_plus``) cannot
-    rectify reciprocal shape changes into net motion.
-    """
-    return not (law.tau_minus == law.tau_plus and law.mu_minus == law.mu_plus)
-
-
-def normalize_orientation(law: FrictionLaw) -> tuple[FrictionLaw, bool]:
-    """Orient the axis so the positive direction is the one of least
-    frictional resistance.
-
-    Returns ``(law, flipped)`` where the law satisfies ``mu_minus > mu_plus``,
-    or ``mu_minus == mu_plus`` and ``tau_minus >= tau_plus``; ``flipped`` is
-    True when the minus/plus parameter pairs were swapped.  Only needed where
-    orientation-normalized formulas are applied; the general formulas in
-    :mod:`dircrawl.analytic` accept any orientation.
-    """
-    if law.mu_minus > law.mu_plus:
-        return law, False
-    if law.mu_minus < law.mu_plus:
-        flipped = FrictionLaw(law.tau_plus, law.tau_minus, law.mu_plus, law.mu_minus)
-        return flipped, True
-    if law.tau_minus >= law.tau_plus:
-        return law, False
-    flipped = FrictionLaw(law.tau_plus, law.tau_minus, law.mu_plus, law.mu_minus)
-    return flipped, True
 
 
 def directional_pair(law: FrictionLaw, elongating: bool) -> DirectionalPair:

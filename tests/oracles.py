@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 
-from dircrawl.body import PiecewiseAffineShape, ShapeRate, eulerian_velocity
+from dircrawl.body import PiecewiseAffineShape, ShapeRate
 from dircrawl.friction import FrictionLaw, evaluate
 
 
@@ -51,18 +52,31 @@ def shape_value(shape: PiecewiseAffineShape, X: float) -> float:
     return arc[-1]
 
 
+def point_velocity(
+    shape: PiecewiseAffineShape, rate: ShapeRate, x1dot: float, s: float
+) -> float:
+    """Velocity of the material point at arc-length ``s``: the left end's
+    velocity plus the rate field, affine on each interval and
+    right-continuous at the nodes."""
+    arc = shape.arc
+    i = min(max(bisect_right(arc, s) - 1, 0), len(arc) - 2)
+    r0, r1 = rate.seg_rates[i]
+    return x1dot + (r0 + (s - arc[i]) / (arc[i + 1] - arc[i]) * (r1 - r0))
+
+
 def quad_force(law, shape, rate, x1dot: float, n: int = 4000) -> float:
     """Midpoint-rule integral of the pointwise friction law over the body.
 
     Only valid at velocities where no positive-length part of the body is
     exactly at rest (the sampled law is then single-valued a.e.).
     """
+    assert shape.ref == rate.ref
     l = shape.length
     h = l / n
     total = 0.0
     for i in range(n):
         s = (i + 0.5) * h
-        v = eulerian_velocity(shape, rate, x1dot, s)
+        v = point_velocity(shape, rate, x1dot, s)
         fv = evaluate(law, v)
         total += fv.lo * h  # point value except on a measure-zero set
     return total
@@ -87,6 +101,15 @@ def bisect_velocity(law, shape, rate, tol: float = 1e-14, maxit: int = 200) -> f
         if hi - lo <= tol:
             break
     return 0.5 * (lo + hi)
+
+
+def least_resistance_orientation(law: FrictionLaw) -> FrictionLaw:
+    """The law with its axis oriented so that ``mu_minus > mu_plus``, or
+    ``mu_minus == mu_plus`` and ``tau_minus >= tau_plus``: the orientation
+    :func:`normalized_root_velocity` requires."""
+    if (law.mu_minus, law.tau_minus) >= (law.mu_plus, law.tau_plus):
+        return law
+    return FrictionLaw(law.tau_plus, law.tau_minus, law.mu_plus, law.mu_minus)
 
 
 def normalized_root_velocity(law: FrictionLaw, ldot: float) -> float:

@@ -7,13 +7,12 @@ from scipy.integrate import quad
 from dircrawl.analytic import (
     _MAX_PANELS,
     _QK15,
-    _scaled_ratio,
+    _scaled_terms,
     adaptive_gauss,
     breather_cycle_displacement,
     breather_roots,
     breather_velocity,
     composite_stride_displacement,
-    constant_length_velocity,
     negative_displacement_feasible,
     newtonian_sliding_displacement,
     sliding_cycle_displacement,
@@ -25,10 +24,11 @@ from dircrawl.analytic import (
     wave_admissibility,
 )
 from dircrawl.balance import solve_velocity
-from dircrawl.body import Breather, PiecewiseAffineShape, ShapeRate
+from dircrawl.body import Breather, ConstantLength, PiecewiseAffineShape, ShapeRate
 from dircrawl.errors import DegenerateSubstrateError, MixedRheologyError, RegimeMismatchError
-from dircrawl.friction import FrictionLaw, directional_pair, normalize_orientation, scale
+from dircrawl.friction import FrictionLaw, directional_pair, scale
 from oracles import (
+    least_resistance_orientation,
     literal_sliding_stages,
     newtonian_sliding_literal,
     normalized_root_velocity,
@@ -87,7 +87,17 @@ class TestBreatherVelocity:
             for ldot in (0.3, -2.0):
                 p = directional_pair(law, ldot > 0.0)
                 direct = breather_velocity(law, ldot) / ldot
-                assert math.isclose(_scaled_ratio(p, ldot), direct, rel_tol=1e-13, abs_tol=1e-15)
+                num, den = _scaled_terms(p, ldot)
+                assert math.isclose(num / den, direct, rel_tol=1e-13, abs_tol=1e-15)
+
+    def test_scaled_denominator_that_underflows_means_rest(self):
+        # only the yield behind the motion resists, and it is ~1e-84 of the
+        # viscosity once divided by |ldot|: the scaled denominator is 0
+        law = FrictionLaw(4.470877581627024e56, 0.0, 0.0, 6.027151618559045e277)
+        ldot = -9.121782968964876e139
+        sol = solve_velocity(law, PiecewiseAffineShape((0.0, 1.0), (0.0, 1.0)),
+                             ShapeRate((0.0, 1.0), ((0.0, ldot),)))
+        assert breather_velocity(law, ldot) == sol.x1dot == 0.0
 
     @pytest.mark.parametrize(
         "law, t",
@@ -123,11 +133,14 @@ class TestBreatherVelocity:
                 assert math.isclose(a, b, rel_tol=1e-12)
 
     def test_independent_of_length_by_construction(self):
-        # the signature takes no length at all; the reduction op checks it
+        # the signature takes no length at all; the solver agrees at any
+        # first-segment length of a constant-length body
         law = FrictionLaw(1.0, 0.4, 2.0, 0.3)
-        assert constant_length_velocity(law, 0.3, 1.0) == constant_length_velocity(
-            law, 0.7, 1.0
-        )
+        for l1 in (0.3, 0.7):
+            shape = PiecewiseAffineShape((0.0, 0.5, 1.0), (0.0, l1, 1.0))
+            rate = ShapeRate(shape.ref, ((0.0, 1.0), (1.0, 0.0)))
+            sol = solve_velocity(law, shape, rate)
+            assert math.isclose(sol.x1dot, breather_velocity(law, 1.0), rel_tol=1e-12)
 
     def test_axis_flip_identity(self):
         # flipping the axis swaps the parameter pairs and maps the left-end
@@ -147,7 +160,7 @@ class TestBreatherVelocity:
     def test_matches_normalized_closed_form(self):
         rng = random.Random(14)
         for _ in range(200):
-            law, _ = normalize_orientation(random_law(rng, min_mu_gap=1e-3))
+            law = least_resistance_orientation(random_law(rng, min_mu_gap=1e-3))
             for ldot in (0.1, -0.1, 2.0, -2.0):
                 assert math.isclose(
                     breather_velocity(law, ldot),
@@ -159,7 +172,7 @@ class TestBreatherVelocity:
         rng = random.Random(15)
         for _ in range(100):
             mu = rng.uniform(0.0, 3.0)
-            law, _ = normalize_orientation(
+            law = least_resistance_orientation(
                 FrictionLaw(rng.uniform(0.01, 3), rng.uniform(0.01, 3), mu, mu)
             )
             for ldot in (0.4, -0.4):
@@ -333,20 +346,23 @@ class TestAdaptiveGauss:
 
 
 class TestConstantLengthReduction:
-    def test_velocity_reduction_bit_for_bit(self):
-        rng = random.Random(18)
-        for _ in range(100):
-            law = random_law(rng)
-            ldot = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
-            assert constant_length_velocity(law, 0.4, ldot) == breather_velocity(law, ldot)
+    # A constant-length crawler moves as a breather of its first segment.
+    gait = ConstantLength(ref_length=1.0, split=0.5, seg1_rest=0.4, delta=0.2, period=1.0)
+
+    def assert_moves_as_first_segment(self, law, t):
+        l1dot = self.gait.seg1_rate_at(t)
+        sol = solve_velocity(law, self.gait.shape_at(t), self.gait.rate_at(t))
+        assert math.isclose(sol.x1dot, breather_velocity(law, l1dot), rel_tol=1e-12)
 
     def test_dry_example(self):
         law = FrictionLaw(0.75, 0.25, 0, 0)
-        assert math.isclose(constant_length_velocity(law, 0.4, 1.0), -0.25, rel_tol=1e-15)
+        assert math.isclose(breather_velocity(law, 1.0), -0.25, rel_tol=1e-15)
+        self.assert_moves_as_first_segment(law, 0.25)
 
     def test_newtonian_example(self):
         law = FrictionLaw(0, 0, 4, 1)
-        assert math.isclose(constant_length_velocity(law, 0.4, -1.0), 2 / 3, rel_tol=1e-14)
+        assert math.isclose(breather_velocity(law, -1.0), 2 / 3, rel_tol=1e-14)
+        self.assert_moves_as_first_segment(law, 0.75)
 
 
 class TestCompositeStride:

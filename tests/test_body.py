@@ -3,7 +3,6 @@ import math
 import pytest
 
 from dircrawl.body import (
-    BodyState,
     Breather,
     CompositeStride,
     ConstantLength,
@@ -11,10 +10,8 @@ from dircrawl.body import (
     ShapeRate,
     SquareWave,
     TwoSegmentPath,
-    eulerian_velocity,
-    zero_crossings,
 )
-from oracles import shape_value
+from oracles import point_velocity, shape_value
 
 # One valid instance of each gait, as constructor keyword arguments.
 _VALID_GAITS = {
@@ -71,16 +68,6 @@ class TestShapeValidation:
     def test_rate_pair_count(self):
         with pytest.raises(ValueError):
             ShapeRate((0.0, 1.0), ((0.0, 1.0), (1.0, 0.0)))
-
-    def test_from_nodal(self):
-        r = ShapeRate.from_nodal((0.0, 0.5, 1.0), (0.0, 0.3, 0.0))
-        assert r.seg_rates == ((0.0, 0.3), (0.3, 0.0))
-
-
-class TestBodyState:
-    def test_right_end_tracks_length(self):
-        shape = PiecewiseAffineShape((0.0, 1.0), (0.0, 1.3))
-        assert BodyState(x1=2.0, shape=shape).x2 == 3.3
 
 
 class TestBreather:
@@ -225,7 +212,7 @@ class TestRateFiniteDifferences:
             shape = gait.shape_at(t)
             r = gait.rate_at(t)
             s_query = shape_value(shape, X)
-            v = eulerian_velocity(shape, r, 0.0, s_query)
+            v = point_velocity(shape, r, 0.0, s_query)
             assert math.isclose(v, fd, rel_tol=1e-6, abs_tol=1e-7)
 
 
@@ -315,107 +302,3 @@ class TestModuleOps:
     def test_length_examples(self):
         assert PiecewiseAffineShape((0.0, 1.0), (0.0, 1.0)).length == 1.0
         assert PiecewiseAffineShape((0.0, 1.0), (0.0, 1.3)).length == 1.3
-
-
-class TestEulerianVelocity:
-    def test_breather_interior_point(self):
-        shape = PiecewiseAffineShape((0.0, 1.0), (0.0, 1.0))
-        rate = ShapeRate((0.0, 1.0), ((0.0, 1.0),))
-        assert eulerian_velocity(shape, rate, -0.25, 0.5) == 0.25
-
-    def test_left_end(self):
-        shape = PiecewiseAffineShape((0.0, 1.0), (0.0, 1.0))
-        rate = ShapeRate((0.0, 1.0), ((0.0, 1.0),))
-        assert eulerian_velocity(shape, rate, -0.7, 0.0) == -0.7
-
-    def test_constant_length_second_branch(self):
-        # l1 = 0.4, rate pairs ((0, l1dot), (l1dot, 0)): above s=l1 the rate decays to 0
-        shape = PiecewiseAffineShape((0.0, 0.5, 1.0), (0.0, 0.4, 1.0))
-        rate = ShapeRate((0.0, 0.5, 1.0), ((0.0, 0.5), (0.5, 0.0)))
-        v = eulerian_velocity(shape, rate, -0.1, 0.7)
-        assert math.isclose(v, -0.1 + (1.0 - 0.7) / 0.6 * 0.5, rel_tol=1e-14)
-
-    def test_out_of_range(self):
-        shape = PiecewiseAffineShape((0.0, 1.0), (0.0, 1.0))
-        rate = ShapeRate((0.0, 1.0), ((0.0, 1.0),))
-        with pytest.raises(ValueError):
-            eulerian_velocity(shape, rate, 0.0, 1.5)
-
-    def test_node_set_mismatch(self):
-        shape = PiecewiseAffineShape((0.0, 1.0), (0.0, 1.0))
-        rate = ShapeRate((0.0, 0.9), ((0.0, 1.0),))
-        with pytest.raises(ValueError):
-            eulerian_velocity(shape, rate, 0.0, 0.5)
-
-
-class TestZeroCrossings:
-    def test_breather_single_crossing(self):
-        shape = PiecewiseAffineShape((0.0, 1.0), (0.0, 1.0))
-        rate = ShapeRate((0.0, 1.0), ((0.0, 1.0),))
-        assert zero_crossings(shape, rate, -0.25) == [(0.25, 0.25)]
-
-    def test_whole_body_static(self):
-        shape = PiecewiseAffineShape((0.0, 1.0), (0.0, 1.0))
-        rate = ShapeRate((0.0, 1.0), ((0.0, 0.0),))
-        assert zero_crossings(shape, rate, 0.0) == [(0.0, 1.0)]
-
-    def test_constant_length_two_crossings(self):
-        shape = PiecewiseAffineShape((0.0, 0.5, 1.0), (0.0, 0.4, 1.0))
-        rate = ShapeRate((0.0, 0.5, 1.0), ((0.0, 0.5), (0.5, 0.0)))
-        crossings = zero_crossings(shape, rate, -0.1)
-        assert len(crossings) == 2
-        s1 = crossings[0][0]
-        s2 = crossings[1][0]
-        assert math.isclose(s1, 0.08, rel_tol=1e-12)
-        assert math.isclose(s2, 0.88, rel_tol=1e-12)
-        # the two rest points are tied together by the geometry
-        assert math.isclose(s2, 1.0 - (1.0 - 0.4) / 0.4 * s1, rel_tol=1e-12)
-
-    def test_crossings_match_sign_scan(self):
-        shape = PiecewiseAffineShape((0.0, 0.5, 1.0), (0.0, 0.4, 1.0))
-        rate = ShapeRate((0.0, 0.5, 1.0), ((0.0, 0.5), (0.5, 0.0)))
-        x1dot = -0.1
-        crossings = [lo for lo, hi in zero_crossings(shape, rate, x1dot) if lo == hi]
-        n = 5000
-        found = []
-        prev = eulerian_velocity(shape, rate, x1dot, 0.0)
-        for i in range(1, n + 1):
-            s = i / n
-            v = eulerian_velocity(shape, rate, x1dot, s)
-            if prev * v < 0.0:
-                found.append(s)
-            prev = v
-        assert len(found) == len(crossings)
-        for a, b in zip(found, crossings):
-            assert abs(a - b) < 1.0 / n + 1e-12
-
-    def test_no_crossing_when_uniformly_positive(self):
-        shape = PiecewiseAffineShape((0.0, 1.0), (0.0, 1.0))
-        rate = ShapeRate((0.0, 1.0), ((0.0, 1.0),))
-        assert zero_crossings(shape, rate, 0.5) == []
-
-    def test_stick_slip_wave_interval(self):
-        w = SquareWave(ref_length=1.0, delta=0.2, epsilon=0.5, speed=1.0)
-        shape, rate = w.shape_at(0.1), w.rate_at(0.1)
-        events = zero_crossings(shape, rate, -0.5)
-        assert len(events) == 1  # the undeformed region is at rest
-        lo, hi = events[0]
-        assert math.isclose(lo, 0.15, rel_tol=1e-12)
-        assert math.isclose(hi, 1.05, rel_tol=1e-12)
-
-
-class TestCrossingIdentity:
-    def test_breather_rest_point_ratio(self):
-        import random
-
-        rng = random.Random(77)
-        for _ in range(100):
-            l = rng.uniform(0.5, 2.0)
-            ldot = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
-            x1dot = -rng.uniform(0.05, 0.95) * ldot  # rest point inside the body
-            shape = PiecewiseAffineShape((0.0, 1.0), (0.0, l))
-            rate = ShapeRate((0.0, 1.0), ((0.0, ldot),))
-            events = zero_crossings(shape, rate, x1dot)
-            assert len(events) == 1
-            s_bar = events[0][0]
-            assert abs(s_bar / l - (-x1dot / ldot)) <= 1e-12

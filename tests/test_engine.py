@@ -301,6 +301,35 @@ class TestStepLimit:
             engine.verify(law, Breather(ref_length=1.0, delta=1.0, period=1.0), tol=tol)
 
 
+class TestInputContract:
+    law = FrictionLaw(0.75, 0.25, 0, 0)
+    gait = Breather(ref_length=1.0, delta=1.0, period=1.0)
+
+    @pytest.mark.parametrize("n_periods", [1.5, True])
+    def test_simulate_rejects_periods_that_are_not_a_positive_int(self, n_periods):
+        with pytest.raises(ValueError, match="n_periods"):
+            engine.simulate(self.law, self.gait, n_periods=n_periods)
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf])
+    def test_simulate_rejects_a_non_finite_start(self, x0):
+        with pytest.raises(ValueError, match="x0"):
+            engine.simulate(self.law, self.gait, x0=x0)
+
+    @pytest.mark.parametrize("dt", [-1.0, 0.0, math.nan])
+    def test_sweep_rejects_dt_before_any_row(self, dt, monkeypatch):
+        def no_row(*args, **kwargs):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(engine, "cycle_displacement", no_row)
+        with pytest.raises(ValueError, match="dt"):
+            engine.sweep(self.law, self.gait, axes=[("gait.delta", (0.5, 1.0))], dt=dt)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0])
+    def test_verify_rejects_a_tolerance_that_is_not_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            engine.verify(self.law, self.gait, tol=tol)
+
+
 class TestVerify:
     def test_breather_pass(self):
         law = FrictionLaw(0.75, 0.25, 0, 0)

@@ -11,8 +11,6 @@ from dircrawl.friction import (
     beta,
     directional_pair,
     evaluate,
-    is_directional,
-    normalize_orientation,
     scale,
 )
 
@@ -75,47 +73,6 @@ class TestScale:
     def test_invalid_factor(self, k):
         with pytest.raises(ValueError):
             scale(FrictionLaw(1, 1, 1, 1), k)
-
-
-class TestIsDirectional:
-    @pytest.mark.parametrize(
-        "law,expected",
-        [
-            (FrictionLaw(1, 1, 2, 2), False),
-            (FrictionLaw(1, 0.5, 2, 2), True),
-            (FrictionLaw(0, 0, 2, 1), True),
-        ],
-    )
-    def test_examples(self, law, expected):
-        assert is_directional(law) is expected
-
-
-class TestNormalizeOrientation:
-    def test_flips_on_tau_when_mu_equal(self):
-        norm, flipped = normalize_orientation(FrictionLaw(1, 2, 0, 0))
-        assert norm == FrictionLaw(2, 1, 0, 0) and flipped
-
-    def test_already_normalized(self):
-        law = FrictionLaw(1, 1, 3, 1)
-        assert normalize_orientation(law) == (law, False)
-
-    def test_flips_on_mu(self):
-        norm, flipped = normalize_orientation(FrictionLaw(0, 0, 1, 4))
-        assert norm == FrictionLaw(0, 0, 4, 1) and flipped
-
-    @given(laws())
-    def test_idempotent(self, law):
-        norm, _ = normalize_orientation(law)
-        again, flipped2 = normalize_orientation(norm)
-        assert again == norm and not flipped2
-
-    @given(laws())
-    def test_flip_flag_is_involution_on_asymmetric_laws(self, law):
-        swapped = FrictionLaw(law.tau_plus, law.tau_minus, law.mu_plus, law.mu_minus)
-        _, f1 = normalize_orientation(law)
-        _, f2 = normalize_orientation(swapped)
-        if swapped != law:
-            assert f1 != f2
 
 
 class TestDirectionalPair:
@@ -184,7 +141,6 @@ class TestLawProperties:
         if tau == 0.0 and mu == 0.0:
             return
         law = FrictionLaw(tau, tau, mu, mu)
-        assert not is_directional(law)
         assert evaluate(law, -v).value == -evaluate(law, v).value
         static = evaluate(law, 0.0)
         assert static.lo == -static.hi

@@ -1,4 +1,9 @@
-"""Only the midpoint grid loads numpy.
+"""The package's public surface, and which imports load numpy.
+
+``dircrawl.__all__`` is pinned to a literal list, so any change to the
+public surface is a deliberate edit of that list.
+
+Only the midpoint grid loads numpy.
 
 ``dircrawl.midpoint`` is the one module that imports numpy, and only
 ``simulate`` and cycles with an explicit ``dt`` import it.  So the package
@@ -81,3 +86,29 @@ def test_midpoint_grid_loads_numpy(tmp_path, command, extra):
     cfg.write_text(json.dumps(_CONFIG), encoding="utf-8")
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra]
     assert _loaded(argv) == [False, False, True]
+
+
+_PUBLIC = [
+    "BalanceSolution", "Breather", "BreatherRoots", "CompositeStride", "ConfigError",
+    "ConstantLength", "CycleReport", "DegenerateSubstrateError", "DirectionalPair",
+    "ForceValue", "FrictionLaw", "GaitProgram", "MixedRheologyError",
+    "PiecewiseAffineShape", "RegimeMismatchError", "SLIDING", "STICK_SLIP", "ShapeRate",
+    "SlidingDisplacement", "SquareWave", "StepLimitError", "StrideDisplacement",
+    "SweepRow", "Trajectory", "TwoSegmentPath", "UnsupportedPairError", "VerifyReport",
+    "WHOLE_BODY_STICK", "WaveAdmissibility", "__version__", "alpha", "beta",
+    "breather_cycle_displacement", "breather_roots", "breather_velocity",
+    "composite_stride_displacement", "cycle_displacement", "directional_pair", "evaluate",
+    "figure6_data", "figure7_data", "negative_displacement_feasible",
+    "newtonian_sliding_displacement", "scale", "simulate", "sliding_cycle_displacement",
+    "sliding_stage_velocity", "solve_velocity", "stickslip_displacement",
+    "stickslip_max_displacement_dry", "sweep", "total_force", "verify",
+    "wave_admissibility",
+]
+
+
+def test_public_surface_is_pinned():
+    import dircrawl
+
+    assert sorted(dircrawl.__all__) == _PUBLIC
+    missing = [name for name in _PUBLIC if not hasattr(dircrawl, name)]
+    assert missing == []
