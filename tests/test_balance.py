@@ -111,13 +111,6 @@ class TestSolveVelocity:
         assert sol.regime == STICK_SLIP
         # both undeformed regions are at rest
         assert len(sol.stick_intervals) == 2
-        # entering: the undeformed region ahead of the wave rests while the
-        # stretched front slips back at the wave speed
-        law = FrictionLaw(0.75, 0.25, 0.0, 0.0)
-        sol = solve_velocity(law, w.shape_at(0.1), w.rate_at(0.1))
-        assert sol.x1dot == -0.5
-        assert sol.regime == STICK_SLIP
-        assert sol.stick_intervals == ((0.15000000000000002, 1.05),)
 
     def test_stick_consistency(self):
         law = FrictionLaw(1.0, 1.0, 0.3, 0.2)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from dircrawl.balance import STICK_SLIP, solve_velocity
 from dircrawl.body import (
     Breather,
     CompositeStride,
@@ -11,6 +12,7 @@ from dircrawl.body import (
     SquareWave,
     TwoSegmentPath,
 )
+from dircrawl.friction import FrictionLaw
 from oracles import point_velocity, shape_value
 
 # One valid instance of each gait, as constructor keyword arguments.
@@ -296,6 +298,24 @@ class TestCompositeStride:
         arc = g.shape_at(0.5).arc
         assert arc[1] == 2e154
         assert math.isclose(arc[2], 5e154, rel_tol=1e-15)
+
+
+class TestZeroCrossings:
+    def test_stick_slip_wave_interval(self):
+        # entering: the undeformed region ahead of the wave rests while the
+        # stretched front slips back at the wave speed
+        law = FrictionLaw(0.75, 0.25, 0.0, 0.0)
+        w = SquareWave(ref_length=1.0, delta=0.2, epsilon=0.5, speed=1.0)
+        shape, rate = w.shape_at(0.1), w.rate_at(0.1)
+        sol = solve_velocity(law, shape, rate)
+        assert sol.x1dot == -0.5
+        assert sol.regime == STICK_SLIP
+        assert len(sol.stick_intervals) == 1  # the undeformed region is at rest
+        lo, hi = sol.stick_intervals[0]
+        assert math.isclose(lo, 0.15, rel_tol=1e-12)
+        assert math.isclose(hi, 1.05, rel_tol=1e-12)
+        assert point_velocity(shape, rate, sol.x1dot, 0.5 * (lo + hi)) == 0.0
+        assert point_velocity(shape, rate, sol.x1dot, 0.5 * lo) < 0.0
 
 
 class TestModuleOps:
