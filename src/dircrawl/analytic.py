@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
 from .errors import DegenerateSubstrateError, MixedRheologyError, RegimeMismatchError
-from .friction import DirectionalPair, FrictionLaw, alpha, directional_pair
+from .friction import FrictionLaw, alpha, directional_pair
 
 __all__ = [
     "BreatherRoots",
@@ -49,12 +49,6 @@ __all__ = [
 # Viscosity contrast below this (relative) routes the breather balance to the
 # linear branch; the quadratic root expression cancels catastrophically there.
 _MU_BRANCH_RTOL = 1e-12
-
-# breather_velocity evaluates its root directly only where every nonzero
-# input lies in [2**-250, 2**250]: every nonzero term then lies between
-# 2**-1000 and 2**1003, inside the normal float range.
-_DIRECT_MIN = 2.0**-250
-_DIRECT_MAX = 2.0**250
 
 
 def _require_in_range(what: str, *values: float) -> None:
@@ -126,51 +120,29 @@ def breather_velocity(law: FrictionLaw, ldot: float) -> float:
     raw root expressions degrade.  For substrates that are frictionless in
     one direction the solution set of the balance is a half-line; the root
     then sits at a boundary of [-1, 0] and matches the closest-to-zero rule
-    of :func:`dircrawl.balance.solve_velocity`.  Inputs that could push a
-    term out of the normal float range take the scaled form of
-    :func:`_scaled_terms`.
+    of :func:`dircrawl.balance.solve_velocity`.
+
+    The root is evaluated once, at unit scale: ``C`` is homogeneous of
+    degree 0 in ``(tau_1/ldot, tau_2/ldot, mu_1, mu_2)``, which one power of
+    two brings near 1, and ``ldot`` becomes its ``frexp`` mantissa.  While
+    values stay normal, scaling the law by ``2**k`` is therefore exact, and
+    so is scaling the yields and ``ldot`` together (the result by ``2**k``).
     """
     if ldot == 0.0:
         raise ValueError("ldot must be nonzero; a static body is the solver's job")
     p = directional_pair(law, elongating=ldot > 0.0)
-    lo, hi = _DIRECT_MIN, _DIRECT_MAX
-    if (
-        lo <= abs(ldot) <= hi
-        and (p.tau_1 == 0.0 or lo <= abs(p.tau_1) <= hi)
-        and (p.tau_2 == 0.0 or lo <= abs(p.tau_2) <= hi)
-        and (p.mu_1 == 0.0 or lo <= p.mu_1 <= hi)
-        and (p.mu_2 == 0.0 or lo <= p.mu_2 <= hi)
-    ):
-        w = (p.tau_1 - p.tau_2) / ldot
-        disc = p.mu_1 * p.mu_2 + w * w + 2.0 * (p.mu_2 * p.tau_1 - p.mu_1 * p.tau_2) / ldot
-        num = 2.0 * p.tau_2 / ldot - p.mu_2
-        den = p.mu_2 + w + math.sqrt(disc)
-    else:
-        num, den = _scaled_terms(p, ldot)
+    l, exp_l = math.frexp(ldot)
+    tau, mu = max(abs(p.tau_1), abs(p.tau_2)), max(p.mu_1, p.mu_2)
+    e = max(math.frexp(tau)[1] - exp_l if tau else -math.inf,
+            math.frexp(mu)[1] if mu else -math.inf)
+    tau_1, tau_2 = math.ldexp(p.tau_1, -exp_l - e), math.ldexp(p.tau_2, -exp_l - e)
+    mu_1, mu_2 = math.ldexp(p.mu_1, -e), math.ldexp(p.mu_2, -e)
+    w = (tau_1 - tau_2) / l
+    disc = mu_1 * mu_2 + w * w + 2.0 * (mu_2 * tau_1 - mu_1 * tau_2) / l
+    den = mu_2 + w + math.sqrt(disc)
     if den == 0.0:
         return 0.0  # nothing resists ahead of the motion; rest is admissible
-    return min(max(num / den, -1.0), 0.0) * ldot
-
-
-def _scaled_terms(p: DirectionalPair, ldot: float) -> tuple[float, float]:
-    """Numerator and denominator of ``x1dot / ldot`` in
-    :func:`breather_velocity`, where its terms leave the normal float range.
-
-    With ``A = |tau_1| / |ldot|`` and ``B = |tau_2| / |ldot|`` the ratio is
-    ``-(2B + mu_2) / (mu_2 + A + B + sqrt(mu_1 mu_2 + (A + B)^2 + 2 (mu_2 A
-    + mu_1 B)))``, every term non-negative and the whole homogeneous of
-    degree 0 in ``(A, B, mu_1, mu_2)``.  All four are divided by a power of
-    two near the largest, so no product leaves the float range; a term that
-    underflows is then negligible against the others.
-    """
-    frac, exp_l = math.frexp(abs(ldot))
-    terms = ((abs(p.tau_1), -exp_l), (abs(p.tau_2), -exp_l), (p.mu_1, 0), (p.mu_2, 0))
-    e = max(math.frexp(v)[1] + shift for v, shift in terms if v != 0.0)
-    a, b, m1, m2 = (math.ldexp(v, shift - e) for v, shift in terms)
-    a, b = a / frac, b / frac
-    w = a + b
-    disc = m1 * m2 + w * w + 2.0 * (m2 * a + m1 * b)
-    return -(2.0 * b + m2), m2 + w + math.sqrt(disc)
+    return min(max((2.0 * tau_2 / l - mu_2) / den, -1.0), 0.0) * ldot
 
 
 def _rate_independent_coefficients(law: FrictionLaw) -> tuple[float, float] | None:

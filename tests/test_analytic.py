@@ -1,13 +1,15 @@
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dircrawl.analytic import (
     _MAX_PANELS,
     _QK15,
-    _scaled_terms,
     adaptive_gauss,
     breather_cycle_displacement,
     breather_roots,
@@ -26,7 +28,7 @@ from dircrawl.analytic import (
 from dircrawl.balance import solve_velocity
 from dircrawl.body import Breather, ConstantLength, PiecewiseAffineShape, ShapeRate
 from dircrawl.errors import DegenerateSubstrateError, MixedRheologyError, RegimeMismatchError
-from dircrawl.friction import FrictionLaw, directional_pair, scale
+from dircrawl.friction import FrictionLaw, scale
 from oracles import (
     least_resistance_orientation,
     literal_sliding_stages,
@@ -45,6 +47,10 @@ def bump(rest, delta, period):
         return delta * (math.pi / period) * math.sin(2.0 * math.pi * t / period)
 
     return f, fdot
+
+
+# m * 2**e with |e| <= 250: times any 2**k with |k| <= 510, still normal
+_BINARY = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-250, 250))
 
 
 class TestBreatherVelocity:
@@ -79,16 +85,29 @@ class TestBreatherVelocity:
         sol = solve_velocity(law, shape, ShapeRate((0.0, 1.0), ((0.0, ldot),)))
         assert abs(breather_velocity(law, ldot) - sol.x1dot) <= 1e-12 * abs(ldot)
 
-    def test_scaled_ratio_matches_the_direct_root(self):
-        # the overflow fallback evaluates the same root in scaled terms
-        rng = random.Random(17)
-        for _ in range(200):
-            law = random_law(rng)
-            for ldot in (0.3, -2.0):
-                p = directional_pair(law, ldot > 0.0)
-                direct = breather_velocity(law, ldot) / ldot
-                num, den = _scaled_terms(p, ldot)
-                assert math.isclose(num / den, direct, rel_tol=1e-13, abs_tol=1e-15)
+    @settings(max_examples=300)
+    @given(
+        st.tuples(*[st.one_of(st.just(0.0), _BINARY)] * 4).filter(any),
+        _BINARY,
+        st.booleans(),
+        st.integers(-510, 510),
+    )
+    @example((13721843226.888802, 0.03709071675727699, 1.1170407646832141e-65, 0.0),
+             5073373944.1433735, False, -143)
+    def test_exact_under_power_of_two_scaling(self, coefs, rate, elongating, k):
+        # every input and every input times 2**k is normal, so the unit-scale
+        # evaluation sees the same numbers either way; the results compare
+        # where they are normal too
+        law = FrictionLaw(*coefs)
+        ldot = rate if elongating else -rate
+        v = breather_velocity(law, ldot)
+        assert breather_velocity(scale(law, 2.0**k), ldot) == v
+        yields_k = FrictionLaw(
+            math.ldexp(law.tau_minus, k), math.ldexp(law.tau_plus, k), law.mu_minus, law.mu_plus
+        )
+        v_k = math.ldexp(v, k)
+        if min(abs(v), abs(v_k)) >= sys.float_info.min:
+            assert breather_velocity(yields_k, math.ldexp(ldot, k)) == v_k
 
     def test_scaled_denominator_that_underflows_means_rest(self):
         # only the yield behind the motion resists, and it is ~1e-84 of the
