@@ -122,27 +122,35 @@ def breather_velocity(law: FrictionLaw, ldot: float) -> float:
     then sits at a boundary of [-1, 0] and matches the closest-to-zero rule
     of :func:`dircrawl.balance.solve_velocity`.
 
-    The root is evaluated once, at unit scale: ``C`` is homogeneous of
-    degree 0 in ``(tau_1/ldot, tau_2/ldot, mu_1, mu_2)``, which one power of
-    two brings near 1, and ``ldot`` becomes its ``frexp`` mantissa.  While
-    values stay normal, scaling the law by ``2**k`` is therefore exact, and
-    so is scaling the yields and ``ldot`` together (the result by ``2**k``).
+    It is evaluated once, at :func:`_unit_scale`: no term overflows, one that
+    underflows is negligible, and while values stay normal scaling the law
+    by ``2**k`` is exact, as is scaling the yields and ``ldot`` by ``2**k``.
     """
     if ldot == 0.0:
         raise ValueError("ldot must be nonzero; a static body is the solver's job")
     p = directional_pair(law, elongating=ldot > 0.0)
-    l, exp_l = math.frexp(ldot)
-    tau, mu = max(abs(p.tau_1), abs(p.tau_2)), max(p.mu_1, p.mu_2)
-    e = max(math.frexp(tau)[1] - exp_l if tau else -math.inf,
-            math.frexp(mu)[1] if mu else -math.inf)
-    tau_1, tau_2 = math.ldexp(p.tau_1, -exp_l - e), math.ldexp(p.tau_2, -exp_l - e)
-    mu_1, mu_2 = math.ldexp(p.mu_1, -e), math.ldexp(p.mu_2, -e)
+    tau_1, tau_2, mu_1, mu_2, l, _ = _unit_scale(p.tau_1, p.tau_2, p.mu_1, p.mu_2, ldot)
     w = (tau_1 - tau_2) / l
     disc = mu_1 * mu_2 + w * w + 2.0 * (mu_2 * tau_1 - mu_1 * tau_2) / l
     den = mu_2 + w + math.sqrt(disc)
     if den == 0.0:
         return 0.0  # nothing resists ahead of the motion; rest is admissible
     return min(max((2.0 * tau_2 / l - mu_2) / den, -1.0), 0.0) * ldot
+
+
+def _unit_scale(
+    tau_1: float, tau_2: float, mu_1: float, mu_2: float, rate: float, top: int = 0
+) -> tuple[float, float, float, float, float, int]:
+    """``(tau_1, tau_2, mu_1, mu_2, r, n)`` rescaled by exact powers of two:
+    ``rate = r * 2**n``, ``r`` its ``frexp`` mantissa, and the largest nonzero
+    of ``tau_1 / rate, tau_2 / rate, mu_1, mu_2`` brought near ``2**top``, so
+    a ratio homogeneous of degree 0 in these four keeps its value with ``r``."""
+    r, n = math.frexp(rate)
+    tau, mu = max(abs(tau_1), abs(tau_2)), max(mu_1, mu_2)
+    e = max(math.frexp(tau)[1] - n if tau else -math.inf, math.frexp(mu)[1] if mu else -math.inf)
+    e -= top
+    tau_1, tau_2 = math.ldexp(tau_1, -n - e), math.ldexp(tau_2, -n - e)
+    return tau_1, tau_2, math.ldexp(mu_1, -e), math.ldexp(mu_2, -e), r, n
 
 
 def _rate_independent_coefficients(law: FrictionLaw) -> tuple[float, float] | None:
@@ -578,25 +586,39 @@ def sliding_stage_velocity(
 
     The period splits into the wave entering at the left end, traveling
     fully inside, and leaving at the right end; on each stage the balance of
-    the two sliding regions gives a rational expression in ``t``.
+    the two sliding regions gives a rational expression in ``t``, evaluated
+    with the lengths near 1 and the coefficients at :func:`_unit_scale`, the
+    largest at ``2**500`` so that a product with a length stays in range.
+    Raises ``ValueError`` where the velocity leaves the float range.
     """
     _require_sliding(law, epsilon, c, delta, L)
-    tb, mb, tf, mf = _wave_params(law, epsilon)
     T = (L + delta) / c
     if not 0.0 <= t < T:
         raise ValueError(f"t={t} outside one period [0, {T})")
-    e = epsilon
-    ct = c * t
-    if t < delta / c:
+    entering, inside = t < delta / c, t < L / c
+    tb, mb, tf, mf = _wave_params(law, epsilon)
+    tb, tf, mb, mf, c_unit, exp_c = _unit_scale(tb, tf, mb, mf, c, top=500)
+    t_unit, exp_t = math.frexp(t)
+    exp_len = math.frexp(L)[1]
+    ct = math.ldexp(c_unit * t_unit, exp_c + exp_t - exp_len)
+    L, delta, c, e = math.ldexp(L, -exp_len), math.ldexp(delta, -exp_len), c_unit, epsilon
+    if entering and ct == 0.0:  # the front rests: v = -e*c, though mf may underflow
+        num, den = -e * c, 1.0
+    elif entering:
         num = tb * (1.0 + e) * ct - (tf + mf * e * c) * (L - ct)
         den = mb * (1.0 + e) * ct + mf * (L - ct)
-    elif t < L / c:
+    elif inside:
         num = (tb + mb * e * c) * (1.0 + e) * delta - tf * (L - delta)
         den = mb * (1.0 + e) * delta + mf * (L - delta)
     else:
         num = (tb + mb * e * c) * (1.0 + e) * (L - ct + delta) - tf * (ct - delta)
         den = mb * (1.0 + e) * (L - ct + delta) + mf * (ct - delta)
-    return num / den
+    try:
+        v = math.ldexp(num / den, exp_c)
+    except OverflowError:
+        v = math.inf
+    _require_in_range(f"epsilon={epsilon!r}", v)
+    return v
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,13 @@ REGIMES = (SLIDING, STICK_SLIP, WHOLE_BODY_STICK)
 _INF = math.inf
 # Largest force residual accepted, relative to the solver's force scale.
 _RESIDUAL_RTOL = 1e-9
+# Tolerances of the candidate search and the regime classification; the batch
+# solver in midpoint reads these names, so that its rows match bit for bit.
+_ACCEPT_RTOL, _ACCEPT_FLOOR = 1e-13, 1e-300  # |force| <= RTOL * max(fscale, FLOOR) is zero
+_STICK_RTOL = 1e-12  # a piece sticks where |v| <= _STICK_RTOL * vscale
+_WHOLE_BODY_RTOL = 1e-12  # the whole body sticks from (1 - _WHOLE_BODY_RTOL) of it
+_ROOT_SLACK = 1e-12  # a root this far outside its gap, times max(width, 1), is kept
+_DISC_RTOL = 1e-12  # a discriminant above -_DISC_RTOL * (b^2 + |4ac|) is zero
 
 
 @dataclass(frozen=True)
@@ -176,7 +183,7 @@ def _poly_roots_in(
     a: float, b: float, c: float, lo: float, hi: float
 ) -> list[float]:
     """Real roots of a*x^2 + b*x + c inside [lo, hi], numerically stable."""
-    slack = 1e-12 * max(hi - lo, 1.0)
+    slack = _ROOT_SLACK * max(hi - lo, 1.0)
 
     def keep(x: float) -> bool:
         return lo - slack <= x <= hi + slack
@@ -188,7 +195,7 @@ def _poly_roots_in(
         return [x] if keep(x) else []
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
-        if disc > -1e-12 * (b * b + abs(4.0 * a * c)):
+        if disc > -_DISC_RTOL * (b * b + abs(4.0 * a * c)):
             disc = 0.0
         else:
             return []
@@ -210,9 +217,10 @@ def solve_velocity(
     closest-to-zero rule.
 
     Raises :class:`DegenerateSubstrateError` when floating point cannot
-    represent the balance: no candidate is found, a bracket holds no root, or
-    the force at the returned velocity is not finite or exceeds
-    ``1e-9 * fscale`` (a real solution is within ~1e-15 of it).
+    represent the balance: the force scale ``fscale`` overflows, no
+    candidate is found, a bracket holds no root, or the force at the
+    returned velocity is not finite or exceeds ``1e-9 * fscale`` (a real
+    solution is within ~1e-15 of it).
     """
     x, regime, residual, stick, _ = _solve(law, _pieces(shape, rate), shape.length)
     return BalanceSolution(x1dot=x, regime=regime, residual=residual, stick_intervals=stick)
@@ -230,7 +238,9 @@ def _solve(
     fscale = (
         law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * vscale
     ) * l_total
-    atol = 1e-13 * max(fscale, 1e-300)
+    if not math.isfinite(fscale):
+        raise DegenerateSubstrateError("force scale overflows: no residual can be checked")
+    atol = _ACCEPT_RTOL * max(fscale, _ACCEPT_FLOOR)
 
     breaks = sorted({-r for r in rates_all})
     fvals = [_force(law, pieces, b) for b in breaks]
@@ -281,7 +291,7 @@ def _solve(
     # Classify the velocity field at the solution.
     stick: list[tuple[float, float]] = []
     signs: list[int] = []
-    stick_tol = 1e-12 * vscale
+    stick_tol = _STICK_RTOL * vscale
     for s0, s1, r0, r1 in pieces:
         v0 = x_star + r0
         v1 = x_star + r1
@@ -293,7 +303,7 @@ def _solve(
             else:
                 stick.append((s0, s1))
     stick_len = sum(hi - lo for lo, hi in stick)
-    if stick_len >= l_total * (1.0 - 1e-12):
+    if stick_len >= l_total * (1.0 - _WHOLE_BODY_RTOL):
         regime = WHOLE_BODY_STICK
     elif stick:
         regime = STICK_SLIP

@@ -241,8 +241,6 @@ def _cycle(
     meta: dict[str, Any] = {"regime_counts": regime_counts, "residual_max": residual_max}
     if note:
         meta["note"] = note
-    if isinstance(gait, CompositeStride):
-        meta["edge_parameterization"] = "constant speed in shape space over quarter periods"
     report = CycleReport(
         gait_kind=type(gait).__name__,
         net_displacement=x,
@@ -482,10 +480,6 @@ def figure7_data(
         for e in epsilons:
             if not (math.isfinite(e) and e > -1.0):
                 raise ValueError(f"epsilon must be finite and exceed -1, got {e!r}")
-            value = (
-                0.0
-                if e == 0.0
-                else analytic.newtonian_sliding_displacement(b, e, delta_over_length, 1.0)
-            )
+            value = analytic.newtonian_sliding_displacement(b, e, delta_over_length, 1.0)
             rows.append((float(b), float(b) ** 2, float(e), value))
     return rows

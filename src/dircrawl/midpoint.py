@@ -275,8 +275,8 @@ def solve_velocity_batch(
     The candidate search is the scalar one, for all rows at once, with sums
     accumulated in piece order.  A row where it is not conclusive (a probe
     on a breakpoint, a bracket without exactly one root, no candidate, or a
-    residual the scalar solver rejects) goes to ``solve_velocity`` itself,
-    which also raises its errors.
+    force scale or residual the scalar solver rejects) goes to
+    ``solve_velocity`` itself, which also raises its errors.
     """
     n = arcs.shape[0]
     # Rows run along the last axis of every array below, so that numpy's
@@ -294,7 +294,7 @@ def solve_velocity_batch(
         fscale = (
             law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * vscale
         ) * l_total
-        atol = 1e-13 * np.maximum(fscale, 1e-300)
+        atol = balance._ACCEPT_RTOL * np.maximum(fscale, balance._ACCEPT_FLOOR)
         # A breakpoint repeated within a row only repeats a candidate that
         # comes earlier in the scalar order, so the choice is unchanged:
         # rates that repeat another in every row are dropped, and the
@@ -341,12 +341,13 @@ def solve_velocity_batch(
             (bracket & (on_break | (n_roots != 1))).any(axis=0)
             | ~valid.any(axis=0)
             | (valid & ~np.isfinite(values)).any(axis=0)
+            | ~np.isfinite(fscale)
         )
         # np.argmin takes the first minimum, as min(..., key=abs) does.
         x = values[np.argmin(np.where(valid, np.abs(values), math.inf), axis=0), np.arange(n)]
 
         # Classify the velocity field at the solution; padding never sticks.
-        sticks = (r0 == r1) & (np.abs(x + r0) <= 1e-12 * vscale) & (seg > 0.0)
+        sticks = (r0 == r1) & (np.abs(x + r0) <= balance._STICK_RTOL * vscale) & (seg > 0.0)
         stick_len = np.zeros(n)
         run_lo = np.zeros(n)
         for j in range(len(sticks)):
@@ -354,9 +355,8 @@ def solve_velocity_batch(
             run_lo = np.where(starts, s0[j], run_lo)
             ends = sticks[j] & ~sticks[j + 1] if j + 1 < len(sticks) else sticks[j]
             stick_len = np.where(ends, stick_len + (s1[j] - run_lo), stick_len)
-        regime = np.where(
-            stick_len >= l_total * (1.0 - 1e-12), 2, np.where(sticks.any(axis=0), 1, 0)
-        ).astype(np.int8)
+        whole = stick_len >= l_total * (1.0 - balance._WHOLE_BODY_RTOL)
+        regime = np.where(whole, 2, np.where(sticks.any(axis=0), 1, 0)).astype(np.int8)
 
         x_lo, x_hi = (f[0] for f in _total_force_rows(law, *pieces, x[None]))
         residual = np.where(
@@ -474,14 +474,14 @@ def _poly_roots_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``balance._poly_roots_in`` elementwise: the first root kept, and how
     many were kept."""
-    slack = 1e-12 * np.maximum(hi - lo, 1.0)
+    slack = balance._ROOT_SLACK * np.maximum(hi - lo, 1.0)
 
     def keep(x: np.ndarray) -> np.ndarray:
         return (lo - slack <= x) & (x <= hi + slack)
 
     x_lin = -c / b
     disc = b * b - 4.0 * a * c
-    near = (disc < 0.0) & (disc > -1e-12 * (b * b + np.abs(4.0 * a * c)))
+    near = (disc < 0.0) & (disc > -balance._DISC_RTOL * (b * b + np.abs(4.0 * a * c)))
     disc = np.where(near, 0.0, disc)
     sq = np.sqrt(disc)
     q = np.where(b != 0.0, -0.5 * (b + np.copysign(sq, b)), -0.5 * sq)

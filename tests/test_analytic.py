@@ -76,14 +76,27 @@ class TestBreatherVelocity:
         with pytest.raises(ValueError):
             breather_velocity(FrictionLaw(1, 1, 1, 1), 0.0)
 
-    @pytest.mark.parametrize("ldot", [30.0, -30.0, 1e-5, 1e100])
-    def test_viscous_force_beyond_the_yield_gap(self, ldot):
+    @pytest.mark.parametrize(
+        "ldot, k",
+        [(30.0, 0), (-30.0, 0), (1e-5, 0), (1e100, -260)],
+        ids=["30.0", "-30.0", "1e-05", "1e+100"],
+    )
+    def test_viscous_force_beyond_the_yield_gap(self, ldot, k):
         # |ldot| is far below the yield gap, but mu_minus * |ldot| is far
-        # above it: not the yield-dominated limit, and w * w overflows
+        # above it: not the yield-dominated limit, and w * w overflows.  At
+        # 1e100 the solver's force scale overflows too, so the solver checks
+        # the law with yields and rate scaled by 2**k, which scales the
+        # closed form exactly
         law = FrictionLaw(3.03e-184, 7.21e245, 1.59e285, 0.792)
+        law_k = FrictionLaw(
+            math.ldexp(law.tau_minus, k), math.ldexp(law.tau_plus, k), law.mu_minus, law.mu_plus
+        )
+        ldot_k = math.ldexp(ldot, k)
+        v_k = breather_velocity(law_k, ldot_k)
+        assert breather_velocity(law, ldot) == math.ldexp(v_k, -k)
         shape = PiecewiseAffineShape((0.0, 1.0), (0.0, 1.0))
-        sol = solve_velocity(law, shape, ShapeRate((0.0, 1.0), ((0.0, ldot),)))
-        assert abs(breather_velocity(law, ldot) - sol.x1dot) <= 1e-12 * abs(ldot)
+        sol = solve_velocity(law_k, shape, ShapeRate((0.0, 1.0), ((0.0, ldot_k),)))
+        assert abs(v_k - sol.x1dot) <= 1e-12 * abs(ldot_k)
 
     @settings(max_examples=300)
     @given(
@@ -111,12 +124,15 @@ class TestBreatherVelocity:
 
     def test_scaled_denominator_that_underflows_means_rest(self):
         # only the yield behind the motion resists, and it is ~1e-84 of the
-        # viscosity once divided by |ldot|: the scaled denominator is 0
+        # viscosity once divided by |ldot|: at unit scale the denominator is
+        # 0.  The solver refuses the input: mu_plus * |ldot| overflows its
+        # force scale.
         law = FrictionLaw(4.470877581627024e56, 0.0, 0.0, 6.027151618559045e277)
         ldot = -9.121782968964876e139
-        sol = solve_velocity(law, PiecewiseAffineShape((0.0, 1.0), (0.0, 1.0)),
-                             ShapeRate((0.0, 1.0), ((0.0, ldot),)))
-        assert breather_velocity(law, ldot) == sol.x1dot == 0.0
+        assert breather_velocity(law, ldot) == 0.0
+        with pytest.raises(DegenerateSubstrateError, match="force scale overflows"):
+            solve_velocity(law, PiecewiseAffineShape((0.0, 1.0), (0.0, 1.0)),
+                           ShapeRate((0.0, 1.0), ((0.0, ldot),)))
 
     @pytest.mark.parametrize(
         "law, t",

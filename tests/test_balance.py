@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,9 @@ from dircrawl.balance import (
     total_force,
 )
 from dircrawl.body import PiecewiseAffineShape, ShapeRate, SquareWave
+from dircrawl.errors import DegenerateSubstrateError
 from dircrawl.friction import FrictionLaw, scale
+from dircrawl.midpoint import solve_velocity_batch
 from oracles import bisect_velocity, breather_shape_rate, quad_force, random_law
 
 
@@ -181,6 +184,24 @@ class TestSolveVelocity:
         sol = solve_velocity(law, shape, rate)
         assert math.isclose(sol.x1dot, -1.0, rel_tol=1e-12)
         assert math.isclose(breather_velocity(law, 1.0), -1.0, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "law, ldot",
+        [
+            (
+                FrictionLaw(4.470877581627024e56, 0.0, 0.0, 6.027151618559045e277),
+                -9.121782968964876e139,
+            ),
+            (FrictionLaw(3.03e-184, 7.21e245, 1.59e285, 0.792), 1e100),
+        ],
+    )
+    def test_overflowing_force_scale_is_refused_by_both_solvers(self, law, ldot):
+        # mu * |ldot| overflows, so the residual bound is infinite and would
+        # accept x1dot = 0.0 with the whole yield force unbalanced
+        with pytest.raises(DegenerateSubstrateError, match="force scale overflows"):
+            solve_velocity(law, *breather_shape_rate(l=1.0, ldot=ldot))
+        with pytest.raises(DegenerateSubstrateError, match="force scale overflows"):
+            solve_velocity_batch(law, np.array([[0.0, 1.0]]), np.array([[[0.0, ldot]]]))
 
     def test_node_set_mismatch(self):
         law = FrictionLaw(1, 1, 1, 1)

@@ -168,7 +168,6 @@ class TestCycleDisplacement:
         rep = engine.cycle_displacement(law, CompositeStride(lam=0.5, delta=0.5, h=2.0))
         assert rep.analytic_value is None
         assert "simulate" in rep.meta["note"]
-        assert rep.meta["edge_parameterization"]
 
     def test_generic_path_without_closed_form(self):
         law = FrictionLaw(1.0, 0.5, 0, 0)
