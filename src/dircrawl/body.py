@@ -440,6 +440,14 @@ class SquareWave:
             raise ValueError("epsilon must be > -1 and nonzero")
         if self.speed <= 0.0:
             raise ValueError("speed must be positive")
+        # The wave's back node ct - delta and its front ct must be distinct
+        # floats wherever the wave is, in reference coordinates (width delta)
+        # and in arc-length (width (1 + epsilon) * delta).
+        if not min(1.0, 1.0 + self.epsilon) * self.delta > math.ulp(self.ref_length):
+            raise ValueError(
+                f"delta={self.delta!r} is absorbed by ref_length={self.ref_length!r}: "
+                "delta * min(1, 1 + epsilon) must exceed the float spacing at ref_length"
+            )
 
     @property
     def period(self) -> float:

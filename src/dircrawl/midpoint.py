@@ -16,7 +16,6 @@ fewer pieces end in zero-length pieces repeating the last node and rate.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Callable
 
 import numpy as np
@@ -33,8 +32,13 @@ __all__ = ["sample", "solve_velocity_batch", "simulate", "cycle"]
 _MAX_STEPS = 1_000_000
 # Steps the kernel samples and solves at once.  Fixed blocks keep the numpy
 # temporaries one size from block to block, so the allocator reuses them
-# instead of growing the heap with each run length.
-_BLOCK = 512
+# instead of growing the heap with each run length.  Each batch solve has a
+# fixed cost of ~0.9 ms, which a default 2-period simulate (~4000 steps)
+# pays 8 times at 512 rows and twice at 2048.  Benchmark `trajectory`, 16 s
+# runs on 2 cores, seeds 201-202: 63/s and 39.7 MB peak RSS at 512 rows,
+# 110/s and 41.4 MB at 2048, 125-139/s and 43.0 MB at 4096; 2048 keeps RSS
+# within ~4 % of 512.
+_BLOCK = 2048
 
 
 def simulate(
@@ -46,10 +50,11 @@ def simulate(
     times, _ = _stage_grid(gait, dt, n_periods)
     lengths = np.empty(len(times))
     lengths[0] = gait.shape_at(float(times[0])).length
-    x1dot, regimes, residual_max = _kernel(law, gait, times, lengths)
+    x1dot, codes, residual_max = _kernel(law, gait, times, lengths)
     # x1[i + 1] = x1[i] + x1dot * dt, in step order
     x1 = np.add.accumulate(np.concatenate([[x0], x1dot * np.diff(times)]))
-    return times, x1, lengths, regimes, dict(Counter(regimes)), residual_max
+    regimes = tuple(np.asarray(balance.REGIMES, dtype=object)[codes])
+    return times, x1, lengths, regimes, _regime_counts(codes), residual_max
 
 
 def cycle(
@@ -58,10 +63,17 @@ def cycle(
     """Net displacement over one period, per-stage sums, regime counts and
     the largest force residual."""
     times, stages = _stage_grid(gait, dt)
-    x1dot, regimes, residual_max = _kernel(law, gait, times, None)
+    x1dot, codes, residual_max = _kernel(law, gait, times, None)
     dx = x1dot * np.diff(times)
     stage_sums = [_sum_in_order(dx[stages == k]) for k in range(stages[-1] + 1)]
-    return _sum_in_order(dx), stage_sums, dict(Counter(regimes)), residual_max
+    return _sum_in_order(dx), stage_sums, _regime_counts(codes), residual_max
+
+
+def _regime_counts(codes: np.ndarray) -> dict[str, int]:
+    """Steps per regime, keyed in order of first occurrence."""
+    seen, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return dict(zip((balance.REGIMES[c] for c in seen[order].tolist()), counts[order].tolist()))
 
 
 def _stage_grid(
@@ -98,8 +110,8 @@ def _stage_grid(
 
 def _kernel(
     law: FrictionLaw, gait: GaitProgram, times: np.ndarray, lengths: np.ndarray | None
-) -> tuple[np.ndarray, tuple[str, ...], float]:
-    """Balance velocity and regime of every step of the grid ``times``,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Balance velocity and regime code of every step of the grid ``times``,
     solved at the step midpoints, plus the largest residual; ``lengths``,
     when given, gets the body length at each later grid time (no rates).
 
@@ -130,7 +142,7 @@ def _kernel(
         x1dot[i0:i1] = x
         codes[i0:i1] = regime
         residual_max = max(residual_max, float(residual.max()))
-    return x1dot, tuple(np.asarray(balance.REGIMES, dtype=object)[codes]), residual_max
+    return x1dot, codes, residual_max
 
 
 def _sum_in_order(values: np.ndarray) -> float:
@@ -162,9 +174,19 @@ def _shapes(gait: GaitProgram, times: np.ndarray) -> _Shapes:
 def _profile_shapes(gait: GaitProgram, times: np.ndarray) -> _Shapes:
     """Breathers (one piece, length ``p``) and constant-length crawlers (two
     pieces split at the first segment's length ``p``); the ``2:`` and ``1:``
-    slices below are empty for a breather."""
-    ts = times.tolist()
-    p = np.array([gait._value(t) for t in ts], dtype=float)
+    slices below are empty for a breather.  The built-in bump is evaluated
+    over the whole block; a custom profile is called once per time."""
+    bump = gait.profile is None
+    if bump:
+        tm = np.remainder(times, gait.period)
+        # Python's ``** 2`` is libm ``pow``, and so is ``np.float_power``;
+        # numpy's ``**`` and ``np.square`` compute ``s * s``, which rounds
+        # differently on about 1 sine in 1200.
+        sin2 = np.float_power(np.sin(math.pi * tm / gait.period), 2.0)
+        p = gait._rest + gait.delta * sin2
+    else:
+        ts = times.tolist()
+        p = np.array([gait._value(t) for t in ts], dtype=float)
     if isinstance(gait, body.Breather):
         n_pieces, ok = 1, p > 0.0
     else:
@@ -175,7 +197,10 @@ def _profile_shapes(gait: GaitProgram, times: np.ndarray) -> _Shapes:
     arcs[:, 2:] = gait.ref_length
 
     def rates() -> np.ndarray:
-        pdot = np.array([gait._rate(t) for t in ts], dtype=float)
+        if bump:
+            pdot = gait.delta * (math.pi / gait.period) * np.sin(2.0 * math.pi * tm / gait.period)
+        else:
+            pdot = np.array([gait._rate(t) for t in ts], dtype=float)
         out = np.zeros((len(p), n_pieces, 2))
         out[:, 0, 1] = pdot
         out[:, 1:, 0] = pdot[:, None]
@@ -304,7 +329,7 @@ def solve_velocity_batch(
             if not any(np.array_equal(flat[j], flat[i]) for i in range(j))
         ]
         breaks = np.sort(-flat[distinct], axis=0)
-        pieces = (seg[:, None], r0[:, None], r1[:, None])
+        pieces = (seg, r0, r1)
 
         f_lo, f_hi = _total_force_rows(law, *pieces, breaks)
 
@@ -382,35 +407,40 @@ def _total_force_rows(
     law: FrictionLaw, seg: np.ndarray, r0: np.ndarray, r1: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``balance.total_force`` of each row's pieces (``seg``, ``r0``, ``r1``
-    shaped ``(P, 1, n)``) at each ``x[m, i]``: bounds ``(lo, hi)`` shaped
-    like ``x``.  Each piece adds the scalar's one or two terms, in piece
-    order; a piece with one term adds 0.0 in place of the second, which
-    changes no partial sum (they start at +0.0, so none is -0.0)."""
+    shaped ``(P, n)``) at each ``x[m, i]``: bounds ``(lo, hi)`` shaped like
+    ``x``.  Each piece adds the scalar's one or two terms, in piece order; a
+    piece with one term adds 0.0 in place of the second, which changes no
+    partial sum (they start at +0.0, so none is -0.0).  One piece at a time,
+    so no temporary holds more than one of ``x``'s shape."""
     tm, tp, mm, mp = law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus
-    v0 = x + r0
-    v1 = x + r1
-    static = (v0 == 0.0) & (v1 == 0.0)
-    neg = (v0 <= 0.0) & (v1 <= 0.0) & ~static
-    pos = (v0 >= 0.0) & (v1 >= 0.0) & ~static
-    len_a = v0 / (v0 - v1) * seg
-    len_b = seg - len_a
-    up = v0 < 0.0  # a crossing from negative to positive
-    first = np.where(
-        neg,
-        tm * seg - mm * 0.5 * (v0 + v1) * seg,
-        np.where(
-            pos,
-            -tp * seg - mp * 0.5 * (v0 + v1) * seg,
-            np.where(up, tm * len_a - mm * 0.5 * v0 * len_a, -tp * len_a - mp * 0.5 * v0 * len_a),
-        ),
-    )
-    second = np.where(up, -tp * len_b - mp * 0.5 * v1 * len_b, tm * len_b - mm * 0.5 * v1 * len_b)
-    one_term = neg | pos | static
     point_sum = np.zeros(x.shape)
-    for j in range(len(first)):
-        point_sum = point_sum + np.where(static[j], 0.0, first[j])
-        point_sum = point_sum + np.where(one_term[j], 0.0, second[j])
-    static_len = _ordered_sum(np.where(static, seg, 0.0))
+    static_len = np.zeros(x.shape)
+    for s, q0, q1 in zip(seg, r0, r1):
+        v0 = x + q0
+        v1 = x + q1
+        static = (v0 == 0.0) & (v1 == 0.0)
+        neg = (v0 <= 0.0) & (v1 <= 0.0) & ~static
+        pos = (v0 >= 0.0) & (v1 >= 0.0) & ~static
+        len_a = v0 / (v0 - v1) * s
+        len_b = s - len_a
+        up = v0 < 0.0  # a crossing from negative to positive
+        first = np.where(
+            neg,
+            tm * s - mm * 0.5 * (v0 + v1) * s,
+            np.where(
+                pos,
+                -tp * s - mp * 0.5 * (v0 + v1) * s,
+                np.where(
+                    up, tm * len_a - mm * 0.5 * v0 * len_a, -tp * len_a - mp * 0.5 * v0 * len_a
+                ),
+            ),
+        )
+        second = np.where(
+            up, -tp * len_b - mp * 0.5 * v1 * len_b, tm * len_b - mm * 0.5 * v1 * len_b
+        )
+        point_sum = point_sum + np.where(static, 0.0, first)
+        point_sum = point_sum + np.where(neg | pos | static, 0.0, second)
+        static_len = static_len + np.where(static, s, 0.0)
     has_static = static_len > 0.0
     return (
         np.where(has_static, point_sum - tp * static_len, point_sum),
@@ -422,51 +452,50 @@ def _segment_poly_rows(
     law: FrictionLaw, seg: np.ndarray, r0: np.ndarray, r1: np.ndarray, x_probe: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``balance._segment_poly`` at each probe ``x_probe[m, i]``:
-    coefficients ``a, b, c`` plus a mask of the probes that landed on a
-    breakpoint."""
+    coefficients ``a, b, c``, summed over the pieces from +0.0 in piece
+    order as the scalar ``+=`` loop adds (``np.sum`` adds pairwise), plus a
+    mask of the probes that landed on a breakpoint."""
     tm, tp, mm, mp = law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus
-    v0 = x_probe + r0
-    v1 = x_probe + r1
-    neg = (v0 < 0.0) & (v1 < 0.0)
-    pos = (v0 > 0.0) & (v1 > 0.0)
-    up = (v0 < 0.0) & (0.0 < v1)
-    down = (v1 < 0.0) & (0.0 < v0)
-    k = np.where(up, seg / (r1 - r0), seg / (r0 - r1))
-    one_sign = neg | pos
-    a = np.where(one_sign, 0.0, 0.5 * (mm - mp) * k)
-    b = np.where(
-        neg,
-        -mm * seg,
-        np.where(
-            pos,
-            -mp * seg,
-            np.where(up, (-tm - tp + mm * r0 - mp * r1) * k, (-tm - tp - mp * r0 + mm * r1) * k),
-        ),
-    )
-    c = np.where(
-        neg,
-        tm * seg - mm * 0.5 * (r0 + r1) * seg,
-        np.where(
-            pos,
-            -tp * seg - mp * 0.5 * (r0 + r1) * seg,
+    a = np.zeros(x_probe.shape)
+    b = np.zeros(x_probe.shape)
+    c = np.zeros(x_probe.shape)
+    on_break = np.zeros(x_probe.shape, dtype=bool)
+    for s, q0, q1 in zip(seg, r0, r1):
+        v0 = x_probe + q0
+        v1 = x_probe + q1
+        neg = (v0 < 0.0) & (v1 < 0.0)
+        pos = (v0 > 0.0) & (v1 > 0.0)
+        up = (v0 < 0.0) & (0.0 < v1)
+        down = (v1 < 0.0) & (0.0 < v0)
+        k = np.where(up, s / (q1 - q0), s / (q0 - q1))
+        one_sign = neg | pos
+        a = a + np.where(one_sign, 0.0, 0.5 * (mm - mp) * k)
+        b = b + np.where(
+            neg,
+            -mm * s,
             np.where(
-                up,
-                (-tm * r0 - tp * r1 + 0.5 * (mm * r0 * r0 - mp * r1 * r1)) * k,
-                (-tp * r0 - tm * r1 + 0.5 * (mm * r1 * r1 - mp * r0 * r0)) * k,
+                pos,
+                -mp * s,
+                np.where(
+                    up, (-tm - tp + mm * q0 - mp * q1) * k, (-tm - tp - mp * q0 + mm * q1) * k
+                ),
             ),
-        ),
-    )
-    on_break = ~(one_sign | up | down).all(axis=0)
-    return _ordered_sum(a), _ordered_sum(b), _ordered_sum(c), on_break
-
-
-def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the first axis from +0.0, left to right, as the scalar
-    ``+=`` loops add (``np.sum`` adds pairwise)."""
-    total = np.zeros(terms.shape[1:])
-    for term in terms:
-        total = total + term
-    return total
+        )
+        c = c + np.where(
+            neg,
+            tm * s - mm * 0.5 * (q0 + q1) * s,
+            np.where(
+                pos,
+                -tp * s - mp * 0.5 * (q0 + q1) * s,
+                np.where(
+                    up,
+                    (-tm * q0 - tp * q1 + 0.5 * (mm * q0 * q0 - mp * q1 * q1)) * k,
+                    (-tp * q0 - tm * q1 + 0.5 * (mm * q1 * q1 - mp * q0 * q0)) * k,
+                ),
+            ),
+        )
+        on_break |= ~(one_sign | up | down)
+    return a, b, c, on_break
 
 
 def _poly_roots_rows(

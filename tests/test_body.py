@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dircrawl.balance import STICK_SLIP, solve_velocity
 from dircrawl.body import (
@@ -187,6 +189,38 @@ class TestSquareWave:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
             SquareWave(**kwargs)
+
+    @pytest.mark.parametrize(
+        "delta, epsilon",
+        [
+            (2.5e-17, 1.0),  # ct - delta rounds onto ct: two equal ref nodes at t = 0.5
+            (1e-15, -0.9),  # the compressed width 1e-16 is lost in arc-length
+        ],
+    )
+    def test_absorbed_width_rejected_naming_it(self, delta, epsilon):
+        with pytest.raises(ValueError, match=rf"^delta={delta!r} is absorbed by ref_length=1.0: "):
+            SquareWave(1.0, delta, epsilon, 1.0)
+
+    @settings(max_examples=300)
+    @given(
+        L=st.floats(1e-200, 1e200),
+        ulps=st.floats(0.5, 4.0),
+        epsilon=st.sampled_from([-0.99, -0.9, -0.5, 1e-15, 0.5, 1.0, 3.0]),
+        speed=st.floats(1e-3, 1e3),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    )
+    def test_accepted_width_resolves_at_every_time(self, L, ulps, epsilon, speed, fractions):
+        # widths of a few float spacings at L, in either coordinate
+        delta = ulps * math.ulp(L) / min(1.0, 1.0 + epsilon)
+        try:
+            w = SquareWave(L, delta, epsilon, speed)
+        except ValueError as exc:
+            assert "is absorbed by ref_length" in str(exc)
+            return
+        corners = [t for c in w.corner_times() for t in (c, math.nextafter(c, math.inf))]
+        for t in [f * w.period for f in fractions] + corners:
+            w.shape_at(t)
+            w.rate_at(t)
 
 
 class TestRateFiniteDifferences:

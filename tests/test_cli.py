@@ -365,6 +365,15 @@ class TestVerifyCommand:
         assert out == ""
         assert "config error: gait: l2[0]=1.0 is absorbed by l1[0]=1e+20" in err
 
+    def test_absorbed_wave_width_exit_two(self, tmp_path, capsys):
+        # the wave's back node ct - delta rounds onto its front ct
+        gait = {"kind": "square_wave", "L": 1.0, "delta": 2.5e-17, "epsilon": 1.0, "c": 1.0}
+        cfg = write_config(tmp_path, breather_config(gait=gait))
+        assert main(["simulate", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "config error: gait: delta=2.5e-17 is absorbed by ref_length=1.0" in err
+
     def test_unsupported_pair_exit_one(self, tmp_path, capsys):
         data = breather_config(
             substrate={"tau_minus": 1.0, "tau_plus": 0.5, "mu_minus": 1.0, "mu_plus": 0.5},

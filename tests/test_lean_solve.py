@@ -97,8 +97,9 @@ def _absorbing_path() -> tuple[TwoSegmentPath, float]:
         # l1 leaves (0, L) at the top and at the bottom
         (ConstantLength(1.0, 0.5, 0.4, 0.0, 1.0, lambda t: 0.4 + t, lambda t: 1.0, (0.0, 1.0)), 0.7),
         (ConstantLength(1.0, 0.5, 0.4, 0.0, 1.0, lambda t: 0.4 - t, lambda t: -1.0, (0.0, 1.0)), 0.5),
-        # a wave narrower than the rounding of its back edge: two equal ref nodes
-        (SquareWave(1.0, 1e-17, 0.5, 1.0), 0.5),
+        # a wave whose entry time delta / c underflows to 0: at t = 0 it is
+        # taken as inside, with its front on the left end, two equal ref nodes
+        (SquareWave(3.9e-142, 1.68e-142, -0.68, 7.8e181), 0.0),
         _absorbing_path(),
     ],
     ids=["breather_zero", "breather_negative", "breather_nan", "l1_above", "l1_below",
