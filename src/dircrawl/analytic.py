@@ -190,6 +190,9 @@ _ROUNDOFF = 50.0 * sys.float_info.epsilon
 # Most panels one adaptive_gauss call takes; a call on the benchmark's
 # inputs (seeds 101-140) takes at most 11.
 _MAX_PANELS = 1000
+# Most cuts from a call's interval down to one panel, which bounds the
+# recursion; a call on the benchmark's inputs (seeds 1-40) cuts at most 3.
+_MAX_DEPTH = 30
 
 
 def _key_switch(
@@ -223,7 +226,6 @@ def adaptive_gauss(
     a: float,
     b: float,
     tol: float,
-    depth: int = 30,
 ) -> float:
     """Integral over ``[a, b]`` of ``value`` where ``f(t) = (value, key)``.
 
@@ -239,17 +241,18 @@ def adaptive_gauss(
     integral of ``|value|`` over the panel, where rounding noise hides the
     error; the panel is bisected when it is neither.  Raises
     :class:`DegenerateSubstrateError` when one call takes more than
-    ``_MAX_PANELS`` panels: the integral does not settle.
+    ``_MAX_PANELS`` panels, or a panel more than ``_MAX_DEPTH`` cuts deep:
+    the integral does not settle.
     """
     panels = 0
 
     def panel(a: float, b: float, tol: float, depth: int) -> float:
         nonlocal panels
         panels += 1
-        if panels > _MAX_PANELS:
+        if panels > _MAX_PANELS or depth > _MAX_DEPTH:
             raise DegenerateSubstrateError(
-                f"integral does not settle: more than {_MAX_PANELS} panels "
-                "(the integrand's rounding noise exceeds the tolerance)"
+                f"integral does not settle within {_MAX_PANELS} panels or {_MAX_DEPTH} cuts "
+                "(the integrand's rounding noise or a singularity defeats the tolerance)"
             )
         half = 0.5 * (b - a)
         mid = a + half
@@ -277,11 +280,9 @@ def adaptive_gauss(
             if err <= bound or bound < _ROUNDOFF * resabs:
                 return whole
             cut = mid
-        if depth <= 0:
-            return whole
-        return panel(a, cut, 0.5 * tol, depth - 1) + panel(cut, b, 0.5 * tol, depth - 1)
+        return panel(a, cut, 0.5 * tol, depth + 1) + panel(cut, b, 0.5 * tol, depth + 1)
 
-    return panel(a, b, tol, depth)
+    return panel(a, b, tol, 0)
 
 
 def _corner_spans(corners: Sequence[float], period: float) -> list[tuple[float, float]]:
@@ -579,6 +580,16 @@ def _require_sliding(
         )
 
 
+def _require_normal_stage_times(delta: float, speed: float, speed_name: str) -> None:
+    """Refuse a wave whose entry time ``delta / speed`` is subnormal: its
+    stage boundaries then round too coarsely to tell the stages apart."""
+    if not delta / speed >= sys.float_info.min:
+        raise ValueError(
+            f"delta={delta!r} / {speed_name}={speed!r} is subnormal: "
+            "the wave's stage times cannot be resolved"
+        )
+
+
 def sliding_stage_velocity(
     law: FrictionLaw, epsilon: float, c: float, delta: float, L: float, t: float
 ) -> float:
@@ -592,6 +603,7 @@ def sliding_stage_velocity(
     Raises ``ValueError`` where the velocity leaves the float range.
     """
     _require_sliding(law, epsilon, c, delta, L)
+    _require_normal_stage_times(delta, c, "c")
     T = (L + delta) / c
     if not 0.0 <= t < T:
         raise ValueError(f"t={t} outside one period [0, {T})")

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import Callable, Union
 
-from .analytic import _turning_points
+from .analytic import _require_normal_stage_times, _turning_points
 
 __all__ = [
     "PiecewiseAffineShape",
@@ -448,6 +448,7 @@ class SquareWave:
                 f"delta={self.delta!r} is absorbed by ref_length={self.ref_length!r}: "
                 "delta * min(1, 1 + epsilon) must exceed the float spacing at ref_length"
             )
+        _require_normal_stage_times(self.delta, self.speed, "speed")
 
     @property
     def period(self) -> float:

@@ -6,7 +6,8 @@ class DegenerateSubstrateError(RuntimeError):
     solution, since friction only opposes sliding; this is raised at scales
     where the forces overflow or the balance is lost to rounding, and where
     a cycle's stage integral does not settle within the quadrature's panel
-    cap because the velocity's rounding noise exceeds the tolerance."""
+    and depth caps, where the velocity's rounding noise or a singularity
+    defeats the tolerance."""
 
 
 class MixedRheologyError(ValueError):

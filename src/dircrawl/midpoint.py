@@ -412,40 +412,38 @@ def _total_force_rows(
     piece with one term adds 0.0 in place of the second, which changes no
     partial sum (they start at +0.0, so none is -0.0).  One piece at a time,
     so no temporary holds more than one of ``x``'s shape."""
-    tm, tp, mm, mp = law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus
     point_sum = np.zeros(x.shape)
     static_len = np.zeros(x.shape)
     for s, q0, q1 in zip(seg, r0, r1):
         v0 = x + q0
         v1 = x + q1
         static = (v0 == 0.0) & (v1 == 0.0)
-        neg = (v0 <= 0.0) & (v1 <= 0.0) & ~static
-        pos = (v0 >= 0.0) & (v1 >= 0.0) & ~static
-        len_a = v0 / (v0 - v1) * s
-        len_b = s - len_a
-        up = v0 < 0.0  # a crossing from negative to positive
-        first = np.where(
-            neg,
-            tm * s - mm * 0.5 * (v0 + v1) * s,
-            np.where(
-                pos,
-                -tp * s - mp * 0.5 * (v0 + v1) * s,
-                np.where(
-                    up, tm * len_a - mm * 0.5 * v0 * len_a, -tp * len_a - mp * 0.5 * v0 * len_a
-                ),
-            ),
-        )
-        second = np.where(
-            up, -tp * len_b - mp * 0.5 * v1 * len_b, tm * len_b - mm * 0.5 * v1 * len_b
-        )
+        one_sign = (v0 <= 0.0) & (v1 <= 0.0) | (v0 >= 0.0) & (v1 >= 0.0)
+        back = (v0 < 0.0) | (v0 == 0.0) & (v1 < 0.0)  # the first part slides backward
+        len_a = v0 / (v0 - v1) * s  # a crossing's first part, up to its zero
+        length = np.where(one_sign, s, len_a)
+        v_sum = np.where(one_sign, v0 + v1, v0)
+        first = _sliding_term(law, back, length, v_sum)
+        second = _sliding_term(law, ~back, s - len_a, v1)
         point_sum = point_sum + np.where(static, 0.0, first)
-        point_sum = point_sum + np.where(neg | pos | static, 0.0, second)
+        point_sum = point_sum + np.where(one_sign, 0.0, second)
         static_len = static_len + np.where(static, s, 0.0)
     has_static = static_len > 0.0
     return (
-        np.where(has_static, point_sum - tp * static_len, point_sum),
-        np.where(has_static, point_sum + tm * static_len, point_sum),
+        np.where(has_static, point_sum - law.tau_plus * static_len, point_sum),
+        np.where(has_static, point_sum + law.tau_minus * static_len, point_sum),
     )
+
+
+def _sliding_term(
+    law: FrictionLaw, back: np.ndarray, length: np.ndarray, v_sum: np.ndarray
+) -> np.ndarray:
+    """The scalar's force term of a part of ``length`` sliding backward
+    where ``back`` and forward elsewhere, ``v_sum`` the sum of its end
+    velocities: ``tau * length - mu * 0.5 * v_sum * length``."""
+    tau = np.where(back, law.tau_minus, -law.tau_plus)
+    mu = np.where(back, law.mu_minus, law.mu_plus)
+    return tau * length - mu * 0.5 * v_sum * length
 
 
 def _segment_poly_rows(
@@ -464,37 +462,24 @@ def _segment_poly_rows(
         v0 = x_probe + q0
         v1 = x_probe + q1
         neg = (v0 < 0.0) & (v1 < 0.0)
-        pos = (v0 > 0.0) & (v1 > 0.0)
-        up = (v0 < 0.0) & (0.0 < v1)
-        down = (v1 < 0.0) & (0.0 < v0)
-        k = np.where(up, s / (q1 - q0), s / (q0 - q1))
-        one_sign = neg | pos
+        one_sign = neg | (v0 > 0.0) & (v1 > 0.0)
+        up = (v0 < 0.0) & (0.0 < v1)  # a crossing from negative to positive
+        on_break |= ~(one_sign | up | (v1 < 0.0) & (0.0 < v0))
+        # A crossing's factors per end: (-tau_minus, mu_minus) sliding backward,
+        # (-tau_plus, -mu_plus) forward.  x - y * z is x + (-y) * z and IEEE
+        # addition commutes, so this form has the bits of both scalar forms;
+        # swapping a downward crossing's ends would reorder b's three terms.
+        t0, m0 = np.where(up, -tm, -tp), np.where(up, mm, -mp)
+        t1, m1 = np.where(up, -tp, -tm), np.where(up, -mp, mm)
+        k = s / np.abs(q1 - q0)
+        mu = np.where(neg, mm, mp)  # a piece of one sign: the side it slides in
         a = a + np.where(one_sign, 0.0, 0.5 * (mm - mp) * k)
-        b = b + np.where(
-            neg,
-            -mm * s,
-            np.where(
-                pos,
-                -mp * s,
-                np.where(
-                    up, (-tm - tp + mm * q0 - mp * q1) * k, (-tm - tp - mp * q0 + mm * q1) * k
-                ),
-            ),
-        )
+        b = b + np.where(one_sign, -mu * s, (-tm - tp + m0 * q0 + m1 * q1) * k)
         c = c + np.where(
-            neg,
-            tm * s - mm * 0.5 * (q0 + q1) * s,
-            np.where(
-                pos,
-                -tp * s - mp * 0.5 * (q0 + q1) * s,
-                np.where(
-                    up,
-                    (-tm * q0 - tp * q1 + 0.5 * (mm * q0 * q0 - mp * q1 * q1)) * k,
-                    (-tp * q0 - tm * q1 + 0.5 * (mm * q1 * q1 - mp * q0 * q0)) * k,
-                ),
-            ),
+            one_sign,
+            _sliding_term(law, neg, s, q0 + q1),
+            (t0 * q0 + t1 * q1 + 0.5 * (m0 * q0 * q0 + m1 * q1 * q1)) * k,
         )
-        on_break |= ~(one_sign | up | down)
     return a, b, c, on_break
 
 

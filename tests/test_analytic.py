@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dircrawl.analytic import (
+    _MAX_DEPTH,
     _MAX_PANELS,
     _QK15,
     adaptive_gauss,
@@ -366,9 +367,9 @@ class TestAdaptiveGauss:
         assert math.isclose(adaptive_gauss(f, 0.0, 1.0, 1e-20), 1.0, rel_tol=1e-14)
         assert len(calls) == 15
 
-    def test_integral_that_does_not_settle_raises_at_the_panel_cap(self):
-        # noise of order 1 everywhere: without the cap every panel would be
-        # bisected down to depth 30
+    def test_integral_that_does_not_settle_raises_at_the_depth_limit(self):
+        # noise of order 1 everywhere: the first panel is bisected down to
+        # the one _MAX_DEPTH cuts deep, which does not settle either
         calls = []
 
         def f(t):
@@ -377,7 +378,37 @@ class TestAdaptiveGauss:
 
         with pytest.raises(DegenerateSubstrateError, match="does not settle"):
             adaptive_gauss(f, 0.0, 1.0, 1e-11)
+        assert len(calls) == 15 * (_MAX_DEPTH + 1)
+
+    def test_integral_that_needs_too_many_panels_raises_at_the_panel_cap(self):
+        # 1600 smooth periods: a panel settles once it holds less than one,
+        # 12 cuts deep, so covering [0, 1] takes more than _MAX_PANELS panels
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return math.sin(1e4 * t), None
+
+        with pytest.raises(DegenerateSubstrateError, match="does not settle"):
+            adaptive_gauss(f, 0.0, 1.0, 1e-11)
         assert len(calls) == 15 * _MAX_PANELS
+        panels = [calls[i : i + 15] for i in range(0, len(calls), 15)]
+        assert min(max(p) - min(p) for p in panels) > 2.0**-16  # far from the depth limit
+
+    def test_singular_rate_raises_at_the_depth_limit(self):
+        # l = 1 + sqrt(t (1 - t)) / 2: the velocity grows as 1 / sqrt(t) at
+        # both corners, and the panels there were returned unsettled, 4e-8
+        # off the integral at tol 1e-10
+        law = FrictionLaw(1.0, 0.5, 1.0, 0.5)
+
+        def profile(t):
+            return 1.0 + 0.5 * math.sqrt(t * (1.0 - t))
+
+        def rate(t):
+            return 0.25 * (1.0 - 2.0 * t) / math.sqrt(t * (1.0 - t))
+
+        with pytest.raises(DegenerateSubstrateError, match="does not settle"):
+            breather_cycle_displacement(law, profile, rate, 1.0, corners=(0.0, 0.5, 1.0))
 
 
 class TestConstantLengthReduction:
@@ -547,6 +578,14 @@ class TestSlidingStages:
         law = FrictionLaw(0, 0, 1, 1)
         v = sliding_stage_velocity(law, 1.0, 1.0, 0.25, 1.0, 1e-13)
         assert math.isclose(v, -1.0, rel_tol=1e-9)
+
+    def test_subnormal_stage_time_refused(self):
+        # delta / c = 1.1e-323: at t = 1e-323 the entering wave (c * t < delta)
+        # was taken as inside, 3 % off the solver on the wave's shape
+        law = FrictionLaw(0, 0, 8.75, 8.68)
+        assert wave_admissibility(law, 2.37, 4.28e280, 4.75e-43, 9.5e-43).regime == "sliding"
+        with pytest.raises(ValueError, match=r"^delta=4\.75e-43 / c=4\.28e\+280 is subnormal"):
+            sliding_stage_velocity(law, 2.37, 4.28e280, 4.75e-43, 9.5e-43, 1e-323)
 
     def test_stage_constraints_extension(self):
         law = FrictionLaw(0.2, 0.0, 1.0, 0.8)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +201,21 @@ class TestSquareWave:
     def test_absorbed_width_rejected_naming_it(self, delta, epsilon):
         with pytest.raises(ValueError, match=rf"^delta={delta!r} is absorbed by ref_length=1.0: "):
             SquareWave(1.0, delta, epsilon, 1.0)
+
+    @pytest.mark.parametrize(
+        "wave",
+        [
+            # period 5e-324: at t = 0 shape_at took it as inside, with two equal ref nodes
+            (3.9e-142, 1.68e-142, -0.68, 7.8e181),
+            # c * t < delta at t = 1e-323, but t < delta / c put it inside
+            (9.5e-43, 4.75e-43, 2.37, 4.28e280),
+        ],
+    )
+    def test_subnormal_stage_time_rejected_naming_it(self, wave):
+        L, delta, epsilon, speed = wave
+        message = re.escape(f"delta={delta!r} / speed={speed!r} is subnormal")
+        with pytest.raises(ValueError, match="^" + message):
+            SquareWave(L, delta, epsilon, speed)
 
     @settings(max_examples=300)
     @given(

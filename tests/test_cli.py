@@ -374,6 +374,16 @@ class TestVerifyCommand:
         assert out == ""
         assert "config error: gait: delta=2.5e-17 is absorbed by ref_length=1.0" in err
 
+    def test_subnormal_wave_stage_time_exit_two(self, tmp_path, capsys):
+        # the entry time delta / c underflows to 0
+        gait = {"kind": "square_wave", "L": 3.9e-142, "delta": 1.68e-142, "epsilon": -0.68,
+                "c": 7.8e181}
+        cfg = write_config(tmp_path, breather_config(gait=gait))
+        assert main(["simulate", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "config error: gait: delta=1.68e-142 / speed=7.8e+181 is subnormal" in err
+
     def test_unsupported_pair_exit_one(self, tmp_path, capsys):
         data = breather_config(
             substrate={"tau_minus": 1.0, "tau_plus": 0.5, "mu_minus": 1.0, "mu_plus": 0.5},

@@ -104,24 +104,31 @@ def _sliding_waves(draw):
 @given(_sliding_waves())
 # Past misses of the closed form, in order: numerator and denominator both
 # underflowed to 0 (ZeroDivisionError); (tb + mb * e * c) * (1 + e)
-# overflowed to inf.
+# overflowed to inf; a subnormal entry time delta / c put an entering wave
+# inside.
 @example((FrictionLaw(0.0, 0.0, 1.7463201962556552e-258, 7.247045560965281e-286),
           1.7016575792447748, 1.1698436394910098e-64,
           4.25234180861948e-99, 4.5310968471217274e-99, 7.291463281595774e-35))
 @example((FrictionLaw(5.333621378568872e145, 0.0, 7.068627694453513e294, 5.994829695344001e135),
           2.0513392825111283, 7450727466045.819,
           1.3669606653679978e-55, 3.2800066460542145e-55, 5.74175509464543e-68))
+@example((FrictionLaw(0.0, 0.0, 8.75, 8.68), 2.37, 4.28e280, 4.75e-43, 9.5e-43, 1e-323))
 def test_sliding_stage_velocity_balances_the_wave(wave):
     law, epsilon, c, delta, L, t = wave
     # SquareWave's nodes round a width below ~1e-12 of L, or a time that
-    # underflows to 0, into a shape that is not valid; it and the closed form
-    # tell the stages apart by times, which must be normal
+    # underflows to 0, into a shape that is not valid
     assume(1e-12 * L < delta < L and 0.0 < t < (L + delta) / c)
-    assume(delta / c >= sys.float_info.min)
     try:
         assume(wave_admissibility(law, epsilon, c, delta, L).regime == "sliding")
     except ValueError:  # a width bound leaves the float range
         assume(False)
+    if delta / c < sys.float_info.min:
+        # both tell the stages apart by times, which must be normal
+        with pytest.raises(ValueError, match=r"^delta=.* is subnormal"):
+            SquareWave(L, delta, epsilon, c)
+        with pytest.raises(ValueError, match=r"^delta=.* is subnormal"):
+            sliding_stage_velocity(law, epsilon, c, delta, L, t)
+        return
     gait = SquareWave(L, delta, epsilon, c)
     shape, rate = gait.shape_at(t), gait.rate_at(t)
     try:

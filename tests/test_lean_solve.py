@@ -16,7 +16,7 @@ import pytest
 
 import dircrawl
 from dircrawl import analytic, balance
-from dircrawl.body import Breather, ConstantLength, SquareWave, TwoSegmentPath
+from dircrawl.body import Breather, ConstantLength, TwoSegmentPath
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -97,13 +97,10 @@ def _absorbing_path() -> tuple[TwoSegmentPath, float]:
         # l1 leaves (0, L) at the top and at the bottom
         (ConstantLength(1.0, 0.5, 0.4, 0.0, 1.0, lambda t: 0.4 + t, lambda t: 1.0, (0.0, 1.0)), 0.7),
         (ConstantLength(1.0, 0.5, 0.4, 0.0, 1.0, lambda t: 0.4 - t, lambda t: -1.0, (0.0, 1.0)), 0.5),
-        # a wave whose entry time delta / c underflows to 0: at t = 0 it is
-        # taken as inside, with its front on the left end, two equal ref nodes
-        (SquareWave(3.9e-142, 1.68e-142, -0.68, 7.8e181), 0.0),
         _absorbing_path(),
     ],
     ids=["breather_zero", "breather_negative", "breather_nan", "l1_above", "l1_below",
-         "wave_ref_nodes", "path_absorbed"],
+         "path_absorbed"],
 )
 def test_lean_pieces_raise_what_shape_at_raises(gait, t):
     with pytest.raises(ValueError) as shape_err:
