@@ -187,11 +187,12 @@ _Sample = tuple[float, float, Hashable]  # (t, value, key)
 
 # dqk15's roundoff floor on a panel's error, relative to the integral of |f|.
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
-# Most panels one adaptive_gauss call takes; a call on the benchmark's
-# inputs (seeds 101-140) takes at most 11.
+# Most panels one adaptive_gauss call takes.  On the benchmark's inputs
+# (seeds 1-40 and 101-140) the calls are the profile gaits' stages and the
+# crossing roots of viscous strides, and a call takes at most 11 panels.
 _MAX_PANELS = 1000
 # Most cuts from a call's interval down to one panel, which bounds the
-# recursion; a call on the benchmark's inputs (seeds 1-40) cuts at most 3.
+# recursion; a call on those inputs cuts at most 3.
 _MAX_DEPTH = 30
 
 
@@ -293,28 +294,37 @@ def _corner_spans(corners: Sequence[float], period: float) -> list[tuple[float, 
 
 def _turning_points(rate: Callable[[float], float], period: float) -> list[float]:
     """Times in ``(0, period)`` where ``rate`` changes sign: a scan of 2048
-    steps, each sign change refined by bisection."""
+    steps, each sign change refined by bisection.  A change across scan
+    nodes where the rate is zero is placed at the first of them.  The last
+    node is the float below ``period``: a rate read modulo the period would
+    wrap to its value at 0 there."""
     n = 2048
-    ts = [period * i / n for i in range(n + 1)]
-    vals = [rate(t) for t in ts]
+    ts = [period * i / n for i in range(n)] + [math.nextafter(period, 0.0)]
     splits = []
-    for i in range(n):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] >= 0.0:
+    last = None  # (index, value) of the latest node where the rate is nonzero
+    for i, t in enumerate(ts):
+        value = rate(t)
+        if value == 0.0:
             continue
-        lo, hi = ts[i], ts[i + 1]
-        flo = vals[i]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fmid = rate(mid)
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if flo * fmid < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        splits.append(0.5 * (lo + hi))
+        if last is not None and (last[1] < 0.0) != (value < 0.0):
+            j, flo = last
+            splits.append(ts[j + 1] if i > j + 1 else _sign_change(rate, ts[j], t, flo))
+        last = (i, value)
     return splits
+
+
+def _sign_change(rate: Callable[[float], float], lo: float, hi: float, flo: float) -> float:
+    """Where ``rate`` changes sign in ``[lo, hi]``, ``flo = rate(lo)``, by bisection."""
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fmid = rate(mid)
+        if fmid == 0.0:
+            return mid
+        if flo * fmid < 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
 
 
 def breather_cycle_displacement(
@@ -657,6 +667,27 @@ def _u_minus_log1p_over_u2(u: float) -> float:
             if abs(inc) < 1e-18:
                 return total
     return (u - math.log1p(u)) / (u * u)
+
+
+def _ratio_mean(x0: float, x1: float, b0: float, b1: float) -> float:
+    """Mean over one interval of ``x = -c/b`` for ``c`` and ``b`` affine in
+    time, from its end values ``x0``, ``x1`` and the end values ``b0``,
+    ``b1`` of ``b``, which share a sign (no pole inside).
+
+    With ``r = b1/b0`` and ``u = r - 1`` the mean is ``x0 + (x1 - x0) r S``,
+    ``S = (u - log r) / u^2``.  The ends are ordered so that ``|b|`` shrinks,
+    which keeps ``r`` in ``(0, 1]`` and ``r S`` in ``(0, 1/2]``: the mean is a
+    convex combination of the end values, however close a pole lies outside
+    the interval.  For ``r >= 1/2``, ``u`` is exact and ``S`` is
+    :func:`_u_minus_log1p_over_u2`, which does not cancel as ``u -> 0``;
+    below, ``log r`` is taken from ``r`` itself, which ``1 + u`` would round.
+    """
+    if abs(b1) > abs(b0):
+        x0, x1, b0, b1 = x1, x0, b1, b0
+    r = b1 / b0
+    u = r - 1.0
+    s = _u_minus_log1p_over_u2(u) if r >= 0.5 else (u - math.log(r)) / (u * u)
+    return x0 + (x1 - x0) * r * s
 
 
 def sliding_cycle_displacement(

@@ -44,6 +44,20 @@ _ARC_ORDER = "arc-lengths must be strictly increasing"
 # pair per interval) are not repeated.
 _PiecesAt = tuple[list[tuple[float, float, float, float]], float]
 
+# What a constant-rate gait's ``_stages()`` returns: one entry per corner span
+# of positive width, ``(t0, t1, pieces at t0, pieces at t1)``.  The two piece
+# lists pair up piece by piece with the same end rates, which hold over the
+# whole span, while every arc-length is affine in t between them.  A piece
+# may have zero length at a span end, where ``_pieces_at`` leaves it out.
+_Stages = list[
+    tuple[
+        float,
+        float,
+        list[tuple[float, float, float, float]],
+        list[tuple[float, float, float, float]],
+    ]
+]
+
 
 @dataclass(frozen=True)
 class PiecewiseAffineShape:
@@ -346,6 +360,16 @@ class TwoSegmentPath:
         l1dot, l2dot = self._rates(k)
         return [(0.0, l1, 0.0, l1dot), (l1, s_end, l1dot, l1dot + l2dot)], s_end
 
+    def _stages(self) -> _Stages:
+        stages = []
+        for k in range(len(self.times) - 1):
+            l1dot, l2dot = self._rates(k)
+            ends = []
+            for l1, l2 in ((self.l1[k], self.l2[k]), (self.l1[k + 1], self.l2[k + 1])):
+                ends.append([(0.0, l1, 0.0, l1dot), (l1, l1 + l2, l1dot, l1dot + l2dot)])
+            stages.append((self.times[k], self.times[k + 1], *ends))
+        return stages
+
 
 @dataclass(frozen=True)
 class CompositeStride:
@@ -411,6 +435,9 @@ class CompositeStride:
 
     def _pieces_at(self, t: float) -> _PiecesAt:
         return self._path._pieces_at(t)
+
+    def _stages(self) -> _Stages:
+        return self._path._stages()
 
 
 @dataclass(frozen=True)
@@ -542,6 +569,30 @@ class SquareWave:
                 raise ValueError(_ARC_ORDER)
             pieces.append((s0, s1, r, r))
         return pieces, pts[-1][1]
+
+    def _stages(self) -> _Stages:
+        # the pieces of _nodes_and_rates within each stage, unmerged, at the
+        # stage ends: the wave at the left end, at the front, at the right end
+        L, d, e, c = self.ref_length, self.delta, self.epsilon, self.speed
+        ec = e * c
+        enter = (
+            [(0.0, 0.0, 0.0, 0.0), (0.0, L, ec, ec)],
+            [(0.0, (1.0 + e) * d, 0.0, 0.0), ((1.0 + e) * d, L + e * d, ec, ec)],
+        )
+        inside = (
+            [(0.0, 0.0, 0.0, 0.0), (0.0, d + e * d, -ec, -ec), (d + e * d, L + e * d, 0.0, 0.0)],
+            [(0.0, L - d, 0.0, 0.0), (L - d, L + e * d, -ec, -ec), (L + e * d, L + e * d, 0.0, 0.0)],
+        )
+        leave = (
+            [(0.0, L - d, 0.0, 0.0), (L - d, L + e * d, -ec, -ec)],
+            [(0.0, L, 0.0, 0.0), (L, L, -ec, -ec)],
+        )
+        corners = self.corner_times()
+        return [
+            (t0, t1, *ends)
+            for t0, t1, ends in zip(corners, corners[1:], (enter, inside, leave))
+            if t1 > t0
+        ]
 
 
 GaitProgram = Union[Breather, ConstantLength, TwoSegmentPath, CompositeStride, SquareWave]

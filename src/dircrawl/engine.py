@@ -9,15 +9,22 @@ on time only (never on position), so trajectories are pure quadrature of
   when given an explicit ``dt``.  It runs in :mod:`dircrawl.midpoint`, the
   package's one numpy module, imported on first use so that the scalar
   paths never load numpy;
-* the default per-cycle integrator, :func:`dircrawl.analytic.adaptive_gauss`
-  on each stage: Gauss–Kronrod 7–15 panels, cut wherever the balance
-  structure (regime and the sign pattern of the velocity field) changes
-  inside the stage.  Between such switches the velocity is smooth, often
-  constant, so one 15-node panel per piece usually reaches the accuracy of
-  thousands of midpoint steps.  Each node is solved by ``balance._solve``
-  on the gait's ``_pieces_at(t)`` piece tuples, which gives the same bits
-  as ``balance.solve_velocity`` on ``shape_at``/``rate_at`` without
-  building and validating those objects per solve.
+* the default per-cycle integrator, stage by stage.  On gaits whose piece
+  rates are constant within each stage (square waves, two-segment paths,
+  composite strides, through their private ``_stages()``), every force the
+  solver compares is affine in t, so the times where its choice of solution
+  switches are roots of affine functions; each stretch between them takes
+  one balance solve to fix its structure and is integrated exactly: a
+  constant, the closed-form mean of ``-c/b``, or Gauss–Kronrod panels on the
+  root of a quadratic with interpolated coefficients.  Profile gaits go to
+  :func:`dircrawl.analytic.adaptive_gauss` on each stage: Gauss–Kronrod
+  7–15 panels, cut wherever the balance structure (regime and the sign
+  pattern of the velocity field) changes inside the stage, so that one
+  15-node panel per smooth piece usually reaches the accuracy of thousands
+  of midpoint steps.  Every solve is ``balance._solve`` on the gait's
+  ``_pieces_at(t)`` piece tuples, which gives the same bits as
+  ``balance.solve_velocity`` on ``shape_at``/``rate_at`` without building
+  and validating those objects per solve.
 """
 
 from __future__ import annotations
@@ -90,11 +97,13 @@ class CycleReport:
     """Per-cycle displacement accounting for one gait period.
 
     ``n_steps`` is the number of balance solves the cycle took; each one is
-    counted once in ``meta["regime_counts"]``, and ``meta["residual_max"]``
-    is the largest force residual of any of them.  ``dt`` is the target
-    step of the midpoint grid, or None when the default stage-wise
-    Gauss–Kronrod integrator ran (its solves are quadrature nodes and
-    switch bisections, not steps of one size).
+    counted once, under its regime, in ``meta["regime_counts"]``, and
+    ``meta["residual_max"]`` is the largest force residual of any of them.
+    ``dt`` is the target step of the midpoint grid, or None when the
+    default stage-wise integrator ran.  Its solves are not steps of one
+    size: on a constant-rate gait each fixes the structure of one stretch
+    of a stage between switches, and on a profile gait each is a quadrature
+    node or a switch bisection.
     """
 
     gait_kind: str
@@ -192,9 +201,10 @@ def _gauss_cycle(
     law: FrictionLaw, gait: GaitProgram
 ) -> tuple[float, list[float], dict[str, int], float]:
     """Net displacement, per-stage integrals, regime counts and the largest
-    force residual from the stage-wise Gauss–Kronrod integrator.
+    force residual from the default stage-wise integrator.
 
-    Every balance solve counts, the ones that locate a switch included.
+    Every balance solve counts, the ones that fix a stage's structure or
+    locate a switch included.
     """
     regime_counts: dict[str, int] = {}
     residual_max = 0.0
@@ -210,9 +220,185 @@ def _gauss_cycle(
             residual_max = residual
         return x, (regime, signs)
 
-    spans = analytic._corner_spans(gait.corner_times(), gait.period)
-    stage_sums = [analytic.adaptive_gauss(velocity, a, b, _CYCLE_TOL) for a, b in spans]
+    stages = getattr(gait, "_stages", None)
+    if stages is None:
+        spans = analytic._corner_spans(gait.corner_times(), gait.period)
+        stage_sums = [analytic.adaptive_gauss(velocity, a, b, _CYCLE_TOL) for a, b in spans]
+    else:
+        stage_sums = [_constant_rate_stage(law, velocity, *stage) for stage in stages()]
     return sum(stage_sums), stage_sums, regime_counts, residual_max
+
+
+class _AffineStage:
+    """The balance over a stage whose piece rates are constant and whose
+    arc-lengths are affine in t, as ``balance._solve`` sees it.
+
+    The breakpoints ``-r`` are fixed over the stage, and at each of them the
+    force bounds ``lo``/``hi``, like the acceptance tolerance ``atol``, are
+    affine in t.  So is every function whose sign picks the solver's
+    candidates: ``lo - atol`` and ``hi + atol`` at each breakpoint, and
+    ``hi - atol`` / ``lo + atol`` at the outer ones, where a tail can solve.
+    Between their roots the solution keeps one structure: a fixed
+    breakpoint, plateau or tail value, or the root of the gap polynomial,
+    whose coefficients are affine in t as well.  ``conds`` holds those
+    functions at both stage ends, or None where ``atol`` sits at its floor,
+    which is not affine.
+    """
+
+    def __init__(self, law: FrictionLaw, t0: float, t1: float, p0, p1) -> None:
+        self.law, self.t0, self.t1, self.w, self.ends = law, t0, t1, t1 - t0, (p0, p1)
+        rates = [r for p in p0 for r in (p[2], p[3])]
+        self.breaks = sorted({-r for r in rates})
+        vscale = max(1.0, max(abs(r) for r in rates))
+        unit = law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * vscale
+        self.conds: list[list[float]] | None = []
+        for pieces in self.ends:
+            fscale = unit * pieces[-1][1]
+            if not fscale >= balance._ACCEPT_FLOOR:
+                self.conds = None
+                return
+            atol = balance._ACCEPT_RTOL * fscale
+            forces = [balance._force(law, pieces, b) for b in self.breaks]
+            g = [lo - atol for lo, _ in forces] + [hi + atol for _, hi in forces]
+            g += [forces[0][1] - atol, forces[-1][0] + atol]
+            self.conds.append(g)
+
+    def switches(self) -> list[float]:
+        """Times inside the stage where a candidate function has a root."""
+        out = set()
+        for g0, g1 in zip(*self.conds):
+            if (g0 < 0.0 < g1) or (g1 < 0.0 < g0):
+                t = self.t0 + g0 / (g0 - g1) * self.w
+                if self.t0 < t < self.t1:
+                    out.add(t)
+        return sorted(out)
+
+    def structure(self, t: float) -> tuple[str, float] | None:
+        """``("const", x)`` or ``("root", gap index)`` where the solver's
+        candidate rule picks one structure at ``t``, else None."""
+        n = len(self.breaks)
+        th = (t - self.t0) / self.w
+        g = [a + th * (b - a) for a, b in zip(*self.conds)]
+        lo_ok = [v <= 0.0 for v in g[:n]]  # lo <= atol
+        hi_ok = [v >= 0.0 for v in g[n : 2 * n]]  # hi >= -atol
+        cands = [(b, b) for b, lo, hi in zip(self.breaks, lo_ok, hi_ok) if lo and hi]
+        roots = []
+        for k in range(n - 1):
+            if not lo_ok[k] and not hi_ok[k + 1]:
+                roots.append(k)
+            elif lo_ok[k] and hi_ok[k + 1]:
+                cands.append((self.breaks[k], self.breaks[k + 1]))
+        if self.law.mu_minus == 0.0 and hi_ok[0] and g[2 * n] <= 0.0:
+            cands.append((-math.inf, self.breaks[0]))
+        if self.law.mu_plus == 0.0 and lo_ok[-1] and g[2 * n + 1] >= 0.0:
+            cands.append((self.breaks[-1], math.inf))
+        if roots:
+            return ("root", roots[0]) if len(roots) == 1 and not cands else None
+        if not cands:
+            return None
+        return "const", min((balance._closest_to_zero(lo, hi) for lo, hi in cands), key=abs)
+
+    def gap(self, k: int):
+        """``(coefficients, linear)`` of the force on gap ``k``: a function
+        of t giving ``(a, b, c)``, and whether ``a`` is zero all along."""
+        probe = 0.5 * (self.breaks[k] + self.breaks[k + 1])
+        (a0, b0, c0), (a1, b1, c1) = (
+            balance._segment_poly(self.law, p, probe) for p in self.ends
+        )
+        t0, t1, w, da, db, dc = self.t0, self.t1, self.w, a1 - a0, b1 - b0, c1 - c0
+
+        def coefficients(t: float) -> tuple[float, float, float]:
+            # from the nearer end, where a coefficient that nearly vanishes
+            # (a body shrinking to nothing) keeps its relative accuracy
+            if t - t0 <= t1 - t:
+                th = (t - t0) / w
+                return a0 + th * da, b0 + th * db, c0 + th * dc
+            th = (t1 - t) / w
+            return a1 - th * da, b1 - th * db, c1 - th * dc
+
+        return coefficients, a0 == 0.0 and a1 == 0.0
+
+
+def _falling_root(a: float, b: float, c: float) -> float:
+    """The root of ``a x^2 + b x + c`` where it falls, ``(-b - sqrt(b^2 - 4ac))
+    / 2a`` (``-c/b`` for ``a = 0``), in the form that does not cancel."""
+    sq = math.sqrt(max(b * b - 4.0 * a * c, 0.0))
+    return 2.0 * c / (sq - b) if b <= 0.0 else -(b + sq) / (2.0 * a)
+
+
+def _constant_rate_stage(
+    law: FrictionLaw, velocity, t0: float, t1: float, p0, p1
+) -> float:
+    """Integral of ``velocity`` over a stage of a constant-rate gait, with
+    pieces ``p0`` at ``t0`` and ``p1`` at ``t1`` (see ``body._Stages``).
+
+    The stage is cut at the switch times of :class:`_AffineStage`, and each
+    sub-interval takes one balance solve, at its middle, to fix its
+    structure.  A stuck, plateau or tail velocity is constant.  A gap root
+    is ``-c/b`` where no piece crosses zero velocity under unequal
+    viscosities, integrated in closed form by ``analytic._ratio_mean``, and
+    is otherwise integrated by ``adaptive_gauss`` from the interpolated
+    coefficients, with no solve per node.  A sub-interval whose solve
+    disagrees with the model, or whose root leaves its gap at an end, is
+    integrated by ``adaptive_gauss`` over the solver, as for profile gaits.
+    """
+    model = _AffineStage(law, t0, t1, p0, p1)
+    if model.conds is None:
+        return analytic.adaptive_gauss(velocity, t0, t1, _CYCLE_TOL)
+    cuts = [t0, *model.switches(), t1]
+    # neighbours of one structure merge: a switch may change only a
+    # candidate that the solver does not pick
+    spans: list[list] = []
+    for ta, tb in zip(cuts, cuts[1:]):
+        found = model.structure(0.5 * (ta + tb))
+        if spans and found is not None and spans[-1][2] == found:
+            spans[-1][1] = tb
+        else:
+            spans.append([ta, tb, found])
+    total = 0.0
+    for ta, tb, found in spans:
+        x = velocity(0.5 * (ta + tb))[0]
+        try:
+            part = _sub_interval(model, ta, tb, x, found)
+        except ZeroDivisionError:
+            part = None
+        if part is None:
+            part = analytic.adaptive_gauss(velocity, ta, tb, _CYCLE_TOL)
+        total += part
+    return total
+
+
+def _sub_interval(
+    model: _AffineStage, ta: float, tb: float, x: float, found: tuple[str, float] | None
+) -> float | None:
+    """Integral over ``[ta, tb]``, where the model's structure is ``found``,
+    given the solved velocity ``x`` at the middle; None where the two
+    disagree."""
+    if found is None:
+        return None
+    kind, value = found
+    width = tb - ta
+    if kind == "const":
+        return x * width if x == value else None
+    k = int(value)
+    coefficients, linear = model.gap(k)
+
+    def root(t: float) -> float:
+        return _falling_root(*coefficients(t))
+
+    xa, xm, xb = root(ta), root(0.5 * (ta + tb)), root(tb)
+    g0, g1 = model.breaks[k], model.breaks[k + 1]
+    slack = balance._ROOT_SLACK * max(g1 - g0, 1.0)
+    if not (g0 - slack <= min(xa, xb) and max(xa, xb) <= g1 + slack):
+        return None
+    if not abs(xm - x) * width <= _CYCLE_TOL * max(1.0, abs(x) * width):
+        return None
+    if linear:
+        ba, bb = coefficients(ta)[1], coefficients(tb)[1]
+        if not (ba < 0.0 and bb < 0.0):
+            return None
+        return width * analytic._ratio_mean(xa, xb, ba, bb)
+    return analytic.adaptive_gauss(lambda t: (root(t), None), ta, tb, _CYCLE_TOL)
 
 
 def _cycle(
@@ -262,10 +448,11 @@ def cycle_displacement(
     """Integrate one period and attach the matching closed form when one
     exists (integration always runs, even for infeasible wave requests).
 
-    With ``dt=None`` the default stage-wise Gauss–Kronrod integrator runs,
-    15 balance solves per panel, and raises :class:`DegenerateSubstrateError`
-    where a stage integral does not settle; an explicit ``dt`` selects the
-    midpoint grid that ``simulate`` uses.
+    With ``dt=None`` the default stage-wise integrator runs: a few balance
+    solves per stage on constant-rate gaits, 15 per Gauss–Kronrod panel on
+    profile gaits.  It raises :class:`DegenerateSubstrateError` where a
+    stage integral does not settle; an explicit ``dt`` selects the midpoint
+    grid that ``simulate`` uses.
     """
     return _cycle(law, gait, dt)[0]
 
