@@ -42,21 +42,15 @@ _ARC_ORDER = "arc-lengths must be strictly increasing"
 # checks ``shape_at`` makes are kept, with the same messages, while the ones
 # the gait's constructor already guarantees (node sets, first node, one rate
 # pair per interval) are not repeated.
-_PiecesAt = tuple[list[tuple[float, float, float, float]], float]
+_Piece = tuple[float, float, float, float]
+_PiecesAt = tuple[list[_Piece], float]
 
 # What a constant-rate gait's ``_stages()`` returns: one entry per corner span
 # of positive width, ``(t0, t1, pieces at t0, pieces at t1)``.  The two piece
 # lists pair up piece by piece with the same end rates, which hold over the
 # whole span, while every arc-length is affine in t between them.  A piece
 # may have zero length at a span end, where ``_pieces_at`` leaves it out.
-_Stages = list[
-    tuple[
-        float,
-        float,
-        list[tuple[float, float, float, float]],
-        list[tuple[float, float, float, float]],
-    ]
-]
+_Stages = list[tuple[float, float, list[_Piece], list[_Piece]]]
 
 
 @dataclass(frozen=True)

@@ -143,9 +143,9 @@ def test_stage_hook_interpolates_the_pieces_of_every_time(cls):
                 lerp = [
                     tuple(a + th * (b - a) for a, b in zip(q0, q1)) for q0, q1 in zip(p0, p1)
                 ]
-                pieces, length = gait._pieces_at(t)
-                assert len(pieces) == len([q for q in lerp if q[1] > q[0]])
                 got = [q for q in lerp if q[1] > q[0]]
+                pieces, length = gait._pieces_at(t)
+                assert len(got) == len(pieces)
                 for q, ref in zip(got, pieces):
                     assert q == pytest.approx(ref, rel=1e-14, abs=1e-14 * length)
 
