@@ -333,14 +333,14 @@ def _constant_rate_stage(
     pieces ``p0`` at ``t0`` and ``p1`` at ``t1`` (see ``body._Stages``).
 
     The stage is cut at the switch times of :class:`_AffineStage`, and each
-    sub-interval takes one balance solve, at its middle, to fix its
-    structure.  A stuck, plateau or tail velocity is constant.  A gap root
-    is ``-c/b`` where no piece crosses zero velocity under unequal
+    stretch of one structure takes one balance solve, at its middle, to fix
+    that structure.  A stuck, plateau or tail velocity is constant.  A gap
+    root is ``-c/b`` where no piece crosses zero velocity under unequal
     viscosities, integrated in closed form by ``analytic._ratio_mean``, and
     is otherwise integrated by ``adaptive_gauss`` from the interpolated
-    coefficients, with no solve per node.  A sub-interval whose solve
-    disagrees with the model, or whose root leaves its gap at an end, is
-    integrated by ``adaptive_gauss`` over the solver, as for profile gaits.
+    coefficients, with no solve per node.  A stretch whose solve disagrees
+    with the model, or whose root leaves its gap at an end, is integrated
+    by ``adaptive_gauss`` over the solver, as for profile gaits.
     """
     model = _AffineStage(law, t0, t1, p0, p1)
     if model.conds is None:
