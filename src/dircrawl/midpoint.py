@@ -32,12 +32,13 @@ __all__ = ["sample", "solve_velocity_batch", "simulate", "cycle"]
 _MAX_STEPS = 1_000_000
 # Steps the kernel samples and solves at once.  Fixed blocks keep the numpy
 # temporaries one size from block to block, so the allocator reuses them
-# instead of growing the heap with each run length.  Each batch solve has a
-# fixed cost of ~0.9 ms, which a default 2-period simulate (~4000 steps)
-# pays 8 times at 512 rows and twice at 2048.  Benchmark `trajectory`, 16 s
-# runs on 2 cores, seeds 201-202: 63/s and 39.7 MB peak RSS at 512 rows,
-# 110/s and 41.4 MB at 2048, 125-139/s and 43.0 MB at 4096; 2048 keeps RSS
-# within ~4 % of 512.
+# instead of growing the heap with each run length.  A block costs ~0.85 ms
+# to sample and solve however few its rows (median over the 15 benchmark
+# classes, seeds 1-3; 0.4-1.5 ms by class), which a default 2-period
+# simulate (~4000 steps) pays 8 times at 512 rows and twice at 2048.  When
+# the size was chosen, benchmark `trajectory` (16 s runs on 2 cores, seeds
+# 201-202) gave 63/s and 39.7 MB peak RSS at 512 rows, 110/s and 41.4 MB
+# at 2048, 125-139/s and 43.0 MB at 4096; 2048 keeps RSS within ~4 % of 512.
 _BLOCK = 2048
 
 
@@ -239,8 +240,9 @@ def _path_shapes(gait: body.TwoSegmentPath, times: np.ndarray) -> _Shapes:
 
 def _wave_shapes(gait: body.SquareWave, times: np.ndarray) -> _Shapes:
     """``SquareWave._nodes_and_rates`` on arrays: each of the three nodes
-    after ``(0, 0)`` is computed for every branch with its presence mask;
-    present nodes are then moved to the front and the rest become padding."""
+    after ``(0, 0)`` is computed for every branch, and the presence masks
+    pick each row's nodes in order, with no sort; a row with fewer nodes
+    repeats the last, the right end, as padding."""
     L, d, e, c = gait.ref_length, gait.delta, gait.epsilon, gait.speed
     tm = np.remainder(times, gait.period)
     ct = c * tm
@@ -257,19 +259,25 @@ def _wave_shapes(gait: body.SquareWave, times: np.ndarray) -> _Shapes:
     last_arc = np.where(
         enter, np.where(empty, L, L + e * front), np.where(inside, L + e * d, s_end)
     )
-    ref = np.stack([np.where(enter, front, back), front, np.full_like(tm, L)], axis=1)
-    arc = np.stack([np.where(enter, (1.0 + e) * front, back), front + e * d, last_arc], axis=1)
-    present = np.stack([enter_front | has_back, has_front, np.ones_like(enter)], axis=1)
-    order = np.argsort(~present, axis=1, kind="stable")
-    pad = np.arange(3) >= present.sum(axis=1)[:, None]
+    n1 = enter_front | has_back
+    both = n1 & has_front
 
-    def in_order(a: np.ndarray) -> np.ndarray:
-        return np.where(pad, a[:, 2:], np.take_along_axis(a, order, axis=1))
+    def in_order(first, inside_front, right_end) -> list:
+        return [
+            np.where(n1, first, np.where(has_front, inside_front, right_end)),
+            np.where(both, inside_front, right_end),
+            right_end,
+        ]
 
-    refs = np.concatenate([np.zeros((len(tm), 1)), in_order(ref)], axis=1)
-    arcs = np.concatenate([np.zeros((len(tm), 1)), in_order(arc)], axis=1)
-    ok = pad | (np.diff(refs, axis=1) > 0.0) & (np.diff(arcs, axis=1) > 0.0)
-    _require_valid(gait, times, ok.all(axis=1))
+    ref1, ref2, _ = in_order(np.where(enter, front, back), front, L)
+    nodes = in_order(np.where(enter, (1.0 + e) * front, back), front + e * d, last_arc)
+    arc1, arc2, _ = nodes
+    arcs = np.stack([np.zeros_like(tm), *nodes], axis=1)
+    # Padding pieces have length 0: check only the pieces the row has.
+    ok = (ref1 > 0.0) & (arc1 > 0.0)
+    ok &= ~(n1 | has_front) | (ref2 > ref1) & (arc2 > arc1)
+    ok &= ~both | (L > ref2) & (last_arc > arc2)
+    _require_valid(gait, times, ok)
 
     def rates() -> np.ndarray:
         last_rate = np.where(
@@ -277,8 +285,7 @@ def _wave_shapes(gait: body.SquareWave, times: np.ndarray) -> _Shapes:
             np.where(empty | enter_front, e * c, 0.0),
             np.where(inside & ~has_front | leave & has_back, -e * c, 0.0),
         )
-        rate = np.stack([np.zeros_like(tm), np.full_like(tm, -e * c), last_rate], axis=1)
-        return np.repeat(in_order(rate)[:, :, None], 2, axis=2)
+        return np.repeat(np.stack(in_order(0.0, -e * c, last_rate), axis=1)[:, :, None], 2, axis=2)
 
     return arcs, rates
 
@@ -332,18 +339,22 @@ def solve_velocity_batch(
         pieces = (seg, r0, r1)
 
         f_lo, f_hi = _total_force_rows(law, *pieces, breaks)
-
-        # Polynomials on each gap between breakpoints.  The tails hold no
-        # root: the force is never negative at breaks[0] and never positive
-        # at breaks[-1] (see balance.solve_velocity).
         lo, hi = breaks[:-1], breaks[1:]
-        a, bq, cq, on_break = _segment_poly_rows(law, *pieces, 0.5 * (lo + hi))
-        root, n_roots = _poly_roots_rows(a, bq, cq, lo, hi)
+        fr, fl = f_lo[:-1], f_hi[1:]
+        bracket = (fr > atol) & (fl < -atol)
+
+        # The polynomial on each row's first bracketed gap only (a row with
+        # two goes to the scalar solver).  The tails hold no root: the force
+        # is never negative at breaks[0], never positive at breaks[-1].
+        lo_b, hi_b = lo, hi
+        if len(lo) > 1:  # a block of one gap, or none, needs no gather
+            first = np.argmax(bracket, axis=0)[None]
+            lo_b, hi_b = np.take_along_axis(lo, first, 0), np.take_along_axis(hi, first, 0)
+        a, bq, cq, on_break = _segment_poly_rows(law, *pieces, 0.5 * (lo_b + hi_b))
+        root, n_roots = _poly_roots_rows(a, bq, cq, lo_b, hi_b)
         root = _closest_to_zero_rows(root, root)
 
         # Candidates in the scalar order: breakpoints, gaps, left, right flat tail.
-        fr, fl = f_lo[:-1], f_hi[1:]
-        bracket = (fr > atol) & (fl < -atol)
         left_flat = (np.abs(f_hi[0]) <= atol) & (law.mu_minus == 0.0)
         right_flat = (np.abs(f_lo[-1]) <= atol) & (law.mu_plus == 0.0)
         values = np.concatenate(
@@ -364,6 +375,7 @@ def solve_velocity_batch(
         )
         rare = (
             (bracket & (on_break | (n_roots != 1))).any(axis=0)
+            | (bracket.sum(axis=0) > 1)
             | ~valid.any(axis=0)
             | (valid & ~np.isfinite(values)).any(axis=0)
             | ~np.isfinite(fscale)

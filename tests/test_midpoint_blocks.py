@@ -111,7 +111,8 @@ def test_vectorised_bump_equals_scalar_profile_bit_for_bit(cls):
 @pytest.mark.parametrize("cls", [c for c in inputs.CLASSES if "wave" in c])
 def test_simulate_peak_memory_stays_small(cls):
     # Temporaries scale with the block size: one (breakpoints, rows) array
-    # each, about 1.3 MB at the peak with blocks of 2048 rows.
+    # each, about 1.4 MB at the peak with blocks of 2048 rows (1.38 MB on
+    # seed 1 for every wave class).
     law, gait = inputs.draw(1, "trajectory", 0, cls, dircrawl).build(dircrawl)
     engine.simulate(law, gait, n_periods=2, dt=gait.period / 10)  # imports and caches
     tracemalloc.start()
