@@ -306,9 +306,9 @@ def solve_velocity_batch(
 
     The candidate search is the scalar one, for all rows at once, with sums
     accumulated in piece order.  A row where it is not conclusive (a probe
-    on a breakpoint, a bracket without exactly one root, no candidate, or a
-    force scale or residual the scalar solver rejects) goes to
-    ``solve_velocity`` itself, which also raises its errors.
+    on a breakpoint, a bracket without exactly one root, brackets on two
+    gaps, no candidate, or a force scale or residual the scalar solver
+    rejects) goes to ``solve_velocity`` itself, which also raises its errors.
     """
     n = arcs.shape[0]
     # Rows run along the last axis of every array below, so that numpy's
