@@ -183,16 +183,15 @@ def _poly_roots_in(
     a: float, b: float, c: float, lo: float, hi: float
 ) -> list[float]:
     """Real roots of a*x^2 + b*x + c inside [lo, hi], numerically stable."""
-    slack = _ROOT_SLACK * max(hi - lo, 1.0)
-
-    def keep(x: float) -> bool:
-        return lo - slack <= x <= hi + slack
-
+    width = hi - lo
+    slack = _ROOT_SLACK * (1.0 if 1.0 > width else width)
+    lo -= slack
+    hi += slack
     if a == 0.0:
         if b == 0.0:
             return []
         x = -c / b
-        return [x] if keep(x) else []
+        return [x] if lo <= x <= hi else []
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         if disc > -_DISC_RTOL * (b * b + abs(4.0 * a * c)):
@@ -201,8 +200,9 @@ def _poly_roots_in(
             return []
     sq = math.sqrt(disc)
     q = -0.5 * (b + math.copysign(sq, b)) if b != 0.0 else -0.5 * sq
-    roots = [q / a, c / q] if q != 0.0 else [0.0]
-    return [x for x in roots if keep(x)]
+    if q == 0.0:
+        return [0.0] if lo <= 0.0 <= hi else []
+    return [x for x in (q / a, c / q) if lo <= x <= hi]
 
 
 def solve_velocity(
@@ -233,29 +233,45 @@ def _solve(
     ``(x1dot, regime, residual, stick_intervals, signs)``, where ``signs``
     holds the sign (-1, 0 or 1) of ``x1dot + r`` at each piece end, in
     piece order.  The pieces are trusted to come from a valid shape."""
-    rates_all = [r for p in pieces for r in (p[2], p[3])]
-    vscale = max(1.0, max(abs(r) for r in rates_all))
+    # one pass: the largest |rate| (the first of equals, as ``max`` keeps it)
+    # and the breakpoints -r
+    vmax = abs(pieces[0][2])
+    negated = set()
+    for _, _, r0, r1 in pieces:
+        a0, a1 = abs(r0), abs(r1)
+        if a0 > vmax:
+            vmax = a0
+        if a1 > vmax:
+            vmax = a1
+        negated.add(-r0)
+        negated.add(-r1)
+    vscale = vmax if vmax > 1.0 else 1.0
     fscale = (
         law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * vscale
     ) * l_total
     if not math.isfinite(fscale):
         raise DegenerateSubstrateError("force scale overflows: no residual can be checked")
-    atol = _ACCEPT_RTOL * max(fscale, _ACCEPT_FLOOR)
+    atol = _ACCEPT_RTOL * (_ACCEPT_FLOOR if _ACCEPT_FLOOR > fscale else fscale)
+    breaks = sorted(negated)
 
-    breaks = sorted({-r for r in rates_all})
-    fvals = [_force(law, pieces, b) for b in breaks]
-
-    candidates: list[tuple[float, float]] = []
-
-    for b, (lo, hi) in zip(breaks, fvals):
-        if lo <= atol and hi >= -atol:
-            candidates.append((b, b))
+    # The solution is the candidate closest to zero, the first of equals:
+    # each candidate set enters as its element closest to zero (+0.0 where
+    # it holds zero), breakpoints first, then gaps, then tails.
+    best = None
+    fvals = []
+    for b in breaks:
+        f = _force(law, pieces, b)
+        fvals.append(f)
+        if f[0] <= atol and f[1] >= -atol:
+            x = 0.0 if b == 0.0 else b
+            if best is None or abs(x) < abs(best):
+                best = x
 
     for k in range(len(breaks) - 1):
-        g0, g1 = breaks[k], breaks[k + 1]
         f_right_of_g0 = fvals[k][0]
         f_left_of_g1 = fvals[k + 1][1]
         if f_right_of_g0 > atol and f_left_of_g1 < -atol:
+            g0, g1 = breaks[k], breaks[k + 1]
             a, bq, cq = _segment_poly(law, pieces, 0.5 * (g0 + g1))
             roots = _poly_roots_in(a, bq, cq, g0, g1)
             if not roots:
@@ -263,11 +279,21 @@ def _solve(
                     f"force changes sign between x1dot={g0!r} and {g1!r} but "
                     "its polynomial there has no root in floating point"
                 )
-            if len(roots) > 1:
-                roots.sort(key=lambda x: _force_mag(_force(law, pieces, x)))
-            candidates.append((roots[0], roots[0]))
+            x = roots[0]
+            if len(roots) > 1 and _force_mag(_force(law, pieces, roots[1])) < _force_mag(
+                _force(law, pieces, x)
+            ):
+                x = roots[1]
+            if x == 0.0:
+                x = 0.0
         elif f_right_of_g0 <= atol and f_left_of_g1 >= -atol:
-            candidates.append((g0, g1))  # force within tolerance on the whole gap
+            # force within tolerance on the whole gap
+            g0, g1 = breaks[k], breaks[k + 1]
+            x = 0.0 if g0 <= 0.0 <= g1 else (g1 if g1 < 0.0 else g0)
+        else:
+            continue
+        if best is None or abs(x) < abs(best):
+            best = x
 
     # The tails hold no root: at breaks[0] every piece-end velocity
     # r - max(r) is <= 0 (IEEE subtraction is monotone), so every term of
@@ -276,17 +302,20 @@ def _solve(
     # tail's direction the force is constant there, and when that constant
     # is zero the whole tail solves the balance.
     if abs(fvals[0][1]) <= atol and law.mu_minus == 0.0:
-        candidates.append((-_INF, breaks[0]))
+        x = 0.0 if breaks[0] >= 0.0 else breaks[0]
+        if best is None or abs(x) < abs(best):
+            best = x
     if abs(fvals[-1][0]) <= atol and law.mu_plus == 0.0:
-        candidates.append((breaks[-1], _INF))
+        x = 0.0 if breaks[-1] <= 0.0 else breaks[-1]
+        if best is None or abs(x) < abs(best):
+            best = x
 
-    if not candidates:
+    if best is None:
         raise DegenerateSubstrateError(
             "force balance unresolved at this scale: no velocity balances "
             "the force in floating point"
         )
-
-    x_star = min((_closest_to_zero(lo, hi) for lo, hi in candidates), key=abs)
+    x_star = best
 
     # Classify the velocity field at the solution.
     stick: list[tuple[float, float]] = []

@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: forces are
 integrated by brute-force sampling of the pointwise law, balance roots are
 found by interval bisection, and the closed-form displacement expressions
 are retyped in their published (orientation-normalized / logarithmic) form
-rather than reusing the library's stable rearrangements.
+rather than reusing the library's stable rearrangements.  Where a fast path
+was rewritten, its previous version is kept here verbatim as the reference.
 """
 
 from __future__ import annotations
@@ -13,7 +14,24 @@ import math
 import random
 from bisect import bisect_right
 
+from dircrawl.balance import (
+    _ACCEPT_FLOOR,
+    _ACCEPT_RTOL,
+    _DISC_RTOL,
+    _INF,
+    _RESIDUAL_RTOL,
+    _ROOT_SLACK,
+    _STICK_RTOL,
+    _WHOLE_BODY_RTOL,
+    SLIDING,
+    STICK_SLIP,
+    WHOLE_BODY_STICK,
+    _force,
+    _Pieces,
+    _segment_poly,
+)
 from dircrawl.body import PiecewiseAffineShape, ShapeRate
+from dircrawl.errors import DegenerateSubstrateError
 from dircrawl.friction import FrictionLaw, evaluate
 
 
@@ -238,3 +256,143 @@ def reference_simulate(law, gait, n_periods: int = 1, dt=None, x0: float = 0.0):
         lengths.append(gait.shape_at(t1).length)
         regimes.append(sol.regime)
     return times, x1, lengths, regimes
+
+
+# ---------------------------------------------------------------------------
+# The scalar balance solve before its single-pass rewrite, kept verbatim (with
+# its two helpers) so that ``balance._solve`` can be compared with it bit for
+# bit.  ``_force`` and ``_segment_poly`` did not change and are shared.
+# ---------------------------------------------------------------------------
+
+
+def reference_poly_roots_in(
+    a: float, b: float, c: float, lo: float, hi: float
+) -> list[float]:
+    """Real roots of a*x^2 + b*x + c inside [lo, hi], numerically stable."""
+    slack = _ROOT_SLACK * max(hi - lo, 1.0)
+
+    def keep(x: float) -> bool:
+        return lo - slack <= x <= hi + slack
+
+    if a == 0.0:
+        if b == 0.0:
+            return []
+        x = -c / b
+        return [x] if keep(x) else []
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        if disc > -_DISC_RTOL * (b * b + abs(4.0 * a * c)):
+            disc = 0.0
+        else:
+            return []
+    sq = math.sqrt(disc)
+    q = -0.5 * (b + math.copysign(sq, b)) if b != 0.0 else -0.5 * sq
+    roots = [q / a, c / q] if q != 0.0 else [0.0]
+    return [x for x in roots if keep(x)]
+
+
+def reference_solve(
+    law: FrictionLaw, pieces: _Pieces, l_total: float
+) -> tuple[float, str, float, tuple[tuple[float, float], ...], tuple[int, ...]]:
+    """:func:`solve_velocity` on plain pieces of total length ``l_total``:
+    ``(x1dot, regime, residual, stick_intervals, signs)``, where ``signs``
+    holds the sign (-1, 0 or 1) of ``x1dot + r`` at each piece end, in
+    piece order.  The pieces are trusted to come from a valid shape."""
+    rates_all = [r for p in pieces for r in (p[2], p[3])]
+    vscale = max(1.0, max(abs(r) for r in rates_all))
+    fscale = (
+        law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * vscale
+    ) * l_total
+    if not math.isfinite(fscale):
+        raise DegenerateSubstrateError("force scale overflows: no residual can be checked")
+    atol = _ACCEPT_RTOL * max(fscale, _ACCEPT_FLOOR)
+
+    breaks = sorted({-r for r in rates_all})
+    fvals = [_force(law, pieces, b) for b in breaks]
+
+    candidates: list[tuple[float, float]] = []
+
+    for b, (lo, hi) in zip(breaks, fvals):
+        if lo <= atol and hi >= -atol:
+            candidates.append((b, b))
+
+    for k in range(len(breaks) - 1):
+        g0, g1 = breaks[k], breaks[k + 1]
+        f_right_of_g0 = fvals[k][0]
+        f_left_of_g1 = fvals[k + 1][1]
+        if f_right_of_g0 > atol and f_left_of_g1 < -atol:
+            a, bq, cq = _segment_poly(law, pieces, 0.5 * (g0 + g1))
+            roots = reference_poly_roots_in(a, bq, cq, g0, g1)
+            if not roots:
+                raise DegenerateSubstrateError(
+                    f"force changes sign between x1dot={g0!r} and {g1!r} but "
+                    "its polynomial there has no root in floating point"
+                )
+            if len(roots) > 1:
+                roots.sort(key=lambda x: _force_mag(_force(law, pieces, x)))
+            candidates.append((roots[0], roots[0]))
+        elif f_right_of_g0 <= atol and f_left_of_g1 >= -atol:
+            candidates.append((g0, g1))  # force within tolerance on the whole gap
+
+    # The tails hold no root: at breaks[0] every piece-end velocity
+    # r - max(r) is <= 0 (IEEE subtraction is monotone), so every term of
+    # the force is >= 0 and fvals[0] is never negative; at breaks[-1],
+    # likewise, fvals[-1] is never positive.  Without viscosity in the
+    # tail's direction the force is constant there, and when that constant
+    # is zero the whole tail solves the balance.
+    if abs(fvals[0][1]) <= atol and law.mu_minus == 0.0:
+        candidates.append((-_INF, breaks[0]))
+    if abs(fvals[-1][0]) <= atol and law.mu_plus == 0.0:
+        candidates.append((breaks[-1], _INF))
+
+    if not candidates:
+        raise DegenerateSubstrateError(
+            "force balance unresolved at this scale: no velocity balances "
+            "the force in floating point"
+        )
+
+    x_star = min((_closest_to_zero(lo, hi) for lo, hi in candidates), key=abs)
+
+    # Classify the velocity field at the solution.
+    stick: list[tuple[float, float]] = []
+    signs: list[int] = []
+    stick_tol = _STICK_RTOL * vscale
+    for s0, s1, r0, r1 in pieces:
+        v0 = x_star + r0
+        v1 = x_star + r1
+        signs.append((v0 > 0.0) - (v0 < 0.0))
+        signs.append((v1 > 0.0) - (v1 < 0.0))
+        if r0 == r1 and abs(v0) <= stick_tol:
+            if stick and stick[-1][1] == s0:
+                stick[-1] = (stick[-1][0], s1)
+            else:
+                stick.append((s0, s1))
+    stick_len = sum(hi - lo for lo, hi in stick)
+    if stick_len >= l_total * (1.0 - _WHOLE_BODY_RTOL):
+        regime = WHOLE_BODY_STICK
+    elif stick:
+        regime = STICK_SLIP
+    else:
+        regime = SLIDING
+
+    residual = _force_mag(_force(law, pieces, x_star))
+    if not (math.isfinite(residual) and residual <= _RESIDUAL_RTOL * fscale):
+        raise DegenerateSubstrateError(
+            f"force balance unresolved at this scale: residual {residual!r} "
+            f"at x1dot={x_star!r} against a force scale of {fscale!r}"
+        )
+    return x_star, regime, residual, tuple(stick), tuple(signs)
+
+
+def _closest_to_zero(lo: float, hi: float) -> float:
+    if lo <= 0.0 <= hi:
+        return 0.0
+    return hi if hi < 0.0 else lo
+
+
+def _force_mag(force: tuple[float, float]) -> float:
+    """Distance of a ``(lo, hi)`` force from zero."""
+    lo, hi = force
+    if lo <= 0.0 <= hi:
+        return 0.0
+    return min(abs(lo), abs(hi))
