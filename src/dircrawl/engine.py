@@ -212,21 +212,63 @@ def _gauss_cycle(
     pieces_at = gait._pieces_at
     solve = balance._solve
 
-    def velocity(t: float) -> tuple[float, tuple[str, tuple[int, ...]]]:
+    def solved(pieces, l_total: float) -> tuple[float, tuple[str, tuple[int, ...]]]:
         nonlocal residual_max
-        x, regime, residual, _, signs = solve(law, *pieces_at(t))
+        x, regime, residual, _, signs = solve(law, pieces, l_total)
         regime_counts[regime] = regime_counts.get(regime, 0) + 1
         if residual > residual_max:
             residual_max = residual
         return x, (regime, signs)
 
+    def velocity(t: float) -> tuple[float, tuple[str, tuple[int, ...]]]:
+        return solved(*pieces_at(t))
+
     stages = getattr(gait, "_stages", None)
-    if stages is None:
-        spans = analytic._corner_spans(gait.corner_times(), gait.period)
-        stage_sums = [analytic.adaptive_gauss(velocity, a, b, _CYCLE_TOL) for a, b in spans]
-    else:
+    if stages is not None:
         stage_sums = [_constant_rate_stage(law, velocity, *stage) for stage in stages()]
+        return sum(stage_sums), stage_sums, regime_counts, residual_max
+    if law.is_dry or law.is_newtonian:
+        velocity = _rate_linear(solved, pieces_at)
+    spans = analytic._corner_spans(gait.corner_times(), gait.period)
+    stage_sums = [analytic.adaptive_gauss(velocity, a, b, _CYCLE_TOL) for a, b in spans]
     return sum(stage_sums), stage_sums, regime_counts, residual_max
+
+
+def _rate_linear(solved, pieces_at):
+    """The integrand of a profile gait on a dry or Newtonian law, with one
+    balance solve per sign of the profile rate ``p'``.
+
+    Such a law has no time scale: scaling every rate by ``k > 0`` scales the
+    solution by ``k`` and keeps its structure.  The rates of a breather or a
+    constant-length crawler are ``p'`` times a field that runs from 0 to 1
+    along the body, and the share of the body below each value of that field
+    does not depend on the shape; so ``x1dot / p'`` and the structure key
+    are the same wherever ``p'`` has one sign.  The first node with each
+    sign is solved, and every other node takes ``c * p'`` under its key.
+    The pieces are still built at every node, so that a custom profile that
+    leaves its domain raises as before; a rate that is not finite is solved.
+
+    This rests on exact rate homogeneity, which the solver's unit floor on
+    ``vscale`` breaks for Newtonian laws at ``|p'|`` below ~1e-12, where its
+    tolerances stop scaling with the rates; no QK15 node of the benchmark's
+    profiles comes near that band.
+    """
+    per_sign: dict[int, tuple[float, tuple[str, tuple[int, ...]]]] = {}
+
+    def velocity(t: float) -> tuple[float, tuple[str, tuple[int, ...]]]:
+        pieces, l_total = pieces_at(t)
+        rate = pieces[0][3]  # p': the first piece runs from rate 0 to p'
+        if not math.isfinite(rate):
+            return solved(pieces, l_total)
+        sign = (rate > 0.0) - (rate < 0.0)
+        known = per_sign.get(sign)
+        if known is None:
+            x, key = solved(pieces, l_total)
+            known = per_sign[sign] = (x / rate if sign else x, key)
+        coef, key = known
+        return (coef * rate if sign else coef), key
+
+    return velocity
 
 
 class _AffineStage:

@@ -396,3 +396,19 @@ def _force_mag(force: tuple[float, float]) -> float:
     if lo <= 0.0 <= hi:
         return 0.0
     return min(abs(lo), abs(hi))
+
+
+def reference_profile_stages(law: FrictionLaw, gait, tol: float) -> list[float]:
+    """Stage integrals of a profile gait (``Breather``, ``ConstantLength``)
+    by the per-node integrator that the default cycle path used on every
+    law before it took one solve per rate sign on dry and Newtonian laws:
+    ``adaptive_gauss`` over each corner span, with a reference solve at
+    every node, keyed on the solution's regime and sign pattern."""
+    from dircrawl import analytic
+
+    def velocity(t: float):
+        x, regime, _, _, signs = reference_solve(law, *gait._pieces_at(t))
+        return x, (regime, signs)
+
+    spans = analytic._corner_spans(gait.corner_times(), gait.period)
+    return [analytic.adaptive_gauss(velocity, a, b, tol) for a, b in spans]

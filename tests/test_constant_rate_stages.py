@@ -3,8 +3,9 @@
 Square waves, two-segment paths and composite strides keep every piece rate
 constant within a stage, so ``engine._constant_rate_stage`` integrates their
 stages from switch times and closed forms, with one balance solve per
-stretch of one structure.  The oracle is what profile gaits still run:
-``analytic.adaptive_gauss`` over ``balance._solve`` on every corner span.
+stretch of one structure.  The oracle is what profile gaits on mixed laws
+still run: ``analytic.adaptive_gauss`` over ``balance._solve`` on every
+corner span.
 """
 
 from __future__ import annotations
