@@ -21,7 +21,10 @@ on time only (never on position), so trajectories are pure quadrature of
   7–15 panels, cut wherever the balance structure (regime and the sign
   pattern of the velocity field) changes inside the stage, so that one
   15-node panel per smooth piece usually reaches the accuracy of thousands
-  of midpoint steps.  Every solve is ``balance._solve`` on the gait's
+  of midpoint steps.  On mixed laws every node is a balance solve.  On dry
+  and Newtonian laws the velocity is linear in the profile rate ``p'``, so
+  one solve per sign of ``p'`` stands for every node with that sign (see
+  ``_rate_linear``).  Every solve is ``balance._solve`` on the gait's
   ``_pieces_at(t)`` piece tuples, which gives the same bits as
   ``balance.solve_velocity`` on ``shape_at``/``rate_at`` without building
   and validating those objects per solve.
@@ -102,8 +105,9 @@ class CycleReport:
     ``dt`` is the target step of the midpoint grid, or None when the
     default stage-wise integrator ran.  Its solves are not steps of one
     size: on a constant-rate gait each fixes the structure of one stretch
-    of a stage between switches, and on a profile gait each is a quadrature
-    node or a switch bisection.
+    of a stage between switches; on a profile gait over a dry or Newtonian
+    law each stands for every node whose profile rate has its sign, and
+    over a mixed law each is a quadrature node or a switch bisection.
     """
 
     gait_kind: str
@@ -491,8 +495,9 @@ def cycle_displacement(
     exists (integration always runs, even for infeasible wave requests).
 
     With ``dt=None`` the default stage-wise integrator runs: a few balance
-    solves per stage on constant-rate gaits, 15 per Gauss–Kronrod panel on
-    profile gaits.  It raises :class:`DegenerateSubstrateError` where a
+    solves per stage on constant-rate gaits; on profile gaits, one per sign
+    of the profile rate over dry and Newtonian laws and 15 per Gauss–Kronrod
+    panel over mixed laws.  It raises :class:`DegenerateSubstrateError` where a
     stage integral does not settle; an explicit ``dt`` selects the midpoint
     grid that ``simulate`` uses.
     """
