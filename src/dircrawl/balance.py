@@ -280,12 +280,12 @@ def _solve(
                     "its polynomial there has no root in floating point"
                 )
             x = roots[0]
-            if len(roots) > 1 and _force_mag(_force(law, pieces, roots[1])) < _force_mag(
-                _force(law, pieces, x)
-            ):
-                x = roots[1]
+            if len(roots) > 1:  # the root of least residual, the first of equals
+                mags = [_force_mag(_force(law, pieces, r)) for r in roots]
+                if mags[1] < mags[0]:
+                    x = roots[1]
             if x == 0.0:
-                x = 0.0
+                x = 0.0  # a root at -0.0 enters as +0.0
         elif f_right_of_g0 <= atol and f_left_of_g1 >= -atol:
             # force within tolerance on the whole gap
             g0, g1 = breaks[k], breaks[k + 1]

@@ -231,6 +231,7 @@ def _gauss_cycle(
     if stages is not None:
         stage_sums = [_constant_rate_stage(law, velocity, *stage) for stage in stages()]
         return sum(stage_sums), stage_sums, regime_counts, residual_max
+    # the rest are profile gaits: Breather and ConstantLength
     if law.is_dry or law.is_newtonian:
         velocity = _rate_linear(solved, pieces_at)
     spans = analytic._corner_spans(gait.corner_times(), gait.period)
