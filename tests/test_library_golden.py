@@ -18,10 +18,15 @@ shows.  A change to a digest is a behaviour change: regenerate them only on
 purpose, with::
 
     PYTHONPATH=src python tests/test_library_golden.py
+
+``--records PATH`` writes the per-input records behind the digests to
+``PATH`` instead (keep it outside the checkout); run it on two checkouts
+and diff the files to see which inputs moved, and by how much.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -68,25 +73,41 @@ def _verify(law, gait) -> str:
     )
 
 
-def digests() -> dict[str, str]:
-    """One SHA-256 per kind of result, over every input in order."""
-    hashes = {name: hashlib.sha256() for name in ("cycles", "cycles_dt400", "verify", "simulate")}
+def records():
+    """Per input, in order: its tag and its record of each kind of result."""
     for seed in SEEDS:
         for case in inputs.rotation(seed, "trajectory", 0, dircrawl):
             law, gait = case.build(dircrawl)
-            tag = f"{seed}/{case.cls}|".encode()
-            for h in hashes.values():
-                h.update(tag)
-            hashes["cycles"].update(_cycle(engine.cycle_displacement(law, gait)).encode())
-            hashes["cycles_dt400"].update(
-                _cycle(engine.cycle_displacement(law, gait, dt=gait.period / 400)).encode()
-            )
-            hashes["verify"].update(_verify(law, gait).encode())
             traj = engine.simulate(law, gait, n_periods=2)
-            for array in (traj.times, traj.x1, traj.x2, traj.l):
-                hashes["simulate"].update(array.tobytes())
-            hashes["simulate"].update(",".join(traj.regimes).encode())
+            arrays = b"".join(a.tobytes() for a in (traj.times, traj.x1, traj.x2, traj.l))
+            yield f"{seed}/{case.cls}", {
+                "cycles": _cycle(engine.cycle_displacement(law, gait)).encode(),
+                "cycles_dt400": _cycle(
+                    engine.cycle_displacement(law, gait, dt=gait.period / 400)
+                ).encode(),
+                "verify": _verify(law, gait).encode(),
+                "simulate": arrays + ",".join(traj.regimes).encode(),
+            }
+
+
+def digests() -> dict[str, str]:
+    """One SHA-256 per kind of result, over every input in order."""
+    hashes = {name: hashlib.sha256() for name in ("cycles", "cycles_dt400", "verify", "simulate")}
+    for tag, record in records():
+        for name, h in hashes.items():
+            h.update(f"{tag}|".encode())
+            h.update(record[name])
     return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+def write_records(path: Path) -> None:
+    """One line per input and kind, ``tag kind record``, the ``simulate``
+    bytes as their SHA-256: diff two files to see which case moved."""
+    with path.open("w", encoding="utf-8") as out:
+        for tag, record in records():
+            for name, data in record.items():
+                text = hashlib.sha256(data).hexdigest() if name == "simulate" else data.decode()
+                out.write(f"{tag} {name} {text}\n")
 
 
 def test_library_results_unchanged():
@@ -94,4 +115,15 @@ def test_library_results_unchanged():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(digests(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    parser = argparse.ArgumentParser(description="Regenerate the library digests.")
+    parser.add_argument(
+        "--records",
+        metavar="PATH",
+        type=Path,
+        help="write each input's records behind the digests to PATH instead",
+    )
+    args = parser.parse_args()
+    if args.records is not None:
+        write_records(args.records)
+    else:
+        GOLDEN.write_text(json.dumps(digests(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
