@@ -183,6 +183,49 @@ _QK15 = (
     (0.9914553711208126, 0.022935322010529224, 0.0),
 )
 
+# Kronrod–Patterson extension of that rule to 31 nodes on [-1, 1] (Patterson
+# 1968, Math. Comp. 22:847–856), nodes ascending: (node, weight).  The nodes
+# at odd indices are _QK15's; the 16 others are the roots of the monic even
+# polynomial of degree 16 orthogonal to every lower power against the weight
+# prod(x - x_k) over _QK15's nodes, so the rule is exact to degree 46.
+# Generated offline: that polynomial (and the Stieltjes factor of _QK15's
+# node polynomial) from exact rational moments with `fractions`, its roots
+# with mpmath.polyroots at 60 digits, the weights from the interpolatory
+# conditions on Legendre polynomials at the same precision, rounded once.
+_QP31 = (
+    (-0.9986871096784667, 0.003634931195049884),
+    (-0.9914553711208126, 0.011319468444683435),
+    (-0.9753835882088934, 0.021039446258726797),
+    (-0.9491079123427585, 0.03157770621704586),
+    (-0.9122048827832628, 0.042193500584546594),
+    (-0.8648644233597691, 0.05238437082098269),
+    (-0.8076889391724376, 0.061821985645449856),
+    (-0.7415311855993945, 0.07033204641040065),
+    (-0.6673480981043002, 0.07787534711524599),
+    (-0.5860872354676911, 0.08449876530124302),
+    (-0.498636786552832, 0.0902618021465586),
+    (-0.4058451513773972, 0.09517802993183068),
+    (-0.3085792479105878, 0.09919685766743291),
+    (-0.20778495500789848, 0.10221418000570275),
+    (-0.10452827381078071, 0.10409995547269736),
+    (0.0, 0.10474321356480584),
+    (0.10452827381078071, 0.10409995547269736),
+    (0.20778495500789848, 0.10221418000570275),
+    (0.3085792479105878, 0.09919685766743291),
+    (0.4058451513773972, 0.09517802993183068),
+    (0.498636786552832, 0.0902618021465586),
+    (0.5860872354676911, 0.08449876530124302),
+    (0.6673480981043002, 0.07787534711524599),
+    (0.7415311855993945, 0.07033204641040065),
+    (0.8076889391724376, 0.061821985645449856),
+    (0.8648644233597691, 0.05238437082098269),
+    (0.9122048827832628, 0.042193500584546594),
+    (0.9491079123427585, 0.03157770621704586),
+    (0.9753835882088934, 0.021039446258726797),
+    (0.9914553711208126, 0.011319468444683435),
+    (0.9986871096784667, 0.003634931195049884),
+)
+
 _Sample = tuple[float, float, Hashable]  # (t, value, key)
 
 # dqk15's roundoff floor on a panel's error, relative to the integral of |f|.
@@ -220,6 +263,18 @@ def _key_switch(
         else:
             t1, v1 = tm, vm
     return 0.5 * (t0 + t1)
+
+
+def _settled(value: float, err: float, resasc: float, resabs: float, tol: float) -> bool:
+    """Whether a panel's ``value`` is accepted: QUADPACK's error estimate
+    from the raw difference ``err`` of two rules, scaled down where it is
+    small against the spread ``resasc`` of the integrand about its mean, is
+    within ``tol * max(1, |value|)``, or that bound is below the roundoff
+    floor, ``_ROUNDOFF`` times the integral ``resabs`` of ``|value|``."""
+    if err != 0.0 and resasc != 0.0:
+        err = resasc * min(1.0, 200.0 * err / resasc) ** 1.5
+    bound = tol * max(1.0, abs(value))
+    return err <= bound or bound < _ROUNDOFF * resabs
 
 
 def adaptive_gauss(
@@ -268,19 +323,29 @@ def adaptive_gauss(
         whole = half * kronrod
         cut = _key_switch(f, samples, tol)
         if cut is None:
-            # dqk15's estimate: |K - G|, scaled down where it is small against
-            # the spread of the integrand about its mean
-            err = abs(half * (kronrod - gauss))
             mean = 0.5 * kronrod
             weighted = [(wk, value) for (_, wk, _), (_, value, _) in zip(_QK15, samples)]
             resasc = abs(half) * sum(wk * abs(value - mean) for wk, value in weighted)
             resabs = abs(half) * sum(wk * abs(value) for wk, value in weighted)
-            if err != 0.0 and resasc != 0.0:
-                err = resasc * min(1.0, 200.0 * err / resasc) ** 1.5
-            bound = tol * max(1.0, abs(whole))
-            if err <= bound or bound < _ROUNDOFF * resabs:
+            if _settled(whole, abs(half * (kronrod - gauss)), resasc, resabs, tol):
                 return whole
-            cut = mid
+            # extend to the 31 nested nodes before bisecting, as dqng does
+            patterson = 0.0
+            extended = []
+            for i, (x, wp) in enumerate(_QP31):
+                if i % 2:
+                    sample = samples[i // 2]
+                else:
+                    t = mid + half * x
+                    sample = (t, *f(t))
+                patterson += wp * sample[1]
+                extended.append(sample)
+            cut = _key_switch(f, extended, tol)
+            if cut is None:
+                whole = half * patterson
+                if _settled(whole, abs(half * (patterson - kronrod)), resasc, resabs, tol):
+                    return whole
+                cut = mid
         return panel(a, cut, 0.5 * tol, depth + 1) + panel(cut, b, 0.5 * tol, depth + 1)
 
     return panel(a, b, tol, 0)

@@ -11,6 +11,7 @@ from dircrawl.analytic import (
     _MAX_DEPTH,
     _MAX_PANELS,
     _QK15,
+    _QP31,
     adaptive_gauss,
     breather_cycle_displacement,
     breather_roots,
@@ -334,6 +335,45 @@ class TestAdaptiveGauss:
         for (x, wg), gx, gw in zip(gauss, g_nodes.tolist(), g_weights.tolist()):
             assert abs(x - gx) <= 4e-16 and abs(wg - gw) <= 4e-16
 
+    def test_patterson_rule_nests_qk15_and_is_exact_to_degree_46(self):
+        # _QP31 was generated offline from exact rational moments (Patterson
+        # 1968, Math. Comp. 22:847-856); this checks the rounded table
+        nodes = [x for x, _ in _QP31]
+        assert nodes == sorted(nodes)
+        assert nodes[1::2] == [x for x, _, _ in _QK15]  # bit for bit
+        for (x, w), (y, v) in zip(_QP31, reversed(_QP31)):
+            assert x == -y and w == v
+        assert all(w > 0.0 for _, w in _QP31)
+        for degree in range(0, 47, 2):
+            exact = 2.0 / (degree + 1)
+            value = math.fsum(w * x**degree for x, w in _QP31)
+            assert abs(value - exact) <= 8 * math.ulp(exact), degree
+
+        # the rule's defect on x**48, 1.2e-17, is below the table's rounding;
+        # on the Legendre polynomial P_48, whose integral is 0 and whose
+        # leading coefficient is 2.3e13, it is 2.6e-4
+        def legendre(n, x):
+            p0, p1 = 1.0, x
+            for k in range(1, n):
+                p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+            return p1
+
+        for degree in (46, 48):
+            value = math.fsum(w * legendre(degree, x) for x, w in _QP31)
+            assert (abs(value) > 1e-4) == (degree == 48), (degree, value)
+
+    def test_degree_20_polynomial_settles_on_the_31_nested_nodes(self):
+        # beyond G7 and within K15: the 15-node estimate |K - G| rejects the
+        # panel, and the 31 nodes that reuse its 15 values accept it unsplit
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t**20, None
+
+        assert math.isclose(adaptive_gauss(f, 0.0, 2.0, 1e-12), 2.0**21 / 21, rel_tol=1e-14)
+        assert len(calls) == 31 == len(set(calls))
+
     def test_degree_13_polynomial_is_exact_in_one_panel(self):
         calls = []
 
@@ -369,7 +409,8 @@ class TestAdaptiveGauss:
 
     def test_integral_that_does_not_settle_raises_at_the_depth_limit(self):
         # noise of order 1 everywhere: the first panel is bisected down to
-        # the one _MAX_DEPTH cuts deep, which does not settle either
+        # the one _MAX_DEPTH cuts deep, which does not settle either; each
+        # panel fails on its 15 nodes and again on the 31 that extend them
         calls = []
 
         def f(t):
@@ -378,11 +419,13 @@ class TestAdaptiveGauss:
 
         with pytest.raises(DegenerateSubstrateError, match="does not settle"):
             adaptive_gauss(f, 0.0, 1.0, 1e-11)
-        assert len(calls) == 15 * (_MAX_DEPTH + 1)
+        assert len(calls) == 31 * (_MAX_DEPTH + 1)
 
     def test_integral_that_needs_too_many_panels_raises_at_the_panel_cap(self):
-        # 1600 smooth periods: a panel settles once it holds less than one,
-        # 12 cuts deep, so covering [0, 1] takes more than _MAX_PANELS panels
+        # 1600 smooth periods: no panel settles on its 15 nodes, and one
+        # settles on the 31 that extend them until it holds 1.5 to 3 periods,
+        # 9 or 10 cuts deep, so covering [0, 1] takes more than _MAX_PANELS
+        # panels
         calls = []
 
         def f(t):
@@ -391,8 +434,8 @@ class TestAdaptiveGauss:
 
         with pytest.raises(DegenerateSubstrateError, match="does not settle"):
             adaptive_gauss(f, 0.0, 1.0, 1e-11)
-        assert len(calls) == 15 * _MAX_PANELS
-        panels = [calls[i : i + 15] for i in range(0, len(calls), 15)]
+        assert len(calls) == 31 * _MAX_PANELS
+        panels = [calls[i : i + 31] for i in range(0, len(calls), 31)]
         assert min(max(p) - min(p) for p in panels) > 2.0**-16  # far from the depth limit
 
     def test_singular_rate_raises_at_the_depth_limit(self):

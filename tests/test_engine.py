@@ -275,7 +275,9 @@ class TestDefaultCycleIntegrator:
                 counts.append(rep.n_steps)
                 if case.cls in exact:
                     assert rep.n_steps == exact[case.cls], (seed, case.cls)
-        assert sum(counts) / len(counts) <= 15
+        # the mixed-law profile gaits solve at every node: 50.8 and 39.6 per
+        # op since a rejected panel first takes the 31 nested nodes
+        assert sum(counts) / len(counts) <= 10
 
 
 class TestStepLimit:
