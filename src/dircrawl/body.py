@@ -153,7 +153,10 @@ class _ProfileGait:
     def _rate(self, t: float) -> float:
         tm = t % self.period
         if self.profile_rate is not None:
-            return self.profile_rate(tm)
+            rate = self.profile_rate(tm)
+            if math.isnan(rate):  # an infinite rate is left to the solver
+                raise ValueError(f"profile_rate produced {rate} at t={t}")
+            return rate
         return _bump_rate(self.delta, self.period, tm)
 
     def corner_times(self) -> tuple[float, ...]:

@@ -644,6 +644,26 @@ class TestCustomProfileGait:
         assert report.passed
         assert report.checks[0].residual <= 1e-12
 
+    @pytest.mark.parametrize("law", [FrictionLaw(0.75, 0.25, 0, 0), FrictionLaw(1, 0.5, 1, 0.5)])
+    def test_nan_profile_rate_is_refused_naming_it(self, law):
+        # it used to reach the solver and raise "no velocity balances the
+        # force"; each integrator now raises at the first time it reads the
+        # rate, as for a NaN length
+        gait = Breather(
+            1.0,
+            0.0,
+            1.0,
+            profile=lambda t: 1.0,
+            profile_rate=lambda t: math.nan,
+            corners=(0.0, 1.0),
+        )
+        message = r"profile_rate produced nan at t=0\.\d+$"
+        with pytest.raises(ValueError, match=message):
+            engine.cycle_displacement(law, gait)
+        with pytest.raises(ValueError, match=message):
+            engine.cycle_displacement(law, gait, dt=0.25)
+        with pytest.raises(ValueError, match=message):
+            engine.simulate(law, gait)
 
     def test_turning_point_on_a_scan_node_and_none_at_the_wrap(self):
         # The rate 0.5 - t is zero exactly on the scan node t = 0.5, and read
