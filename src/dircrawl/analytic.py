@@ -230,12 +230,13 @@ _Sample = tuple[float, float, Hashable]  # (t, value, key)
 
 # dqk15's roundoff floor on a panel's error, relative to the integral of |f|.
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
-# Most panels one adaptive_gauss call takes.  On the benchmark's inputs
-# (seeds 1-40 and 101-140) the calls are the profile gaits' stages and the
-# crossing roots of viscous strides, and a call takes at most 11 panels.
+# Most panels one adaptive_gauss call takes, an extended panel counting
+# once.  On the benchmark's inputs (seeds 1-40 and 101-140 of the cycles and
+# trajectory rotations) the calls are the profile gaits' stages and the
+# crossing roots of viscous strides, and a call takes at most 3 panels.
 _MAX_PANELS = 1000
 # Most cuts from a call's interval down to one panel, which bounds the
-# recursion; a call on those inputs cuts at most 3.
+# recursion; a call on those inputs cuts at most once.
 _MAX_DEPTH = 30
 
 
@@ -295,10 +296,15 @@ def adaptive_gauss(
     QUADPACK's error estimate is within ``tol * max(1, |integral|)``, or
     when that bound is below the roundoff floor, ``50 * eps`` times the
     integral of ``|value|`` over the panel, where rounding noise hides the
-    error; the panel is bisected when it is neither.  Raises
-    :class:`DegenerateSubstrateError` when one call takes more than
-    ``_MAX_PANELS`` panels, or a panel more than ``_MAX_DEPTH`` cuts deep:
-    the integral does not settle.
+    error.  A panel that is neither first takes the 16 further nodes of
+    Patterson's 31-point extension, reusing its 15 values, as QUADPACK's
+    ``dqng`` extends a rule: it is cut at a key switch among the 31
+    samples, else its 31-point value is accepted under the same bound,
+    with the error estimated from its difference to the Kronrod value.
+    Only a panel that fails both is bisected, and its halves start again at
+    15 nodes.  Raises :class:`DegenerateSubstrateError` when one call takes
+    more than ``_MAX_PANELS`` panels, or a panel more than ``_MAX_DEPTH``
+    cuts deep: the integral does not settle.
     """
     panels = 0
 

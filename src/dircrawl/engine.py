@@ -18,10 +18,11 @@ on time only (never on position), so trajectories are pure quadrature of
   constant, the closed-form mean of ``-c/b``, or Gauss–Kronrod panels on the
   root of a quadratic with interpolated coefficients.  Profile gaits go to
   :func:`dircrawl.analytic.adaptive_gauss` on each stage: Gauss–Kronrod
-  7–15 panels, cut wherever the balance structure (regime and the sign
-  pattern of the velocity field) changes inside the stage, so that one
-  15-node panel per smooth piece usually reaches the accuracy of thousands
-  of midpoint steps.  On mixed laws every node is a balance solve.  On dry
+  7–15 panels, extended to 31 nested nodes before they are bisected, and
+  cut wherever the balance structure (regime and the sign pattern of the
+  velocity field) changes inside the stage, so that one panel of 15 or 31
+  nodes per smooth piece usually reaches the accuracy of thousands of
+  midpoint steps.  On mixed laws every node is a balance solve.  On dry
   and Newtonian laws the velocity is linear in the profile rate ``p'``, so
   one solve per sign of ``p'`` stands for every node with that sign (see
   ``_rate_linear``).  Every solve is ``balance._solve`` on the gait's
@@ -497,8 +498,9 @@ def cycle_displacement(
 
     With ``dt=None`` the default stage-wise integrator runs: a few balance
     solves per stage on constant-rate gaits; on profile gaits, one per sign
-    of the profile rate over dry and Newtonian laws and 15 per Gauss–Kronrod
-    panel over mixed laws.  It raises :class:`DegenerateSubstrateError` where a
+    of the profile rate over dry and Newtonian laws, and over mixed laws 15
+    per Gauss–Kronrod panel, or 31 for one extended before it is bisected.
+    It raises :class:`DegenerateSubstrateError` where a
     stage integral does not settle; an explicit ``dt`` selects the midpoint
     grid that ``simulate`` uses.
     """
