@@ -453,6 +453,29 @@ class TestAdaptiveGauss:
         with pytest.raises(DegenerateSubstrateError, match="does not settle"):
             breather_cycle_displacement(law, profile, rate, 1.0, corners=(0.0, 0.5, 1.0))
 
+    @pytest.mark.parametrize("tol", [1e-11, 1e-12, 1e-13, 1e-14])
+    def test_singular_rate_raises_at_every_tighter_tolerance(self, tol):
+        # the panel against each corner once passed on the roundoff floor
+        # whatever its error, 4e-7 to 4e-4 off the integral 0.0693953
+        law = FrictionLaw(1.0, 0.5, 1.0, 0.5)
+
+        def profile(t):
+            return 1.0 + 0.5 * math.sqrt(t * (1.0 - t))
+
+        def rate(t):
+            return 0.25 * (1.0 - 2.0 * t) / math.sqrt(t * (1.0 - t))
+
+        with pytest.raises(DegenerateSubstrateError, match="does not settle"):
+            breather_cycle_displacement(law, profile, rate, 1.0, corners=(0.0, 0.5, 1.0), tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-13, 1e-14])
+    def test_pole_past_the_end_settles_at_every_tolerance(self, tol):
+        # -1 / (1.001 - t): a tighter tolerance once gave a worse answer
+        # (6.8e-5 off at 1e-13, 6.6 % at 1e-14), the panels at the pole end
+        # passing on the roundoff floor whatever their error
+        value = adaptive_gauss(lambda t: (-1.0 / (1.001 - t), None), 0.0, 1.0, tol)
+        assert math.isclose(value, -math.log(1001.0), rel_tol=1e-13)
+
 
 class TestConstantLengthReduction:
     # A constant-length crawler moves as a breather of its first segment.

@@ -889,3 +889,34 @@ class TestQuadratureEnds:
         )
         assert time.perf_counter() - t0 <= 2.0
         assert math.isclose(value, -gait.delta, rel_tol=5e-7)
+
+
+class TestSingularProfile:
+    """l = 1 + sqrt(t (1 - t)) / 2 on a mixed law: the velocity grows as
+    1 / sqrt(t) at both corners.  The panel against a corner is accepted
+    only if its error is within the roundoff floor or the stage's bound,
+    which it never is, so the default cycle tolerance raises rather than
+    returning a value 4e-7 off the integral."""
+
+    law = FrictionLaw(1.0, 0.5, 1.0, 0.5)
+
+    @staticmethod
+    def profile(t):
+        return 1.0 + 0.5 * math.sqrt(t * (1.0 - t))
+
+    @staticmethod
+    def rate(t):
+        return 0.25 * (1.0 - 2.0 * t) / math.sqrt(t * (1.0 - t))
+
+    def test_closed_form_raises_at_the_cycle_tolerance(self):
+        with pytest.raises(DegenerateSubstrateError, match="does not settle"):
+            breather_cycle_displacement(
+                self.law, self.profile, self.rate, 1.0, corners=(0.0, 0.5, 1.0),
+                tol=engine._CYCLE_TOL,
+            )
+
+    def test_cycle_raises_on_the_default_path(self):
+        gait = Breather(1.0, 0.0, 1.0, profile=self.profile, profile_rate=self.rate,
+                        corners=(0.0, 0.5, 1.0))
+        with pytest.raises(DegenerateSubstrateError, match="does not settle"):
+            engine.cycle_displacement(self.law, gait)
