@@ -60,8 +60,18 @@ _RESIDUAL_RTOL = 1e-9
 _ACCEPT_RTOL, _ACCEPT_FLOOR = 1e-13, 1e-300  # |force| <= RTOL * max(fscale, FLOOR) is zero
 _STICK_RTOL = 1e-12  # a piece sticks where |v| <= _STICK_RTOL * vscale
 _WHOLE_BODY_RTOL = 1e-12  # the whole body sticks from (1 - _WHOLE_BODY_RTOL) of it
-_ROOT_SLACK = 1e-12  # a root this far outside its gap, times max(width, 1), is kept
+_ROOT_SLACK = 1e-12  # a root this far outside its gap, times max(width, _WIDTH_FLOOR), is kept
 _DISC_RTOL = 1e-12  # a discriminant above -_DISC_RTOL * (b^2 + |4ac|) is zero
+# Unit floors: vscale = max(_VSCALE_FLOOR, max|r|).  The tolerances stop
+# scaling with the rates below them, so a solve is rate-homogeneous only above
+# them: on a Newtonian law, rates under ~1e-12 leave every force within atol.
+_VSCALE_FLOOR = _WIDTH_FLOOR = 1.0
+
+
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """The gap ``[lo, hi]`` widened by the slack within which a root is kept."""
+    slack = _ROOT_SLACK * (_WIDTH_FLOOR if _WIDTH_FLOOR > hi - lo else hi - lo)
+    return lo - slack, hi + slack
 
 
 @dataclass(frozen=True)
@@ -183,10 +193,7 @@ def _poly_roots_in(
     a: float, b: float, c: float, lo: float, hi: float
 ) -> list[float]:
     """Real roots of a*x^2 + b*x + c inside [lo, hi], numerically stable."""
-    width = hi - lo
-    slack = _ROOT_SLACK * (1.0 if 1.0 > width else width)
-    lo -= slack
-    hi += slack
+    lo, hi = _widened(lo, hi)
     if a == 0.0:
         if b == 0.0:
             return []
@@ -226,13 +233,11 @@ def solve_velocity(
     return BalanceSolution(x1dot=x, regime=regime, residual=residual, stick_intervals=stick)
 
 
-def _solve(
+def _breaks_and_scales(
     law: FrictionLaw, pieces: _Pieces, l_total: float
-) -> tuple[float, str, float, tuple[tuple[float, float], ...], tuple[int, ...]]:
-    """:func:`solve_velocity` on plain pieces of total length ``l_total``:
-    ``(x1dot, regime, residual, stick_intervals, signs)``, where ``signs``
-    holds the sign (-1, 0 or 1) of ``x1dot + r`` at each piece end, in
-    piece order.  The pieces are trusted to come from a valid shape."""
+) -> tuple[list[float], float, float, float]:
+    """A solve's breakpoints ``-r`` ascending, its velocity and force scales,
+    and the force it accepts as zero: ``(breaks, vscale, fscale, atol)``."""
     # one pass: the largest |rate| (the first of equals, as ``max`` keeps it)
     # and the breakpoints -r
     vmax = abs(pieces[0][2])
@@ -245,14 +250,22 @@ def _solve(
             vmax = a1
         negated.add(-r0)
         negated.add(-r1)
-    vscale = vmax if vmax > 1.0 else 1.0
-    fscale = (
-        law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * vscale
-    ) * l_total
+    vscale = vmax if vmax > _VSCALE_FLOOR else _VSCALE_FLOOR
+    fscale = (law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * vscale) * l_total
+    atol = _ACCEPT_RTOL * (_ACCEPT_FLOOR if _ACCEPT_FLOOR > fscale else fscale)
+    return sorted(negated), vscale, fscale, atol
+
+
+def _solve(
+    law: FrictionLaw, pieces: _Pieces, l_total: float
+) -> tuple[float, str, float, tuple[tuple[float, float], ...], tuple[int, ...]]:
+    """:func:`solve_velocity` on plain pieces of total length ``l_total``:
+    ``(x1dot, regime, residual, stick_intervals, signs)``, where ``signs``
+    holds the sign (-1, 0 or 1) of ``x1dot + r`` at each piece end, in
+    piece order.  The pieces are trusted to come from a valid shape."""
+    breaks, vscale, fscale, atol = _breaks_and_scales(law, pieces, l_total)
     if not math.isfinite(fscale):
         raise DegenerateSubstrateError("force scale overflows: no residual can be checked")
-    atol = _ACCEPT_RTOL * (_ACCEPT_FLOOR if _ACCEPT_FLOOR > fscale else fscale)
-    breaks = sorted(negated)
 
     # The solution is the candidate closest to zero, the first of equals:
     # each candidate set enters as its element closest to zero (+0.0 where

@@ -254,10 +254,8 @@ def _rate_linear(solved, pieces_at):
     The pieces are still built at every node, so that a custom profile that
     leaves its domain raises as before; a rate that is not finite is solved.
 
-    This rests on exact rate homogeneity, which the solver's unit floor on
-    ``vscale`` breaks for Newtonian laws at ``|p'|`` below ~1e-12, where its
-    tolerances stop scaling with the rates; no QK15 node of the benchmark's
-    profiles comes near that band.
+    This rests on exact rate homogeneity, which holds only above the
+    solver's unit floors (see ``balance._VSCALE_FLOOR``).
     """
     per_sign: dict[int, tuple[float, tuple[str, tuple[int, ...]]]] = {}
 
@@ -295,17 +293,12 @@ class _AffineStage:
 
     def __init__(self, law: FrictionLaw, t0: float, t1: float, p0, p1) -> None:
         self.law, self.t0, self.t1, self.w, self.ends = law, t0, t1, t1 - t0, (p0, p1)
-        rates = [r for p in p0 for r in (p[2], p[3])]
-        self.breaks = sorted({-r for r in rates})
-        vscale = max(1.0, max(abs(r) for r in rates))
-        unit = law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * vscale
         self.conds: list[list[float]] | None = []
-        for pieces in self.ends:
-            fscale = unit * pieces[-1][1]
+        for pieces in self.ends:  # both ends have the same rates, so the same breaks
+            self.breaks, _, fscale, atol = balance._breaks_and_scales(law, pieces, pieces[-1][1])
             if not fscale >= balance._ACCEPT_FLOOR:
                 self.conds = None
                 return
-            atol = balance._ACCEPT_RTOL * fscale
             forces = [balance._force(law, pieces, b) for b in self.breaks]
             g = [lo - atol for lo, _ in forces] + [hi + atol for _, hi in forces]
             g += [forces[0][1] - atol, forces[-1][0] + atol]
@@ -435,9 +428,8 @@ def _sub_interval(
         return _falling_root(*coefficients(t))
 
     xa, xm, xb = root(ta), root(0.5 * (ta + tb)), root(tb)
-    g0, g1 = model.breaks[k], model.breaks[k + 1]
-    slack = balance._ROOT_SLACK * max(g1 - g0, 1.0)
-    if not (g0 - slack <= min(xa, xb) and max(xa, xb) <= g1 + slack):
+    lo, hi = balance._widened(model.breaks[k], model.breaks[k + 1])
+    if not (lo <= min(xa, xb) and max(xa, xb) <= hi):
         return None
     if not abs(xm - x) * width <= _CYCLE_TOL * max(1.0, abs(x) * width):
         return None

@@ -48,8 +48,7 @@ def _assert_balances(law: FrictionLaw, shape: PiecewiseAffineShape, rate: ShapeR
     except DegenerateSubstrateError:
         return
     pieces = balance._pieces(shape, rate)
-    vscale = max(1.0, max(abs(r) for p in pieces for r in p[2:]))
-    fscale = (law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * vscale) * shape.length
+    _, _, fscale, _ = balance._breaks_and_scales(law, pieces, shape.length)
     residual = balance._force_mag(balance._force(law, pieces, v))
     assert residual <= balance._RESIDUAL_RTOL * fscale, (v, residual, fscale)
 
