@@ -310,13 +310,13 @@ def adaptive_gauss(
     times the integral of ``|value|`` over the panel, the estimate is held
     instead to the floor, where rounding noise hides the error, or to the
     whole call's bound, taken from its first panel, whichever is looser.
-    A panel that is neither first takes the 16 further nodes of
-    Patterson's 31-point extension, reusing its 15 values, as QUADPACK's
-    ``dqng`` extends a rule: it is cut at a key switch among the 31
-    samples, else its 31-point value is accepted under the same bound,
-    with the error estimated from its difference to the Kronrod value.
-    Only a panel that fails both is bisected, and its halves start again at
-    15 nodes.  Raises :class:`DegenerateSubstrateError` when one call takes
+    A panel with no key switch whose Kronrod value fails that bound takes
+    the 16 further nodes of Patterson's 31-point extension, reusing its 15
+    values, as QUADPACK's ``dqng`` extends a rule: it is cut at a key
+    switch among the 31 samples, else its 31-point value is accepted under
+    the same bound, the error estimated from its difference to the Kronrod
+    value, else it is bisected and its halves start again at 15 nodes.
+    Raises :class:`DegenerateSubstrateError` when one call takes
     more than ``_MAX_PANELS`` panels, or a panel more than ``_MAX_DEPTH``
     cuts deep: the integral does not settle.
     """
