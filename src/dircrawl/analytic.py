@@ -51,6 +51,13 @@ __all__ = [
 _MU_BRANCH_RTOL = 1e-12
 
 
+def _require_above(bound: float, **args: float) -> None:
+    """Raise ``ValueError`` naming the first of ``args`` not finite and above ``bound``."""
+    for name, value in args.items():
+        if not bound < value < math.inf:
+            raise ValueError(f"{name} must be finite and exceed {bound:g}, got {value!r}")
+
+
 def _require_in_range(what: str, *values: float) -> None:
     """Raise ``ValueError`` naming the input ``what`` when a closed form left
     the float range (a non-finite value among ``values``)."""
@@ -77,8 +84,8 @@ class BreatherRoots:
 
 def breather_roots(law: FrictionLaw, ldot: float) -> BreatherRoots:
     """Roots of the breather force balance for distinct viscosities."""
-    if ldot == 0.0:
-        raise ValueError("ldot must be nonzero")
+    if ldot == 0.0 or not math.isfinite(ldot):
+        raise ValueError(f"ldot must be finite and nonzero, got {ldot!r}")
     p = directional_pair(law, elongating=ldot > 0.0)
     if abs(p.mu_1 - p.mu_2) <= _MU_BRANCH_RTOL * max(p.mu_1, p.mu_2, 1.0):
         raise ValueError("viscosities coincide; the balance is linear, not quadratic")
@@ -126,8 +133,8 @@ def breather_velocity(law: FrictionLaw, ldot: float) -> float:
     underflows is negligible, and while values stay normal scaling the law
     by ``2**k`` is exact, as is scaling the yields and ``ldot`` by ``2**k``.
     """
-    if ldot == 0.0:
-        raise ValueError("ldot must be nonzero; a static body is the solver's job")
+    if ldot == 0.0 or not math.isfinite(ldot):
+        raise ValueError(f"ldot must be finite and nonzero, got {ldot!r}: rest is the solver's job")
     p = directional_pair(law, elongating=ldot > 0.0)
     tau_1, tau_2, mu_1, mu_2, l, _ = _unit_scale(p.tau_1, p.tau_2, p.mu_1, p.mu_2, ldot)
     w = (tau_1 - tau_2) / l
@@ -434,8 +441,7 @@ def breather_cycle_displacement(
     laws are integrated with :func:`adaptive_gauss` split at the rate's
     sign changes.
     """
-    if period <= 0.0:
-        raise ValueError("period must be positive")
+    _require_above(0.0, period=period)
     l0, l1 = profile(0.0), profile(period)
     if abs(l1 - l0) > 1e-9 * max(1.0, abs(l0)):
         raise ValueError(f"profile is not periodic: l(0)={l0}, l(T)={l1}")
@@ -490,8 +496,8 @@ def composite_stride_displacement(
     is rate-dependent and must be simulated (``engine.simulate``).  Raises
     ``ValueError`` where the displacement leaves the float range.
     """
-    if lam <= 0.0 or delta <= 0.0 or h <= 1.0:
-        raise ValueError("stride requires lam > 0, delta > 0, h > 1")
+    _require_above(0.0, lam=lam, delta=delta)
+    _require_above(1.0, h=h)
     coeffs = _rate_independent_coefficients(law)
     if coeffs is None:
         raise MixedRheologyError(
@@ -537,8 +543,8 @@ def negative_displacement_feasible(
     values reached at ``alpha = 2/3`` and ``beta = 2`` respectively, however
     extreme the stride geometry.
     """
-    if lam <= 0.0 or delta <= 0.0 or h <= 1.0:
-        raise ValueError("stride requires lam > 0, delta > 0, h > 1")
+    _require_above(0.0, lam=lam, delta=delta)
+    _require_above(1.0, h=h)
     if law.is_dry:
         bound = 1.0 / (4.0 * lam / delta + (3.0 * h - 1.0) / (h - 1.0))
         return 2.0 * alpha(law) - 1.0 < bound
@@ -583,22 +589,15 @@ def _wave_params(law: FrictionLaw, epsilon: float) -> tuple[float, float, float,
     wave sign.  Contraction waves swap the sliding directions, which is the
     mechanical substitution generating their formulas; ``tau_back`` carries
     the sign the yield force takes in the extension-wave expressions."""
+    _require_above(-1.0, epsilon=epsilon)
     if epsilon > 0.0:
         return law.tau_minus, law.mu_minus, law.tau_plus, law.mu_plus
     return -law.tau_plus, law.mu_plus, -law.tau_minus, law.mu_minus
 
 
-def _check_wave_args(epsilon: float, c: float, delta: float, L: float) -> None:
-    if epsilon <= -1.0 or epsilon == 0.0:
-        raise ValueError("epsilon must be > -1 and nonzero")
-    if c <= 0.0:
-        raise ValueError("wave speed must be positive")
-    if not 0.0 < delta < L:
-        raise ValueError("wave width must satisfy 0 < delta < L")
-
-
 def stickslip_delta_max(law: FrictionLaw, epsilon: float, c: float, L: float) -> float:
     """Largest wave width for which the undeformed part of the body can stick."""
+    _require_above(0.0, c=c, L=L)
     tb, mb, tf, _ = _wave_params(law, epsilon)
     if tf == 0.0:
         return 0.0
@@ -607,6 +606,7 @@ def stickslip_delta_max(law: FrictionLaw, epsilon: float, c: float, L: float) ->
 
 def sliding_delta_max(law: FrictionLaw, epsilon: float, c: float, L: float) -> float:
     """Supremum of wave widths admitting whole-body sliding (not attained)."""
+    _require_above(0.0, c=c, L=L)
     tb, _, tf, mf = _wave_params(law, epsilon)
     if tf != 0.0 or mf == 0.0:
         return 0.0
@@ -621,9 +621,13 @@ def wave_admissibility(
     law: FrictionLaw, epsilon: float, c: float, delta: float, L: float
 ) -> WaveAdmissibility:
     """Classify a square-wave configuration per the width/rheology bounds."""
-    _check_wave_args(epsilon, c, delta, L)
-    ss_max = stickslip_delta_max(law, epsilon, c, L)
+    ss_max = stickslip_delta_max(law, epsilon, c, L)  # these check epsilon, c and L
     sl_max = sliding_delta_max(law, epsilon, c, L)
+    if epsilon == 0.0:
+        raise ValueError("epsilon must be nonzero")
+    _require_above(0.0, delta=delta)
+    if not delta < L:
+        raise ValueError(f"wave width delta={delta!r} must be below L={L!r}")
     _require_in_range(f"epsilon={epsilon!r}", ss_max, sl_max)
     _, _, tau_front, mu_front = _wave_params(law, epsilon)
     if tau_front != 0.0:
@@ -651,6 +655,8 @@ def stickslip_displacement(epsilon: float, delta: float) -> float:
     positive for contraction waves.  Admissibility is not checked here;
     raises ``ValueError`` where the product leaves the float range.
     """
+    _require_above(-1.0, epsilon=epsilon)
+    _require_above(0.0, delta=delta)
     value = -epsilon * delta
     _require_in_range(f"epsilon={epsilon!r}", value)
     return value
@@ -660,9 +666,9 @@ def stickslip_max_displacement_dry(alpha_value: float, epsilon: float, L: float)
     """Best per-cycle stick-slip displacement on a dry substrate, i.e. at the
     largest admissible wave width for the given amplitude."""
     if not 0.0 < alpha_value < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if epsilon <= -1.0:
-        raise ValueError("epsilon must exceed -1")
+        raise ValueError(f"alpha_value must lie in (0, 1), got {alpha_value!r}")
+    _require_above(-1.0, epsilon=epsilon)
+    _require_above(0.0, L=L)
     if epsilon >= 0.0:
         return -epsilon * (1.0 - alpha_value) * L / (1.0 + epsilon * alpha_value)
     return -epsilon * alpha_value * L / (1.0 + epsilon * (1.0 - alpha_value))
@@ -819,8 +825,7 @@ def newtonian_sliding_displacement(
     admissible for any width below the body length.  ``beta_value`` is the
     viscous asymmetry ratio sqrt(mu_minus / mu_plus).
     """
-    if beta_value <= 0.0:
-        raise ValueError("beta must be positive")
+    _require_above(0.0, beta_value=beta_value, delta=delta, L=L)
     if epsilon == 0.0:
         return 0.0
     law = FrictionLaw(0.0, 0.0, beta_value * beta_value, 1.0)

@@ -682,8 +682,6 @@ def figure6_data(
     rows = []
     for a in alphas:
         for e in epsilons:
-            if not (math.isfinite(e) and e > -1.0):
-                raise ValueError(f"epsilon must be finite and exceed -1, got {e!r}")
             value = 0.0 if e == 0.0 else analytic.stickslip_max_displacement_dry(a, e, 1.0)
             rows.append((float(a), float(e), value))
     return rows
@@ -707,8 +705,6 @@ def figure7_data(
         if not (b > 0.0 and math.isfinite(b * b)):
             raise ValueError(f"beta must be positive with a finite square, got {b!r}")
         for e in epsilons:
-            if not (math.isfinite(e) and e > -1.0):
-                raise ValueError(f"epsilon must be finite and exceed -1, got {e!r}")
             value = analytic.newtonian_sliding_displacement(b, e, delta_over_length, 1.0)
             rows.append((float(b), float(b) ** 2, float(e), value))
     return rows

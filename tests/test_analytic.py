@@ -814,3 +814,47 @@ class TestRootViewConsistency:
                 raw = breather_roots(law, ldot).c_minus * ldot
                 stable = breather_velocity(law, ldot)
                 assert math.isclose(raw, stable, rel_tol=1e-9, abs_tol=1e-12)
+
+
+_MIXED = FrictionLaw(1.0, 0.5, 2.0, 1.0)
+_DRY = FrictionLaw(1.0, 0.5, 0.0, 0.0)
+_SLIDING = FrictionLaw(0.0, 0.0, 1.0, 1.0)
+_STRIDE = {"lam": 1.0, "delta": 0.2, "h": 2.0}
+_WAVE = {"epsilon": 1.0, "c": 1.0, "delta": 0.25, "L": 1.0}
+# (closed form, leading arguments, its float arguments by name), valid as given
+_CLOSED_FORMS = [
+    (breather_roots, (_MIXED,), {"ldot": 1.0}),
+    (breather_velocity, (_MIXED,), {"ldot": 1.0}),
+    (breather_cycle_displacement, (_MIXED, *bump(1.0, 0.2, 1.0)), {"period": 1.0}),
+    (composite_stride_displacement, (_DRY,), _STRIDE),
+    (negative_displacement_feasible, (_DRY,), _STRIDE),
+    (wave_admissibility, (_DRY,), _WAVE),
+    (stickslip_delta_max, (_DRY,), {"epsilon": 0.5, "c": 1.0, "L": 1.0}),
+    (sliding_delta_max, (_SLIDING,), {"epsilon": 0.5, "c": 1.0, "L": 1.0}),
+    (stickslip_displacement, (), {"epsilon": 0.5, "delta": 0.2}),
+    (stickslip_max_displacement_dry, (), {"alpha_value": 0.5, "epsilon": 0.5, "L": 1.0}),
+    (sliding_stage_velocity, (_SLIDING,), {**_WAVE, "t": 0.5}),
+    (sliding_cycle_displacement, (_SLIDING,), _WAVE),
+    (newtonian_sliding_displacement, (), {"beta_value": 1.5, "epsilon": 0.5, "delta": 0.2, "L": 1.0}),
+]
+
+
+@pytest.mark.parametrize(
+    "form, lead, args, name",
+    [
+        pytest.param(form, lead, {**args, name: bad}, name, id=f"{form.__name__}-{name}={bad}")
+        for form, lead, args in _CLOSED_FORMS
+        for name in args
+        for bad in (math.nan, math.inf, -math.inf)
+    ],
+)
+def test_non_finite_argument_is_refused_by_name(form, lead, args, name):
+    # each used to name another argument, return nan or 0.0, or (a breather
+    # cycle's period) reach the quadrature and fail to settle
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        form(*lead, **args)
+
+
+@pytest.mark.parametrize("form, lead, args", _CLOSED_FORMS)
+def test_closed_form_cases_are_valid(form, lead, args):
+    form(*lead, **args)
