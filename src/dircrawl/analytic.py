@@ -134,7 +134,7 @@ def breather_velocity(law: FrictionLaw, ldot: float) -> float:
     by ``2**k`` is exact, as is scaling the yields and ``ldot`` by ``2**k``.
     """
     if ldot == 0.0 or not math.isfinite(ldot):
-        raise ValueError(f"ldot must be finite and nonzero, got {ldot!r}: rest is the solver's job")
+        raise ValueError(f"ldot must be finite and nonzero (rest is for the solver), got {ldot!r}")
     p = directional_pair(law, elongating=ldot > 0.0)
     tau_1, tau_2, mu_1, mu_2, l, _ = _unit_scale(p.tau_1, p.tau_2, p.mu_1, p.mu_2, ldot)
     w = (tau_1 - tau_2) / l
@@ -625,9 +625,8 @@ def wave_admissibility(
     sl_max = sliding_delta_max(law, epsilon, c, L)
     if epsilon == 0.0:
         raise ValueError("epsilon must be nonzero")
-    _require_above(0.0, delta=delta)
-    if not delta < L:
-        raise ValueError(f"wave width delta={delta!r} must be below L={L!r}")
+    if not 0.0 < delta < L:
+        raise ValueError(f"delta={delta!r} must lie in (0, L={L!r})")
     _require_in_range(f"epsilon={epsilon!r}", ss_max, sl_max)
     _, _, tau_front, mu_front = _wave_params(law, epsilon)
     if tau_front != 0.0:

@@ -252,8 +252,7 @@ def _breaks_and_scales(
         negated.add(-r1)
     vscale = vmax if vmax > _VSCALE_FLOOR else _VSCALE_FLOOR
     fscale = (law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * vscale) * l_total
-    atol = _ACCEPT_RTOL * (_ACCEPT_FLOOR if _ACCEPT_FLOOR > fscale else fscale)
-    return sorted(negated), vscale, fscale, atol
+    return sorted(negated), vscale, fscale, _ACCEPT_RTOL * max(fscale, _ACCEPT_FLOOR)
 
 
 def _solve(

@@ -245,7 +245,8 @@ def _rate_linear(solved, pieces_at):
     balance solve per sign of the profile rate ``p'``.
 
     Such a law has no time scale: scaling every rate by ``k > 0`` scales the
-    solution by ``k`` and keeps its structure.  The rates of a breather or a
+    solution by ``k`` and keeps its structure, above the solver's unit floors
+    (``balance._VSCALE_FLOOR``).  The rates of a breather or a
     constant-length crawler are ``p'`` times a field that runs from 0 to 1
     along the body, and the share of the body below each value of that field
     does not depend on the shape; so ``x1dot / p'`` and the structure key
@@ -253,9 +254,6 @@ def _rate_linear(solved, pieces_at):
     sign is solved, and every other node takes ``c * p'`` under its key.
     The pieces are still built at every node, so that a custom profile that
     leaves its domain raises as before; a rate that is not finite is solved.
-
-    This rests on exact rate homogeneity, which holds only above the
-    solver's unit floors (see ``balance._VSCALE_FLOOR``).
     """
     per_sign: dict[int, tuple[float, tuple[str, tuple[int, ...]]]] = {}
 
