@@ -60,17 +60,17 @@ _RESIDUAL_RTOL = 1e-9
 _ACCEPT_RTOL, _ACCEPT_FLOOR = 1e-13, 1e-300  # |force| <= RTOL * max(fscale, FLOOR) is zero
 _STICK_RTOL = 1e-12  # a piece sticks where |v| <= _STICK_RTOL * vscale
 _WHOLE_BODY_RTOL = 1e-12  # the whole body sticks from (1 - _WHOLE_BODY_RTOL) of it
-_ROOT_SLACK = 1e-12  # a root this far outside its gap, times max(width, _WIDTH_FLOOR), is kept
+_ROOT_SLACK = 1e-12  # a root this far outside its gap, times max(width, |lo|, |hi|), is kept
 _DISC_RTOL = 1e-12  # a discriminant above -_DISC_RTOL * (b^2 + |4ac|) is zero
-# Unit floors: vscale = max(_VSCALE_FLOOR, max|r|).  The tolerances stop
-# scaling with the rates below them, so a solve is rate-homogeneous only above
-# them: on a Newtonian law, rates under ~1e-12 leave every force within atol.
-_VSCALE_FLOOR = _WIDTH_FLOOR = 1.0
+# Every tolerance scales with the inputs: vscale = max|r| and the root slack
+# is relative to the gap's own magnitude, so scaling every rate by 2**k (or
+# every viscosity by 2**-k) scales the solution by exactly 2**k.
+# _ACCEPT_FLOOR only keeps atol from underflowing to 0.
 
 
 def _widened(lo: float, hi: float) -> tuple[float, float]:
     """The gap ``[lo, hi]`` widened by the slack within which a root is kept."""
-    slack = _ROOT_SLACK * (_WIDTH_FLOOR if _WIDTH_FLOOR > hi - lo else hi - lo)
+    slack = _ROOT_SLACK * max(hi - lo, abs(lo), abs(hi))
     return lo - slack, hi + slack
 
 
@@ -250,9 +250,8 @@ def _breaks_and_scales(
             vmax = a1
         negated.add(-r0)
         negated.add(-r1)
-    vscale = vmax if vmax > _VSCALE_FLOOR else _VSCALE_FLOOR
-    fscale = (law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * vscale) * l_total
-    return sorted(negated), vscale, fscale, _ACCEPT_RTOL * max(fscale, _ACCEPT_FLOOR)
+    fscale = (law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * vmax) * l_total
+    return sorted(negated), vmax, fscale, _ACCEPT_RTOL * max(fscale, _ACCEPT_FLOOR)
 
 
 def _solve(

@@ -245,8 +245,8 @@ def _rate_linear(solved, pieces_at):
     balance solve per sign of the profile rate ``p'``.
 
     Such a law has no time scale: scaling every rate by ``k > 0`` scales the
-    solution by ``k`` and keeps its structure, above the solver's unit floors
-    (``balance._VSCALE_FLOOR``).  The rates of a breather or a
+    solution by ``k`` and keeps its structure, since every tolerance of the
+    solver scales with the rates.  The rates of a breather or a
     constant-length crawler are ``p'`` times a field that runs from 0 to 1
     along the body, and the share of the body below each value of that field
     does not depend on the shape; so ``x1dot / p'`` and the structure key

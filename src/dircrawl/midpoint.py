@@ -321,7 +321,7 @@ def solve_velocity_batch(
     r0, r1 = rate[:, 0], rate[:, 1]
     l_total = arc[-1]
     flat = rate.reshape(-1, n)  # every rate, in the scalar's order
-    vscale = np.maximum(balance._VSCALE_FLOOR, np.abs(flat).max(axis=0))
+    vscale = np.abs(flat).max(axis=0)
     with np.errstate(all="ignore"):  # balance._breaks_and_scales, row by row
         fscale = (law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * vscale) * l_total
         atol = balance._ACCEPT_RTOL * np.maximum(fscale, balance._ACCEPT_FLOOR)
@@ -498,7 +498,7 @@ def _poly_roots_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``balance._poly_roots_in`` elementwise: the first root kept, and how
     many were kept."""
-    slack = balance._ROOT_SLACK * np.maximum(hi - lo, balance._WIDTH_FLOOR)
+    slack = balance._ROOT_SLACK * np.maximum(hi - lo, np.maximum(np.abs(lo), np.abs(hi)))
 
     def keep(x: np.ndarray) -> np.ndarray:
         return (lo - slack <= x) & (x <= hi + slack)

@@ -261,7 +261,9 @@ def reference_simulate(law, gait, n_periods: int = 1, dt=None, x0: float = 0.0):
 # ---------------------------------------------------------------------------
 # The scalar balance solve before its single-pass rewrite, kept verbatim (with
 # its two helpers) so that ``balance._solve`` can be compared with it bit for
-# bit.  ``_force`` and ``_segment_poly`` did not change and are shared.
+# bit, except for its scale rule, which follows the solver's: no unit floor
+# on ``vscale`` or on the root slack.  ``_force`` and ``_segment_poly`` did not
+# change and are shared.
 # ---------------------------------------------------------------------------
 
 
@@ -269,7 +271,7 @@ def reference_poly_roots_in(
     a: float, b: float, c: float, lo: float, hi: float
 ) -> list[float]:
     """Real roots of a*x^2 + b*x + c inside [lo, hi], numerically stable."""
-    slack = _ROOT_SLACK * max(hi - lo, 1.0)
+    slack = _ROOT_SLACK * max(hi - lo, abs(lo), abs(hi))
 
     def keep(x: float) -> bool:
         return lo - slack <= x <= hi + slack
@@ -299,7 +301,7 @@ def reference_solve(
     holds the sign (-1, 0 or 1) of ``x1dot + r`` at each piece end, in
     piece order.  The pieces are trusted to come from a valid shape."""
     rates_all = [r for p in pieces for r in (p[2], p[3])]
-    vscale = max(1.0, max(abs(r) for r in rates_all))
+    vscale = max(abs(r) for r in rates_all)
     fscale = (
         law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * vscale
     ) * l_total
