@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Hashable, Sequence
 
 from .errors import DegenerateSubstrateError, MixedRheologyError, RegimeMismatchError
@@ -51,18 +51,26 @@ __all__ = [
 _MU_BRANCH_RTOL = 1e-12
 
 
-def _require_above(bound: float, **args: float) -> None:
-    """Raise ``ValueError`` naming the first of ``args`` not finite and above ``bound``."""
-    for name, value in args.items():
-        if not bound < value < math.inf:
-            raise ValueError(f"{name} must be finite and exceed {bound:g}, got {value!r}")
+def _require_above(bound: float, name: str, value: float) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and above ``bound``."""
+    if not bound < value < math.inf:
+        raise ValueError(f"{name} must be finite and exceed {bound:g}, got {value!r}")
 
 
-def _require_in_range(what: str, *values: float) -> None:
-    """Raise ``ValueError`` naming the input ``what`` when a closed form left
-    the float range (a non-finite value among ``values``)."""
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{what} is out of range: the closed form overflows in floating point")
+def _require_in_range(
+    values: tuple[float, ...], law: FrictionLaw | None, *inputs: tuple[str, float]
+) -> None:
+    """Raise ``ValueError`` when a closed form left the float range (a
+    non-finite value among ``values``), naming the inputs that took it there:
+    of the ``(name, value)`` ``inputs`` and the coefficients of ``law``, those
+    whose binary exponent is at least half the largest in magnitude."""
+    if not all(map(math.isfinite, values)):
+        if law is not None:
+            inputs += tuple((f"law.{f.name}", getattr(law, f.name)) for f in fields(law))
+        far = max(abs(math.frexp(v)[1]) for _, v in inputs)
+        named = [f"{n}={v!r}" for n, v in inputs if 2 * abs(math.frexp(v)[1]) >= far]
+        verb = "is" if len(named) == 1 else "are"
+        raise ValueError(f"{', '.join(named)} {verb} out of range: the closed form overflows")
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +108,7 @@ def breather_roots(law: FrictionLaw, ldot: float) -> BreatherRoots:
         )
     except OverflowError:
         disc = math.inf
-    _require_in_range(f"ldot={ldot!r}", disc)
+    _require_in_range((disc,), None, ("ldot", ldot))
     sq = math.sqrt(disc)
     base = p.mu_2 + (p.tau_1 - p.tau_2) / ldot
     c_minus = (base - sq) / (p.mu_1 - p.mu_2)
@@ -441,7 +449,8 @@ def breather_cycle_displacement(
     laws are integrated with :func:`adaptive_gauss` split at the rate's
     sign changes.
     """
-    _require_above(0.0, period=period)
+    _require_above(0.0, "period", period)
+    _require_above(0.0, "tol", tol)
     l0, l1 = profile(0.0), profile(period)
     if abs(l1 - l0) > 1e-9 * max(1.0, abs(l0)):
         raise ValueError(f"profile is not periodic: l(0)={l0}, l(T)={l1}")
@@ -496,8 +505,9 @@ def composite_stride_displacement(
     is rate-dependent and must be simulated (``engine.simulate``).  Raises
     ``ValueError`` where the displacement leaves the float range.
     """
-    _require_above(0.0, lam=lam, delta=delta)
-    _require_above(1.0, h=h)
+    _require_above(0.0, "lam", lam)
+    _require_above(0.0, "delta", delta)
+    _require_above(1.0, "h", h)
     coeffs = _rate_independent_coefficients(law)
     if coeffs is None:
         raise MixedRheologyError(
@@ -529,8 +539,9 @@ def composite_stride_displacement(
             b / (b + 1.0) * (2.0 * lam * (h - 1.0) + delta * h)
             - 1.0 / (b + 1.0) * (2.0 * lam * (h - 1.0) + delta * (2.0 * h - 1.0))
         )
-    _require_in_range(f"h={h!r}", total, seg1_contract, scale_up, seg1_extend, scale_down)
-    return StrideDisplacement(total, seg1_contract, scale_up, seg1_extend, scale_down)
+    edges = (seg1_contract, scale_up, seg1_extend, scale_down)
+    _require_in_range((total, *edges), None, ("lam", lam), ("delta", delta), ("h", h))
+    return StrideDisplacement(total, *edges)
 
 
 def negative_displacement_feasible(
@@ -543,8 +554,9 @@ def negative_displacement_feasible(
     values reached at ``alpha = 2/3`` and ``beta = 2`` respectively, however
     extreme the stride geometry.
     """
-    _require_above(0.0, lam=lam, delta=delta)
-    _require_above(1.0, h=h)
+    _require_above(0.0, "lam", lam)
+    _require_above(0.0, "delta", delta)
+    _require_above(1.0, "h", h)
     if law.is_dry:
         bound = 1.0 / (4.0 * lam / delta + (3.0 * h - 1.0) / (h - 1.0))
         return 2.0 * alpha(law) - 1.0 < bound
@@ -589,46 +601,51 @@ def _wave_params(law: FrictionLaw, epsilon: float) -> tuple[float, float, float,
     wave sign.  Contraction waves swap the sliding directions, which is the
     mechanical substitution generating their formulas; ``tau_back`` carries
     the sign the yield force takes in the extension-wave expressions."""
-    _require_above(-1.0, epsilon=epsilon)
     if epsilon > 0.0:
         return law.tau_minus, law.mu_minus, law.tau_plus, law.mu_plus
     return -law.tau_plus, law.mu_plus, -law.tau_minus, law.mu_minus
 
 
+def _width_bounds(
+    law: FrictionLaw, epsilon: float, c: float, L: float
+) -> tuple[tuple[float, float, float, float], float, float]:
+    """``(wave params, stick-slip bound, sliding bound)``, after checking
+    ``c``, ``L`` and ``epsilon`` once each."""
+    _require_above(0.0, "c", c)
+    _require_above(0.0, "L", L)
+    _require_above(-1.0, "epsilon", epsilon)
+    params = tb, mb, tf, mf = _wave_params(law, epsilon)
+    ss_max = sl_max = 0.0
+    if tf != 0.0:
+        ss_max = tf * L / ((tb + mb * epsilon * c) * (1.0 + epsilon) + tf)
+    elif mf != 0.0:
+        drive = mf * epsilon * c
+        den = drive + tb * (1.0 + epsilon)
+        # den == 0: no yield behind the wave, and the drive underflowed
+        sl_max = L if den == 0.0 else drive * L / den
+    return params, ss_max, sl_max
+
+
 def stickslip_delta_max(law: FrictionLaw, epsilon: float, c: float, L: float) -> float:
     """Largest wave width for which the undeformed part of the body can stick."""
-    _require_above(0.0, c=c, L=L)
-    tb, mb, tf, _ = _wave_params(law, epsilon)
-    if tf == 0.0:
-        return 0.0
-    return tf * L / ((tb + mb * epsilon * c) * (1.0 + epsilon) + tf)
+    return _width_bounds(law, epsilon, c, L)[1]
 
 
 def sliding_delta_max(law: FrictionLaw, epsilon: float, c: float, L: float) -> float:
     """Supremum of wave widths admitting whole-body sliding (not attained)."""
-    _require_above(0.0, c=c, L=L)
-    tb, _, tf, mf = _wave_params(law, epsilon)
-    if tf != 0.0 or mf == 0.0:
-        return 0.0
-    drive = mf * epsilon * c
-    den = drive + tb * (1.0 + epsilon)
-    if den == 0.0:  # no yield behind the wave, and the drive underflowed
-        return L
-    return drive * L / den
+    return _width_bounds(law, epsilon, c, L)[2]
 
 
 def wave_admissibility(
     law: FrictionLaw, epsilon: float, c: float, delta: float, L: float
 ) -> WaveAdmissibility:
     """Classify a square-wave configuration per the width/rheology bounds."""
-    ss_max = stickslip_delta_max(law, epsilon, c, L)  # these check epsilon, c and L
-    sl_max = sliding_delta_max(law, epsilon, c, L)
+    (_, _, tau_front, mu_front), ss_max, sl_max = _width_bounds(law, epsilon, c, L)
     if epsilon == 0.0:
         raise ValueError("epsilon must be nonzero")
     if not 0.0 < delta < L:
         raise ValueError(f"delta={delta!r} must lie in (0, L={L!r})")
-    _require_in_range(f"epsilon={epsilon!r}", ss_max, sl_max)
-    _, _, tau_front, mu_front = _wave_params(law, epsilon)
+    _require_in_range((ss_max, sl_max), law, ("epsilon", epsilon), ("c", c), ("L", L))
     if tau_front != 0.0:
         if delta <= ss_max:
             return WaveAdmissibility("stick_slip", ss_max, None, ss_max, sl_max)
@@ -654,10 +671,10 @@ def stickslip_displacement(epsilon: float, delta: float) -> float:
     positive for contraction waves.  Admissibility is not checked here;
     raises ``ValueError`` where the product leaves the float range.
     """
-    _require_above(-1.0, epsilon=epsilon)
-    _require_above(0.0, delta=delta)
+    _require_above(-1.0, "epsilon", epsilon)
+    _require_above(0.0, "delta", delta)
     value = -epsilon * delta
-    _require_in_range(f"epsilon={epsilon!r}", value)
+    _require_in_range((value,), None, ("epsilon", epsilon), ("delta", delta))
     return value
 
 
@@ -666,8 +683,8 @@ def stickslip_max_displacement_dry(alpha_value: float, epsilon: float, L: float)
     largest admissible wave width for the given amplitude."""
     if not 0.0 < alpha_value < 1.0:
         raise ValueError(f"alpha_value must lie in (0, 1), got {alpha_value!r}")
-    _require_above(-1.0, epsilon=epsilon)
-    _require_above(0.0, L=L)
+    _require_above(-1.0, "epsilon", epsilon)
+    _require_above(0.0, "L", L)
     if epsilon >= 0.0:
         return -epsilon * (1.0 - alpha_value) * L / (1.0 + epsilon * alpha_value)
     return -epsilon * alpha_value * L / (1.0 + epsilon * (1.0 - alpha_value))
@@ -713,6 +730,7 @@ def sliding_stage_velocity(
     if not 0.0 <= t < T:
         raise ValueError(f"t={t} outside one period [0, {T})")
     entering, inside = t < delta / c, t < L / c
+    inputs = (("epsilon", epsilon), ("c", c), ("delta", delta), ("L", L))  # before rescaling
     tb, mb, tf, mf = _wave_params(law, epsilon)
     tb, tf, mb, mf, c_unit, exp_c = _unit_scale(tb, tf, mb, mf, c, top=500)
     t_unit, exp_t = math.frexp(t)
@@ -734,7 +752,7 @@ def sliding_stage_velocity(
         v = math.ldexp(num / den, exp_c)
     except OverflowError:
         v = math.inf
-    _require_in_range(f"epsilon={epsilon!r}", v)
+    _require_in_range((v,), law, *inputs)
     return v
 
 
@@ -811,7 +829,7 @@ def sliding_cycle_displacement(
         total = enter + inside + exit_
     except ZeroDivisionError:
         u = total = math.nan
-    _require_in_range(f"epsilon={epsilon!r}", u * u, total)
+    _require_in_range((u * u, total), law, ("epsilon", e), ("c", c), ("delta", delta), ("L", L))
     return SlidingDisplacement(total, enter, inside, exit_)
 
 
@@ -824,7 +842,9 @@ def newtonian_sliding_displacement(
     admissible for any width below the body length.  ``beta_value`` is the
     viscous asymmetry ratio sqrt(mu_minus / mu_plus).
     """
-    _require_above(0.0, beta_value=beta_value, delta=delta, L=L)
+    _require_above(0.0, "beta_value", beta_value)
+    _require_above(0.0, "delta", delta)
+    _require_above(0.0, "L", L)
     if epsilon == 0.0:
         return 0.0
     law = FrictionLaw(0.0, 0.0, beta_value * beta_value, 1.0)

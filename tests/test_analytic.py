@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -825,7 +826,7 @@ _WAVE = {"epsilon": 1.0, "c": 1.0, "delta": 0.25, "L": 1.0}
 _CLOSED_FORMS = [
     (breather_roots, (_MIXED,), {"ldot": 1.0}),
     (breather_velocity, (_MIXED,), {"ldot": 1.0}),
-    (breather_cycle_displacement, (_MIXED, *bump(1.0, 0.2, 1.0)), {"period": 1.0}),
+    (breather_cycle_displacement, (_MIXED, *bump(1.0, 0.2, 1.0)), {"period": 1.0, "tol": 1e-10}),
     (composite_stride_displacement, (_DRY,), _STRIDE),
     (negative_displacement_feasible, (_DRY,), _STRIDE),
     (wave_admissibility, (_DRY,), _WAVE),
@@ -858,3 +859,28 @@ def test_non_finite_argument_is_refused_by_name(form, lead, args, name):
 @pytest.mark.parametrize("form, lead, args", _CLOSED_FORMS)
 def test_closed_form_cases_are_valid(form, lead, args):
     form(*lead, **args)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, -0.0])
+def test_breather_cycle_refuses_a_tolerance_that_is_not_positive(tol):
+    # a tolerance <= 0 held every panel to the roundoff floor and returned
+    # 0.0234044688019052 without error
+    with pytest.raises(ValueError, match=r"^tol must be finite and exceed 0"):
+        breather_cycle_displacement(FrictionLaw(1, 0.5, 1, 2), *bump(1.0, 0.1, 1.0), 1.0, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "form, args, named",
+    [
+        (composite_stride_displacement, (_DRY, 1e308, 0.2, 2.0), "lam=1e+308 is"),
+        (sliding_cycle_displacement, (_SLIDING, 0.5, 1.0, 1e300, 1e308), "delta=1e+300, L=1e+308 are"),
+        (stickslip_displacement, (2.0, 1e308), "delta=1e+308 is"),
+        (stickslip_displacement, (1e160, 1e160), "epsilon=1e+160, delta=1e+160 are"),
+        (wave_admissibility, (FrictionLaw(1, 0, 0, 1e300), 0.5, 1.0, 1.0, 1e10), "law.mu_plus=1e+300 is"),
+        (breather_roots, (_MIXED, 1e-200), "ldot=1e-200 is"),
+    ],
+)
+def test_overflow_names_the_inputs_that_overflowed(form, args, named):
+    # each used to name one fixed input (h, epsilon or epsilon), whatever overflowed
+    with pytest.raises(ValueError, match=rf"^{re.escape(named)} out of range: the closed form overflows"):
+        form(*args)

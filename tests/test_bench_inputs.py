@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 import dircrawl
-from dircrawl import engine
+from dircrawl import analytic, balance, engine
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -52,3 +52,23 @@ def test_closed_forms_match_engine():
             assert value is None, case
         else:
             assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected)), case
+
+
+def test_admitted_waves_keep_their_regime_at_every_stage_midpoint():
+    # the width bounds are the paper's; the solver knows nothing of them
+    waves = [cls for cls in inputs.CLASSES if "_wave/" in cls]
+    checked = 0
+    for seed in range(1, 161):
+        for cls in waves:
+            law, gait = inputs.draw(seed, "cycles", 0, cls, dircrawl).build(dircrawl)
+            adm = analytic.wave_admissibility(
+                law, gait.epsilon, gait.speed, gait.delta, gait.ref_length
+            )
+            if adm.regime == "infeasible" or not gait.delta <= 0.99 * adm.delta_max:
+                continue
+            checked += 1
+            for a, b in analytic._corner_spans(gait.corner_times(), gait.period):
+                t = 0.5 * (a + b)
+                sol = balance.solve_velocity(law, gait.shape_at(t), gait.rate_at(t))
+                assert sol.regime == adm.regime, (seed, cls, t)
+    assert checked == 640
