@@ -64,6 +64,13 @@ def test_tiny_rates_are_solved_not_rounded_to_rest():
         assert all(sol.x1dot != 0.0 for sol in _scalar_rows(law, gait))
 
 
+@pytest.mark.parametrize("law, gait", _TINY_RATES)
+@pytest.mark.parametrize("dt_per_period", [None, 1 / 2000])
+def test_tiny_rate_gaits_match_their_closed_forms(law, gait, dt_per_period):
+    dt = None if dt_per_period is None else gait.period * dt_per_period
+    assert engine.verify(law, gait, dt=dt).passed
+
+
 def test_an_idle_huge_viscosity_does_not_set_the_tolerance():
     # the yield 7.2e245 drives the body back; with a unit velocity scale the
     # idle viscosity 1.59e285 made the tolerance 1.6e272 and the answer 0.0
