@@ -63,9 +63,9 @@ _WHOLE_BODY_RTOL = 1e-12  # the whole body sticks from (1 - _WHOLE_BODY_RTOL) of
 _ROOT_SLACK = 1e-12  # a root this far outside its gap, times max(width, |lo|, |hi|), is kept
 _DISC_RTOL = 1e-12  # a discriminant above -_DISC_RTOL * (b^2 + |4ac|) is zero
 # Every tolerance scales with the inputs: vscale = max|r| and the root slack
-# is relative to the gap's own magnitude, so scaling every rate by 2**k (or
-# every viscosity by 2**-k) scales the solution by exactly 2**k.
-# _ACCEPT_FLOOR only keeps atol from underflowing to 0.
+# is relative to the gap's own magnitude, so scaling every rate by 2**k and
+# every viscosity by 2**-k scales the solution by exactly 2**k, while every
+# intermediate stays normal.  _ACCEPT_FLOOR only keeps atol from underflowing.
 
 
 def _widened(lo: float, hi: float) -> tuple[float, float]:
