@@ -863,8 +863,8 @@ def test_closed_form_cases_are_valid(form, lead, args):
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, -0.0])
 def test_breather_cycle_refuses_a_tolerance_that_is_not_positive(tol):
-    # a tolerance <= 0 held every panel to the roundoff floor and returned
-    # 0.0234044688019052 without error
+    # a tolerance <= 0 holds every panel to the roundoff floor, so the
+    # quadrature would return a value (0.0234044688019052) without error
     with pytest.raises(ValueError, match=r"^tol must be finite and exceed 0"):
         breather_cycle_displacement(FrictionLaw(1, 0.5, 1, 2), *bump(1.0, 0.1, 1.0), 1.0, tol=tol)
 
@@ -873,14 +873,23 @@ def test_breather_cycle_refuses_a_tolerance_that_is_not_positive(tol):
     "form, args, named",
     [
         (composite_stride_displacement, (_DRY, 1e308, 0.2, 2.0), "lam=1e+308 is"),
-        (sliding_cycle_displacement, (_SLIDING, 0.5, 1.0, 1e300, 1e308), "delta=1e+300, L=1e+308 are"),
+        (
+            sliding_cycle_displacement,
+            (_SLIDING, 0.5, 1.0, 1e300, 1e308),
+            "delta=1e+300, L=1e+308 are",
+        ),
         (stickslip_displacement, (2.0, 1e308), "delta=1e+308 is"),
         (stickslip_displacement, (1e160, 1e160), "epsilon=1e+160, delta=1e+160 are"),
-        (wave_admissibility, (FrictionLaw(1, 0, 0, 1e300), 0.5, 1.0, 1.0, 1e10), "law.mu_plus=1e+300 is"),
+        (
+            wave_admissibility,
+            (FrictionLaw(1, 0, 0, 1e300), 0.5, 1.0, 1.0, 1e10),
+            "law.mu_plus=1e+300 is",
+        ),
         (breather_roots, (_MIXED, 1e-200), "ldot=1e-200 is"),
     ],
 )
 def test_overflow_names_the_inputs_that_overflowed(form, args, named):
-    # each used to name one fixed input (h, epsilon or epsilon), whatever overflowed
-    with pytest.raises(ValueError, match=rf"^{re.escape(named)} out of range: the closed form overflows"):
+    # the name comes from the inputs' magnitudes, not from the closed form
+    message = rf"^{re.escape(named)} out of range: the closed form overflows"
+    with pytest.raises(ValueError, match=message):
         form(*args)

@@ -223,15 +223,15 @@ def test_cycle_displacement_ignores_the_time_scale(law, make):
 
 
 def test_newtonian_wave_verifies_at_a_tiny_speed():
-    # a unit floor on the velocity scale once let the acceptance tolerance
-    # admit stuck pieces here (residual 7.2e-6)
+    # rates ~1e-10: a velocity scale floored at 1 accepts stuck pieces here
+    # (residual 7.2e-6)
     assert engine.verify(FrictionLaw(0, 0, 1, 3), SquareWave(1.0, 0.3, 0.5, 1e-10)).passed
 
 
 def test_exit_stage_ignores_a_tolerance_band():
-    # at rates of 0.0146, a unit floor on the velocity scale once left the
-    # force at the rest breakpoint within atol over the last 7e-9 s of the
-    # exit stage, a band the stage model integrated as 0.0
+    # rates ~0.0146: a velocity scale floored at 1 leaves the force at the
+    # rest breakpoint within atol over the last 7e-9 s of the exit stage, a
+    # band the stage model integrates as 0.0
     rep = engine.cycle_displacement(FrictionLaw(0, 0, 0, 1), SquareWave(1.0, 0.0625, -0.9375, 0.015625))
     exit_stage = dict(rep.contributions)["wave_exit"]  # -0.058593749897600036 with the floor
     assert abs(exit_stage - -0.05859375) <= engine._CYCLE_TOL  # relative to max(1, |stage|)
