@@ -843,9 +843,9 @@ def newtonian_sliding_displacement(
     viscous asymmetry ratio sqrt(mu_minus / mu_plus).
     """
     _require_above(0.0, "beta_value", beta_value)
-    _require_above(0.0, "delta", delta)
-    _require_above(0.0, "L", L)
-    if epsilon == 0.0:
+    if epsilon == 0.0:  # no wave: no sliding form checks delta and L
+        _require_above(0.0, "delta", delta)
+        _require_above(0.0, "L", L)
         return 0.0
     law = FrictionLaw(0.0, 0.0, beta_value * beta_value, 1.0)
     return sliding_cycle_displacement(law, epsilon, 1.0, delta, L).total
