@@ -118,9 +118,8 @@ def test_stage_model_agrees_with_every_solve(monkeypatch):
 
     monkeypatch.setattr(engine, "_sub_interval", checked_sub_interval)
     monkeypatch.setattr(engine, "_AffineStage", CheckedStage)
-    for law, gait in _TINY_RATES[:1]:
-        engine.cycle_displacement(law, gait)
-        assert disagreements == [], gait
+    engine.cycle_displacement(*_TINY_RATES[0])  # the wave at speed 1e-14
+    assert disagreements == []
     for cls in CONSTANT_RATE:
         for seed in range(1, 21):
             law, gait = inputs.draw(seed, "cycles", 0, cls, dircrawl).build(dircrawl)
