@@ -24,7 +24,9 @@ and rate and returns a :class:`BalanceSolution`.  The work is done by the
 private ``_solve`` on plain ``(s0, s1, r0, r1)`` piece tuples, which the
 default cycle integrator calls directly with the pieces of a gait's
 ``_pieces_at(t)``; it also returns the sign pattern of the velocity at the
-piece ends, which that integrator keys its panel cuts on.
+piece ends, which that integrator keys its panel cuts on.  ``_AffineStage``
+models the balance over a stage whose piece rates are constant, for both
+integrators.
 """
 
 from __future__ import annotations
@@ -371,3 +373,105 @@ def _force_mag(force: tuple[float, float]) -> float:
     if lo <= 0.0 <= hi:
         return 0.0
     return min(abs(lo), abs(hi))
+
+
+class _AffineStage:
+    """The balance over a stage whose piece rates are constant and whose
+    arc-lengths are affine in t, as :func:`_solve` sees it.  Both
+    integrators use it: the default cycle integrator through
+    :meth:`stretches`, the midpoint grid through :meth:`structure`.
+
+    The breakpoints ``-r`` are fixed over the stage, and at each of them the
+    force bounds ``lo``/``hi``, like the acceptance tolerance ``atol``, are
+    affine in t.  So is every function whose sign picks the solver's
+    candidates: ``lo - atol`` and ``hi + atol`` at each breakpoint, and
+    ``hi - atol`` / ``lo + atol`` at the outer ones, where a tail can solve.
+    Between their roots the solution keeps one structure: a fixed
+    breakpoint, plateau or tail value, or the root of the gap polynomial,
+    whose coefficients are affine in t as well.  ``conds`` holds those
+    functions at both stage ends, or None where ``atol`` sits at its floor,
+    which is not affine; ``atol`` is the larger of the two ends' tolerances.
+    """
+
+    def __init__(self, law: FrictionLaw, t0: float, t1: float, p0, p1) -> None:
+        self.law, self.t0, self.t1, self.w, self.ends = law, t0, t1, t1 - t0, (p0, p1)
+        self.conds: list[list[float]] | None = []
+        self.atol = 0.0
+        for pieces in self.ends:  # both ends have the same rates, so the same breaks
+            self.breaks, _, fscale, atol = _breaks_and_scales(law, pieces, pieces[-1][1])
+            if not fscale >= _ACCEPT_FLOOR:
+                self.conds = None
+                return
+            self.atol = max(self.atol, atol)
+            forces = [_force(law, pieces, b) for b in self.breaks]
+            g = [lo - atol for lo, _ in forces] + [hi + atol for _, hi in forces]
+            g += [forces[0][1] - atol, forces[-1][0] + atol]
+            self.conds.append(g)
+
+    def switches(self) -> list[float]:
+        """Times inside the stage where a candidate function has a root."""
+        out = set()
+        for g0, g1 in zip(*self.conds):
+            if (g0 < 0.0 < g1) or (g1 < 0.0 < g0):
+                t = self.t0 + g0 / (g0 - g1) * self.w
+                if self.t0 < t < self.t1:
+                    out.add(t)
+        return sorted(out)
+
+    def structure(self, t: float) -> tuple[str, float] | None:
+        """``("const", x)`` or ``("root", gap index)`` where the solver's
+        candidate rule picks one structure at ``t``, else None."""
+        n = len(self.breaks)
+        th = (t - self.t0) / self.w
+        g = [a + th * (b - a) for a, b in zip(*self.conds)]
+        lo_ok = [v <= 0.0 for v in g[:n]]  # lo <= atol
+        hi_ok = [v >= 0.0 for v in g[n : 2 * n]]  # hi >= -atol
+        cands = [(b, b) for b, lo, hi in zip(self.breaks, lo_ok, hi_ok) if lo and hi]
+        roots = []
+        for k in range(n - 1):
+            if not lo_ok[k] and not hi_ok[k + 1]:
+                roots.append(k)
+            elif lo_ok[k] and hi_ok[k + 1]:
+                cands.append((self.breaks[k], self.breaks[k + 1]))
+        if self.law.mu_minus == 0.0 and hi_ok[0] and g[2 * n] <= 0.0:
+            cands.append((-math.inf, self.breaks[0]))
+        if self.law.mu_plus == 0.0 and lo_ok[-1] and g[2 * n + 1] >= 0.0:
+            cands.append((self.breaks[-1], math.inf))
+        if roots:
+            return ("root", roots[0]) if len(roots) == 1 and not cands else None
+        if not cands:
+            return None
+        return "const", min((_closest_to_zero(lo, hi) for lo, hi in cands), key=abs)
+
+    def stretches(self) -> list[list]:
+        """``[ta, tb, structure]`` per stretch of the stage: the stage cut at
+        :meth:`switches`, each part taking the structure at its middle, and
+        neighbours of one structure merged, since a switch may change only
+        a candidate that the solver does not pick."""
+        cuts = [self.t0, *self.switches(), self.t1]
+        spans: list[list] = []
+        for ta, tb in zip(cuts, cuts[1:]):
+            found = self.structure(0.5 * (ta + tb))
+            if spans and found is not None and spans[-1][2] == found:
+                spans[-1][1] = tb
+            else:
+                spans.append([ta, tb, found])
+        return spans
+
+    def gap(self, k: int):
+        """``(coefficients, linear)`` of the force on gap ``k``: a function
+        of t giving ``(a, b, c)``, and whether ``a`` is zero all along."""
+        probe = 0.5 * (self.breaks[k] + self.breaks[k + 1])
+        (a0, b0, c0), (a1, b1, c1) = (_segment_poly(self.law, p, probe) for p in self.ends)
+        t0, t1, w, da, db, dc = self.t0, self.t1, self.w, a1 - a0, b1 - b0, c1 - c0
+
+        def coefficients(t: float) -> tuple[float, float, float]:
+            # from the nearer end, where a coefficient that nearly vanishes
+            # (a body shrinking to nothing) keeps its relative accuracy
+            if t - t0 <= t1 - t:
+                th = (t - t0) / w
+                return a0 + th * da, b0 + th * db, c0 + th * dc
+            th = (t1 - t) / w
+            return a1 - th * da, b1 - th * db, c1 - th * dc
+
+        return coefficients, a0 == 0.0 and a1 == 0.0

@@ -13,7 +13,8 @@ on time only (never on position), so trajectories are pure quadrature of
   rates are constant within each stage (square waves, two-segment paths,
   composite strides, through their private ``_stages()``), every force the
   solver compares is affine in t, so the times where its choice of solution
-  switches are roots of affine functions; each stretch between them takes
+  switches are roots of affine functions (``balance._AffineStage``, the stage
+  model the midpoint grid reads too); each stretch between them takes
   one balance solve to fix its structure and is integrated exactly: a
   constant, the closed-form mean of ``-c/b``, or Gauss–Kronrod panels on the
   root of a quadratic with interpolated coefficients.  Profile gaits go to
@@ -39,6 +40,7 @@ from itertools import product
 from typing import Any, Sequence, Union
 
 from . import analytic, balance
+from .balance import _AffineStage
 from .body import (
     Breather,
     CompositeStride,
@@ -273,91 +275,6 @@ def _rate_linear(solved, pieces_at):
     return velocity
 
 
-class _AffineStage:
-    """The balance over a stage whose piece rates are constant and whose
-    arc-lengths are affine in t, as ``balance._solve`` sees it.
-
-    The breakpoints ``-r`` are fixed over the stage, and at each of them the
-    force bounds ``lo``/``hi``, like the acceptance tolerance ``atol``, are
-    affine in t.  So is every function whose sign picks the solver's
-    candidates: ``lo - atol`` and ``hi + atol`` at each breakpoint, and
-    ``hi - atol`` / ``lo + atol`` at the outer ones, where a tail can solve.
-    Between their roots the solution keeps one structure: a fixed
-    breakpoint, plateau or tail value, or the root of the gap polynomial,
-    whose coefficients are affine in t as well.  ``conds`` holds those
-    functions at both stage ends, or None where ``atol`` sits at its floor,
-    which is not affine.
-    """
-
-    def __init__(self, law: FrictionLaw, t0: float, t1: float, p0, p1) -> None:
-        self.law, self.t0, self.t1, self.w, self.ends = law, t0, t1, t1 - t0, (p0, p1)
-        self.conds: list[list[float]] | None = []
-        for pieces in self.ends:  # both ends have the same rates, so the same breaks
-            self.breaks, _, fscale, atol = balance._breaks_and_scales(law, pieces, pieces[-1][1])
-            if not fscale >= balance._ACCEPT_FLOOR:
-                self.conds = None
-                return
-            forces = [balance._force(law, pieces, b) for b in self.breaks]
-            g = [lo - atol for lo, _ in forces] + [hi + atol for _, hi in forces]
-            g += [forces[0][1] - atol, forces[-1][0] + atol]
-            self.conds.append(g)
-
-    def switches(self) -> list[float]:
-        """Times inside the stage where a candidate function has a root."""
-        out = set()
-        for g0, g1 in zip(*self.conds):
-            if (g0 < 0.0 < g1) or (g1 < 0.0 < g0):
-                t = self.t0 + g0 / (g0 - g1) * self.w
-                if self.t0 < t < self.t1:
-                    out.add(t)
-        return sorted(out)
-
-    def structure(self, t: float) -> tuple[str, float] | None:
-        """``("const", x)`` or ``("root", gap index)`` where the solver's
-        candidate rule picks one structure at ``t``, else None."""
-        n = len(self.breaks)
-        th = (t - self.t0) / self.w
-        g = [a + th * (b - a) for a, b in zip(*self.conds)]
-        lo_ok = [v <= 0.0 for v in g[:n]]  # lo <= atol
-        hi_ok = [v >= 0.0 for v in g[n : 2 * n]]  # hi >= -atol
-        cands = [(b, b) for b, lo, hi in zip(self.breaks, lo_ok, hi_ok) if lo and hi]
-        roots = []
-        for k in range(n - 1):
-            if not lo_ok[k] and not hi_ok[k + 1]:
-                roots.append(k)
-            elif lo_ok[k] and hi_ok[k + 1]:
-                cands.append((self.breaks[k], self.breaks[k + 1]))
-        if self.law.mu_minus == 0.0 and hi_ok[0] and g[2 * n] <= 0.0:
-            cands.append((-math.inf, self.breaks[0]))
-        if self.law.mu_plus == 0.0 and lo_ok[-1] and g[2 * n + 1] >= 0.0:
-            cands.append((self.breaks[-1], math.inf))
-        if roots:
-            return ("root", roots[0]) if len(roots) == 1 and not cands else None
-        if not cands:
-            return None
-        return "const", min((balance._closest_to_zero(lo, hi) for lo, hi in cands), key=abs)
-
-    def gap(self, k: int):
-        """``(coefficients, linear)`` of the force on gap ``k``: a function
-        of t giving ``(a, b, c)``, and whether ``a`` is zero all along."""
-        probe = 0.5 * (self.breaks[k] + self.breaks[k + 1])
-        (a0, b0, c0), (a1, b1, c1) = (
-            balance._segment_poly(self.law, p, probe) for p in self.ends
-        )
-        t0, t1, w, da, db, dc = self.t0, self.t1, self.w, a1 - a0, b1 - b0, c1 - c0
-
-        def coefficients(t: float) -> tuple[float, float, float]:
-            # from the nearer end, where a coefficient that nearly vanishes
-            # (a body shrinking to nothing) keeps its relative accuracy
-            if t - t0 <= t1 - t:
-                th = (t - t0) / w
-                return a0 + th * da, b0 + th * db, c0 + th * dc
-            th = (t1 - t) / w
-            return a1 - th * da, b1 - th * db, c1 - th * dc
-
-        return coefficients, a0 == 0.0 and a1 == 0.0
-
-
 def _falling_root(a: float, b: float, c: float) -> float:
     """The root of ``a x^2 + b x + c`` where it falls, ``(-b - sqrt(b^2 - 4ac))
     / 2a`` (``-c/b`` for ``a = 0``), in the form that does not cancel."""
@@ -371,7 +288,8 @@ def _constant_rate_stage(
     """Integral of ``velocity`` over a stage of a constant-rate gait, with
     pieces ``p0`` at ``t0`` and ``p1`` at ``t1`` (see ``body._Stages``).
 
-    The stage is cut at the switch times of :class:`_AffineStage`, and each
+    The stage is cut into the stretches of the stage model that the
+    midpoint grid shares, ``balance._AffineStage.stretches``, and each
     stretch of one structure takes one balance solve, at its middle, to fix
     that structure.  A stuck, plateau or tail velocity is constant.  A gap
     root is ``-c/b`` where no piece crosses zero velocity under unequal
@@ -384,18 +302,8 @@ def _constant_rate_stage(
     model = _AffineStage(law, t0, t1, p0, p1)
     if model.conds is None:
         return analytic.adaptive_gauss(velocity, t0, t1, _CYCLE_TOL)
-    cuts = [t0, *model.switches(), t1]
-    # neighbours of one structure merge: a switch may change only a
-    # candidate that the solver does not pick
-    spans: list[list] = []
-    for ta, tb in zip(cuts, cuts[1:]):
-        found = model.structure(0.5 * (ta + tb))
-        if spans and found is not None and spans[-1][2] == found:
-            spans[-1][1] = tb
-        else:
-            spans.append([ta, tb, found])
     total = 0.0
-    for ta, tb, found in spans:
+    for ta, tb, found in model.stretches():
         x = velocity(0.5 * (ta + tb))[0]
         try:
             part = _sub_interval(model, ta, tb, x, found)

@@ -7,6 +7,14 @@ balance solved for a block of steps at a time, bit for bit as the scalar
 loop (``shape_at``/``rate_at`` and ``balance.solve_velocity`` per step)
 would: the same float operations in the same order.
 
+On a gait with constant-rate stages (square waves, two-segment paths,
+composite strides), the stage model ``balance._AffineStage`` that the
+default cycle integrator cuts its stages with also answers most rows: one
+whose candidate functions are all clear of zero by ``_MARGIN`` takes the
+model's structure, a fixed value or the root on a known gap, and skips the
+batch solver's bracket pass and candidate search (``_KnownRows``).  Every
+other row goes through ``solve_velocity_batch``.
+
 Block format: ``n`` shapes are nodal arc-lengths ``arcs`` ``(n, P + 1)`` and
 per-piece end rates ``rates`` ``(n, P, 2)``, ``P`` fixed per gait: 1 for a
 breather, 2 for the two-segment gaits, 3 for a square wave, whose rows with
@@ -32,13 +40,15 @@ __all__ = ["sample", "solve_velocity_batch", "simulate", "cycle"]
 _MAX_STEPS = 1_000_000
 # Steps the kernel samples and solves at once.  Fixed blocks keep the numpy
 # temporaries one size from block to block, so the allocator reuses them
-# instead of growing the heap with each run length.  A block costs ~0.85 ms
-# to sample and solve however few its rows (median over the 15 benchmark
-# classes, seeds 1-3; 0.4-1.5 ms by class), which a default 2-period
-# simulate (~4000 steps) pays 8 times at 512 rows and twice at 2048.  When
-# the size was chosen, benchmark `trajectory` (16 s runs on 2 cores, seeds
-# 201-202) gave 63/s and 39.7 MB peak RSS at 512 rows, 110/s and 41.4 MB
-# at 2048, 125-139/s and 43.0 MB at 4096; 2048 keeps RSS within ~4 % of 512.
+# instead of growing the heap with each run length.  Sampling and solving a
+# block of 16 rows costs ~0.47 ms and one of 2048 rows ~1.17 ms (medians
+# over the 15 benchmark classes, seeds 1-3, fastest of 120 timings on
+# 2 cores; 0.33-0.65 and 0.97-1.61 ms by class), so the fixed part is paid
+# 8 times by a default 2-period simulate (~4000 steps) at 512 rows and
+# twice at 2048.  Benchmark `trajectory` (16 s runs, seeds 201-202) gives
+# 102/s and 40.7 MB peak RSS at 512 rows, 182/s and 42.1 MB at 2048, and
+# 207-229/s and 43.2-43.6 MB at 4096, where one block holds the whole run;
+# 2048 keeps RSS within ~4 % of 512.
 _BLOCK = 2048
 
 
@@ -123,12 +133,18 @@ def _kernel(
     x1dot = np.empty(n)
     codes = np.empty(n, dtype=np.int8)
     residual_max = 0.0
+    stages = getattr(gait, "_stages", None)
+    known = None if stages is None else _KnownRows(law, gait.period, stages())
     for i0 in range(0, n, _BLOCK):
         i1 = min(i0 + _BLOCK, n)
         ends = times[i0 + 1 : i1 + 1]
         mids = 0.5 * (times[i0:i1] + ends)
         try:
-            x, regime, residual = solve_velocity_batch(law, *sample(gait, mids))
+            arcs, rates = sample(gait, mids)
+            if known is None:
+                x, regime, residual = solve_velocity_batch(law, arcs, rates)
+            else:
+                x, regime, residual = known.solve(mids, arcs, rates)
             if lengths is not None:
                 lengths[i0 + 1 : i1 + 1] = _shapes(gait, ends)[0][:, -1]
         except Exception:
@@ -144,6 +160,153 @@ def _kernel(
         codes[i0:i1] = regime
         residual_max = max(residual_max, float(residual.max()))
     return x1dot, codes, residual_max
+
+
+# A row takes the structure of the stage model where every candidate function
+# of the model is more than this many of the stage's atol from zero.  The
+# model interpolates forces summed at the stage ends; the row sums its own,
+# from its own arc-lengths.  The two differ by rounding: at most 0.005 atol
+# on the constant-rate benchmark rows, ~2 ulps of the force scale fscale
+# (atol is 1e-13 fscale), against ~110 ulps for this margin.  It stays well
+# below 1: on a frictionless side the tail's force is exactly 0, so its
+# function is -atol or +atol all along, and a margin of the stage's larger
+# atol would send every row of such a stage to the batch.
+_MARGIN = 0.25
+
+
+class _KnownRows:
+    """The rows of a gait with constant-rate stages (``body._Stages``)
+    whose balance structure ``balance._AffineStage`` knows, and their
+    solutions, bit for bit as ``solve_velocity_batch`` finds them.
+
+    One model per stage, built once per grid.  A row strictly inside its
+    stage, with the model's breakpoints and every candidate function of the
+    model farther than ``_MARGIN`` from zero, has the sign pattern of the
+    model's functions at its time: the batch's comparisons come out the
+    same.  It takes the model's structure for that pattern, asked once per
+    pattern at the time of one of its rows.  By pattern, rather than by
+    locating the row among the stage's stretches: a switch time is a
+    rounded root, and on a short stage late in the period a float next to
+    it can have a candidate function far from zero on the other side.
+    """
+
+    def __init__(self, law: FrictionLaw, period: float, stages) -> None:
+        self.law, self.period = law, period
+        self.models = [balance._AffineStage(law, *stage) for stage in stages]
+        self.found: dict[tuple[int, int], tuple[str, float] | None] = {}
+        # Per stage, along the last axis: its ends, width and margin, the
+        # functions a row must check at both ends, and the breakpoints, each
+        # list padded to the longest; a model without functions knows no row.
+        usable = [m.conds is not None for m in self.models]
+        self.t0 = np.array([m.t0 for m in self.models])
+        self.t1 = np.where(usable, [m.t1 for m in self.models], -math.inf)
+        self.w = np.array([m.w for m in self.models])
+        self.margin = np.array([_MARGIN * m.atol for m in self.models])
+        g0, dg = [], []
+        for m, margin in zip(self.models, self.margin.tolist()):
+            ends = list(zip(*m.conds)) if m.conds else []
+            # g0 + th * (g1 - g0) runs monotonically from g0 to g0 + (g1 - g0)
+            # as th goes from 0 to 1, in floats too: a function of one sign
+            # beyond the margin at both of those ends keeps it, and no row
+            # need check it
+            live = [(a, b - a) for a, b in ends if not _beyond(margin, a, a + (b - a))]
+            g0.append([a for a, _ in live])
+            dg.append([d for _, d in live])
+        self.g0 = np.nan_to_num(_padded(g0), nan=math.inf)
+        self.dg = np.nan_to_num(_padded(dg))
+        self.breaks = _padded([m.breaks for m in self.models])
+
+    def solve(
+        self, mids: np.ndarray, arcs: np.ndarray, rates: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``solve_velocity_batch`` on the block sampled at ``mids``: rows of
+        a known structure skip its bracket pass and candidate search."""
+        kind, lo, hi = self._lookup(mids, rates)
+        n = len(mids)
+
+        def take(a: np.ndarray, rows: np.ndarray, axis: int = 0) -> np.ndarray:
+            return a if len(rows) == a.shape[axis] else a.take(rows, axis)
+
+        x, regime, residual = np.empty(n), np.empty(n, dtype=np.int8), np.empty(n)
+        rest = np.flatnonzero(kind == 0)
+        if len(rest):
+            x[rest], regime[rest], residual[rest] = solve_velocity_batch(
+                self.law, take(arcs, rest), take(rates, rest)
+            )
+        done = np.flatnonzero(kind)
+        if len(done):
+            rows = _Rows(self.law, take(arcs, done), take(rates, done))
+            value, hi = take(lo, done), take(hi, done)
+            rare = np.zeros(len(done), dtype=bool)
+            on_gap = np.flatnonzero(take(kind, done) == 2)
+            if len(on_gap):
+                # the polynomial on the known gap, with the batch's probe
+                with np.errstate(all="ignore"):
+                    root, root_rare = _gap_root(
+                        self.law,
+                        tuple(take(p, on_gap, 1) for p in rows.pieces),
+                        take(value, on_gap)[None],
+                        take(hi, on_gap)[None],
+                    )
+                value[on_gap], rare[on_gap] = root[0], root_rare[0]
+            x[done], regime[done], residual[done] = rows.settle(
+                self.law, value, rare | ~np.isfinite(value)
+            )
+        return x, regime, residual
+
+    def _lookup(
+        self, mids: np.ndarray, rates: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row: 0 where the structure is not known, 1 for a constant
+        ``lo``, 2 for the root on the gap ``[lo, hi]``."""
+        n = len(mids)
+        tm = np.remainder(mids, self.period)  # as the samplers compute it
+        stage = np.searchsorted(self.t0, tm, side="right") - 1
+        t0 = self.t0[stage]
+        with np.errstate(all="ignore"):  # as model.structure computes them
+            g = self.g0[:, stage] + (tm - t0) / self.w[stage] * self.dg[:, stage]
+        ok = (t0 < tm) & (tm < self.t1[stage]) & (np.abs(g) > self.margin[stage]).all(axis=0)
+        # the row's breakpoints are the model's: a piece merged away at a
+        # node the sampler could not resolve can take a rate with it
+        rate = np.ascontiguousarray(rates.reshape(n, -1).T)
+        in_model = np.zeros(rate.shape, dtype=bool)
+        for b in self.breaks[:, stage]:
+            hit = rate == -b
+            in_model |= hit
+            ok &= hit.any(axis=0) | np.isnan(b)
+        ok &= in_model.all(axis=0)
+        key = np.where(ok, ((1 << np.arange(len(g))) @ (g > 0.0)) * len(self.models) + stage, -1)
+
+        # rows come in time order, so rows of one key come in runs
+        kind, lo, hi = np.zeros(n, dtype=np.int8), np.zeros(n), np.zeros(n)
+        cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), n]
+        for i0, i1 in zip(cuts, cuts[1:]):
+            k = int(key[i0])
+            if k < 0:
+                continue
+            pattern, s = divmod(k, len(self.models))
+            found = self.found.get((s, pattern), ())
+            if found == ():
+                found = self.found[s, pattern] = self.models[s].structure(float(tm[i0]))
+            if found is not None:
+                kind[i0:i1] = 1 if found[0] == "const" else 2
+                if found[0] == "const":
+                    lo[i0:i1] = found[1]
+                else:
+                    lo[i0:i1], hi[i0:i1] = self.models[s].breaks[found[1] : found[1] + 2]
+        return kind, lo, hi
+
+
+def _beyond(margin: float, a: float, b: float) -> bool:
+    """Whether ``a`` and ``b`` are both above ``margin``, or both below ``-margin``."""
+    return min(a, b) > margin or max(a, b) < -margin
+
+
+def _padded(lists: list[list[float]]) -> np.ndarray:
+    """``lists`` as the columns of an array, each padded with NaN."""
+    size = max(map(len, lists))
+    padded = [[*v, *[math.nan] * (size - len(v))] for v in lists]
+    return np.array(padded).T.reshape(size, len(lists))
 
 
 def _sum_in_order(values: np.ndarray) -> float:
@@ -310,31 +473,19 @@ def solve_velocity_batch(
     gaps, no candidate, or a force scale or residual the scalar solver
     rejects) goes to ``solve_velocity`` itself, which also raises its errors.
     """
-    n = arcs.shape[0]
-    # Rows run along the last axis of every array below, so that numpy's
-    # inner loops run over the block; pieces, breakpoints and candidates
-    # run along the first.
-    arc = np.ascontiguousarray(arcs.T)
-    rate = np.ascontiguousarray(rates.transpose(1, 2, 0))
-    s0, s1 = arc[:-1], arc[1:]
-    seg = s1 - s0
-    r0, r1 = rate[:, 0], rate[:, 1]
-    l_total = arc[-1]
-    flat = rate.reshape(-1, n)  # every rate, in the scalar's order
-    vscale = np.abs(flat).max(axis=0)
-    with np.errstate(all="ignore"):  # balance._breaks_and_scales, row by row
-        fscale = (law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * vscale) * l_total
-        atol = balance._ACCEPT_RTOL * np.maximum(fscale, balance._ACCEPT_FLOOR)
+    rows = _Rows(law, arcs, rates)
+    n, atol, pieces = arcs.shape[0], rows.atol, rows.pieces
+    with np.errstate(all="ignore"):
         # A breakpoint repeated within a row only repeats a candidate that
         # comes earlier in the scalar order, so the choice is unchanged:
         # rates that repeat another in every row are dropped, and the
         # remaining repeats need no dedup.
+        flat = rows.flat
         distinct = [
             j for j in range(len(flat))
             if not any(np.array_equal(flat[j], flat[i]) for i in range(j))
         ]
         breaks = np.sort(-flat[distinct], axis=0)
-        pieces = (seg, r0, r1)
 
         f_lo, f_hi = _total_force_rows(law, *pieces, breaks)
         lo, hi = breaks[:-1], breaks[1:]
@@ -348,9 +499,7 @@ def solve_velocity_batch(
         if len(lo) > 1:  # a block of one gap, or none, needs no gather
             first = np.argmax(bracket, axis=0)[None]
             lo_b, hi_b = np.take_along_axis(lo, first, 0), np.take_along_axis(hi, first, 0)
-        a, bq, cq, on_break = _segment_poly_rows(law, *pieces, 0.5 * (lo_b + hi_b))
-        root, n_roots = _poly_roots_rows(a, bq, cq, lo_b, hi_b)
-        root = _closest_to_zero_rows(root, root)
+        root, root_rare = _gap_root(law, pieces, lo_b, hi_b)
 
         # Candidates in the scalar order: breakpoints, gaps, left, right flat tail.
         left_flat = (np.abs(f_hi[0]) <= atol) & (law.mu_minus == 0.0)
@@ -372,45 +521,93 @@ def solve_velocity_batch(
             ]
         )
         rare = (
-            (bracket & (on_break | (n_roots != 1))).any(axis=0)
+            (bracket & root_rare).any(axis=0)
             | (bracket.sum(axis=0) > 1)
             | ~valid.any(axis=0)
             | (valid & ~np.isfinite(values)).any(axis=0)
-            | ~np.isfinite(fscale)
         )
         # np.argmin takes the first minimum, as min(..., key=abs) does.
         x = values[np.argmin(np.where(valid, np.abs(values), math.inf), axis=0), np.arange(n)]
+    return rows.settle(law, x, rare)
 
-        # Classify the velocity field at the solution; padding never sticks.
-        sticks = (r0 == r1) & (np.abs(x + r0) <= balance._STICK_RTOL * vscale) & (seg > 0.0)
-        stick_len = np.zeros(n)
-        run_lo = np.zeros(n)
-        for j in range(len(sticks)):
-            starts = sticks[j] & ~sticks[j - 1] if j > 0 else sticks[j]
-            run_lo = np.where(starts, s0[j], run_lo)
-            ends = sticks[j] & ~sticks[j + 1] if j + 1 < len(sticks) else sticks[j]
-            stick_len = np.where(ends, stick_len + (s1[j] - run_lo), stick_len)
-        whole = stick_len >= l_total * (1.0 - balance._WHOLE_BODY_RTOL)
-        regime = np.where(whole, 2, np.where(sticks.any(axis=0), 1, 0)).astype(np.int8)
 
-        x_lo, x_hi = (f[0] for f in _total_force_rows(law, *pieces, x[None]))
-        residual = np.where(
-            (x_lo <= 0.0) & (0.0 <= x_hi), 0.0, np.minimum(np.abs(x_lo), np.abs(x_hi))
-        )
-        rare |= ~(np.isfinite(residual) & (residual <= balance._RESIDUAL_RTOL * fscale))
+class _Rows:
+    """A block of shapes as ``solve_velocity_batch`` reads it: rows run
+    along the last axis of every array, so that numpy's inner loops run over
+    the block; pieces and breakpoints run along the first.  ``pieces`` are
+    ``(seg, r0, r1)``, and ``vscale``, ``fscale`` and ``atol`` are
+    ``balance._breaks_and_scales``, row by row."""
 
-    # Through the module, so that a replaced balance.solve_velocity sees these rows.
-    for i in np.flatnonzero(rare).tolist():
-        real = np.flatnonzero(seg[:, i] > 0.0)
-        nodes = tuple(arcs[i, [0, *(real + 1).tolist()]].tolist())
-        pairs = tuple(tuple(pair) for pair in rates[i, real].tolist())
-        sol = balance.solve_velocity(
-            law, body.PiecewiseAffineShape(nodes, nodes), body.ShapeRate(nodes, pairs)
-        )
-        x[i] = sol.x1dot
-        regime[i] = balance.REGIMES.index(sol.regime)
-        residual[i] = sol.residual
-    return x, regime, residual
+    def __init__(self, law: FrictionLaw, arcs: np.ndarray, rates: np.ndarray) -> None:
+        self.arcs, self.rates = arcs, rates
+        arc = np.ascontiguousarray(arcs.T)
+        rate = np.ascontiguousarray(rates.transpose(1, 2, 0))
+        self.s0, self.s1 = arc[:-1], arc[1:]
+        seg = self.s1 - self.s0
+        self.pieces = (seg, rate[:, 0], rate[:, 1])
+        self.l_total = arc[-1]
+        self.flat = rate.reshape(-1, arcs.shape[0])  # every rate, in the scalar's order
+        self.vscale = np.abs(self.flat).max(axis=0)
+        with np.errstate(all="ignore"):
+            self.fscale = (
+                law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * self.vscale
+            ) * self.l_total
+            self.atol = balance._ACCEPT_RTOL * np.maximum(self.fscale, balance._ACCEPT_FLOOR)
+
+    def settle(
+        self, law: FrictionLaw, x: np.ndarray, rare: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Regime and residual of each row at its solution ``x``; a ``rare``
+        row, or one whose force scale or residual the scalar solver
+        rejects, is solved by ``balance.solve_velocity`` instead."""
+        n = len(x)
+        seg, r0, r1 = self.pieces
+        with np.errstate(all="ignore"):
+            # Classify the velocity field at the solution; padding never sticks.
+            stick_tol = balance._STICK_RTOL * self.vscale
+            sticks = (r0 == r1) & (np.abs(x + r0) <= stick_tol) & (seg > 0.0)
+            stick_len = np.zeros(n)
+            run_lo = np.zeros(n)
+            for j in range(len(sticks)):
+                starts = sticks[j] & ~sticks[j - 1] if j > 0 else sticks[j]
+                run_lo = np.where(starts, self.s0[j], run_lo)
+                ends = sticks[j] & ~sticks[j + 1] if j + 1 < len(sticks) else sticks[j]
+                stick_len = np.where(ends, stick_len + (self.s1[j] - run_lo), stick_len)
+            whole = stick_len >= self.l_total * (1.0 - balance._WHOLE_BODY_RTOL)
+            regime = np.where(whole, 2, np.where(sticks.any(axis=0), 1, 0)).astype(np.int8)
+
+            x_lo, x_hi = (f[0] for f in _total_force_rows(law, *self.pieces, x[None]))
+            residual = np.where(
+                (x_lo <= 0.0) & (0.0 <= x_hi), 0.0, np.minimum(np.abs(x_lo), np.abs(x_hi))
+            )
+            rare = rare | ~np.isfinite(self.fscale)
+            rare |= ~(np.isfinite(residual) & (residual <= balance._RESIDUAL_RTOL * self.fscale))
+
+        # Through the module, so that a replaced balance.solve_velocity sees these rows.
+        arcs, rates = self.arcs, self.rates
+        for i in np.flatnonzero(rare).tolist():
+            real = np.flatnonzero(seg[:, i] > 0.0)
+            nodes = tuple(arcs[i, [0, *(real + 1).tolist()]].tolist())
+            pairs = tuple(tuple(pair) for pair in rates[i, real].tolist())
+            sol = balance.solve_velocity(
+                law, body.PiecewiseAffineShape(nodes, nodes), body.ShapeRate(nodes, pairs)
+            )
+            x[i] = sol.x1dot
+            regime[i] = balance.REGIMES.index(sol.regime)
+            residual[i] = sol.residual
+        return x, regime, residual
+
+
+def _gap_root(
+    law: FrictionLaw, pieces, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The root of each row's force polynomial on its gap ``[lo, hi]``, as
+    the scalar solver takes it, and whether the row must go to the scalar
+    solver: its probe landed on a breakpoint, or the gap holds not exactly
+    one root."""
+    a, bq, cq, on_break = _segment_poly_rows(law, *pieces, 0.5 * (lo + hi))
+    root, n_roots = _poly_roots_rows(a, bq, cq, lo, hi)
+    return _closest_to_zero_rows(root, root), on_break | (n_roots != 1)
 
 
 def _total_force_rows(

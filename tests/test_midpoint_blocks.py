@@ -23,7 +23,7 @@ import pytest
 import dircrawl
 from dircrawl import engine, midpoint
 from dircrawl.balance import solve_velocity
-from dircrawl.body import Breather, ConstantLength, SquareWave
+from dircrawl.body import Breather, CompositeStride, ConstantLength, SquareWave, TwoSegmentPath
 from dircrawl.friction import FrictionLaw
 from oracles import reference_simulate
 
@@ -55,6 +55,12 @@ _MIXED = FrictionLaw(1.0, 0.5, 1.0, 0.5)
     [
         (_MIXED, SquareWave(1.0, 0.3, 0.5, 1.0)),
         (FrictionLaw(0.0, 0.0, 1.0, 0.4), SquareWave(1.5, 0.2, -0.4, 0.7)),
+        # strides whose every row is a gap root, on the stage model's fast path
+        (
+            FrictionLaw(0.0, 0.0, 1.0, 0.4),
+            TwoSegmentPath(1.0, 0.5, (0.0, 0.4, 1.0), (0.4, 0.7, 0.4), (0.5, 0.3, 0.5)),
+        ),
+        (_MIXED, CompositeStride(1.0, 0.3, 1.5)),
         (_MIXED, Breather(1.0, 0.5, 1.0)),
         (FrictionLaw(0.75, 0.25, 0.0, 0.0), ConstantLength(1.0, 0.5, 0.4, 0.3, 2.0)),
         (
@@ -69,7 +75,15 @@ _MIXED = FrictionLaw(1.0, 0.5, 1.0, 0.5)
             ),
         ),
     ],
-    ids=["wave", "newtonian_contraction_wave", "breather", "constant_length", "custom_breather"],
+    ids=[
+        "wave",
+        "newtonian_contraction_wave",
+        "newtonian_path",
+        "mixed_stride",
+        "breather",
+        "constant_length",
+        "custom_breather",
+    ],
 )
 def test_simulate_across_block_seams_matches_scalar_loop(law, gait):
     times, x1, lengths, regimes = reference_simulate(law, gait, n_periods=3, x0=0.25)
@@ -108,11 +122,12 @@ def test_vectorised_bump_equals_scalar_profile_bit_for_bit(cls):
         assert rates[:, 0, 1].tobytes() == _bits([gait._rate(t) for t in times]), seed
 
 
-@pytest.mark.parametrize("cls", [c for c in inputs.CLASSES if "wave" in c])
+@pytest.mark.parametrize("cls", [c for c in inputs.CLASSES if "wave" in c or "stride" in c])
 def test_simulate_peak_memory_stays_small(cls):
     # Temporaries scale with the block size: one (breakpoints, rows) array
-    # each, about 1.4 MB at the peak with blocks of 2048 rows (1.38 MB on
-    # seed 1 for every wave class).
+    # each in the batch, about 1.4 MB at the peak with blocks of 2048 rows
+    # (1.26-1.38 MB on seed 1 when every row took the batch); rows the stage
+    # model knows need none, 0.88-1.0 MB.
     law, gait = inputs.draw(1, "trajectory", 0, cls, dircrawl).build(dircrawl)
     engine.simulate(law, gait, n_periods=2, dt=gait.period / 10)  # imports and caches
     tracemalloc.start()
