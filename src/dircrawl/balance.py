@@ -26,7 +26,8 @@ default cycle integrator calls directly with the pieces of a gait's
 ``_pieces_at(t)``; it also returns the sign pattern of the velocity at the
 piece ends, which that integrator keys its panel cuts on.  ``_AffineStage``
 models the balance over a stage whose piece rates are constant, for both
-integrators.
+integrators.  The fast paths share one copy of ``_solve``'s candidate
+rule, ``_plan``; ``_solve`` keeps its own, as the oracle and hot path.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ WHOLE_BODY_STICK = "whole_body_stick"
 #: Regimes in the order of the codes ``midpoint.solve_velocity_batch`` returns.
 REGIMES = (SLIDING, STICK_SLIP, WHOLE_BODY_STICK)
 
-_INF = math.inf
 # Largest force residual accepted, relative to the solver's force scale.
 _RESIDUAL_RTOL = 1e-9
 # Tolerances of the candidate search and the regime classification; the batch
@@ -375,11 +375,43 @@ def _force_mag(force: tuple[float, float]) -> float:
     return min(abs(lo), abs(hi))
 
 
+def _plan(law: FrictionLaw, g) -> tuple[str, object] | None:
+    """The candidates of :func:`_solve`'s rule, from the signs of its
+    candidate functions ``g`` laid out as ``_AffineStage.conds``: ``("root",
+    k)`` where the one candidate is the root on gap ``k``, ``("sets", sets)``
+    where all are sets, pairs of breakpoint indices (None for an infinite
+    end) in ``_solve``'s order, else None (no candidate, or more than one
+    with a root)."""
+    n = (len(g) - 2) // 2
+    lo_ok = [v <= 0.0 for v in g[:n]]  # lo <= atol
+    hi_ok = [v >= 0.0 for v in g[n : 2 * n]]  # hi >= -atol
+    sets: list[tuple[int | None, int | None]] = [(k, k) for k in range(n) if lo_ok[k] and hi_ok[k]]
+    roots = []
+    for k in range(n - 1):
+        if g[k] > 0.0 and g[n + k + 1] < 0.0:  # lo > atol, then hi < -atol
+            roots.append(k)
+        elif lo_ok[k] and hi_ok[k + 1]:
+            sets.append((k, k + 1))
+    if law.mu_minus == 0.0 and hi_ok[0] and g[2 * n] <= 0.0:
+        sets.append((None, 0))
+    if law.mu_plus == 0.0 and lo_ok[-1] and g[2 * n + 1] >= 0.0:
+        sets.append((n - 1, None))
+    if roots:
+        return ("root", roots[0]) if len(roots) == 1 and not sets else None
+    return ("sets", sets) if sets else None
+
+
+def _span(breaks, ends: tuple[int | None, int | None]):
+    """The bounds in ``breaks`` (a list, or rows of an array) of a :func:`_plan` set."""
+    i, j = ends
+    return -math.inf if i is None else breaks[i], math.inf if j is None else breaks[j]
+
+
 class _AffineStage:
     """The balance over a stage whose piece rates are constant and whose
     arc-lengths are affine in t, as :func:`_solve` sees it.  Both
     integrators use it: the default cycle integrator through
-    :meth:`stretches`, the midpoint grid through :meth:`structure`.
+    :meth:`stretches`, the midpoint grid through :meth:`at`.
 
     The breakpoints ``-r`` are fixed over the stage, and at each of them the
     force bounds ``lo``/``hi``, like the acceptance tolerance ``atol``, are
@@ -418,30 +450,18 @@ class _AffineStage:
                     out.add(t)
         return sorted(out)
 
+    def at(self, t: float) -> list[float]:
+        """The candidate functions at ``t``, interpolated from ``conds``."""
+        th = (t - self.t0) / self.w
+        return [a + th * (b - a) for a, b in zip(*self.conds)]
+
     def structure(self, t: float) -> tuple[str, float] | None:
         """``("const", x)`` or ``("root", gap index)`` where the solver's
         candidate rule picks one structure at ``t``, else None."""
-        n = len(self.breaks)
-        th = (t - self.t0) / self.w
-        g = [a + th * (b - a) for a, b in zip(*self.conds)]
-        lo_ok = [v <= 0.0 for v in g[:n]]  # lo <= atol
-        hi_ok = [v >= 0.0 for v in g[n : 2 * n]]  # hi >= -atol
-        cands = [(b, b) for b, lo, hi in zip(self.breaks, lo_ok, hi_ok) if lo and hi]
-        roots = []
-        for k in range(n - 1):
-            if not lo_ok[k] and not hi_ok[k + 1]:
-                roots.append(k)
-            elif lo_ok[k] and hi_ok[k + 1]:
-                cands.append((self.breaks[k], self.breaks[k + 1]))
-        if self.law.mu_minus == 0.0 and hi_ok[0] and g[2 * n] <= 0.0:
-            cands.append((-math.inf, self.breaks[0]))
-        if self.law.mu_plus == 0.0 and lo_ok[-1] and g[2 * n + 1] >= 0.0:
-            cands.append((self.breaks[-1], math.inf))
-        if roots:
-            return ("root", roots[0]) if len(roots) == 1 and not cands else None
-        if not cands:
-            return None
-        return "const", min((_closest_to_zero(lo, hi) for lo, hi in cands), key=abs)
+        plan = _plan(self.law, self.at(t))
+        if plan is None or plan[0] == "root":
+            return plan
+        return "const", min((_closest_to_zero(*_span(self.breaks, c)) for c in plan[1]), key=abs)
 
     def stretches(self) -> list[list]:
         """``[ta, tb, structure]`` per stretch of the stage: the stage cut at

@@ -7,13 +7,13 @@ balance solved for a block of steps at a time, bit for bit as the scalar
 loop (``shape_at``/``rate_at`` and ``balance.solve_velocity`` per step)
 would: the same float operations in the same order.
 
-On a gait with constant-rate stages (square waves, two-segment paths,
-composite strides), the stage model ``balance._AffineStage`` that the
-default cycle integrator cuts its stages with also answers most rows: one
-whose candidate functions are all clear of zero by ``_MARGIN`` takes the
-model's structure, a fixed value or the root on a known gap, and skips the
-batch solver's bracket pass and candidate search (``_KnownRows``).  Every
-other row goes through ``solve_velocity_batch``.
+Each row is resolved by the solver's candidate rule, held once in
+``balance._plan``, from the signs of its candidate functions.  On a gait
+with constant-rate stages (square waves, two-segment paths, composite
+strides), the stage model ``balance._AffineStage`` gives them for most rows,
+which skip the force sums at every breakpoint (``_KnownRows``); every other
+row sums its own (``solve_velocity_batch``).  Rows of one sign pattern come
+in runs, and ``_resolve`` asks each run's plan once.
 
 Block format: ``n`` shapes are nodal arc-lengths ``arcs`` ``(n, P + 1)`` and
 per-piece end rates ``rates`` ``(n, P, 2)``, ``P`` fixed per gait: 1 for a
@@ -134,17 +134,18 @@ def _kernel(
     codes = np.empty(n, dtype=np.int8)
     residual_max = 0.0
     stages = getattr(gait, "_stages", None)
-    known = None if stages is None else _KnownRows(law, gait.period, stages())
+    known = None if stages is None else _KnownRows(law, stages())
     for i0 in range(0, n, _BLOCK):
         i1 = min(i0 + _BLOCK, n)
         ends = times[i0 + 1 : i1 + 1]
         mids = 0.5 * (times[i0:i1] + ends)
+        tm = np.remainder(mids, gait.period)  # the samplers' and the stage models' time
         try:
-            arcs, rates = sample(gait, mids)
+            arcs, rates = _shapes(gait, mids, tm)
             if known is None:
-                x, regime, residual = solve_velocity_batch(law, arcs, rates)
+                x, regime, residual = solve_velocity_batch(law, arcs, rates())
             else:
-                x, regime, residual = known.solve(mids, arcs, rates)
+                x, regime, residual = known.solve(tm, arcs, rates())
             if lengths is not None:
                 lengths[i0 + 1 : i1 + 1] = _shapes(gait, ends)[0][:, -1]
         except Exception:
@@ -176,24 +177,24 @@ _MARGIN = 0.25
 
 class _KnownRows:
     """The rows of a gait with constant-rate stages (``body._Stages``)
-    whose balance structure ``balance._AffineStage`` knows, and their
+    whose candidate functions ``balance._AffineStage`` knows, and their
     solutions, bit for bit as ``solve_velocity_batch`` finds them.
 
     One model per stage, built once per grid.  A row strictly inside its
     stage, with the model's breakpoints and every candidate function of the
     model farther than ``_MARGIN`` from zero, has the sign pattern of the
     model's functions at its time: the batch's comparisons come out the
-    same.  It takes the model's structure for that pattern, asked once per
-    pattern at the time of one of its rows.  By pattern, rather than by
-    locating the row among the stage's stretches: a switch time is a
-    rounded root, and on a short stage late in the period a float next to
-    it can have a candidate function far from zero on the other side.
+    same.  It takes the plan of the model's functions for that pattern,
+    asked once per pattern at the time of one of its rows.  By pattern,
+    rather than by locating the row among the stage's stretches: a switch
+    time is a rounded root, and on a short stage late in the period a float
+    next to it can have a candidate function far from zero on the other side.
     """
 
-    def __init__(self, law: FrictionLaw, period: float, stages) -> None:
-        self.law, self.period = law, period
+    def __init__(self, law: FrictionLaw, stages) -> None:
+        self.law = law
         self.models = [balance._AffineStage(law, *stage) for stage in stages]
-        self.found: dict[tuple[int, int], tuple[str, float] | None] = {}
+        self.answers: dict[int, tuple] = {}
         # Per stage, along the last axis: its ends, width and margin, the
         # functions a row must check at both ends, and the breakpoints, each
         # list padded to the longest; a model without functions knows no row.
@@ -217,53 +218,44 @@ class _KnownRows:
         self.breaks = _padded([m.breaks for m in self.models])
 
     def solve(
-        self, mids: np.ndarray, arcs: np.ndarray, rates: np.ndarray
+        self, tm: np.ndarray, arcs: np.ndarray, rates: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``solve_velocity_batch`` on the block sampled at ``mids``: rows of
-        a known structure skip its bracket pass and candidate search."""
-        kind, lo, hi = self._lookup(mids, rates)
-        n = len(mids)
+        """``solve_velocity_batch`` on the block sampled at times ``tm``
+        (modulo the period); rows the model knows skip its bracket pass."""
+        key = self._keys(tm, rates)
+        known = key >= 0
+        if known.all():
+            return self._known(tm, key, arcs, rates)
+        rest = ~known
+        out = np.empty(len(key)), np.empty(len(key), dtype=np.int8), np.empty(len(key))
+        for rows, got in (
+            (rest, solve_velocity_batch(self.law, arcs[rest], rates[rest])),
+            (known, self._known(tm[known], key[known], arcs[known], rates[known])),
+        ):
+            for a, b in zip(out, got):
+                a[rows] = b
+        return out
 
-        def take(a: np.ndarray, rows: np.ndarray, axis: int = 0) -> np.ndarray:
-            return a if len(rows) == a.shape[axis] else a.take(rows, axis)
+    def _known(self, tm, key, arcs, rates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`_resolve` on known rows, each key's answer kept for the call."""
 
-        x, regime, residual = np.empty(n), np.empty(n, dtype=np.int8), np.empty(n)
-        rest = np.flatnonzero(kind == 0)
-        if len(rest):
-            x[rest], regime[rest], residual[rest] = solve_velocity_batch(
-                self.law, take(arcs, rest), take(rates, rest)
-            )
-        done = np.flatnonzero(kind)
-        if len(done):
-            rows = _Rows(self.law, take(arcs, done), take(rates, done))
-            value, hi = take(lo, done), take(hi, done)
-            rare = np.zeros(len(done), dtype=bool)
-            on_gap = np.flatnonzero(take(kind, done) == 2)
-            if len(on_gap):
-                # the polynomial on the known gap, with the batch's probe
-                with np.errstate(all="ignore"):
-                    root, root_rare = _gap_root(
-                        self.law,
-                        tuple(take(p, on_gap, 1) for p in rows.pieces),
-                        take(value, on_gap)[None],
-                        take(hi, on_gap)[None],
-                    )
-                value[on_gap], rare[on_gap] = root[0], root_rare[0]
-            x[done], regime[done], residual[done] = rows.settle(
-                self.law, value, rare | ~np.isfinite(value)
-            )
-        return x, regime, residual
+        def answer(i0: int, i1: int):
+            k = int(key[i0])
+            if k not in self.answers:
+                model = self.models[k % len(self.models)]
+                plan = balance._plan(self.law, model.at(float(tm[i0])))
+                self.answers[k] = _answer(plan, model.breaks)
+            return self.answers[k]
 
-    def _lookup(
-        self, mids: np.ndarray, rates: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per row: 0 where the structure is not known, 1 for a constant
-        ``lo``, 2 for the root on the gap ``[lo, hi]``."""
-        n = len(mids)
-        tm = np.remainder(mids, self.period)  # as the samplers compute it
+        return _resolve(self.law, _Rows(self.law, arcs, rates), key, answer)
+
+    def _keys(self, tm: np.ndarray, rates: np.ndarray) -> np.ndarray:
+        """Per row, its stage and the sign pattern of the model's functions
+        there as one key, or -1 where the model does not know the row."""
+        n = len(tm)
         stage = np.searchsorted(self.t0, tm, side="right") - 1
         t0 = self.t0[stage]
-        with np.errstate(all="ignore"):  # as model.structure computes them
+        with np.errstate(all="ignore"):  # as model.at computes them
             g = self.g0[:, stage] + (tm - t0) / self.w[stage] * self.dg[:, stage]
         ok = (t0 < tm) & (tm < self.t1[stage]) & (np.abs(g) > self.margin[stage]).all(axis=0)
         # the row's breakpoints are the model's: a piece merged away at a
@@ -275,26 +267,8 @@ class _KnownRows:
             in_model |= hit
             ok &= hit.any(axis=0) | np.isnan(b)
         ok &= in_model.all(axis=0)
-        key = np.where(ok, ((1 << np.arange(len(g))) @ (g > 0.0)) * len(self.models) + stage, -1)
-
-        # rows come in time order, so rows of one key come in runs
-        kind, lo, hi = np.zeros(n, dtype=np.int8), np.zeros(n), np.zeros(n)
-        cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), n]
-        for i0, i1 in zip(cuts, cuts[1:]):
-            k = int(key[i0])
-            if k < 0:
-                continue
-            pattern, s = divmod(k, len(self.models))
-            found = self.found.get((s, pattern), ())
-            if found == ():
-                found = self.found[s, pattern] = self.models[s].structure(float(tm[i0]))
-            if found is not None:
-                kind[i0:i1] = 1 if found[0] == "const" else 2
-                if found[0] == "const":
-                    lo[i0:i1] = found[1]
-                else:
-                    lo[i0:i1], hi[i0:i1] = self.models[s].breaks[found[1] : found[1] + 2]
-        return kind, lo, hi
+        key = ((1 << np.arange(len(g))) @ (g > 0.0)) * len(self.models) + stage
+        return np.where(ok, key, -1)
 
 
 def _beyond(margin: float, a: float, b: float) -> bool:
@@ -325,24 +299,26 @@ def sample(gait: GaitProgram, times) -> tuple[np.ndarray, np.ndarray]:
     return arcs, rates()
 
 
-def _shapes(gait: GaitProgram, times: np.ndarray) -> _Shapes:
+def _shapes(gait: GaitProgram, times: np.ndarray, tm: np.ndarray | None = None) -> _Shapes:
+    """:func:`sample`; ``tm``, where given, is ``times`` modulo the period."""
     if isinstance(gait, body.CompositeStride):
         gait = gait._path
+    if tm is None:
+        tm = np.remainder(times, gait.period)
     if isinstance(gait, body.TwoSegmentPath):
-        return _path_shapes(gait, times)
+        return _path_shapes(gait, times, tm)
     if isinstance(gait, body.SquareWave):
-        return _wave_shapes(gait, times)
-    return _profile_shapes(gait, times)
+        return _wave_shapes(gait, times, tm)
+    return _profile_shapes(gait, times, tm)
 
 
-def _profile_shapes(gait: GaitProgram, times: np.ndarray) -> _Shapes:
+def _profile_shapes(gait: GaitProgram, times: np.ndarray, tm: np.ndarray) -> _Shapes:
     """Breathers (one piece, length ``p``) and constant-length crawlers (two
     pieces split at the first segment's length ``p``); the ``2:`` and ``1:``
     slices below are empty for a breather.  The built-in bump is evaluated
     over the whole block; a custom profile is called once per time."""
     bump = gait.profile is None
     if bump:
-        tm = np.remainder(times, gait.period)
         # Python's ``** 2`` is libm ``pow``, and so is ``np.float_power``;
         # numpy's ``**`` and ``np.square`` compute ``s * s``, which rounds
         # differently on about 1 sine in 1200.
@@ -373,12 +349,11 @@ def _profile_shapes(gait: GaitProgram, times: np.ndarray) -> _Shapes:
     return arcs, rates
 
 
-def _path_shapes(gait: body.TwoSegmentPath, times: np.ndarray) -> _Shapes:
+def _path_shapes(gait: body.TwoSegmentPath, times: np.ndarray, tm: np.ndarray) -> _Shapes:
     # _locate, shape_at and rate_at on arrays, operation for operation
     T = np.asarray(gait.times, dtype=float)
     L1 = np.asarray(gait.l1, dtype=float)
     L2 = np.asarray(gait.l2, dtype=float)
-    tm = np.remainder(times, gait.period)
     k = np.minimum(np.searchsorted(T, tm, side="right") - 1, len(T) - 2)
     theta = (tm - T[k]) / (T[k + 1] - T[k])
     l1 = L1[k] + theta * (L1[k + 1] - L1[k])
@@ -401,13 +376,12 @@ def _path_shapes(gait: body.TwoSegmentPath, times: np.ndarray) -> _Shapes:
     return arcs, rates
 
 
-def _wave_shapes(gait: body.SquareWave, times: np.ndarray) -> _Shapes:
+def _wave_shapes(gait: body.SquareWave, times: np.ndarray, tm: np.ndarray) -> _Shapes:
     """``SquareWave._nodes_and_rates`` on arrays: each of the three nodes
     after ``(0, 0)`` is computed for every branch, and the presence masks
     pick each row's nodes in order, with no sort; a row with fewer nodes
     repeats the last, the right end, as padding."""
     L, d, e, c = gait.ref_length, gait.delta, gait.epsilon, gait.speed
-    tm = np.remainder(times, gait.period)
     ct = c * tm
     enter = tm < d / c
     inside = ~enter & (tm < L / c)
@@ -467,14 +441,15 @@ def solve_velocity_batch(
     """``balance.solve_velocity`` for every row of a block of shapes: the
     rows' ``x1dot``, regime (an index into ``balance.REGIMES``) and residual.
 
-    The candidate search is the scalar one, for all rows at once, with sums
-    accumulated in piece order.  A row where it is not conclusive (a probe
-    on a breakpoint, a bracket without exactly one root, brackets on two
-    gaps, no candidate, or a force scale or residual the scalar solver
-    rejects) goes to ``solve_velocity`` itself, which also raises its errors.
+    The force bounds at every breakpoint, summed in piece order for all rows
+    at once, give each row its candidate functions for ``_resolve``.  A row
+    goes to ``solve_velocity`` itself, which also raises its errors, where
+    it has no candidate, roots on two gaps or a root beside another
+    candidate, a probe on a breakpoint, a gap polynomial without exactly one
+    root there, or a force scale or residual the scalar solver rejects.
     """
     rows = _Rows(law, arcs, rates)
-    n, atol, pieces = arcs.shape[0], rows.atol, rows.pieces
+    atol = rows.atol
     with np.errstate(all="ignore"):
         # A breakpoint repeated within a row only repeats a candidate that
         # comes earlier in the scalar order, so the choice is unchanged:
@@ -487,48 +462,62 @@ def solve_velocity_batch(
         ]
         breaks = np.sort(-flat[distinct], axis=0)
 
-        f_lo, f_hi = _total_force_rows(law, *pieces, breaks)
-        lo, hi = breaks[:-1], breaks[1:]
-        fr, fl = f_lo[:-1], f_hi[1:]
-        bracket = (fr > atol) & (fl < -atol)
+        # The candidate functions, laid out as _AffineStage.conds, keyed by
+        # what balance._plan reads of them: whether each is >= 0 and <= 0
+        # (both for 0, neither for NaN), as bits while they fit an int64.
+        f_lo, f_hi = _total_force_rows(law, *rows.pieces, breaks)
+        g = np.concatenate([f_lo - atol, f_hi + atol, f_hi[:1] - atol, f_lo[-1:] + atol])
+        bits = np.concatenate([g >= 0.0, g <= 0.0])
+        key = (1 << np.arange(len(bits))) @ bits if len(bits) < 63 else np.arange(len(atol))
+    return _resolve(
+        law, rows, key, lambda i0, i1: _answer(balance._plan(law, g[:, i0].tolist()), breaks[:, i0:i1])
+    )
 
-        # The polynomial on each row's first bracketed gap only (a row with
-        # two goes to the scalar solver).  The tails hold no root: the force
-        # is never negative at breaks[0], never positive at breaks[-1].
-        lo_b, hi_b = lo, hi
-        if len(lo) > 1:  # a block of one gap, or none, needs no gather
-            first = np.argmax(bracket, axis=0)[None]
-            lo_b, hi_b = np.take_along_axis(lo, first, 0), np.take_along_axis(hi, first, 0)
-        root, root_rare = _gap_root(law, pieces, lo_b, hi_b)
 
-        # Candidates in the scalar order: breakpoints, gaps, left, right flat tail.
-        left_flat = (np.abs(f_hi[0]) <= atol) & (law.mu_minus == 0.0)
-        right_flat = (np.abs(f_lo[-1]) <= atol) & (law.mu_plus == 0.0)
-        values = np.concatenate(
-            [
-                _closest_to_zero_rows(breaks, breaks),
-                np.where(bracket, root, _closest_to_zero_rows(lo, hi)),
-                _closest_to_zero_rows(-math.inf, breaks[:1]),
-                _closest_to_zero_rows(breaks[-1:], math.inf),
-            ]
-        )
-        valid = np.concatenate(
-            [
-                (f_lo <= atol) & (f_hi >= -atol),
-                bracket | (fr <= atol) & (fl >= -atol),
-                left_flat[None],
-                right_flat[None],
-            ]
-        )
-        rare = (
-            (bracket & root_rare).any(axis=0)
-            | (bracket.sum(axis=0) > 1)
-            | ~valid.any(axis=0)
-            | (valid & ~np.isfinite(values)).any(axis=0)
-        )
-        # np.argmin takes the first minimum, as min(..., key=abs) does.
-        x = values[np.argmin(np.where(valid, np.abs(values), math.inf), axis=0), np.arange(n)]
-    return rows.settle(law, x, rare)
+def _answer(plan, breaks):
+    """A run's answer from its ``balance._plan`` on ``breaks`` (a list, or
+    the run's rows of an array): ``("root", lo, hi)`` for the root on ``[lo,
+    hi]``, else ``("const", x)``, x the first candidate closest to zero, or
+    NaN where the scalar solver must decide."""
+    if plan is None:
+        return "const", math.nan
+    if plan[0] == "root":
+        return "root", breaks[plan[1]], breaks[plan[1] + 1]
+    x = None
+    for ends in plan[1]:
+        value = _closest_to_zero_rows(*balance._span(breaks, ends))
+        x = value if x is None else np.where(np.abs(value) < np.abs(x), value, x)
+    return "const", x
+
+
+def _resolve(
+    law: FrictionLaw, rows: _Rows, key: np.ndarray, answer
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's solution from the plan of its sign pattern ``key``: rows
+    come in time order, so rows of one key come in runs, and ``answer(i0,
+    i1)`` gives a run's :func:`_answer`.  Rows on a gap root share one
+    polynomial solve, with the batch's probe.  A row left NaN (no plan, or
+    not one root) goes to ``balance.solve_velocity``."""
+    n = len(key)
+    x, lo, hi, on_gap = np.full(n, math.nan), np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+    cuts = [*np.flatnonzero(np.diff(key, prepend=-1)).tolist(), n]  # keys are >= 0
+    for i0, i1 in zip(cuts, cuts[1:]):
+        kind, *values = answer(i0, i1)
+        if kind == "const":
+            x[i0:i1] = values[0]
+        else:
+            on_gap[i0:i1] = True
+            lo[i0:i1], hi[i0:i1] = values
+    at = np.flatnonzero(on_gap)
+    if len(at):
+        lo, hi = lo[at], hi[at]
+        pieces = rows.pieces if len(at) == n else tuple(p[:, at] for p in rows.pieces)
+        with np.errstate(all="ignore"):
+            a, bq, cq, on_break = _segment_poly_rows(law, *pieces, 0.5 * (lo + hi))
+            root, n_roots = _poly_roots_rows(a, bq, cq, lo, hi)
+        # a root at -0.0 enters as +0.0
+        x[at] = np.where(on_break | (n_roots != 1), math.nan, _closest_to_zero_rows(root, root))
+    return rows.settle(law, x, ~np.isfinite(x))
 
 
 class _Rows:
@@ -546,7 +535,7 @@ class _Rows:
         seg = self.s1 - self.s0
         self.pieces = (seg, rate[:, 0], rate[:, 1])
         self.l_total = arc[-1]
-        self.flat = rate.reshape(-1, arcs.shape[0])  # every rate, in the scalar's order
+        self.flat = rate.reshape(2 * len(rate), -1)  # every rate, in the scalar's order
         self.vscale = np.abs(self.flat).max(axis=0)
         with np.errstate(all="ignore"):
             self.fscale = (
@@ -596,18 +585,6 @@ class _Rows:
             regime[i] = balance.REGIMES.index(sol.regime)
             residual[i] = sol.residual
         return x, regime, residual
-
-
-def _gap_root(
-    law: FrictionLaw, pieces, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The root of each row's force polynomial on its gap ``[lo, hi]``, as
-    the scalar solver takes it, and whether the row must go to the scalar
-    solver: its probe landed on a breakpoint, or the gap holds not exactly
-    one root."""
-    a, bq, cq, on_break = _segment_poly_rows(law, *pieces, 0.5 * (lo + hi))
-    root, n_roots = _poly_roots_rows(a, bq, cq, lo, hi)
-    return _closest_to_zero_rows(root, root), on_break | (n_roots != 1)
 
 
 def _total_force_rows(

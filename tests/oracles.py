@@ -18,7 +18,6 @@ from dircrawl.balance import (
     _ACCEPT_FLOOR,
     _ACCEPT_RTOL,
     _DISC_RTOL,
-    _INF,
     _RESIDUAL_RTOL,
     _ROOT_SLACK,
     _STICK_RTOL,
@@ -343,9 +342,9 @@ def reference_solve(
     # tail's direction the force is constant there, and when that constant
     # is zero the whole tail solves the balance.
     if abs(fvals[0][1]) <= atol and law.mu_minus == 0.0:
-        candidates.append((-_INF, breaks[0]))
+        candidates.append((-math.inf, breaks[0]))
     if abs(fvals[-1][0]) <= atol and law.mu_plus == 0.0:
-        candidates.append((breaks[-1], _INF))
+        candidates.append((breaks[-1], math.inf))
 
     if not candidates:
         raise DegenerateSubstrateError(

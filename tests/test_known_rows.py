@@ -7,7 +7,8 @@ known gap) when every candidate function of the model is farther than
 batch's bracket pass.  The answer must still be ``balance.solve_velocity``'s
 bit for bit.  The rows that test this sit where the model's structure
 changes: on every switch time of every stage, the stage ends, and their
-float neighbours.
+float neighbours.  Both the model's rows and the batch's resolve through
+``balance._plan`` once per run of one sign pattern, not once per row.
 """
 
 from __future__ import annotations
@@ -73,29 +74,29 @@ def _kernel_rows(monkeypatch, law, gait, targets):
     """``midpoint._kernel`` on a grid whose step midpoints include every
     target (a step from t to t has its midpoint at t): per row, the
     midpoint, ``x1dot``, regime code and residual, and how many rows the
-    stage model knew."""
+    stage model knew: those that did not reach the batch solver."""
     times = np.repeat(np.array(targets), 2)
     seen = []
-    solve, lookup = midpoint._KnownRows.solve, midpoint._KnownRows._lookup
+    solve, batch = midpoint._KnownRows.solve, midpoint.solve_velocity_batch
 
-    def spy_solve(self, mids, arcs, rates):
-        out = solve(self, mids, arcs, rates)
-        seen.append((mids, *out))
+    def spy_solve(self, tm, arcs, rates):
+        out = solve(self, tm, arcs, rates)
+        seen.append(out)
         return out
 
-    def spy_lookup(self, mids, rates):
-        out = lookup(self, mids, rates)
-        known.append(int(np.count_nonzero(out[0])))
-        return out
-
-    known: list[int] = []
+    batch_rows: list[int] = []
     monkeypatch.setattr(midpoint._KnownRows, "solve", spy_solve)
-    monkeypatch.setattr(midpoint._KnownRows, "_lookup", spy_lookup)
+    monkeypatch.setattr(
+        midpoint,
+        "solve_velocity_batch",
+        lambda law, arcs, rates: batch_rows.append(len(arcs)) or batch(law, arcs, rates),
+    )
     x1dot, codes, residual_max = midpoint._kernel(law, gait, times, None)
-    mids, x, regime, residual = (np.concatenate(a) for a in zip(*seen))
+    x, regime, residual = (np.concatenate(a) for a in zip(*seen))
+    mids = 0.5 * (times[:-1] + times[1:])  # as the kernel computes them
     assert x.tobytes() == x1dot.tobytes() and regime.tobytes() == codes.tobytes()
     assert residual_max == residual.max()
-    return mids, x, regime, residual, sum(known)
+    return mids, x, regime, residual, len(mids) - sum(batch_rows)
 
 
 def _assert_rows_match_solve_velocity(monkeypatch, law, gait) -> tuple[int, int]:
@@ -160,3 +161,18 @@ def test_the_stage_model_answers_nearly_every_row(monkeypatch, cls):
         steps += len(engine.simulate(law, gait, n_periods=2).regimes)
     assert sum(batch_rows) < 0.01 * steps, (sum(batch_rows), steps)
     assert scalar_rows == []
+
+
+@pytest.mark.parametrize("cls", inputs.CLASSES)
+def test_plans_are_asked_per_run_of_rows_not_per_row(monkeypatch, cls):
+    # Rows of one sign pattern come in runs, and a run asks balance._plan
+    # once (the stage model once per pattern and call); a Python loop over
+    # the rows would pass every bit-identity test and cost ~4000 calls here.
+    calls = []
+    plan = balance._plan
+    monkeypatch.setattr(balance, "_plan", lambda law, g: calls.append(1) or plan(law, g))
+    for seed in (1, 2, 3):
+        calls.clear()
+        law, gait = inputs.draw(seed, "trajectory", 0, cls, dircrawl).build(dircrawl)
+        steps = len(engine.simulate(law, gait, n_periods=2).regimes)
+        assert 0 < len(calls) < 0.01 * steps, (seed, len(calls), steps)

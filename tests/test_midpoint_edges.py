@@ -5,8 +5,8 @@
 row; both must still agree with the scalar ``shape_at``/``rate_at`` and
 ``balance.solve_velocity`` bit for bit.  The cases here sit where those
 shortcuts switch: stage boundaries and their float neighbours, waves just
-wide enough to be accepted, blocks with one breakpoint, and rows whose
-force brackets a root on more than one gap.
+wide enough to be accepted, blocks with one breakpoint or none, and rows
+whose force brackets a root on more than one gap.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ def _assert_rows_equal_scalar(law, arcs, rates):
 
 @pytest.mark.parametrize("law", _LAWS)
 def test_blocks_with_a_single_breakpoint(monkeypatch, law):
-    # Every rate of every row equal: one breakpoint and no gap to build a
-    # polynomial on.
+    # Every rate of every row equal: one breakpoint and no gap, so no row
+    # is on a gap root and no polynomial is built.
     gaps = []
     poly_roots_rows = midpoint._poly_roots_rows
     monkeypatch.setattr(
@@ -120,7 +120,16 @@ def test_blocks_with_a_single_breakpoint(monkeypatch, law):
         law, np.array([[0.0, 0.3, 1.0]]), np.full((1, 2, 2), 0.2)
     )
     assert x1dot.tolist() == [-0.2] and REGIMES[regime[0]] == balance.WHOLE_BODY_STICK
-    assert gaps == [0, 0]
+    assert gaps == []
+
+
+@pytest.mark.parametrize("law", _LAWS)
+@pytest.mark.parametrize("gait", [SquareWave(1.0, 0.3, 0.5, 1.0), Breather(1.0, 0.5, 1.0)])
+def test_an_empty_block_gives_three_empty_arrays(law, gait):
+    arcs, rates = midpoint.sample(gait, [])
+    x1dot, regime, residual = midpoint.solve_velocity_batch(law, arcs, rates)
+    assert (x1dot.dtype, regime.dtype, residual.dtype) == (np.float64, np.int8, np.float64)
+    assert x1dot.shape == regime.shape == residual.shape == (0,)
 
 
 @pytest.mark.parametrize("law", _LAWS)
