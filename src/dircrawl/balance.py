@@ -375,7 +375,7 @@ def _force_mag(force: tuple[float, float]) -> float:
     return min(abs(lo), abs(hi))
 
 
-def _plan(law: FrictionLaw, g) -> tuple[str, object] | None:
+def _plan(law: FrictionLaw, g: list[float]) -> tuple | None:
     """The candidates of :func:`_solve`'s rule, from the signs of its
     candidate functions ``g`` laid out as ``_AffineStage.conds``: ``("root",
     k)`` where the one candidate is the root on gap ``k``, ``("sets", sets)``

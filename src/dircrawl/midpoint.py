@@ -226,20 +226,19 @@ class _KnownRows:
         known = key >= 0
         if known.all():
             return self._known(tm, key, arcs, rates)
-        rest = ~known
-        out = np.empty(len(key)), np.empty(len(key), dtype=np.int8), np.empty(len(key))
-        for rows, got in (
-            (rest, solve_velocity_batch(self.law, arcs[rest], rates[rest])),
-            (known, self._known(tm[known], key[known], arcs[known], rates[known])),
-        ):
-            for a, b in zip(out, got):
-                a[rows] = b
+        got = self._known(tm[known], key[known], arcs[known], rates[known])
+        rest = solve_velocity_batch(self.law, arcs[~known], rates[~known])
+        out = tuple(np.empty(len(key), dtype=a.dtype) for a in got)
+        for a, b, c in zip(out, got, rest):
+            a[known], a[~known] = b, c
         return out
 
-    def _known(self, tm, key, arcs, rates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _known(
+        self, tm: np.ndarray, key: np.ndarray, arcs: np.ndarray, rates: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:func:`_resolve` on known rows, each key's answer kept for the call."""
 
-        def answer(i0: int, i1: int):
+        def answer(i0: int, i1: int) -> tuple:
             k = int(key[i0])
             if k not in self.answers:
                 model = self.models[k % len(self.models)]
@@ -474,7 +473,7 @@ def solve_velocity_batch(
     )
 
 
-def _answer(plan, breaks):
+def _answer(plan: tuple | None, breaks) -> tuple:
     """A run's answer from its ``balance._plan`` on ``breaks`` (a list, or
     the run's rows of an array): ``("root", lo, hi)`` for the root on ``[lo,
     hi]``, else ``("const", x)``, x the first candidate closest to zero, or
@@ -491,7 +490,7 @@ def _answer(plan, breaks):
 
 
 def _resolve(
-    law: FrictionLaw, rows: _Rows, key: np.ndarray, answer
+    law: FrictionLaw, rows: _Rows, key: np.ndarray, answer: Callable[[int, int], tuple]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's solution from the plan of its sign pattern ``key``: rows
     come in time order, so rows of one key come in runs, and ``answer(i0,

@@ -124,6 +124,22 @@ def test_blocks_with_a_single_breakpoint(monkeypatch, law):
 
 
 @pytest.mark.parametrize("law", _LAWS)
+def test_blocks_too_wide_for_one_key_per_pattern(monkeypatch, law):
+    # 8 pieces with a rate jump at every node: 16 breakpoints, 34 candidate
+    # functions and 68 key bits, more than an int64 holds, so each row is a
+    # run of its own and asks balance._plan once.
+    rng = np.random.default_rng(23)
+    arcs = np.concatenate([np.zeros((12, 1)), np.cumsum(rng.uniform(0.1, 1.0, (12, 8)), 1)], 1)
+    rates = rng.uniform(-1.0, 1.0, (12, 8, 2))
+    rates[::3, :, 1] = rates[::3, :, 0]  # pieces that can stick
+    calls = []
+    plan = balance._plan
+    monkeypatch.setattr(balance, "_plan", lambda law, g: calls.append(len(g)) or plan(law, g))
+    _assert_rows_equal_scalar(law, arcs, rates)
+    assert calls == [34] * 12
+
+
+@pytest.mark.parametrize("law", _LAWS)
 @pytest.mark.parametrize("gait", [SquareWave(1.0, 0.3, 0.5, 1.0), Breather(1.0, 0.5, 1.0)])
 def test_an_empty_block_gives_three_empty_arrays(law, gait):
     arcs, rates = midpoint.sample(gait, [])
