@@ -25,7 +25,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import engine
 from .body import (
@@ -290,13 +290,17 @@ def _write_csv(
     rows: Sequence[Sequence[Any]],
     precision: int = 17,
 ) -> None:
+    _write_rows(
+        path, header, ([_fmt(v, precision) if isinstance(v, float) else v for v in row] for row in rows)
+    )
+
+
+def _write_rows(path: str | None, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """``header`` and ``rows`` as CSV, each value as ``str`` gives it."""
     with _open_out(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [_fmt(v, precision) if isinstance(v, float) else v for v in row]
-            )
+        writer.writerows(rows)
 
 
 def _write_json(path: str | None, obj: Any) -> None:
@@ -313,14 +317,13 @@ def _write_json(path: str | None, obj: Any) -> None:
 def _cmd_simulate(cfg: RunConfig, out: str | None) -> int:
     traj = engine.simulate(cfg.law, cfg.gait, n_periods=cfg.n_periods, dt=cfg.dt)
     if cfg.out_format == "csv":
-        rows = []
-        last = len(traj.regimes) - 1
-        for i, t in enumerate(traj.times):
-            regime = traj.regimes[min(i, last)]
-            rows.append(
-                (float(t), float(traj.x1[i]), float(traj.x2[i]), float(traj.l[i]), regime)
-            )
-        _write_csv(out, ("t", "x1", "x2", "l", "regime"), rows, cfg.precision)
+        spec = f".{cfg.precision}g"  # as _fmt formats
+        columns = [
+            [format(v, spec) for v in a.tolist()] for a in (traj.times, traj.x1, traj.x2, traj.l)
+        ]
+        # the last sample repeats the last step's regime
+        regimes = [*traj.regimes, traj.regimes[-1]]
+        _write_rows(out, ("t", "x1", "x2", "l", "regime"), zip(*columns, regimes))
     else:
         obj = {
             "schema": SCHEMA_VERSION,

@@ -459,7 +459,7 @@ def solve_velocity_batch(
             j for j in range(len(flat))
             if not any(np.array_equal(flat[j], flat[i]) for i in range(j))
         ]
-        breaks = np.sort(-flat[distinct], axis=0)
+        breaks = _sorted_columns([-flat[j] for j in distinct])
 
         # The candidate functions, laid out as _AffineStage.conds, keyed by
         # what balance._plan reads of them: whether each is >= 0 and <= 0
@@ -471,6 +471,19 @@ def solve_velocity_batch(
     return _resolve(
         law, rows, key, lambda i0, i1: _answer(balance._plan(law, g[:, i0].tolist()), breaks[:, i0:i1])
     )
+
+
+def _sorted_columns(rows: list[np.ndarray]) -> np.ndarray:
+    """``rows`` stacked, each column ascending with NaN last and equal values
+    (signed zeros among them) in their input order.  Compare-and-swap passes
+    over the few rows: ``np.sort(axis=0)`` costs ~10 times as much on a
+    block, and the order it gives ties depends on its SIMD dispatch."""
+    for end in range(len(rows) - 1, 0, -1):
+        for j in range(end):
+            a, b = rows[j], rows[j + 1]
+            swap = _collapsed(~((a <= b) | np.isnan(b)))
+            rows[j], rows[j + 1] = _pick(swap, b, a), _pick(swap, a, b)
+    return np.array(rows)
 
 
 def _answer(plan: tuple | None, breaks) -> tuple:
@@ -556,7 +569,8 @@ class _Rows:
             sticks = (r0 == r1) & (np.abs(x + r0) <= stick_tol) & (seg > 0.0)
             stick_len = np.zeros(n)
             run_lo = np.zeros(n)
-            for j in range(len(sticks)):
+            # a piece no row sticks on starts and ends no run
+            for j in np.flatnonzero(sticks.any(axis=1)).tolist():
                 starts = sticks[j] & ~sticks[j - 1] if j > 0 else sticks[j]
                 run_lo = np.where(starts, self.s0[j], run_lo)
                 ends = sticks[j] & ~sticks[j + 1] if j + 1 < len(sticks) else sticks[j]
@@ -586,31 +600,52 @@ class _Rows:
         return x, regime, residual
 
 
+def _collapsed(mask: np.ndarray) -> np.ndarray | np.bool_:
+    """``mask``, or its one value as a numpy bool scalar (``np.True_`` or
+    ``np.False_``) where every element has it, so that a choice every row
+    makes the same way is made once (:func:`_pick`)."""
+    every = mask.all()
+    return every if every or not mask.any() else mask
+
+
+def _pick(mask: np.ndarray | np.bool_, a, b):
+    """``np.where(mask, a, b)``; a mask :func:`_collapsed` to a scalar
+    returns the side it picks, and the other side may be None."""
+    if mask.ndim:
+        return np.where(mask, a, b)
+    return a if mask else b
+
+
 def _total_force_rows(
     law: FrictionLaw, seg: np.ndarray, r0: np.ndarray, r1: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``balance.total_force`` of each row's pieces (``seg``, ``r0``, ``r1``
     shaped ``(P, n)``) at each ``x[m, i]``: bounds ``(lo, hi)`` shaped like
     ``x``.  Each piece adds the scalar's one or two terms, in piece order; a
-    piece with one term adds 0.0 in place of the second, which changes no
-    partial sum (they start at +0.0, so none is -0.0).  One piece at a time,
-    so no temporary holds more than one of ``x``'s shape."""
+    piece with one term adds 0.0 in place of the second, or nothing where no
+    element has a second, which changes no partial sum (they start at +0.0,
+    so none is -0.0).  One piece at a time, so no temporary holds more than
+    one of ``x``'s shape."""
     point_sum = np.zeros(x.shape)
     static_len = np.zeros(x.shape)
+    any_static = False
     for s, q0, q1 in zip(seg, r0, r1):
         v0 = x + q0
         v1 = x + q1
-        static = (v0 == 0.0) & (v1 == 0.0)
-        one_sign = (v0 <= 0.0) & (v1 <= 0.0) | (v0 >= 0.0) & (v1 >= 0.0)
-        back = (v0 < 0.0) | (v0 == 0.0) & (v1 < 0.0)  # the first part slides backward
-        len_a = v0 / (v0 - v1) * s  # a crossing's first part, up to its zero
-        length = np.where(one_sign, s, len_a)
-        v_sum = np.where(one_sign, v0 + v1, v0)
-        first = _sliding_term(law, back, length, v_sum)
-        second = _sliding_term(law, ~back, s - len_a, v1)
-        point_sum = point_sum + np.where(static, 0.0, first)
-        point_sum = point_sum + np.where(one_sign, 0.0, second)
-        static_len = static_len + np.where(static, s, 0.0)
+        static = _collapsed((v0 == 0.0) & (v1 == 0.0))
+        one_sign = _collapsed((v0 <= 0.0) & (v1 <= 0.0) | (v0 >= 0.0) & (v1 >= 0.0))
+        back = _collapsed((v0 < 0.0) | (v0 == 0.0) & (v1 < 0.0))  # the first part slides backward
+        len_a = None if one_sign is np.True_ else v0 / (v0 - v1) * s  # a crossing's first part
+        first = _sliding_term(law, back, _pick(one_sign, s, len_a), _pick(one_sign, v0 + v1, v0))
+        point_sum = point_sum + _pick(static, 0.0, first)
+        if one_sign is not np.True_:
+            second = _sliding_term(law, ~back, s - len_a, v1)
+            point_sum = point_sum + _pick(one_sign, 0.0, second)
+        if static is not np.False_:
+            any_static = True
+            static_len = static_len + _pick(static, s, 0.0)
+    if not any_static:
+        return point_sum, point_sum.copy()
     has_static = static_len > 0.0
     return (
         np.where(has_static, point_sum - law.tau_plus * static_len, point_sum),
@@ -619,13 +654,14 @@ def _total_force_rows(
 
 
 def _sliding_term(
-    law: FrictionLaw, back: np.ndarray, length: np.ndarray, v_sum: np.ndarray
+    law: FrictionLaw, back: np.ndarray | np.bool_, length: np.ndarray, v_sum: np.ndarray
 ) -> np.ndarray:
     """The scalar's force term of a part of ``length`` sliding backward
-    where ``back`` and forward elsewhere, ``v_sum`` the sum of its end
-    velocities: ``tau * length - mu * 0.5 * v_sum * length``."""
-    tau = np.where(back, law.tau_minus, -law.tau_plus)
-    mu = np.where(back, law.mu_minus, law.mu_plus)
+    where ``back`` (an array or a :func:`_collapsed` scalar) and forward
+    elsewhere, ``v_sum`` the sum of its end velocities:
+    ``tau * length - mu * 0.5 * v_sum * length``."""
+    tau = _pick(back, law.tau_minus, -law.tau_plus)
+    mu = _pick(back, law.mu_minus, law.mu_plus)
     return tau * length - mu * 0.5 * v_sum * length
 
 
@@ -635,7 +671,8 @@ def _segment_poly_rows(
     """``balance._segment_poly`` at each probe ``x_probe[m, i]``:
     coefficients ``a, b, c``, summed over the pieces from +0.0 in piece
     order as the scalar ``+=`` loop adds (``np.sum`` adds pairwise), plus a
-    mask of the probes that landed on a breakpoint."""
+    mask of the probes that landed on a breakpoint.  A piece adds only the
+    forms some probe takes; ``a`` gains nothing where no probe crosses."""
     tm, tp, mm, mp = law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus
     a = np.zeros(x_probe.shape)
     b = np.zeros(x_probe.shape)
@@ -644,25 +681,28 @@ def _segment_poly_rows(
     for s, q0, q1 in zip(seg, r0, r1):
         v0 = x_probe + q0
         v1 = x_probe + q1
-        neg = (v0 < 0.0) & (v1 < 0.0)
-        one_sign = neg | (v0 > 0.0) & (v1 > 0.0)
-        up = (v0 < 0.0) & (0.0 < v1)  # a crossing from negative to positive
-        on_break |= ~(one_sign | up | (v1 < 0.0) & (0.0 < v0))
-        # A crossing's factors per end: (-tau_minus, mu_minus) sliding backward,
-        # (-tau_plus, -mu_plus) forward.  x - y * z is x + (-y) * z and IEEE
-        # addition commutes, so this form has the bits of both scalar forms;
-        # swapping a downward crossing's ends would reorder b's three terms.
-        t0, m0 = np.where(up, -tm, -tp), np.where(up, mm, -mp)
-        t1, m1 = np.where(up, -tp, -tm), np.where(up, -mp, mm)
-        k = s / np.abs(q1 - q0)
-        mu = np.where(neg, mm, mp)  # a piece of one sign: the side it slides in
-        a = a + np.where(one_sign, 0.0, 0.5 * (mm - mp) * k)
-        b = b + np.where(one_sign, -mu * s, (-tm - tp + m0 * q0 + m1 * q1) * k)
-        c = c + np.where(
-            one_sign,
-            _sliding_term(law, neg, s, q0 + q1),
-            (t0 * q0 + t1 * q1 + 0.5 * (m0 * q0 * q0 + m1 * q1 * q1)) * k,
-        )
+        neg = _collapsed((v0 < 0.0) & (v1 < 0.0))
+        one_sign = _collapsed(neg | (v0 > 0.0) & (v1 > 0.0))
+        one_b = one_c = cross_b = cross_c = None
+        if one_sign is not np.False_:
+            mu = _pick(neg, mm, mp)  # a piece of one sign: the side it slides in
+            one_b, one_c = -mu * s, _sliding_term(law, neg, s, q0 + q1)
+        if one_sign is not np.True_:
+            up = _collapsed((v0 < 0.0) & (0.0 < v1))  # a crossing from negative to positive
+            on_break |= ~(one_sign | up | (v1 < 0.0) & (0.0 < v0))
+            # A crossing's factors per end: (-tau_minus, mu_minus) sliding
+            # backward, (-tau_plus, -mu_plus) forward.  x - y * z is x + (-y) * z
+            # and IEEE addition commutes, so this form has the bits of both
+            # scalar forms; swapping a downward crossing's ends would reorder
+            # b's three terms.
+            t0, m0 = _pick(up, -tm, -tp), _pick(up, mm, -mp)
+            t1, m1 = _pick(up, -tp, -tm), _pick(up, -mp, mm)
+            k = s / np.abs(q1 - q0)
+            a = a + _pick(one_sign, 0.0, 0.5 * (mm - mp) * k)
+            cross_b = (-tm - tp + m0 * q0 + m1 * q1) * k
+            cross_c = (t0 * q0 + t1 * q1 + 0.5 * (m0 * q0 * q0 + m1 * q1 * q1)) * k
+        b = b + _pick(one_sign, one_b, cross_b)
+        c = c + _pick(one_sign, one_c, cross_c)
     return a, b, c, on_break
 
 

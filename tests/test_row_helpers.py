@@ -5,10 +5,16 @@
 once.  Each must give the scalar's floats bit for bit, signed zeros
 included, at every breakpoint of a piece set (where pieces turn static or
 end on a zero velocity) and between them; ``on_break`` must be set exactly
-where ``_segment_poly`` raises.
+where ``_segment_poly`` raises.  Each runs on all the probes as one block,
+and on one probe per block, where every per-row choice is made once.
+
+``midpoint._sorted_columns`` orders the batch's breakpoints: ascending, NaN
+last, equal values in their input order.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,7 +23,7 @@ from hypothesis import strategies as st
 from dircrawl import balance
 from dircrawl.errors import DegenerateSubstrateError
 from dircrawl.friction import FrictionLaw
-from dircrawl.midpoint import _segment_poly_rows, _total_force_rows
+from dircrawl.midpoint import _segment_poly_rows, _sorted_columns, _total_force_rows
 
 
 def _spread(lo: float, hi: float):
@@ -68,23 +74,26 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
-@settings(max_examples=200)
-@given(_piece_sets())
-def test_total_force_rows_match_the_scalar_sum_bit_for_bit(case):
-    law, pieces, probes = case
+def _blocks(helper, law, pieces, probes, one_per_block: bool) -> list[np.ndarray]:
+    """``helper`` on the probes as one block, or on one probe per block,
+    its outputs joined along the probes."""
+    blocks = [[x] for x in probes] if one_per_block else [probes]
     with np.errstate(all="ignore"):  # as in solve_velocity_batch
-        lo, hi = _total_force_rows(law, *_rows(pieces), np.array(probes)[:, None])
+        outs = [helper(law, *_rows(pieces), np.array(block)[:, None]) for block in blocks]
+    return [np.concatenate(parts) for parts in zip(*outs)]
+
+
+def _check_total_force_rows(case, one_per_block: bool) -> None:
+    law, pieces, probes = case
+    lo, hi = _blocks(_total_force_rows, law, pieces, probes, one_per_block)
     expected = [balance._force(law, pieces, x) for x in probes]
     assert lo[:, 0].tobytes() == _bits([f[0] for f in expected])
     assert hi[:, 0].tobytes() == _bits([f[1] for f in expected])
 
 
-@settings(max_examples=200)
-@given(_piece_sets())
-def test_segment_poly_rows_match_the_scalar_coefficients_bit_for_bit(case):
+def _check_segment_poly_rows(case, one_per_block: bool) -> None:
     law, pieces, probes = case
-    with np.errstate(all="ignore"):
-        a, b, c, on_break = _segment_poly_rows(law, *_rows(pieces), np.array(probes)[:, None])
+    a, b, c, on_break = _blocks(_segment_poly_rows, law, pieces, probes, one_per_block)
     for m, x in enumerate(probes):
         try:
             coeffs = balance._segment_poly(law, pieces, x)
@@ -93,3 +102,61 @@ def test_segment_poly_rows_match_the_scalar_coefficients_bit_for_bit(case):
             continue
         assert not on_break[m, 0], x
         assert _bits([a[m, 0], b[m, 0], c[m, 0]]) == _bits(coeffs), x
+
+
+@settings(max_examples=200)
+@given(_piece_sets())
+def test_total_force_rows_match_the_scalar_sum_bit_for_bit(case):
+    _check_total_force_rows(case, one_per_block=False)
+
+
+@settings(max_examples=200)
+@given(_piece_sets())
+def test_total_force_rows_one_probe_per_block_match_the_scalar_sum(case):
+    _check_total_force_rows(case, one_per_block=True)
+
+
+@settings(max_examples=200)
+@given(_piece_sets())
+def test_segment_poly_rows_match_the_scalar_coefficients_bit_for_bit(case):
+    _check_segment_poly_rows(case, one_per_block=False)
+
+
+@settings(max_examples=200)
+@given(_piece_sets())
+def test_segment_poly_rows_one_probe_per_block_match_the_scalar_coefficients(case):
+    _check_segment_poly_rows(case, one_per_block=True)
+
+
+_SORT_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]
+
+
+def _check_sorted_columns(columns: list[list[float]]) -> None:
+    # Python's sort is stable and -0.0 == 0.0, so this orders ties by input
+    # position; the bytes tell signed zeros and NaN apart.
+    got = _sorted_columns([np.array(row) for row in zip(*columns)])
+    assert got.shape == (len(columns[0]), len(columns))
+    for i, column in enumerate(columns):
+        expected = sorted(column, key=lambda v: (math.isnan(v), 0.0 if math.isnan(v) else v))
+        assert got[:, i].tobytes() == _bits(expected), column
+
+
+@st.composite
+def _columns(draw):
+    """1 to 8 columns of one length from 1 to 6, of signed zeros, ties, infinities and NaN."""
+    m = draw(st.integers(1, 6))
+    column = st.lists(st.sampled_from(_SORT_VALUES), min_size=m, max_size=m)
+    return draw(st.lists(column, min_size=1, max_size=8))
+
+
+@settings(max_examples=300)
+@given(_columns())
+def test_sorted_columns_are_ascending_nan_last_and_keep_the_order_of_ties(columns):
+    _check_sorted_columns(columns)
+
+
+def test_sorted_columns_keep_the_order_of_ties_in_a_block():
+    # A block-sized case: np.sort(axis=0) orders this block's signed zeros
+    # differently with and without its SIMD dispatch.
+    rng = np.random.default_rng(7)
+    _check_sorted_columns(rng.choice(_SORT_VALUES, size=(2000, 6)).tolist())
