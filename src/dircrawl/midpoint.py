@@ -41,14 +41,15 @@ _MAX_STEPS = 1_000_000
 # Steps the kernel samples and solves at once.  Fixed blocks keep the numpy
 # temporaries one size from block to block, so the allocator reuses them
 # instead of growing the heap with each run length.  Sampling and solving a
-# block of 16 rows costs ~0.47 ms and one of 2048 rows ~1.17 ms (medians
-# over the 15 benchmark classes, seeds 1-3, fastest of 120 timings on
-# 2 cores; 0.33-0.65 and 0.97-1.61 ms by class), so the fixed part is paid
-# 8 times by a default 2-period simulate (~4000 steps) at 512 rows and
-# twice at 2048.  Benchmark `trajectory` (16 s runs, seeds 201-202) gives
-# 102/s and 40.7 MB peak RSS at 512 rows, 182/s and 42.1 MB at 2048, and
-# 207-229/s and 43.2-43.6 MB at 4096, where one block holds the whole run;
-# 2048 keeps RSS within ~4 % of 512.
+# block of 16 rows costs ~0.48 ms and one of 2048 rows ~1.14 ms (medians
+# over the 15 benchmark classes, seeds 1-3, fastest of 40 timings on a
+# shared 2-core x86-64 host; 0.29-1.00 and 0.79-1.43 ms by class), so the
+# fixed part is paid 8 times by a default 2-period simulate (~4000 steps)
+# at 512 rows and twice at 2048.  Benchmark `trajectory` (16 s runs, seeds
+# 201-202, same host) gives ~120/s and 40.9 MB peak RSS at 512 rows,
+# 210-217/s and 41.9-42.2 MB at 2048, and 227-261/s and 43.9-44.0 MB at
+# 4096, where one block holds the whole run; 2048 keeps RSS within ~4 % of
+# 512.
 _BLOCK = 2048
 
 
@@ -474,10 +475,11 @@ def solve_velocity_batch(
 
 
 def _sorted_columns(rows: list[np.ndarray]) -> np.ndarray:
-    """``rows`` stacked, each column ascending with NaN last and equal values
-    (signed zeros among them) in their input order.  Compare-and-swap passes
-    over the few rows: ``np.sort(axis=0)`` costs ~10 times as much on a
-    block, and the order it gives ties depends on its SIMD dispatch."""
+    """``rows`` (a list it reorders) stacked, each column ascending with NaN
+    last and equal values (signed zeros among them) in their input order.
+    Compare-and-swap passes over the few rows: ``np.sort(axis=0)`` costs ~10
+    times as much on a block, and the order it gives ties depends on its
+    SIMD dispatch."""
     for end in range(len(rows) - 1, 0, -1):
         for j in range(end):
             a, b = rows[j], rows[j + 1]
