@@ -10,10 +10,13 @@ would: the same float operations in the same order.
 Each row is resolved by the solver's candidate rule, held once in
 ``balance._plan``, from the signs of its candidate functions.  On a gait
 with constant-rate stages (square waves, two-segment paths, composite
-strides), the stage model ``balance._AffineStage`` gives them for most rows,
-which skip the force sums at every breakpoint (``_KnownRows``); every other
-row sums its own (``solve_velocity_batch``).  Rows of one sign pattern come
-in runs, and ``_resolve`` asks each run's plan once.
+strides), the stage model ``balance._AffineStage`` gives them for every row
+it can place, which skips the force sums at every breakpoint
+(``_KnownRows``); on any other gait, or one with a stage whose model has no
+functions, each row sums its own (``solve_velocity_batch``).  Rows of one
+sign pattern come in runs, and ``_resolve`` asks each run's plan once.  A
+row that neither a plan nor the stage model settles goes to
+``balance.solve_velocity``.
 
 Block format: ``n`` shapes are nodal arc-lengths ``arcs`` ``(n, P + 1)`` and
 per-piece end rates ``rates`` ``(n, P, 2)``, ``P`` fixed per gait: 1 for a
@@ -134,8 +137,13 @@ def _kernel(
     x1dot = np.empty(n)
     codes = np.empty(n, dtype=np.int8)
     residual_max = 0.0
+    known = None
     stages = getattr(gait, "_stages", None)
-    known = None if stages is None else _KnownRows(law, stages())
+    if stages is not None:
+        models = [balance._AffineStage(law, *stage) for stage in stages()]
+        # a model without functions knows no row, so its gait takes the batch
+        if all(m.conds is not None for m in models):
+            known = _KnownRows(law, models)
     for i0 in range(0, n, _BLOCK):
         i1 = min(i0 + _BLOCK, n)
         ends = times[i0 + 1 : i1 + 1]
@@ -172,7 +180,7 @@ def _kernel(
 # (atol is 1e-13 fscale), against ~110 ulps for this margin.  It stays well
 # below 1: on a frictionless side the tail's force is exactly 0, so its
 # function is -atol or +atol all along, and a margin of the stage's larger
-# atol would send every row of such a stage to the batch.
+# atol would send every row of such a stage to the scalar solver.
 _MARGIN = 0.25
 
 
@@ -181,78 +189,47 @@ class _KnownRows:
     whose candidate functions ``balance._AffineStage`` knows, and their
     solutions, bit for bit as ``solve_velocity_batch`` finds them.
 
-    One model per stage, built once per grid.  A row strictly inside its
+    One model per stage, each with functions.  A row strictly inside its
     stage, with the model's breakpoints and every candidate function of the
     model farther than ``_MARGIN`` from zero, has the sign pattern of the
     model's functions at its time: the batch's comparisons come out the
     same.  It takes the plan of the model's functions for that pattern,
-    asked once per pattern at the time of one of its rows.  By pattern,
-    rather than by locating the row among the stage's stretches: a switch
-    time is a rounded root, and on a short stage late in the period a float
-    next to it can have a candidate function far from zero on the other side.
+    asked once per run at the time of its first row.  By pattern, rather
+    than by locating the row among the stage's stretches: a switch time is
+    a rounded root, and on a short stage late in the period a float next to
+    it can have a candidate function far from zero on the other side.  A
+    row the model cannot place answers NaN, and so goes to
+    ``balance.solve_velocity`` like every row a plan leaves unsettled.
     """
 
-    def __init__(self, law: FrictionLaw, stages) -> None:
-        self.law = law
-        self.models = [balance._AffineStage(law, *stage) for stage in stages]
-        self.answers: dict[int, tuple] = {}
+    def __init__(self, law: FrictionLaw, models: list[balance._AffineStage]) -> None:
+        self.law, self.models = law, models
         # Per stage, along the last axis: its ends, width and margin, the
         # functions a row must check at both ends, and the breakpoints, each
-        # list padded to the longest; a model without functions knows no row.
-        usable = [m.conds is not None for m in self.models]
-        self.t0 = np.array([m.t0 for m in self.models])
-        self.t1 = np.where(usable, [m.t1 for m in self.models], -math.inf)
-        self.w = np.array([m.w for m in self.models])
-        self.margin = np.array([_MARGIN * m.atol for m in self.models])
+        # list padded to the longest.
+        self.t0 = np.array([m.t0 for m in models])
+        self.t1 = np.array([m.t1 for m in models])
+        self.w = np.array([m.w for m in models])
+        self.margin = np.array([_MARGIN * m.atol for m in models])
         g0, dg = [], []
-        for m, margin in zip(self.models, self.margin.tolist()):
-            ends = list(zip(*m.conds)) if m.conds else []
+        for m, margin in zip(models, self.margin.tolist()):
             # g0 + th * (g1 - g0) runs monotonically from g0 to g0 + (g1 - g0)
             # as th goes from 0 to 1, in floats too: a function of one sign
             # beyond the margin at both of those ends keeps it, and no row
             # need check it
-            live = [(a, b - a) for a, b in ends if not _beyond(margin, a, a + (b - a))]
+            live = [(a, b - a) for a, b in zip(*m.conds) if not _beyond(margin, a, a + (b - a))]
             g0.append([a for a, _ in live])
             dg.append([d for _, d in live])
         self.g0 = np.nan_to_num(_padded(g0), nan=math.inf)
         self.dg = np.nan_to_num(_padded(dg))
-        self.breaks = _padded([m.breaks for m in self.models])
+        self.breaks = _padded([m.breaks for m in models])
 
     def solve(
         self, tm: np.ndarray, arcs: np.ndarray, rates: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``solve_velocity_batch`` on the block sampled at times ``tm``
-        (modulo the period); rows the model knows skip its bracket pass."""
-        key = self._keys(tm, rates)
-        known = key >= 0
-        if known.all():
-            return self._known(tm, key, arcs, rates)
-        got = self._known(tm[known], key[known], arcs[known], rates[known])
-        rest = solve_velocity_batch(self.law, arcs[~known], rates[~known])
-        out = tuple(np.empty(len(key), dtype=a.dtype) for a in got)
-        for a, b, c in zip(out, got, rest):
-            a[known], a[~known] = b, c
-        return out
-
-    def _known(
-        self, tm: np.ndarray, key: np.ndarray, arcs: np.ndarray, rates: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`_resolve` on known rows, each key's answer kept for the call."""
-
-        def answer(i0: int, i1: int) -> tuple:
-            k = int(key[i0])
-            if k not in self.answers:
-                model = self.models[k % len(self.models)]
-                plan = balance._plan(self.law, model.at(float(tm[i0])))
-                self.answers[k] = _answer(plan, model.breaks)
-            return self.answers[k]
-
-        return _resolve(self.law, _Rows(self.law, arcs, rates), key, answer)
-
-    def _keys(self, tm: np.ndarray, rates: np.ndarray) -> np.ndarray:
-        """Per row, its stage and the sign pattern of the model's functions
-        there as one key, or -1 where the model does not know the row."""
-        n = len(tm)
+        (modulo the period), with no bracket pass."""
+        rows = _Rows(self.law, arcs, rates)
         stage = np.searchsorted(self.t0, tm, side="right") - 1
         t0 = self.t0[stage]
         with np.errstate(all="ignore"):  # as model.at computes them
@@ -260,15 +237,23 @@ class _KnownRows:
         ok = (t0 < tm) & (tm < self.t1[stage]) & (np.abs(g) > self.margin[stage]).all(axis=0)
         # the row's breakpoints are the model's: a piece merged away at a
         # node the sampler could not resolve can take a rate with it
-        rate = np.ascontiguousarray(rates.reshape(n, -1).T)
-        in_model = np.zeros(rate.shape, dtype=bool)
+        in_model = np.zeros(rows.flat.shape, dtype=bool)
         for b in self.breaks[:, stage]:
-            hit = rate == -b
+            hit = rows.flat == -b
             in_model |= hit
             ok &= hit.any(axis=0) | np.isnan(b)
         ok &= in_model.all(axis=0)
-        key = ((1 << np.arange(len(g))) @ (g > 0.0)) * len(self.models) + stage
-        return np.where(ok, key, -1)
+        # a run has one stage and one sign pattern; a row the model cannot place has stage -1
+        placed = np.where(ok, stage, -1)
+
+        def answer(i0: int, i1: int) -> tuple:
+            k = int(placed[i0])
+            if k < 0:
+                return "const", math.nan
+            model = self.models[k]
+            return _answer(balance._plan(self.law, model.at(float(tm[i0]))), model.breaks)
+
+        return _resolve(self.law, rows, np.vstack([placed, g > 0.0]), answer)
 
 
 def _beyond(margin: float, a: float, b: float) -> bool:
@@ -442,11 +427,12 @@ def solve_velocity_batch(
     rows' ``x1dot``, regime (an index into ``balance.REGIMES``) and residual.
 
     The force bounds at every breakpoint, summed in piece order for all rows
-    at once, give each row its candidate functions for ``_resolve``.  A row
-    goes to ``solve_velocity`` itself, which also raises its errors, where
-    it has no candidate, roots on two gaps or a root beside another
-    candidate, a probe on a breakpoint, a gap polynomial without exactly one
-    root there, or a force scale or residual the scalar solver rejects.
+    at once, give each row its candidate functions, whose signs ``_resolve``
+    cuts into runs.  A row goes to ``solve_velocity`` itself, which also
+    raises its errors, where it has no candidate, roots on two gaps or a
+    root beside another candidate, a probe on a breakpoint, a gap
+    polynomial without exactly one root there, or a force scale or residual
+    the scalar solver rejects.
     """
     rows = _Rows(law, arcs, rates)
     atol = rows.atol
@@ -462,15 +448,14 @@ def solve_velocity_batch(
         ]
         breaks = _sorted_columns([-flat[j] for j in distinct])
 
-        # The candidate functions, laid out as _AffineStage.conds, keyed by
-        # what balance._plan reads of them: whether each is >= 0 and <= 0
-        # (both for 0, neither for NaN), as bits while they fit an int64.
+        # The candidate functions, laid out as _AffineStage.conds, and what
+        # balance._plan reads of them: whether each is >= 0 and <= 0 (both
+        # for 0, neither for NaN).
         f_lo, f_hi = _total_force_rows(law, *rows.pieces, breaks)
         g = np.concatenate([f_lo - atol, f_hi + atol, f_hi[:1] - atol, f_lo[-1:] + atol])
-        bits = np.concatenate([g >= 0.0, g <= 0.0])
-        key = (1 << np.arange(len(bits))) @ bits if len(bits) < 63 else np.arange(len(atol))
+        signs = np.concatenate([g >= 0.0, g <= 0.0])
     return _resolve(
-        law, rows, key, lambda i0, i1: _answer(balance._plan(law, g[:, i0].tolist()), breaks[:, i0:i1])
+        law, rows, signs, lambda i0, i1: _answer(balance._plan(law, g[:, i0].tolist()), breaks[:, i0:i1])
     )
 
 
@@ -505,16 +490,20 @@ def _answer(plan: tuple | None, breaks) -> tuple:
 
 
 def _resolve(
-    law: FrictionLaw, rows: _Rows, key: np.ndarray, answer: Callable[[int, int], tuple]
+    law: FrictionLaw, rows: _Rows, signs: np.ndarray, answer: Callable[[int, int], tuple]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's solution from the plan of its sign pattern ``key``: rows
-    come in time order, so rows of one key come in runs, and ``answer(i0,
-    i1)`` gives a run's :func:`_answer`.  Rows on a gap root share one
-    polynomial solve, with the batch's probe.  A row left NaN (no plan, or
-    not one root) goes to ``balance.solve_velocity``."""
-    n = len(key)
+    """Each row's solution from the plan of its sign pattern, the row's
+    column of ``signs``: rows come in time order, so rows of one pattern
+    come in runs, cut wherever a column differs from the one before, and
+    ``answer(i0, i1)`` gives a run's :func:`_answer`.  Rows on a gap root
+    share one polynomial solve, with the batch's probe.  A row left NaN (no
+    plan, not one root, or a row source could not place it) goes to
+    ``balance.solve_velocity``."""
+    n = signs.shape[1]
     x, lo, hi, on_gap = np.full(n, math.nan), np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
-    cuts = [*np.flatnonzero(np.diff(key, prepend=-1)).tolist(), n]  # keys are >= 0
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (signs[:, 1:] != signs[:, :-1]).any(axis=0)
+    cuts = [*np.flatnonzero(starts).tolist(), n]
     for i0, i1 in zip(cuts, cuts[1:]):
         kind, *values = answer(i0, i1)
         if kind == "const":

@@ -74,29 +74,27 @@ def _kernel_rows(monkeypatch, law, gait, targets):
     """``midpoint._kernel`` on a grid whose step midpoints include every
     target (a step from t to t has its midpoint at t): per row, the
     midpoint, ``x1dot``, regime code and residual, and how many rows the
-    stage model knew: those that did not reach the batch solver."""
+    stage model knew: those that did not reach ``balance.solve_velocity``."""
     times = np.repeat(np.array(targets), 2)
     seen = []
-    solve, batch = midpoint._KnownRows.solve, midpoint.solve_velocity_batch
+    solve = midpoint._KnownRows.solve
 
     def spy_solve(self, tm, arcs, rates):
         out = solve(self, tm, arcs, rates)
         seen.append(out)
         return out
 
-    batch_rows: list[int] = []
+    scalar_rows = []
     monkeypatch.setattr(midpoint._KnownRows, "solve", spy_solve)
     monkeypatch.setattr(
-        midpoint,
-        "solve_velocity_batch",
-        lambda law, arcs, rates: batch_rows.append(len(arcs)) or batch(law, arcs, rates),
+        balance, "solve_velocity", lambda *args: scalar_rows.append(args) or solve_velocity(*args)
     )
     x1dot, codes, residual_max = midpoint._kernel(law, gait, times, None)
     x, regime, residual = (np.concatenate(a) for a in zip(*seen))
     mids = 0.5 * (times[:-1] + times[1:])  # as the kernel computes them
     assert x.tobytes() == x1dot.tobytes() and regime.tobytes() == codes.tobytes()
     assert residual_max == residual.max()
-    return mids, x, regime, residual, len(mids) - sum(batch_rows)
+    return mids, x, regime, residual, len(mids) - len(scalar_rows)
 
 
 def _assert_rows_match_solve_velocity(monkeypatch, law, gait) -> tuple[int, int]:
@@ -143,8 +141,8 @@ def test_rows_next_to_a_switch_of_a_short_stage_late_in_the_period(monkeypatch):
 
 @pytest.mark.parametrize("cls", CONSTANT_RATE)
 def test_the_stage_model_answers_nearly_every_row(monkeypatch, cls):
-    # A model that sent every row to the batch would pass every bit-identity
-    # test and save nothing.
+    # A model that sent every row to the scalar solver, or every gait to the
+    # batch, would pass every bit-identity test and save nothing.
     batch_rows, scalar_rows = [], []
     batch = midpoint.solve_velocity_batch
     monkeypatch.setattr(

@@ -26,6 +26,7 @@ from dircrawl.balance import solve_velocity
 from dircrawl.body import Breather, CompositeStride, ConstantLength, SquareWave, TwoSegmentPath
 from dircrawl.friction import FrictionLaw
 from oracles import reference_simulate
+from test_batched import _THREE_REGIMES
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -61,6 +62,9 @@ _MIXED = FrictionLaw(1.0, 0.5, 1.0, 0.5)
             TwoSegmentPath(1.0, 0.5, (0.0, 0.4, 1.0), (0.4, 0.7, 0.4), (0.5, 0.3, 0.5)),
         ),
         (_MIXED, CompositeStride(1.0, 0.3, 1.5)),
+        # a held stage has no rate and no Newtonian force, so its stage model
+        # has no functions and every row of the gait takes the batch
+        (FrictionLaw(0.0, 0.0, 1.0, 0.4), _THREE_REGIMES),
         (_MIXED, Breather(1.0, 0.5, 1.0)),
         (FrictionLaw(0.75, 0.25, 0.0, 0.0), ConstantLength(1.0, 0.5, 0.4, 0.3, 2.0)),
         (
@@ -80,6 +84,7 @@ _MIXED = FrictionLaw(1.0, 0.5, 1.0, 0.5)
         "newtonian_contraction_wave",
         "newtonian_path",
         "mixed_stride",
+        "newtonian_held_path",
         "breather",
         "constant_length",
         "custom_breather",
