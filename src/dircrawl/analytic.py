@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Hashable, Sequence
 
 from .errors import DegenerateSubstrateError, MixedRheologyError, RegimeMismatchError
-from .friction import FrictionLaw, alpha, directional_pair
+from .friction import DirectionalPair, FrictionLaw, alpha, directional_pair
 
 __all__ = [
     "BreatherRoots",
@@ -143,7 +143,12 @@ def breather_velocity(law: FrictionLaw, ldot: float) -> float:
     """
     if ldot == 0.0 or not math.isfinite(ldot):
         raise ValueError(f"ldot must be finite and nonzero (rest is for the solver), got {ldot!r}")
-    p = directional_pair(law, elongating=ldot > 0.0)
+    return _paired_velocity(directional_pair(law, elongating=ldot > 0.0), ldot)
+
+
+def _paired_velocity(p: DirectionalPair, ldot: float) -> float:
+    """:func:`breather_velocity` at a finite nonzero ``ldot``, from the
+    law's :func:`directional_pair` for the sign of ``ldot``."""
     tau_1, tau_2, mu_1, mu_2, l, _ = _unit_scale(p.tau_1, p.tau_2, p.mu_1, p.mu_2, ldot)
     w = (tau_1 - tau_2) / l
     disc = mu_1 * mu_2 + w * w + 2.0 * (mu_2 * tau_1 - mu_1 * tau_2) / l
@@ -335,60 +340,70 @@ def adaptive_gauss(
     more than ``_MAX_PANELS`` panels, or a panel more than ``_MAX_DEPTH``
     cuts deep: the integral does not settle.
     """
-    panels = 0
-    call_bound = 0.0
+    return _panel(f, [0, 0.0], a, b, tol, 0)
 
-    def panel(a: float, b: float, tol: float, depth: int) -> float:
-        nonlocal panels, call_bound
-        panels += 1
-        if panels > _MAX_PANELS or depth > _MAX_DEPTH:
-            raise DegenerateSubstrateError(
-                f"integral does not settle within {_MAX_PANELS} panels or {_MAX_DEPTH} cuts "
-                "(the integrand's rounding noise or a singularity defeats the tolerance)"
-            )
-        half = 0.5 * (b - a)
-        mid = a + half
-        kronrod = gauss = 0.0
-        samples = []
-        for x, wk, wg in _QK15:
-            t = mid + half * x
-            value, key = f(t)
-            kronrod += wk * value
-            gauss += wg * value
-            samples.append((t, value, key))
-        whole = half * kronrod
-        if depth == 0:
-            call_bound = tol * max(1.0, abs(whole))
-        cut = _key_switch(f, samples, tol)
+
+def _panel(
+    f: Callable[[float], tuple[float, Hashable]],
+    state: list,
+    a: float,
+    b: float,
+    tol: float,
+    depth: int,
+) -> float:
+    """One panel of :func:`adaptive_gauss` over ``[a, b]``, ``depth`` cuts
+    below the call's interval, with its halves where it is cut.  ``state``
+    is the call's ``[panels taken, call bound]``.  A module-level function,
+    not a closure over the call: a nested function that calls itself keeps
+    a reference cycle, holding the integrand, alive after every call."""
+    state[0] += 1
+    if state[0] > _MAX_PANELS or depth > _MAX_DEPTH:
+        raise DegenerateSubstrateError(
+            f"integral does not settle within {_MAX_PANELS} panels or {_MAX_DEPTH} cuts "
+            "(the integrand's rounding noise or a singularity defeats the tolerance)"
+        )
+    half = 0.5 * (b - a)
+    mid = a + half
+    kronrod = gauss = 0.0
+    samples = []
+    for x, wk, wg in _QK15:
+        t = mid + half * x
+        value, key = f(t)
+        kronrod += wk * value
+        gauss += wg * value
+        samples.append((t, value, key))
+    whole = half * kronrod
+    if depth == 0:
+        state[1] = tol * max(1.0, abs(whole))
+    call_bound = state[1]
+    cut = _key_switch(f, samples, tol)
+    if cut is None:
+        mean = 0.5 * kronrod
+        weighted = [(wk, value) for (_, wk, _), (_, value, _) in zip(_QK15, samples)]
+        resasc = abs(half) * sum(wk * abs(value - mean) for wk, value in weighted)
+        resabs = abs(half) * sum(wk * abs(value) for wk, value in weighted)
+        if _settled(whole, abs(half * (kronrod - gauss)), resasc, resabs, tol, call_bound):
+            return whole
+        # extend to the 31 nested nodes before bisecting, as dqng does
+        patterson = 0.0
+        extended = []
+        for i, (x, wp) in enumerate(_QP31):
+            if i % 2:
+                sample = samples[i // 2]
+            else:
+                t = mid + half * x
+                sample = (t, *f(t))
+            patterson += wp * sample[1]
+            extended.append(sample)
+        cut = _key_switch(f, extended, tol)
         if cut is None:
-            mean = 0.5 * kronrod
-            weighted = [(wk, value) for (_, wk, _), (_, value, _) in zip(_QK15, samples)]
-            resasc = abs(half) * sum(wk * abs(value - mean) for wk, value in weighted)
-            resabs = abs(half) * sum(wk * abs(value) for wk, value in weighted)
-            if _settled(whole, abs(half * (kronrod - gauss)), resasc, resabs, tol, call_bound):
+            whole = half * patterson
+            if _settled(whole, abs(half * (patterson - kronrod)), resasc, resabs, tol, call_bound):
                 return whole
-            # extend to the 31 nested nodes before bisecting, as dqng does
-            patterson = 0.0
-            extended = []
-            for i, (x, wp) in enumerate(_QP31):
-                if i % 2:
-                    sample = samples[i // 2]
-                else:
-                    t = mid + half * x
-                    sample = (t, *f(t))
-                patterson += wp * sample[1]
-                extended.append(sample)
-            cut = _key_switch(f, extended, tol)
-            if cut is None:
-                whole = half * patterson
-                if _settled(
-                    whole, abs(half * (patterson - kronrod)), resasc, resabs, tol, call_bound
-                ):
-                    return whole
-                cut = mid
-        return panel(a, cut, 0.5 * tol, depth + 1) + panel(cut, b, 0.5 * tol, depth + 1)
-
-    return panel(a, b, tol, 0)
+            cut = mid
+    return _panel(f, state, a, cut, 0.5 * tol, depth + 1) + _panel(
+        f, state, cut, b, 0.5 * tol, depth + 1
+    )
 
 
 def _corner_spans(corners: Sequence[float], period: float) -> list[tuple[float, float]]:
@@ -458,6 +473,17 @@ def breather_cycle_displacement(
     if corners is None:
         corners = _turning_points(profile_rate, period)
     coeffs = _rate_independent_coefficients(law)
+    if coeffs is None:
+        # one directional pair per sign of the rate, indexed by ldot > 0
+        pairs = (directional_pair(law, elongating=False), directional_pair(law, elongating=True))
+
+        def integrand(t: float) -> tuple[float, None]:
+            ldot = profile_rate(t)
+            if ldot != 0.0 and math.isfinite(ldot):
+                return _paired_velocity(pairs[ldot > 0.0], ldot), None
+            # rest, or a rate breather_velocity refuses
+            return (breather_velocity(law, ldot) if ldot != 0.0 else 0.0), None
+
     total = 0.0
     for t0, t1 in _corner_spans(corners, period):
         dl = profile(t1) - profile(t0)
@@ -465,11 +491,6 @@ def breather_cycle_displacement(
             c_up, c_down = coeffs
             total += (c_up if dl > 0.0 else c_down) * dl if dl != 0.0 else 0.0
         else:
-
-            def integrand(t: float) -> tuple[float, None]:
-                ldot = profile_rate(t)
-                return (breather_velocity(law, ldot) if ldot != 0.0 else 0.0), None
-
             total += adaptive_gauss(integrand, t0, t1, tol)
     return total
 

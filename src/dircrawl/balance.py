@@ -27,7 +27,10 @@ default cycle integrator calls directly with the pieces of a gait's
 piece ends, which that integrator keys its panel cuts on.  ``_AffineStage``
 models the balance over a stage whose piece rates are constant, for both
 integrators.  The fast paths share one copy of ``_solve``'s candidate
-rule, ``_plan``; ``_solve`` keeps its own, as the oracle and hot path.
+rule, ``_plan``; ``_solve`` keeps its own, as the oracle.  A profile gait's
+node whose candidate is known to be a gap root skips the search and calls
+the two parts of ``_solve`` that follow it, ``_gap_root`` and
+``_classified``.
 """
 
 from __future__ import annotations
@@ -68,6 +71,20 @@ _DISC_RTOL = 1e-12  # a discriminant above -_DISC_RTOL * (b^2 + |4ac|) is zero
 # is relative to the gap's own magnitude, so scaling every rate by 2**k and
 # every viscosity by 2**-k scales the solution by exactly 2**k, while every
 # intermediate stays normal.  _ACCEPT_FLOOR only keeps atol from underflowing.
+
+# A fast path takes _solve's candidates from the signs of its candidate
+# functions only where each is more than _MARGIN times atol from zero, since
+# it gets them by other sums than _solve's.  The midpoint rows' stage model
+# interpolates forces summed at the stage ends, where a row sums its own
+# from its own arc-lengths: they differ by at most 0.005 atol on the
+# constant-rate benchmark rows, ~2 ulps of the force scale fscale (atol is
+# 1e-13 fscale), against ~110 ulps for this margin.  A profile node of the
+# default cycle path (engine._profile_nodes) reads its forces in closed form,
+# a few ulps from the sums.  The margin stays well below 1: on a
+# frictionless side the tail's force is exactly 0, so its function is -atol
+# or +atol all along, and a margin of a stage's larger atol would send every
+# midpoint row of such a stage to the scalar solver.
+_MARGIN = 0.25
 
 
 def _widened(lo: float, hi: float) -> tuple[float, float]:
@@ -285,20 +302,12 @@ def _solve(
         f_left_of_g1 = fvals[k + 1][1]
         if f_right_of_g0 > atol and f_left_of_g1 < -atol:
             g0, g1 = breaks[k], breaks[k + 1]
-            a, bq, cq = _segment_poly(law, pieces, 0.5 * (g0 + g1))
-            roots = _poly_roots_in(a, bq, cq, g0, g1)
-            if not roots:
+            x = _gap_root(law, pieces, g0, g1)
+            if x is None:
                 raise DegenerateSubstrateError(
                     f"force changes sign between x1dot={g0!r} and {g1!r} but "
                     "its polynomial there has no root in floating point"
                 )
-            x = roots[0]
-            if len(roots) > 1:  # the root of least residual, the first of equals
-                mags = [_force_mag(_force(law, pieces, r)) for r in roots]
-                if mags[1] < mags[0]:
-                    x = roots[1]
-            if x == 0.0:
-                x = 0.0  # a root at -0.0 enters as +0.0
         elif f_right_of_g0 <= atol and f_left_of_g1 >= -atol:
             # force within tolerance on the whole gap
             g0, g1 = breaks[k], breaks[k + 1]
@@ -328,9 +337,34 @@ def _solve(
             "force balance unresolved at this scale: no velocity balances "
             "the force in floating point"
         )
-    x_star = best
+    return _classified(law, pieces, l_total, best, vscale, fscale)
 
-    # Classify the velocity field at the solution.
+
+def _gap_root(law: FrictionLaw, pieces: _Pieces, g0: float, g1: float) -> float | None:
+    """The candidate :func:`_solve` takes on the gap ``[g0, g1]`` between two
+    breakpoints where the force falls through zero: the root there of the
+    gap's polynomial, probed at the gap's middle, the one of least residual
+    where two are kept (the first of equals), and +0.0 for a root at -0.0;
+    None where the polynomial has no root on the gap."""
+    a, bq, cq = _segment_poly(law, pieces, 0.5 * (g0 + g1))
+    roots = _poly_roots_in(a, bq, cq, g0, g1)
+    if not roots:
+        return None
+    x = roots[0]
+    if len(roots) > 1:
+        mags = [_force_mag(_force(law, pieces, r)) for r in roots]
+        if mags[1] < mags[0]:
+            x = roots[1]
+    return 0.0 if x == 0.0 else x
+
+
+def _classified(
+    law: FrictionLaw, pieces: _Pieces, l_total: float, x_star: float, vscale: float, fscale: float
+) -> tuple[float, str, float, tuple[tuple[float, float], ...], tuple[int, ...]]:
+    """:func:`_solve`'s result at its chosen velocity ``x_star``: the stuck
+    parts, regime and sign pattern of the velocity field there, and the
+    force residual, which must be finite and within ``_RESIDUAL_RTOL *
+    fscale`` (else :class:`DegenerateSubstrateError`)."""
     stick: list[tuple[float, float]] = []
     signs: list[int] = []
     stick_tol = _STICK_RTOL * vscale

@@ -172,17 +172,6 @@ def _kernel(
     return x1dot, codes, residual_max
 
 
-# A row takes the structure of the stage model where every candidate function
-# of the model is more than this many of the stage's atol from zero.  The
-# model interpolates forces summed at the stage ends; the row sums its own,
-# from its own arc-lengths.  The two differ by rounding: at most 0.005 atol
-# on the constant-rate benchmark rows, ~2 ulps of the force scale fscale
-# (atol is 1e-13 fscale), against ~110 ulps for this margin.  It stays well
-# below 1: on a frictionless side the tail's force is exactly 0, so its
-# function is -atol or +atol all along, and a margin of the stage's larger
-# atol would send every row of such a stage to the scalar solver.
-_MARGIN = 0.25
-
 
 class _KnownRows:
     """The rows of a gait with constant-rate stages (``body._Stages``)
@@ -191,10 +180,11 @@ class _KnownRows:
 
     One model per stage, each with functions.  A row strictly inside its
     stage, with the model's breakpoints and every candidate function of the
-    model farther than ``_MARGIN`` from zero, has the sign pattern of the
-    model's functions at its time: the batch's comparisons come out the
-    same.  It takes the plan of the model's functions for that pattern,
-    asked once per run at the time of its first row.  By pattern, rather
+    model farther than ``balance._MARGIN`` times the stage's atol from
+    zero, has the sign pattern of the model's functions at its time: the
+    batch's comparisons come out the same.  It takes the plan of the
+    model's functions for that pattern, asked once per run at the time of
+    its first row.  By pattern, rather
     than by locating the row among the stage's stretches: a switch time is
     a rounded root, and on a short stage late in the period a float next to
     it can have a candidate function far from zero on the other side.  A
@@ -210,7 +200,7 @@ class _KnownRows:
         self.t0 = np.array([m.t0 for m in models])
         self.t1 = np.array([m.t1 for m in models])
         self.w = np.array([m.w for m in models])
-        self.margin = np.array([_MARGIN * m.atol for m in models])
+        self.margin = np.array([balance._MARGIN * m.atol for m in models])
         g0, dg = [], []
         for m, margin in zip(models, self.margin.tolist()):
             # g0 + th * (g1 - g0) runs monotonically from g0 to g0 + (g1 - g0)
@@ -707,24 +697,24 @@ def _poly_roots_rows(
     def keep(x: np.ndarray) -> np.ndarray:
         return (lo - slack <= x) & (x <= hi + slack)
 
-    x_lin = -c / b
-    disc = b * b - 4.0 * a * c
-    near = (disc < 0.0) & (disc > -balance._DISC_RTOL * (b * b + np.abs(4.0 * a * c)))
-    disc = np.where(near, 0.0, disc)
-    sq = np.sqrt(disc)
-    q = np.where(b != 0.0, -0.5 * (b + np.copysign(sq, b)), -0.5 * sq)
-    x1 = np.where(q != 0.0, q / a, 0.0)  # q == 0 leaves the single root 0.0
-    x2 = c / q
-    keep1 = keep(x1)
-    keep2 = (q != 0.0) & keep(x2)
-    linear = a == 0.0
-    first = np.where(linear, x_lin, np.where(keep1, x1, x2))
-    n_roots = np.where(
-        linear,
-        np.where(b == 0.0, 0, keep(x_lin)),
-        np.where(disc < 0.0, 0, keep1.astype(int) + keep2),
-    )
-    return first, n_roots
+    linear = _collapsed(a == 0.0)  # on default runs a call is all-linear or all-quadratic
+    x_lin = n_lin = x_quad = n_quad = None
+    if linear is not np.False_:
+        x_lin = -c / b
+        n_lin = np.where(b == 0.0, 0, keep(x_lin))
+    if linear is not np.True_:
+        disc = b * b - 4.0 * a * c
+        near = (disc < 0.0) & (disc > -balance._DISC_RTOL * (b * b + np.abs(4.0 * a * c)))
+        disc = np.where(near, 0.0, disc)
+        sq = np.sqrt(disc)
+        q = np.where(b != 0.0, -0.5 * (b + np.copysign(sq, b)), -0.5 * sq)
+        x1 = np.where(q != 0.0, q / a, 0.0)  # q == 0 leaves the single root 0.0
+        x2 = c / q
+        keep1 = keep(x1)
+        keep2 = (q != 0.0) & keep(x2)
+        x_quad = np.where(keep1, x1, x2)
+        n_quad = np.where(disc < 0.0, 0, keep1.astype(int) + keep2)
+    return _pick(linear, x_lin, x_quad), _pick(linear, n_lin, n_quad)
 
 
 def _closest_to_zero_rows(lo, hi) -> np.ndarray:

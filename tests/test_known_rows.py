@@ -3,8 +3,8 @@
 On a gait with constant-rate stages, ``midpoint._KnownRows`` gives a row
 the structure of ``balance._AffineStage`` (a fixed value, or the root on a
 known gap) when every candidate function of the model is farther than
-``midpoint._MARGIN`` from zero at the row's time; such a row skips the
-batch's bracket pass.  The answer must still be ``balance.solve_velocity``'s
+``balance._MARGIN`` times atol from zero at the row's time; such a row
+skips the batch's bracket pass.  The answer must still be ``balance.solve_velocity``'s
 bit for bit.  The rows that test this sit where the model's structure
 changes: on every switch time of every stage, the stage ends, and their
 float neighbours.  Both the model's rows and the batch's resolve through
