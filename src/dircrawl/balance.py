@@ -26,11 +26,13 @@ default cycle integrator calls directly with the pieces of a gait's
 ``_pieces_at(t)``; it also returns the sign pattern of the velocity at the
 piece ends, which that integrator keys its panel cuts on.  ``_AffineStage``
 models the balance over a stage whose piece rates are constant, for both
-integrators.  The fast paths share one copy of ``_solve``'s candidate
-rule, ``_plan``; ``_solve`` keeps its own, as the oracle.  A profile gait's
-node whose candidate is known to be a gap root skips the search and calls
-the two parts of ``_solve`` that follow it, ``_gap_root`` and
-``_classified``.
+integrators.  ``_plan`` is the one candidate rule: ``_solve`` evaluates
+its whole list, the fast paths only lists ``_settled`` accepts.  A profile
+gait's node whose candidate is known to be a gap root skips the search and
+calls the two parts of ``_solve`` that follow it, ``_gap_root`` and
+``_classified``.  The tests hold ``_solve`` to independent oracles:
+``oracles.reference_solve`` (the earlier solver, verbatim) and
+``oracles.bisect_velocity`` (bisection on brute-force force sums).
 """
 
 from __future__ import annotations
@@ -284,54 +286,15 @@ def _solve(
     if not math.isfinite(fscale):
         raise DegenerateSubstrateError("force scale overflows: no residual can be checked")
 
-    # The solution is the candidate closest to zero, the first of equals:
-    # each candidate set enters as its element closest to zero (+0.0 where
-    # it holds zero), breakpoints first, then gaps, then tails.
+    forces = [_force(law, pieces, b) for b in breaks]
     best = None
-    fvals = []
-    for b in breaks:
-        f = _force(law, pieces, b)
-        fvals.append(f)
-        if f[0] <= atol and f[1] >= -atol:
-            x = 0.0 if b == 0.0 else b
-            if best is None or abs(x) < abs(best):
-                best = x
-
-    for k in range(len(breaks) - 1):
-        f_right_of_g0 = fvals[k][0]
-        f_left_of_g1 = fvals[k + 1][1]
-        if f_right_of_g0 > atol and f_left_of_g1 < -atol:
-            g0, g1 = breaks[k], breaks[k + 1]
-            x = _gap_root(law, pieces, g0, g1)
-            if x is None:
-                raise DegenerateSubstrateError(
-                    f"force changes sign between x1dot={g0!r} and {g1!r} but "
-                    "its polynomial there has no root in floating point"
-                )
-        elif f_right_of_g0 <= atol and f_left_of_g1 >= -atol:
-            # force within tolerance on the whole gap
-            g0, g1 = breaks[k], breaks[k + 1]
-            x = 0.0 if g0 <= 0.0 <= g1 else (g1 if g1 < 0.0 else g0)
+    for c in _plan(law, _conds(forces, atol)):
+        if type(c) is int:
+            x = _gap_root(law, pieces, breaks[c], breaks[c + 1])
         else:
-            continue
-        if best is None or abs(x) < abs(best):
+            x = _closest_to_zero(*_span(breaks, c))
+        if best is None or abs(x) < abs(best):  # the first of equals
             best = x
-
-    # The tails hold no root: at breaks[0] every piece-end velocity
-    # r - max(r) is <= 0 (IEEE subtraction is monotone), so every term of
-    # the force is >= 0 and fvals[0] is never negative; at breaks[-1],
-    # likewise, fvals[-1] is never positive.  Without viscosity in the
-    # tail's direction the force is constant there, and when that constant
-    # is zero the whole tail solves the balance.
-    if abs(fvals[0][1]) <= atol and law.mu_minus == 0.0:
-        x = 0.0 if breaks[0] >= 0.0 else breaks[0]
-        if best is None or abs(x) < abs(best):
-            best = x
-    if abs(fvals[-1][0]) <= atol and law.mu_plus == 0.0:
-        x = 0.0 if breaks[-1] <= 0.0 else breaks[-1]
-        if best is None or abs(x) < abs(best):
-            best = x
-
     if best is None:
         raise DegenerateSubstrateError(
             "force balance unresolved at this scale: no velocity balances "
@@ -340,16 +303,20 @@ def _solve(
     return _classified(law, pieces, l_total, best, vscale, fscale)
 
 
-def _gap_root(law: FrictionLaw, pieces: _Pieces, g0: float, g1: float) -> float | None:
+def _gap_root(law: FrictionLaw, pieces: _Pieces, g0: float, g1: float) -> float:
     """The candidate :func:`_solve` takes on the gap ``[g0, g1]`` between two
     breakpoints where the force falls through zero: the root there of the
     gap's polynomial, probed at the gap's middle, the one of least residual
-    where two are kept (the first of equals), and +0.0 for a root at -0.0;
-    None where the polynomial has no root on the gap."""
+    where two are kept (the first of equals), and +0.0 for a root at -0.0.
+    Raises :class:`DegenerateSubstrateError` where the polynomial has no
+    root on the gap."""
     a, bq, cq = _segment_poly(law, pieces, 0.5 * (g0 + g1))
     roots = _poly_roots_in(a, bq, cq, g0, g1)
     if not roots:
-        return None
+        raise DegenerateSubstrateError(
+            f"force changes sign between x1dot={g0!r} and {g1!r} but "
+            "its polynomial there has no root in floating point"
+        )
     x = roots[0]
     if len(roots) > 1:
         mags = [_force_mag(_force(law, pieces, r)) for r in roots]
@@ -409,30 +376,59 @@ def _force_mag(force: tuple[float, float]) -> float:
     return min(abs(lo), abs(hi))
 
 
-def _plan(law: FrictionLaw, g: list[float]) -> tuple | None:
-    """The candidates of :func:`_solve`'s rule, from the signs of its
-    candidate functions ``g`` laid out as ``_AffineStage.conds``: ``("root",
-    k)`` where the one candidate is the root on gap ``k``, ``("sets", sets)``
-    where all are sets, pairs of breakpoint indices (None for an infinite
-    end) in ``_solve``'s order, else None (no candidate, or more than one
-    with a root)."""
+def _conds(forces: list[tuple[float, float]], atol: float) -> list[float]:
+    """The candidate functions that :func:`_plan` reads, from the force
+    bounds ``(lo, hi)`` at each breakpoint, ascending: ``lo - atol`` at
+    each, then ``hi + atol`` at each, then ``hi - atol`` at the first and
+    ``lo + atol`` at the last."""
+    g, upper = [], []
+    for lo, hi in forces:  # a loop, not two comprehensions: half the cost per solve
+        g.append(lo - atol)
+        upper.append(hi + atol)
+    return g + upper + [forces[0][1] - atol, forces[-1][0] + atol]
+
+
+def _plan(law: FrictionLaw, g: list[float]) -> list:
+    """The candidate rule, written once: a solve's candidates in order, from
+    the signs of its candidate functions ``g`` (:func:`_conds`).  A set of
+    velocities is a pair of breakpoint indices (None for an infinite end), a
+    root the index of its gap.  First each breakpoint where the force holds
+    zero (``lo <= atol`` and ``hi >= -atol``); then per gap the root where
+    the force falls through zero (``lo > atol`` at its left end, ``hi <
+    -atol`` at its right), or the plateau where it is within tolerance on
+    the whole gap; then each tail where it is constant and zero.  A tail
+    holds no root: at the first breakpoint every piece-end velocity ``r -
+    max(r)`` is <= 0 (IEEE subtraction is monotone), so every term of the
+    force is >= 0, and at the last each is <= 0; without viscosity in the
+    tail's direction the force is constant there.  The solution is the
+    candidate closest to zero, the first of equals, a set entering as its
+    element closest to zero and a root as :func:`_gap_root`.  :func:`_solve`
+    evaluates every candidate, the fast paths only :func:`_settled` lists."""
+    # A set holds zero where its lower function is <= 0 <= its upper one;
+    # breakpoint k's are g[k] (lo - atol) and g[n + k] (hi + atol).
     n = (len(g) - 2) // 2
-    lo_ok = [v <= 0.0 for v in g[:n]]  # lo <= atol
-    hi_ok = [v >= 0.0 for v in g[n : 2 * n]]  # hi >= -atol
-    sets: list[tuple[int | None, int | None]] = [(k, k) for k in range(n) if lo_ok[k] and hi_ok[k]]
-    roots = []
+    plan: list = [(k, k) for k in range(n) if g[k] <= 0.0 <= g[n + k]]
     for k in range(n - 1):
         if g[k] > 0.0 and g[n + k + 1] < 0.0:  # lo > atol, then hi < -atol
-            roots.append(k)
-        elif lo_ok[k] and hi_ok[k + 1]:
-            sets.append((k, k + 1))
-    if law.mu_minus == 0.0 and hi_ok[0] and g[2 * n] <= 0.0:
-        sets.append((None, 0))
-    if law.mu_plus == 0.0 and lo_ok[-1] and g[2 * n + 1] >= 0.0:
-        sets.append((n - 1, None))
-    if roots:
-        return ("root", roots[0]) if len(roots) == 1 and not sets else None
-    return ("sets", sets) if sets else None
+            plan.append(k)
+        elif g[k] <= 0.0 <= g[n + k + 1]:
+            plan.append((k, k + 1))
+    if law.mu_minus == 0.0 and g[2 * n] <= 0.0 <= g[n]:  # |hi| <= atol at the first
+        plan.append((None, 0))
+    if law.mu_plus == 0.0 and g[n - 1] <= 0.0 <= g[2 * n + 1]:  # |lo| <= atol at the last
+        plan.append((n - 1, None))
+    return plan
+
+
+def _settled(law: FrictionLaw, g: list[float]) -> tuple | None:
+    """What the fast paths take of :func:`_plan`'s list: ``("root", k)``
+    where its one candidate is the root on gap ``k``, ``("sets", sets)``
+    where every candidate is a set, else None: a list with no candidate, or
+    with a root beside another, is left to :func:`_solve`."""
+    plan = _plan(law, g)
+    if not any(type(c) is int for c in plan):
+        return ("sets", plan) if plan else None
+    return ("root", plan[0]) if len(plan) == 1 else None
 
 
 def _span(breaks, ends: tuple[int | None, int | None]):
@@ -450,13 +446,12 @@ class _AffineStage:
     The breakpoints ``-r`` are fixed over the stage, and at each of them the
     force bounds ``lo``/``hi``, like the acceptance tolerance ``atol``, are
     affine in t.  So is every function whose sign picks the solver's
-    candidates: ``lo - atol`` and ``hi + atol`` at each breakpoint, and
-    ``hi - atol`` / ``lo + atol`` at the outer ones, where a tail can solve.
-    Between their roots the solution keeps one structure: a fixed
-    breakpoint, plateau or tail value, or the root of the gap polynomial,
-    whose coefficients are affine in t as well.  ``conds`` holds those
-    functions at both stage ends, or None where ``atol`` sits at its floor,
-    which is not affine; ``atol`` is the larger of the two ends' tolerances.
+    candidates (:func:`_conds`).  Between their roots the solution keeps
+    one structure: a fixed breakpoint, plateau or tail value, or the root
+    of the gap polynomial, whose coefficients are affine in t as well.
+    ``conds`` holds those functions at both stage ends, or None where
+    ``atol`` sits at its floor, which is not affine; ``atol`` is the larger
+    of the two ends' tolerances.
     """
 
     def __init__(self, law: FrictionLaw, t0: float, t1: float, p0, p1) -> None:
@@ -469,10 +464,7 @@ class _AffineStage:
                 self.conds = None
                 return
             self.atol = max(self.atol, atol)
-            forces = [_force(law, pieces, b) for b in self.breaks]
-            g = [lo - atol for lo, _ in forces] + [hi + atol for _, hi in forces]
-            g += [forces[0][1] - atol, forces[-1][0] + atol]
-            self.conds.append(g)
+            self.conds.append(_conds([_force(law, pieces, b) for b in self.breaks], atol))
 
     def switches(self) -> list[float]:
         """Times inside the stage where a candidate function has a root."""
@@ -492,7 +484,7 @@ class _AffineStage:
     def structure(self, t: float) -> tuple[str, float] | None:
         """``("const", x)`` or ``("root", gap index)`` where the solver's
         candidate rule picks one structure at ``t``, else None."""
-        plan = _plan(self.law, self.at(t))
+        plan = _settled(self.law, self.at(t))
         if plan is None or plan[0] == "root":
             return plan
         return "const", min((_closest_to_zero(*_span(self.breaks, c)) for c in plan[1]), key=abs)

@@ -66,7 +66,11 @@ _LAW_KEYS = ("tau_minus", "tau_plus", "mu_minus", "mu_plus")
 def _require_number(block: str, key: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{block}.{key}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        digits = len(str(abs(value)))
+        raise ConfigError(f"{block}.{key}: {digits}-digit integer overflows a float") from None
 
 
 def _require_finite_positive(name: str, value: float) -> float:
@@ -257,7 +261,7 @@ class RunConfig:
 
 def _load_config(path: str) -> RunConfig:
     def reject_constant(name: str) -> float:
-        raise ConfigError(f"{path}: {name}: config numbers must be finite")
+        raise ValueError(f"{name}: config numbers must be finite")
 
     try:
         with open(path, encoding="utf-8") as fh:
@@ -266,6 +270,8 @@ def _load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # NaN or Infinity, an integer longer than int() reads, not UTF-8
+        raise ConfigError(f"{path}: {exc}") from exc
     return RunConfig.from_dict(data)
 
 

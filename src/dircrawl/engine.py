@@ -294,19 +294,19 @@ def _profile_nodes(law: FrictionLaw):
     mu_minus |p'| / 2`` (everything slides backward) and at the upper one
     ``-(tau_plus + mu_plus |p'| / 2)``, whatever the shape.  Where both
     clear the solver's acceptance tolerance by ``balance._MARGIN``, its
-    candidate functions have one sign pattern, whose one candidate
+    candidate functions have one sign pattern, whose candidate list
     (``balance._plan``, asked once here) is the root on the gap between
-    them: the node takes ``balance._gap_root`` and ``balance._classified``
-    with ``_solve``'s scales, the same bits with one force sum where
-    ``_solve`` takes three.  A node whose rate is 0 or not finite, whose
-    tolerance sits at its floor, or that finds no root or fails the
-    residual check is solved.
+    them alone: the node takes ``balance._gap_root`` and
+    ``balance._classified`` with ``_solve``'s scales, the same bits with
+    one force sum where ``_solve`` takes three.  A node whose rate is 0 or
+    not finite, whose tolerance sits at its floor, or that finds no root or
+    fails the residual check is solved.
     """
     solve = balance._solve
     # the signs of lo - atol and hi + atol at both breakpoints, then of the
-    # two tail functions, laid out as _AffineStage.conds
+    # two tail functions, laid out by balance._conds
     pattern = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
-    if balance._plan(law, pattern) != ("root", 0):
+    if balance._plan(law, pattern) != [0]:
         return solve
     tm, tp, mm, mp = law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus
     tau, mu = tm + tp, mm + mp
@@ -327,8 +327,7 @@ def _profile_nodes(law: FrictionLaw):
             g0, g1 = (-rate, -0.0) if rate > 0.0 else (-0.0, -rate)  # _solve's breaks
             try:
                 x = balance._gap_root(law, pieces, g0, g1)
-                if x is not None:
-                    return balance._classified(law, pieces, l_total, x, speed, fscale)
+                return balance._classified(law, pieces, l_total, x, speed, fscale)
             except DegenerateSubstrateError:
                 pass
         return solve(law, pieces, l_total)

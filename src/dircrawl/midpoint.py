@@ -7,8 +7,8 @@ balance solved for a block of steps at a time, bit for bit as the scalar
 loop (``shape_at``/``rate_at`` and ``balance.solve_velocity`` per step)
 would: the same float operations in the same order.
 
-Each row is resolved by the solver's candidate rule, held once in
-``balance._plan``, from the signs of its candidate functions.  On a gait
+Each row is resolved by the solver's one candidate rule, ``balance._plan``,
+from the signs of its candidate functions.  On a gait
 with constant-rate stages (square waves, two-segment paths, composite
 strides), the stage model ``balance._AffineStage`` gives them for every row
 it can place, which skips the force sums at every breakpoint
@@ -241,7 +241,7 @@ class _KnownRows:
             if k < 0:
                 return "const", math.nan
             model = self.models[k]
-            return _answer(balance._plan(self.law, model.at(float(tm[i0]))), model.breaks)
+            return _answer(balance._settled(self.law, model.at(float(tm[i0]))), model.breaks)
 
         return _resolve(self.law, rows, np.vstack([placed, g > 0.0]), answer)
 
@@ -419,10 +419,10 @@ def solve_velocity_batch(
     The force bounds at every breakpoint, summed in piece order for all rows
     at once, give each row its candidate functions, whose signs ``_resolve``
     cuts into runs.  A row goes to ``solve_velocity`` itself, which also
-    raises its errors, where it has no candidate, roots on two gaps or a
-    root beside another candidate, a probe on a breakpoint, a gap
-    polynomial without exactly one root there, or a force scale or residual
-    the scalar solver rejects.
+    raises its errors, where ``balance._settled`` leaves its candidate list
+    unsettled (no candidate, or a root beside another), or where it has a
+    probe on a breakpoint, a gap polynomial without exactly one root there,
+    or a force scale or residual the scalar solver rejects.
     """
     rows = _Rows(law, arcs, rates)
     atol = rows.atol
@@ -438,14 +438,14 @@ def solve_velocity_batch(
         ]
         breaks = _sorted_columns([-flat[j] for j in distinct])
 
-        # The candidate functions, laid out as _AffineStage.conds, and what
+        # The candidate functions, laid out by balance._conds, and what
         # balance._plan reads of them: whether each is >= 0 and <= 0 (both
         # for 0, neither for NaN).
         f_lo, f_hi = _total_force_rows(law, *rows.pieces, breaks)
         g = np.concatenate([f_lo - atol, f_hi + atol, f_hi[:1] - atol, f_lo[-1:] + atol])
         signs = np.concatenate([g >= 0.0, g <= 0.0])
     return _resolve(
-        law, rows, signs, lambda i0, i1: _answer(balance._plan(law, g[:, i0].tolist()), breaks[:, i0:i1])
+        law, rows, signs, lambda i0, i1: _answer(balance._settled(law, g[:, i0].tolist()), breaks[:, i0:i1])
     )
 
 
@@ -464,10 +464,10 @@ def _sorted_columns(rows: list[np.ndarray]) -> np.ndarray:
 
 
 def _answer(plan: tuple | None, breaks) -> tuple:
-    """A run's answer from its ``balance._plan`` on ``breaks`` (a list, or
-    the run's rows of an array): ``("root", lo, hi)`` for the root on ``[lo,
-    hi]``, else ``("const", x)``, x the first candidate closest to zero, or
-    NaN where the scalar solver must decide."""
+    """A run's answer from its ``balance._settled`` plan on ``breaks`` (a
+    list, or the run's rows of an array): ``("root", lo, hi)`` for the root
+    on ``[lo, hi]``, else ``("const", x)``, x the first candidate closest to
+    zero, or NaN where the scalar solver must decide."""
     if plan is None:
         return "const", math.nan
     if plan[0] == "root":

@@ -399,6 +399,35 @@ def _force_mag(force: tuple[float, float]) -> float:
     return min(abs(lo), abs(hi))
 
 
+# The fast paths' candidate rule as it stood before balance._plan returned
+# the whole candidate list, kept verbatim: balance._settled must read the
+# list to the same answer.
+def reference_plan(law: FrictionLaw, g: list[float]) -> tuple | None:
+    """The candidates of :func:`_solve`'s rule, from the signs of its
+    candidate functions ``g`` laid out as ``_AffineStage.conds``: ``("root",
+    k)`` where the one candidate is the root on gap ``k``, ``("sets", sets)``
+    where all are sets, pairs of breakpoint indices (None for an infinite
+    end) in ``_solve``'s order, else None (no candidate, or more than one
+    with a root)."""
+    n = (len(g) - 2) // 2
+    lo_ok = [v <= 0.0 for v in g[:n]]  # lo <= atol
+    hi_ok = [v >= 0.0 for v in g[n : 2 * n]]  # hi >= -atol
+    sets: list[tuple[int | None, int | None]] = [(k, k) for k in range(n) if lo_ok[k] and hi_ok[k]]
+    roots = []
+    for k in range(n - 1):
+        if g[k] > 0.0 and g[n + k + 1] < 0.0:  # lo > atol, then hi < -atol
+            roots.append(k)
+        elif lo_ok[k] and hi_ok[k + 1]:
+            sets.append((k, k + 1))
+    if law.mu_minus == 0.0 and hi_ok[0] and g[2 * n] <= 0.0:
+        sets.append((None, 0))
+    if law.mu_plus == 0.0 and lo_ok[-1] and g[2 * n + 1] >= 0.0:
+        sets.append((n - 1, None))
+    if roots:
+        return ("root", roots[0]) if len(roots) == 1 and not sets else None
+    return ("sets", sets) if sets else None
+
+
 def reference_profile_stages(law: FrictionLaw, gait, tol: float) -> list[float]:
     """Stage integrals of a profile gait (``Breather``, ``ConstantLength``)
     by the per-node integrator that the default cycle path used on every

@@ -137,18 +137,30 @@ class TestConfigErrors:
             (["simulate", "--periods", "0"], breather_config(), "--periods: must be >= 1"),
             (["figure", "fig6", "--epsilons", "0.1,x"], None, "--epsilons: expected"),
             (*_sweep({"path": 5, "values": [0.5]}), "sweep.axes[0].path: expected"),
+            # integers a float cannot hold, and one longer than int() reads
+            (*_analytic(substrate={"tau_minus": 10**400}), "substrate.tau_minus: 401-digit"),
+            (*_analytic(gait={"kind": "breather", "L": 1.0, "delta": -(10**400), "T": 1.0}),
+             "gait.delta: 401-digit integer overflows a float"),
+            pytest.param(
+                ["analytic"],
+                json.dumps(breather_config()).replace("0.75", "7" * 5001).encode(),
+                "{path}: Exceeds the limit",
+                id="integer-of-5001-digits",
+            ),
+            (["analytic"], b"\xff{}", "{path}: 'utf-8' codec can't decode"),  # not UTF-8
         ],
     )
     def test_exit_two_naming_the_field(self, tmp_path, capsys, argv, data, message):
+        # ``data`` is a config, a file's bytes, or None for no file
         path = tmp_path / "cfg.json"
         if data is not None:
-            path.write_text(json.dumps(data), encoding="utf-8")
+            path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
         if argv[0] != "figure":
             argv = [argv[0], "--config", str(path), *argv[1:]]
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith(f"config error: {message}")
+        assert err.startswith(f"config error: {message.format(path=path)}")
         assert err.count("\n") == 1
         if data is None and argv[0] != "figure":
             assert str(path) in err
