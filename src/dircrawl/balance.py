@@ -57,13 +57,13 @@ __all__ = [
 SLIDING = "sliding"
 STICK_SLIP = "stick_slip"
 WHOLE_BODY_STICK = "whole_body_stick"
-#: Regimes in the order of the codes ``midpoint.solve_velocity_batch`` returns.
+#: Regimes in the order of the regime codes of the midpoint grid (``midpoint``).
 REGIMES = (SLIDING, STICK_SLIP, WHOLE_BODY_STICK)
 
 # Largest force residual accepted, relative to the solver's force scale.
 _RESIDUAL_RTOL = 1e-9
-# Tolerances of the candidate search and the regime classification; the batch
-# solver in midpoint reads these names, so that its rows match bit for bit.
+# Tolerances of the candidate search and the regime classification; the
+# midpoint rows read these names, so that they match bit for bit.
 _ACCEPT_RTOL, _ACCEPT_FLOOR = 1e-13, 1e-300  # |force| <= RTOL * max(fscale, FLOOR) is zero
 _STICK_RTOL = 1e-12  # a piece sticks where |v| <= _STICK_RTOL * vscale
 _WHOLE_BODY_RTOL = 1e-12  # the whole body sticks from (1 - _WHOLE_BODY_RTOL) of it
@@ -80,13 +80,25 @@ _DISC_RTOL = 1e-12  # a discriminant above -_DISC_RTOL * (b^2 + |4ac|) is zero
 # interpolates forces summed at the stage ends, where a row sums its own
 # from its own arc-lengths: they differ by at most 0.005 atol on the
 # constant-rate benchmark rows, ~2 ulps of the force scale fscale (atol is
-# 1e-13 fscale), against ~110 ulps for this margin.  A profile node of the
-# default cycle path (engine._profile_nodes) reads its forces in closed form,
-# a few ulps from the sums.  The margin stays well below 1: on a
+# 1e-13 fscale), against ~110 ulps for this margin.  Profile gaits read
+# their forces in closed form (_profile_forces), a few ulps from the sums:
+# the midpoint grid's rows (midpoint._ProfileRows) and the default cycle
+# path's nodes (engine._profile_nodes).  The margin stays well below 1: on a
 # frictionless side the tail's force is exactly 0, so its function is -atol
 # or +atol all along, and a margin of a stage's larger atol would send every
 # midpoint row of such a stage to the scalar solver.
 _MARGIN = 0.25
+
+
+def _profile_forces(law: FrictionLaw, speed):
+    """Per unit length, the forces at the lower and the upper breakpoint of
+    a profile gait whose rate ``p'`` has magnitude ``speed`` (a float or an
+    array).  Its rates run from 0 to ``p'`` along the body, so everything
+    slides backward at the one and forward at the other, whatever the shape."""
+    return (
+        law.tau_minus + law.mu_minus * speed * 0.5,
+        -(law.tau_plus + law.mu_plus * speed * 0.5),
+    )
 
 
 def _widened(lo: float, hi: float) -> tuple[float, float]:

@@ -142,6 +142,9 @@ class _ProfileGait:
             raise ValueError("ref_length and period must be positive")
         if (self.profile is None) != (self.profile_rate is None):
             raise ValueError("supply both profile and profile_rate, or neither")
+        if self.profile is None and not math.isfinite(self.delta * (math.pi / self.period)):
+            raise ValueError(f"period={self.period!r} is too short for delta={self.delta!r}: "
+                             "the bump's rate delta * pi / period is not finite")
         object.__setattr__(self, "_rest", rest)
 
     def _value(self, t: float) -> float:

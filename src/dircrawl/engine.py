@@ -289,27 +289,19 @@ def _profile_nodes(law: FrictionLaw):
     ``law``, with the same signature, which solves most nodes on one gap.
 
     The rates of a breather or a constant-length crawler run from 0 to
-    ``p'`` along the body, so a node's breakpoints are ``0`` and ``-p'``.
-    Per unit length, the force at the lower one is ``tau_minus +
-    mu_minus |p'| / 2`` (everything slides backward) and at the upper one
-    ``-(tau_plus + mu_plus |p'| / 2)``, whatever the shape.  Where both
-    clear the solver's acceptance tolerance by ``balance._MARGIN``, its
-    candidate functions have one sign pattern, whose candidate list
-    (``balance._plan``, asked once here) is the root on the gap between
-    them alone: the node takes ``balance._gap_root`` and
-    ``balance._classified`` with ``_solve``'s scales, the same bits with
-    one force sum where ``_solve`` takes three.  A node whose rate is 0 or
-    not finite, whose tolerance sits at its floor, or that finds no root or
-    fails the residual check is solved.
+    ``p'`` along the body, so a node's breakpoints are ``0`` and ``-p'``,
+    and the forces there are closed forms (``balance._profile_forces``).
+    Where both clear the solver's acceptance tolerance by
+    ``balance._MARGIN``, its candidate functions have the signs ``+ - + - +
+    -`` (``balance._conds``'s layout), whose candidate list is the root on
+    the gap between them alone, for every law: the node takes
+    ``balance._gap_root`` and ``balance._classified`` with ``_solve``'s
+    scales, the same bits with one force sum where ``_solve`` takes three.
+    A node whose rate is 0 or not finite, whose tolerance sits at its floor,
+    or that finds no root or fails the residual check is solved.
     """
     solve = balance._solve
-    # the signs of lo - atol and hi + atol at both breakpoints, then of the
-    # two tail functions, laid out by balance._conds
-    pattern = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
-    if balance._plan(law, pattern) != [0]:
-        return solve
-    tm, tp, mm, mp = law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus
-    tau, mu = tm + tp, mm + mp
+    tau, mu = law.tau_minus + law.tau_plus, law.mu_minus + law.mu_plus
     clear = (1.0 + balance._MARGIN) * balance._ACCEPT_RTOL
 
     def node(law: FrictionLaw, pieces, l_total: float):
@@ -318,11 +310,12 @@ def _profile_nodes(law: FrictionLaw):
         per_length = tau + mu * speed
         fscale = per_length * l_total  # _breaks_and_scales's sum, bit for bit
         need = clear * per_length
+        lower, upper = balance._profile_forces(law, speed)
         if (
             rate != 0.0
             and balance._ACCEPT_FLOOR <= fscale < math.inf
-            and tm + mm * speed * 0.5 > need
-            and tp + mp * speed * 0.5 > need
+            and lower > need
+            and -upper > need
         ):
             g0, g1 = (-rate, -0.0) if rate > 0.0 else (-0.0, -rate)  # _solve's breaks
             try:

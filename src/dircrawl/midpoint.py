@@ -8,15 +8,13 @@ loop (``shape_at``/``rate_at`` and ``balance.solve_velocity`` per step)
 would: the same float operations in the same order.
 
 Each row is resolved by the solver's one candidate rule, ``balance._plan``,
-from the signs of its candidate functions.  On a gait
-with constant-rate stages (square waves, two-segment paths, composite
-strides), the stage model ``balance._AffineStage`` gives them for every row
-it can place, which skips the force sums at every breakpoint
-(``_KnownRows``); on any other gait, or one with a stage whose model has no
-functions, each row sums its own (``solve_velocity_batch``).  Rows of one
-sign pattern come in runs, and ``_resolve`` asks each run's plan once.  A
-row that neither a plan nor the stage model settles goes to
-``balance.solve_velocity``.
+from the signs of its candidate functions, read from its gait family's
+model with no force sum at its breakpoints: the stage model
+``balance._AffineStage`` on constant-rate gaits (``_KnownRows``), the two
+closed-form breakpoint forces on profile gaits (``_ProfileRows``).  Rows of
+one sign pattern come in runs, and ``_resolve`` asks each run's plan once.
+A row no model places takes +0.0 where every rate is 0 (a body at rest),
+and otherwise goes to ``balance.solve_velocity``, the one fallback.
 
 Block format: ``n`` shapes are nodal arc-lengths ``arcs`` ``(n, P + 1)`` and
 per-piece end rates ``rates`` ``(n, P, 2)``, ``P`` fixed per gait: 1 for a
@@ -36,7 +34,7 @@ from .body import GaitProgram
 from .errors import DegenerateSubstrateError, StepLimitError
 from .friction import FrictionLaw
 
-__all__ = ["sample", "solve_velocity_batch", "simulate", "cycle"]
+__all__ = ["sample", "simulate", "cycle"]
 
 # Most midpoint steps one call may take; a smaller dt raises StepLimitError
 # before any grid is built.
@@ -102,6 +100,8 @@ def _stage_grid(
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if n_periods > _MAX_STEPS:  # a period takes a step at least; a huge int overflows below
+        raise StepLimitError(f"n_periods exceeds the limit of {_MAX_STEPS} steps at any dt")
     spans = analytic._corner_spans(gait.corner_times(), gait.period)
     # Upper bound on the step count below; float arithmetic, so a tiny dt
     # cannot make it build a huge integer or list.
@@ -137,13 +137,11 @@ def _kernel(
     x1dot = np.empty(n)
     codes = np.empty(n, dtype=np.int8)
     residual_max = 0.0
-    known = None
     stages = getattr(gait, "_stages", None)
-    if stages is not None:
-        models = [balance._AffineStage(law, *stage) for stage in stages()]
-        # a model without functions knows no row, so its gait takes the batch
-        if all(m.conds is not None for m in models):
-            known = _KnownRows(law, models)
+    if stages is None:
+        model = _ProfileRows(law)
+    else:
+        model = _KnownRows(law, [balance._AffineStage(law, *stage) for stage in stages()])
     for i0 in range(0, n, _BLOCK):
         i1 = min(i0 + _BLOCK, n)
         ends = times[i0 + 1 : i1 + 1]
@@ -151,10 +149,7 @@ def _kernel(
         tm = np.remainder(mids, gait.period)  # the samplers' and the stage models' time
         try:
             arcs, rates = _shapes(gait, mids, tm)
-            if known is None:
-                x, regime, residual = solve_velocity_batch(law, arcs, rates())
-            else:
-                x, regime, residual = known.solve(tm, arcs, rates())
+            x, regime, residual = model.solve(tm, arcs, rates())
             if lengths is not None:
                 lengths[i0 + 1 : i1 + 1] = _shapes(gait, ends)[0][:, -1]
         except Exception:
@@ -172,24 +167,20 @@ def _kernel(
     return x1dot, codes, residual_max
 
 
-
 class _KnownRows:
     """The rows of a gait with constant-rate stages (``body._Stages``)
     whose candidate functions ``balance._AffineStage`` knows, and their
-    solutions, bit for bit as ``solve_velocity_batch`` finds them.
+    solutions, bit for bit as ``balance.solve_velocity``.
 
-    One model per stage, each with functions.  A row strictly inside its
-    stage, with the model's breakpoints and every candidate function of the
-    model farther than ``balance._MARGIN`` times the stage's atol from
-    zero, has the sign pattern of the model's functions at its time: the
-    batch's comparisons come out the same.  It takes the plan of the
-    model's functions for that pattern, asked once per run at the time of
-    its first row.  By pattern, rather
-    than by locating the row among the stage's stretches: a switch time is
-    a rounded root, and on a short stage late in the period a float next to
-    it can have a candidate function far from zero on the other side.  A
-    row the model cannot place answers NaN, and so goes to
-    ``balance.solve_velocity`` like every row a plan leaves unsettled.
+    One model per stage; one without functions places no row.  A row
+    strictly inside its stage, with the model's breakpoints and every
+    candidate function of the model farther than ``balance._MARGIN`` times
+    the stage's atol from zero, has the sign pattern of the model's
+    functions at its time, and takes their plan, asked once per run at the
+    time of its first row.  By pattern, rather than by locating the row
+    among the stage's stretches: a switch time is a rounded root, and on a
+    short stage late in the period a float next to it can have a candidate
+    function far from zero on the other side.  Other rows answer NaN.
     """
 
     def __init__(self, law: FrictionLaw, models: list[balance._AffineStage]) -> None:
@@ -198,7 +189,8 @@ class _KnownRows:
         # functions a row must check at both ends, and the breakpoints, each
         # list padded to the longest.
         self.t0 = np.array([m.t0 for m in models])
-        self.t1 = np.array([m.t1 for m in models])
+        # a model without functions places no row: nothing is strictly inside its stage
+        self.t1 = np.array([m.t1 if m.conds is not None else m.t0 for m in models])
         self.w = np.array([m.w for m in models])
         self.margin = np.array([balance._MARGIN * m.atol for m in models])
         g0, dg = [], []
@@ -207,7 +199,8 @@ class _KnownRows:
             # as th goes from 0 to 1, in floats too: a function of one sign
             # beyond the margin at both of those ends keeps it, and no row
             # need check it
-            live = [(a, b - a) for a, b in zip(*m.conds) if not _beyond(margin, a, a + (b - a))]
+            conds = zip(*m.conds) if m.conds is not None else ()
+            live = [(a, b - a) for a, b in conds if not _beyond(margin, a, a + (b - a))]
             g0.append([a for a, _ in live])
             dg.append([d for _, d in live])
         self.g0 = np.nan_to_num(_padded(g0), nan=math.inf)
@@ -217,8 +210,9 @@ class _KnownRows:
     def solve(
         self, tm: np.ndarray, arcs: np.ndarray, rates: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``solve_velocity_batch`` on the block sampled at times ``tm``
-        (modulo the period), with no bracket pass."""
+        """Each row's ``x1dot``, regime code (an index into
+        ``balance.REGIMES``) and residual, for the block sampled at times
+        ``tm`` (modulo the period)."""
         rows = _Rows(self.law, arcs, rates)
         stage = np.searchsorted(self.t0, tm, side="right") - 1
         t0 = self.t0[stage]
@@ -244,6 +238,43 @@ class _KnownRows:
             return _answer(balance._settled(self.law, model.at(float(tm[i0]))), model.breaks)
 
         return _resolve(self.law, rows, np.vstack([placed, g > 0.0]), answer)
+
+
+class _ProfileRows:
+    """The rows of a profile gait (``body.Breather``, ``body.ConstantLength``)
+    and their solutions, bit for bit as ``balance.solve_velocity``.
+
+    A row's rates run from 0 to ``p'`` (``rates[:, 0, 1]``), so its
+    breakpoints are ``-p'`` and ``-0.0``, ascending, with the forces of
+    ``balance._profile_forces`` times the body length.  A row with ``p' !=
+    0``, a force scale off its floor, and each candidate function farther
+    than ``balance._MARGIN`` times atol from zero takes the plan of their
+    sign pattern.  Other rows answer NaN.
+    """
+
+    def __init__(self, law: FrictionLaw) -> None:
+        self.law = law
+
+    def solve(
+        self, tm: np.ndarray, arcs: np.ndarray, rates: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`_KnownRows.solve` for a profile gait; ``tm`` is not read."""
+        law, rows = self.law, _Rows(self.law, arcs, rates)
+        rate, atol = rows.flat[1], rows.atol  # p', and vscale = |p'|
+        with np.errstate(all="ignore"):
+            lower, upper = (f * rows.l_total for f in balance._profile_forces(law, rows.vscale))
+            g = np.array(balance._conds([(lower, lower), (upper, upper)], atol))
+            ok = (rate != 0.0) & (rows.fscale >= balance._ACCEPT_FLOOR)
+            ok &= (np.abs(g) > balance._MARGIN * atol).all(axis=0)
+        up = rate > 0.0
+        breaks = np.array([np.where(up, -rate, -0.0), np.where(up, -0.0, -rate)])
+
+        def answer(i0: int, i1: int) -> tuple:
+            if not ok[i0]:
+                return "const", math.nan
+            return _answer(balance._settled(law, g[:, i0].tolist()), breaks[:, i0:i1])
+
+        return _resolve(law, rows, np.vstack([ok, g > 0.0]), answer)
 
 
 def _beyond(margin: float, a: float, b: float) -> bool:
@@ -410,62 +441,9 @@ def _require_valid(gait: GaitProgram, times: np.ndarray, ok: np.ndarray) -> None
         raise ValueError(f"gait produced an invalid shape at t={t}")
 
 
-def solve_velocity_batch(
-    law: FrictionLaw, arcs: np.ndarray, rates: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``balance.solve_velocity`` for every row of a block of shapes: the
-    rows' ``x1dot``, regime (an index into ``balance.REGIMES``) and residual.
-
-    The force bounds at every breakpoint, summed in piece order for all rows
-    at once, give each row its candidate functions, whose signs ``_resolve``
-    cuts into runs.  A row goes to ``solve_velocity`` itself, which also
-    raises its errors, where ``balance._settled`` leaves its candidate list
-    unsettled (no candidate, or a root beside another), or where it has a
-    probe on a breakpoint, a gap polynomial without exactly one root there,
-    or a force scale or residual the scalar solver rejects.
-    """
-    rows = _Rows(law, arcs, rates)
-    atol = rows.atol
-    with np.errstate(all="ignore"):
-        # A breakpoint repeated within a row only repeats a candidate that
-        # comes earlier in the scalar order, so the choice is unchanged:
-        # rates that repeat another in every row are dropped, and the
-        # remaining repeats need no dedup.
-        flat = rows.flat
-        distinct = [
-            j for j in range(len(flat))
-            if not any(np.array_equal(flat[j], flat[i]) for i in range(j))
-        ]
-        breaks = _sorted_columns([-flat[j] for j in distinct])
-
-        # The candidate functions, laid out by balance._conds, and what
-        # balance._plan reads of them: whether each is >= 0 and <= 0 (both
-        # for 0, neither for NaN).
-        f_lo, f_hi = _total_force_rows(law, *rows.pieces, breaks)
-        g = np.concatenate([f_lo - atol, f_hi + atol, f_hi[:1] - atol, f_lo[-1:] + atol])
-        signs = np.concatenate([g >= 0.0, g <= 0.0])
-    return _resolve(
-        law, rows, signs, lambda i0, i1: _answer(balance._settled(law, g[:, i0].tolist()), breaks[:, i0:i1])
-    )
-
-
-def _sorted_columns(rows: list[np.ndarray]) -> np.ndarray:
-    """``rows`` (a list it reorders) stacked, each column ascending with NaN
-    last and equal values (signed zeros among them) in their input order.
-    Compare-and-swap passes over the few rows: ``np.sort(axis=0)`` costs ~10
-    times as much on a block, and the order it gives ties depends on its
-    SIMD dispatch."""
-    for end in range(len(rows) - 1, 0, -1):
-        for j in range(end):
-            a, b = rows[j], rows[j + 1]
-            swap = _collapsed(~((a <= b) | np.isnan(b)))
-            rows[j], rows[j + 1] = _pick(swap, b, a), _pick(swap, a, b)
-    return np.array(rows)
-
-
 def _answer(plan: tuple | None, breaks) -> tuple:
-    """A run's answer from its ``balance._settled`` plan on ``breaks`` (a
-    list, or the run's rows of an array): ``("root", lo, hi)`` for the root
+    """A run's answer from its ``balance._settled`` plan on ``breaks`` (the
+    run's columns of an array): ``("root", lo, hi)`` for the root
     on ``[lo, hi]``, else ``("const", x)``, x the first candidate closest to
     zero, or NaN where the scalar solver must decide."""
     if plan is None:
@@ -486,9 +464,10 @@ def _resolve(
     column of ``signs``: rows come in time order, so rows of one pattern
     come in runs, cut wherever a column differs from the one before, and
     ``answer(i0, i1)`` gives a run's :func:`_answer`.  Rows on a gap root
-    share one polynomial solve, with the batch's probe.  A row left NaN (no
-    plan, not one root, or a row source could not place it) goes to
-    ``balance.solve_velocity``."""
+    share one polynomial solve, probed at the gap's middle.  A row left NaN
+    (no plan, not one root, or its model could not place it) takes +0.0
+    where every rate is 0, a body at rest, whose plan's one candidate is
+    the breakpoint -0.0; any other goes to ``balance.solve_velocity``."""
     n = signs.shape[1]
     x, lo, hi, on_gap = np.full(n, math.nan), np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
     starts = np.ones(n, dtype=bool)
@@ -510,11 +489,16 @@ def _resolve(
             root, n_roots = _poly_roots_rows(a, bq, cq, lo, hi)
         # a root at -0.0 enters as +0.0
         x[at] = np.where(on_break | (n_roots != 1), math.nan, _closest_to_zero_rows(root, root))
-    return rows.settle(law, x, ~np.isfinite(x))
+    rare = ~np.isfinite(x)
+    if rare.any():
+        rest = rare & ~rows.flat.any(axis=0)
+        x[rest] = 0.0
+        rare &= ~rest
+    return rows.settle(law, x, rare)
 
 
 class _Rows:
-    """A block of shapes as ``solve_velocity_batch`` reads it: rows run
+    """A block of shapes as the row sources read it: rows run
     along the last axis of every array, so that numpy's inner loops run over
     the block; pieces and breakpoints run along the first.  ``pieces`` are
     ``(seg, r0, r1)``, and ``vscale``, ``fscale`` and ``atol`` are

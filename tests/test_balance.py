@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dircrawl import midpoint
 from dircrawl.analytic import breather_roots, breather_velocity, stickslip_delta_max
 from dircrawl.balance import (
     SLIDING,
@@ -14,10 +15,9 @@ from dircrawl.balance import (
     solve_velocity,
     total_force,
 )
-from dircrawl.body import PiecewiseAffineShape, ShapeRate, SquareWave
+from dircrawl.body import Breather, PiecewiseAffineShape, ShapeRate, SquareWave
 from dircrawl.errors import DegenerateSubstrateError
 from dircrawl.friction import FrictionLaw, scale
-from dircrawl.midpoint import solve_velocity_batch
 from oracles import bisect_velocity, breather_shape_rate, quad_force, random_law
 
 
@@ -200,8 +200,10 @@ class TestSolveVelocity:
         # accept x1dot = 0.0 with the whole yield force unbalanced
         with pytest.raises(DegenerateSubstrateError, match="force scale overflows"):
             solve_velocity(law, *breather_shape_rate(l=1.0, ldot=ldot))
+        # the midpoint rows of a breather whose length holds at 1.0 with this rate
+        gait = Breather(1.0, 0.0, 1.0, profile=lambda t: 1.0, profile_rate=lambda t: ldot)
         with pytest.raises(DegenerateSubstrateError, match="force scale overflows"):
-            solve_velocity_batch(law, np.array([[0.0, 1.0]]), np.array([[[0.0, ldot]]]))
+            midpoint._kernel(law, gait, np.array([0.25, 0.25, 0.5, 0.5]), None)
 
     def test_node_set_mismatch(self):
         law = FrictionLaw(1, 1, 1, 1)

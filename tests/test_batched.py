@@ -2,10 +2,11 @@
 
 ``engine.simulate`` and explicit-``dt`` cycles sample the gait for a block
 of steps at once (``midpoint.sample``) and solve the balance for the whole
-block (``midpoint.solve_velocity_batch``).  Every float operation is the one the
-scalar path made, in the same order, so the results must be equal bit for
-bit, not merely close: ``oracles.reference_simulate`` keeps the scalar step
-loop, and ``solve_velocity`` stays the oracle of each row.
+block (``midpoint._kernel``, each row from its gait's model).  Every float
+operation is the one the scalar path made, in the same order, so the
+results must be equal bit for bit, not merely close:
+``oracles.reference_simulate`` keeps the scalar step loop, and
+``solve_velocity`` stays the oracle of each row.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dircrawl.balance import REGIMES, solve_velocity
 from dircrawl.body import Breather, CompositeStride, ConstantLength, SquareWave, TwoSegmentPath
 from dircrawl.errors import DegenerateSubstrateError
 from dircrawl.friction import FrictionLaw
-from dircrawl.midpoint import solve_velocity_batch
+from kernel_rows import kernel_rows
 from oracles import reference_simulate
 
 _spec = importlib.util.spec_from_file_location(
@@ -93,7 +94,7 @@ def _counts(regimes) -> dict[str, int]:
     return counts
 
 
-# -- the batched solver against the scalar one ------------------------------
+# -- the kernel's rows against the scalar solver ------------------------------
 
 _param = st.one_of(st.just(0.0), st.floats(0.05, 5.0))
 laws = st.tuples(_param, _param, _param, _param).filter(any).map(lambda p: FrictionLaw(*p))
@@ -127,26 +128,29 @@ def test_batched_solver_equals_scalar_solver_exactly(law, gait, fractions):
     corners = [c + p * gait.period for c in gait.corner_times() for p in (0, 1)]
     times = [f * gait.period for f in fractions] + corners
     arcs, rates = midpoint.sample(gait, times)
-    expected = []
     for i, t in enumerate(times):
         shape, rate = gait.shape_at(t), gait.rate_at(t)
         p = len(shape.arc) - 1
         assert arcs[i, : p + 1].tolist() == list(shape.arc)
         assert (arcs[i, p + 1 :] == shape.length).all()
         assert [tuple(pair) for pair in rates[i, :p].tolist()] == list(rate.seg_rates)
+    # the kernel's rows: every target time, and one between each two
+    mids = 0.5 * (np.repeat(times, 2)[:-1] + np.repeat(times, 2)[1:])
+    expected = []
+    for t in mids.tolist():
         try:
-            expected.append(solve_velocity(law, shape, rate))
+            expected.append(solve_velocity(law, gait.shape_at(t), gait.rate_at(t)))
         except DegenerateSubstrateError:
             expected.append(None)
     if None in expected:
         with pytest.raises(DegenerateSubstrateError):
-            solve_velocity_batch(law, arcs, rates)
+            midpoint._kernel(law, gait, np.repeat(times, 2), None)
         return
-    x1dot, regime, residual = solve_velocity_batch(law, arcs, rates)
+    _, x1dot, regime, residual, _ = kernel_rows(law, gait, times)
     for i, sol in enumerate(expected):
-        assert x1dot[i] == sol.x1dot, (times[i], x1dot[i], sol)
-        assert REGIMES[regime[i]] == sol.regime, (times[i], sol)
-        assert residual[i] == sol.residual, (times[i], residual[i], sol)
+        assert x1dot[i] == sol.x1dot, (mids[i], x1dot[i], sol)
+        assert REGIMES[regime[i]] == sol.regime, (mids[i], sol)
+        assert residual[i] == sol.residual, (mids[i], residual[i], sol)
 
 
 def test_benchmark_rows_settle_without_the_scalar_solver(monkeypatch):
@@ -202,7 +206,7 @@ def test_unresolvable_balance_raises_typed_error(gait, t):
     with pytest.raises(DegenerateSubstrateError):
         solve_velocity(_MIXED, gait.shape_at(t), gait.rate_at(t))
     with pytest.raises(DegenerateSubstrateError):
-        solve_velocity_batch(_MIXED, *midpoint.sample(gait, [0.5 * gait.period, t]))
+        midpoint._kernel(_MIXED, gait, np.repeat([0.5 * gait.period, t], 2), None)
     with pytest.raises(DegenerateSubstrateError, match="at t = "):
         engine.simulate(_MIXED, gait)
     with pytest.raises(DegenerateSubstrateError):
@@ -253,17 +257,16 @@ def test_simulate_reports_regime_counts_and_residual_max(law, gait):
     ],
 )
 def test_rows_the_batch_cannot_settle_fall_back_to_the_scalar_solver(monkeypatch, gait):
-    # Report two roots, the first of them 0.0, for every bracketed row: the
-    # batch's own answer for it is then wrong, and only balance.solve_velocity
-    # can give back the rows the batch settles unpatched.
+    # Report two roots, the first of them 0.0, for every row on a gap root:
+    # the kernel's own answer for it is then wrong, and only
+    # balance.solve_velocity can give back the rows it settles unpatched.
     times = (np.arange(64) / 32 + 0.013) * gait.period
-    arcs, rates = midpoint.sample(gait, times)
     laws = [
         FrictionLaw(0.75, 0.25, 0.0, 0.0),
         FrictionLaw(0.0, 0.0, 1.0, 0.4),
         FrictionLaw(1.0, 0.5, 1.0, 0.5),
     ]
-    settled = [solve_velocity_batch(law, arcs, rates) for law in laws]
+    settled = [kernel_rows(law, gait, times)[1:4] for law in laws]
     poly_roots_rows = midpoint._poly_roots_rows
 
     def two_roots(*args):
@@ -279,7 +282,7 @@ def test_rows_the_batch_cannot_settle_fall_back_to_the_scalar_solver(monkeypatch
         or solve_velocity(law, shape, rate),
     )
     for law, expected in zip(laws, settled):
-        got = solve_velocity_batch(law, arcs, rates)
+        got = kernel_rows(law, gait, times)[1:4]
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), law
     assert fallback_pieces

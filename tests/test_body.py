@@ -106,6 +106,16 @@ class TestBreather:
         with pytest.raises(ValueError):
             Breather(ref_length=1.0, delta=-1.0, period=1.0)
 
+    @pytest.mark.parametrize("delta", [1.0, 0.0])
+    def test_rejects_a_bump_rate_that_is_not_finite(self, delta):
+        # pi / 5e-324 overflows: every rate would be inf, or NaN at delta 0
+        with pytest.raises(ValueError, match="period=5e-324"):
+            Breather(ref_length=1.0, delta=delta, period=5e-324)
+        with pytest.raises(ValueError, match="period=5e-324"):
+            ConstantLength(1.0, 0.5, 0.3, 0.1 * delta, 5e-324)
+        # a custom profile brings its own rate
+        Breather(1.0, delta, 5e-324, profile=lambda t: 1.0, profile_rate=lambda t: 0.0)
+
 
 class TestConstantLength:
     def test_three_nodes_fixed_total(self):

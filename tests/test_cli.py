@@ -396,6 +396,21 @@ class TestVerifyCommand:
         assert out == ""
         assert "config error: gait: delta=1.68e-142 / speed=7.8e+181 is subnormal" in err
 
+    def test_more_periods_than_steps_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, breather_config(numeric={"n_periods": 10**400}))
+        assert main(["simulate", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: n_periods exceeds the limit of 1000000 steps")
+
+    def test_bump_rate_overflow_exit_two(self, tmp_path, capsys):
+        gait = {"kind": "breather", "L": 1.0, "delta": 1.0, "T": 5e-324}
+        cfg = write_config(tmp_path, breather_config(gait=gait))
+        assert main(["simulate", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "config error: gait: period=5e-324 is too short for delta=1.0" in err
+
     def test_unsupported_pair_exit_one(self, tmp_path, capsys):
         data = breather_config(
             substrate={"tau_minus": 1.0, "tau_plus": 0.5, "mu_minus": 1.0, "mu_plus": 0.5},

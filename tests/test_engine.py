@@ -293,6 +293,14 @@ class TestStepLimit:
         with pytest.raises(StepLimitError, match="dt"):
             engine.sweep(law, g, axes=[("gait.delta", (0.5, 1.0))], dt=1e-300)
 
+    def test_more_periods_than_steps_rejected_before_the_step_bound(self):
+        # 10**400 periods times a float overflows; a period takes a step at least
+        law = FrictionLaw(0.75, 0.25, 0, 0)
+        g = Breather(ref_length=1.0, delta=1.0, period=1.0)
+        for n_periods in (10**400, 1_000_001):
+            with pytest.raises(StepLimitError, match="n_periods"):
+                engine.simulate(law, g, n_periods=n_periods)
+
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_non_finite_dt_rejected(self, dt):
         law = FrictionLaw(0.75, 0.25, 0, 0)

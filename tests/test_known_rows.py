@@ -4,10 +4,11 @@ On a gait with constant-rate stages, ``midpoint._KnownRows`` gives a row
 the structure of ``balance._AffineStage`` (a fixed value, or the root on a
 known gap) when every candidate function of the model is farther than
 ``balance._MARGIN`` times atol from zero at the row's time; such a row
-skips the batch's bracket pass.  The answer must still be ``balance.solve_velocity``'s
-bit for bit.  The rows that test this sit where the model's structure
-changes: on every switch time of every stage, the stage ends, and their
-float neighbours.  Both the model's rows and the batch's resolve through
+sums no force at its breakpoints.  The answer must still be
+``balance.solve_velocity``'s bit for bit.  The rows that test this sit
+where the model's structure changes: on every switch time of every stage,
+the stage ends, and their float neighbours.  Both row sources, this one and
+the profile gaits' (``tests/test_profile_rows.py``), resolve through
 ``balance._plan`` once per run of one sign pattern, not once per row.
 """
 
@@ -23,9 +24,10 @@ import pytest
 
 import dircrawl
 from dircrawl import balance, engine, midpoint
-from dircrawl.balance import REGIMES, solve_velocity
+from dircrawl.balance import solve_velocity
 from dircrawl.body import TwoSegmentPath
 from dircrawl.friction import FrictionLaw
+from kernel_rows import assert_rows_match_solve_velocity, kernel_rows
 from test_midpoint_edges import _LAWS, _edge_waves
 
 _spec = importlib.util.spec_from_file_location(
@@ -42,10 +44,6 @@ CONSTANT_RATE = tuple(
     if c.split("/")[0] in ("composite_stride", "stick_slip_wave", "sliding_wave")
 )
 _PATH = TwoSegmentPath(1.0, 0.5, (0.0, 0.4, 1.0), (0.4, 0.7, 0.4), (0.5, 0.3, 0.5))
-
-
-def _bits(values) -> bytes:
-    return np.asarray(values, dtype=np.float64).tobytes()
 
 
 def _near(t: float, steps: int = 3) -> list[float]:
@@ -70,62 +68,29 @@ def _switch_times(law, gait) -> list[float]:
     return sorted(t for t in times if 0.0 <= t <= gait.period)
 
 
-def _kernel_rows(monkeypatch, law, gait, targets):
-    """``midpoint._kernel`` on a grid whose step midpoints include every
-    target (a step from t to t has its midpoint at t): per row, the
-    midpoint, ``x1dot``, regime code and residual, and how many rows the
-    stage model knew: those that did not reach ``balance.solve_velocity``."""
-    times = np.repeat(np.array(targets), 2)
-    seen = []
-    solve = midpoint._KnownRows.solve
-
-    def spy_solve(self, tm, arcs, rates):
-        out = solve(self, tm, arcs, rates)
-        seen.append(out)
-        return out
-
-    scalar_rows = []
-    monkeypatch.setattr(midpoint._KnownRows, "solve", spy_solve)
-    monkeypatch.setattr(
-        balance, "solve_velocity", lambda *args: scalar_rows.append(args) or solve_velocity(*args)
-    )
-    x1dot, codes, residual_max = midpoint._kernel(law, gait, times, None)
-    x, regime, residual = (np.concatenate(a) for a in zip(*seen))
-    mids = 0.5 * (times[:-1] + times[1:])  # as the kernel computes them
-    assert x.tobytes() == x1dot.tobytes() and regime.tobytes() == codes.tobytes()
-    assert residual_max == residual.max()
-    return mids, x, regime, residual, len(mids) - len(scalar_rows)
-
-
-def _assert_rows_match_solve_velocity(monkeypatch, law, gait) -> tuple[int, int]:
-    targets = _switch_times(law, gait)
-    mids, x, regime, residual, known = _kernel_rows(monkeypatch, law, gait, targets)
-    for i, t in enumerate(mids.tolist()):
-        sol = solve_velocity(law, gait.shape_at(t), gait.rate_at(t))
-        assert _bits([x[i], residual[i]]) == _bits([sol.x1dot, sol.residual]), (law, gait, t)
-        assert REGIMES[regime[i]] == sol.regime, (law, gait, t)
-    return known, len(mids)
+def _assert_rows_match_solve_velocity(law, gait) -> tuple[int, int]:
+    return assert_rows_match_solve_velocity(law, gait, _switch_times(law, gait))
 
 
 @pytest.mark.parametrize("law", _LAWS)
-def test_rows_on_switch_times_of_edge_gaits_match_solve_velocity(monkeypatch, law):
+def test_rows_on_switch_times_of_edge_gaits_match_solve_velocity(law):
     known = total = 0
     for gait in [*_edge_waves(), _PATH]:
-        k, n = _assert_rows_match_solve_velocity(monkeypatch, law, gait)
+        k, n = _assert_rows_match_solve_velocity(law, gait)
         known, total = known + k, total + n
     # most rows sit between targets, away from any switch
     assert known > total // 3, (known, total)
 
 
 @pytest.mark.parametrize("cls", CONSTANT_RATE)
-def test_rows_on_switch_times_of_benchmark_gaits_match_solve_velocity(monkeypatch, cls):
+def test_rows_on_switch_times_of_benchmark_gaits_match_solve_velocity(cls):
     for seed in (1, 2, 3):
         law, gait = inputs.draw(seed, "trajectory", 0, cls, dircrawl).build(dircrawl)
-        known, total = _assert_rows_match_solve_velocity(monkeypatch, law, gait)
+        known, total = _assert_rows_match_solve_velocity(law, gait)
         assert known > total // 3, (seed, known, total)
 
 
-def test_rows_next_to_a_switch_of_a_short_stage_late_in_the_period(monkeypatch):
+def test_rows_next_to_a_switch_of_a_short_stage_late_in_the_period():
     # The middle stage lasts 1e-11 and starts at t = 7, so one float step
     # moves its candidate functions by some 1e7 atol, and the switch time (a
     # rounded root) is the last float before the sign change: located among
@@ -135,30 +100,53 @@ def test_rows_next_to_a_switch_of_a_short_stage_late_in_the_period(monkeypatch):
     gait = TwoSegmentPath(
         1.0, 0.5, (0.0, 7.0, 7.00000000001, 14.0), (1.3, 1.3, 1.6, 1.3), (1.7, 1.7, 0.66, 1.7)
     )
-    known, total = _assert_rows_match_solve_velocity(monkeypatch, law, gait)
+    known, total = _assert_rows_match_solve_velocity(law, gait)
     assert known > total // 3, (known, total)
 
 
-@pytest.mark.parametrize("cls", CONSTANT_RATE)
+def test_a_held_stage_under_a_newtonian_law_takes_zero():
+    # A stage where every rate is 0 has a force scale of 0 under a Newtonian
+    # law, so its model has no functions and places no row; its rows are a
+    # body at rest and take +0.0, and the other stages keep their model.
+    law = FrictionLaw(0.0, 0.0, 1.0, 3.0)
+    gait = TwoSegmentPath(
+        1.0, 0.5, (0.0, 0.3, 0.5, 1.0), (0.4, 0.7, 0.7, 0.4), (0.5, 0.3, 0.3, 0.5)
+    )
+    assert [balance._AffineStage(law, *s).conds is None for s in gait._stages()] == [
+        False, True, False
+    ]
+    targets = np.arange(64) / 64
+    known, total = assert_rows_match_solve_velocity(law, gait, targets)
+    mids, x, _, _, _ = kernel_rows(law, gait, targets)
+    # only a row on a stage end, inside no stage, reaches the scalar solver
+    ends = {stage[0] for stage in gait._stages()}
+    assert total - known == sum(t in ends for t in mids.tolist()) == 2
+    held = (0.3 < mids) & (mids < 0.5)
+    assert held.any() and x[held].tobytes() == np.zeros(held.sum()).tobytes()
+
+
+@pytest.mark.parametrize("cls", inputs.CLASSES)
 def test_the_stage_model_answers_nearly_every_row(monkeypatch, cls):
-    # A model that sent every row to the scalar solver, or every gait to the
-    # batch, would pass every bit-identity test and save nothing.
-    batch_rows, scalar_rows = [], []
-    batch = midpoint.solve_velocity_batch
+    # A model that sent every row to the scalar solver, or summed each row's
+    # forces at its breakpoints, would pass every bit-identity test and save
+    # nothing: each row of every class reads its gait family's model (the
+    # stage model, or the profile rows' closed forms), and sums forces only
+    # at its solution, for the residual.
+    scalar_rows, probes = [], []
+    total_force_rows = midpoint._total_force_rows
     monkeypatch.setattr(
         midpoint,
-        "solve_velocity_batch",
-        lambda law, arcs, rates: batch_rows.append(len(arcs)) or batch(law, arcs, rates),
+        "_total_force_rows",
+        lambda law, *args: probes.append(len(args[-1])) or total_force_rows(law, *args),
     )
     monkeypatch.setattr(
         balance, "solve_velocity", lambda *args: scalar_rows.append(args) or solve_velocity(*args)
     )
-    steps = 0
     for seed in (1, 2, 3):
         law, gait = inputs.draw(seed, "trajectory", 0, cls, dircrawl).build(dircrawl)
-        steps += len(engine.simulate(law, gait, n_periods=2).regimes)
-    assert sum(batch_rows) < 0.01 * steps, (sum(batch_rows), steps)
+        engine.simulate(law, gait, n_periods=2)
     assert scalar_rows == []
+    assert probes and set(probes) == {1}
 
 
 @pytest.mark.parametrize("cls", inputs.CLASSES)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gc
 import importlib.util
+import itertools
 import math
 import sys
 from collections import Counter
@@ -194,6 +195,17 @@ def test_the_margin_decides_which_nodes_skip_the_solver(monkeypatch):
         _check_node(law, 3.0, 1.0, None)
         taken[edge] = len(calls) == 1  # _check_node's own reference solve only
     assert taken == {-1e-3: False, 1e-3: True}
+
+
+@pytest.mark.parametrize(
+    "coefs", [c for c in itertools.product((0.0, 1.0), repeat=4) if any(c)]
+)
+def test_cleared_breakpoints_plan_the_gap_root_on_every_law(coefs):
+    # Where both breakpoint forces clear the margin, the candidate functions
+    # read + - + - + - in balance._conds's layout, and neither tail can be a
+    # candidate, whichever coefficients are zero: g[4] > 0 and g[1] = g[5] < 0.
+    # So _profile_nodes asks no plan.
+    assert balance._plan(FrictionLaw(*coefs), [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]) == [0]
 
 
 def _leaves_no_cycles(op, *args) -> int:

@@ -7,7 +7,7 @@ magnitude.  No unit floor stands in the way, so a solve is homogeneous in the
 rates: scaling every rate by ``2**k`` and every viscosity by ``2**-k`` scales
 the solution by exactly ``2**k``, and scaling the lengths leaves it unchanged.
 The constant-rate stage model in ``engine`` calls the same helpers and the
-batch solver in ``midpoint`` restates them in array form, so both follow.
+midpoint rows restate them in array form, so both follow.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dircrawl
-from dircrawl import balance, engine, midpoint
+from dircrawl import balance, engine
 from dircrawl.body import Breather, CompositeStride, ConstantLength, SquareWave
 from dircrawl.friction import FrictionLaw
+from kernel_rows import kernel_rows
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -78,21 +79,18 @@ def test_an_idle_huge_viscosity_does_not_set_the_tolerance():
     assert balance._solve(law, [(0.0, 1.0, 0.0, 1e-300)], 1.0)[0] == -1e-300
 
 
-def test_batch_rows_match_the_scalar_solve(monkeypatch):
-    fallback_rows = []
-    scalar = balance.solve_velocity
-    monkeypatch.setattr(
-        balance, "solve_velocity", lambda *args: fallback_rows.append(args) or scalar(*args)
-    )
+def test_batch_rows_match_the_scalar_solve():
     cases = list(_TINY_RATES)
     for cls in inputs.CLASSES:
         cases.append(inputs.draw(1, "trajectory", 0, cls, dircrawl).build(dircrawl))
     for law, gait in cases:
-        expected = _scalar_rows(law, gait)
-        fallback_rows.clear()
-        block = midpoint.sample(gait, _times(gait))
-        x1dot, regime, residual = midpoint.solve_velocity_batch(law, *block)
-        assert fallback_rows == [], gait
+        mids, x1dot, regime, residual, n_scalar = kernel_rows(law, gait, _times(gait))
+        expected = [
+            balance.solve_velocity(law, gait.shape_at(t), gait.rate_at(t)) for t in mids.tolist()
+        ]
+        # a row on a stage end is not strictly inside a stage: no model places it
+        ends = {stage[0] for stage in getattr(gait, "_stages", list)()}
+        assert n_scalar == sum(t % gait.period in ends for t in mids.tolist()), gait
         assert x1dot.tobytes() == np.array([sol.x1dot for sol in expected]).tobytes(), gait
         assert [balance.REGIMES[r] for r in regime] == [sol.regime for sol in expected], gait
         assert residual.tobytes() == np.array([sol.residual for sol in expected]).tobytes(), gait
@@ -166,13 +164,6 @@ def _scaled(law, pieces, k: int, j: int = 0):
     return law, pieces, pieces[-1][1]
 
 
-def _batch(law, pieces):
-    arcs = np.array([[pieces[0][0], *(p[1] for p in pieces)]])
-    rates = np.array([[(p[2], p[3]) for p in pieces]])
-    x, regime, _ = midpoint.solve_velocity_batch(law, arcs, rates)
-    return x[0], balance.REGIMES[regime[0]]
-
-
 @settings(max_examples=300, deadline=None)
 @given(_cases(), _K)
 # a plateau, a crossing piece on a Newtonian law, a body at rest
@@ -185,9 +176,24 @@ def test_rates_scale_the_solution_exactly(case, k):
     slaw, spieces, sl_total = _scaled(law, pieces, k)
     sx, sregime, _, sstick, ssigns = balance._solve(slaw, spieces, sl_total)
     assert (sx.hex(), sregime, sstick, ssigns) == (math.ldexp(x, k).hex(), regime, stick, signs)
-    assert _batch(law, pieces) == (x, regime)
-    bx, bregime = _batch(slaw, spieces)
-    assert (bx.hex(), bregime) == (sx.hex(), sregime)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(_COEF, _COEF, _COEF, _COEF).filter(any), st.booleans(), _K)
+def test_profile_rows_scale_exactly(coefs, crawler, k):
+    # A period 2**-k times as long scales every rate of the default bump by
+    # exactly 2**k, and the kernel's grid by 2**-k: the midpoint rows, read
+    # from the closed-form breakpoint forces, scale like the scalar solve.
+    law = FrictionLaw(*coefs)
+    slaw, _, _ = _scaled(law, [(0.0, 1.0, 0.0, 0.0)], k)
+    targets = np.arange(16) / 16 + 0.01
+    rows = []
+    for law_, period in ((law, 1.0), (slaw, math.ldexp(1.0, -k))):
+        gait = ConstantLength(1.0, 0.5, 0.3, 0.4, period) if crawler else Breather(1.0, 0.5, period)
+        rows.append(kernel_rows(law_, gait, targets * period))
+    (_, x, regime, _, n_scalar), (_, sx, sregime, _, sn_scalar) = rows
+    assert sx.tobytes() == np.ldexp(x, k).tobytes()
+    assert (sregime.tobytes(), sn_scalar) == (regime.tobytes(), n_scalar)
 
 
 @settings(max_examples=200, deadline=None)
@@ -198,8 +204,6 @@ def test_lengths_leave_the_solution_unchanged(case, j):
     slaw, spieces, sl_total = _scaled(law, pieces, 0, j)
     sx, sregime, _, _, ssigns = balance._solve(slaw, spieces, sl_total)
     assert (sx.hex(), sregime, ssigns) == (x.hex(), regime, signs)
-    bx, bregime = _batch(slaw, spieces)
-    assert (bx.hex(), bregime) == (x.hex(), regime)
 
 
 # A Newtonian law has no time scale: a cycle gives the same bits at any gait
