@@ -27,10 +27,12 @@ default cycle integrator calls directly with the pieces of a gait's
 piece ends, which that integrator keys its panel cuts on.  ``_AffineStage``
 models the balance over a stage whose piece rates are constant, for both
 integrators.  ``_plan`` is the one candidate rule: ``_solve`` evaluates
-its whole list, the fast paths only lists ``_settled`` accepts.  A profile
-gait's node whose candidate is known to be a gap root skips the search and
-calls the two parts of ``_solve`` that follow it, ``_gap_root`` and
-``_classified``.  The tests hold ``_solve`` to independent oracles:
+its whole list, the fast paths only lists ``_settled`` accepts.
+``_solve_profile`` is the node rule of profile gaits, with ``_solve``'s
+signature and results: a node whose candidate is known to be a gap root
+skips the search and calls the two parts of ``_solve`` that follow it,
+``_gap_root`` and ``_classified``, and any other node is ``_solve``'s.
+The tests hold ``_solve`` to independent oracles:
 ``oracles.reference_solve`` (the earlier solver, verbatim) and
 ``oracles.bisect_velocity`` (bisection on brute-force force sums).
 """
@@ -83,7 +85,7 @@ _DISC_RTOL = 1e-12  # a discriminant above -_DISC_RTOL * (b^2 + |4ac|) is zero
 # 1e-13 fscale), against ~110 ulps for this margin.  Profile gaits read
 # their forces in closed form (_profile_forces), a few ulps from the sums:
 # the midpoint grid's rows (midpoint._ProfileRows) and the default cycle
-# path's nodes (engine._profile_nodes).  The margin stays well below 1: on a
+# path's nodes (_solve_profile).  The margin stays well below 1: on a
 # frictionless side the tail's force is exactly 0, so its function is -atol
 # or +atol all along, and a margin of a stage's larger atol would send every
 # midpoint row of such a stage to the scalar solver.
@@ -313,6 +315,29 @@ def _solve(
             "the force in floating point"
         )
     return _classified(law, pieces, l_total, best, vscale, fscale)
+
+
+def _solve_profile(
+    law: FrictionLaw, pieces: _Pieces, l_total: float
+) -> tuple[float, str, float, tuple[tuple[float, float], ...], tuple[int, ...]]:
+    """:func:`_solve` on the pieces of a profile gait, whose rates run from
+    0 to ``p'`` along the body, so that the breakpoints are ``0`` and
+    ``-p'`` and the forces there are closed forms (:func:`_profile_forces`).
+    Where both clear the acceptance tolerance by ``_MARGIN``, the candidate
+    functions read ``+ - + - + -`` in :func:`_conds`'s layout, whose
+    :func:`_plan` is the root on the gap between them alone, on every law:
+    that root is taken with ``_solve``'s scales, the same bits with one
+    force sum where ``_solve`` takes three.  Any other node is ``_solve``'s."""
+    rate = pieces[0][3]  # p': the first piece runs from rate 0 to p'
+    speed = abs(rate)  # vscale, as _breaks_and_scales finds it
+    per_length = law.tau_minus + law.tau_plus + (law.mu_minus + law.mu_plus) * speed
+    fscale = per_length * l_total  # _breaks_and_scales's sum, bit for bit
+    need = (1.0 + _MARGIN) * _ACCEPT_RTOL * per_length
+    lower, upper = _profile_forces(law, speed)
+    if rate != 0.0 and _ACCEPT_FLOOR <= fscale < math.inf and lower > need and -upper > need:
+        g0, g1 = (-rate, -0.0) if rate > 0.0 else (-0.0, -rate)  # _solve's breaks
+        return _classified(law, pieces, l_total, _gap_root(law, pieces, g0, g1), speed, fscale)
+    return _solve(law, pieces, l_total)
 
 
 def _gap_root(law: FrictionLaw, pieces: _Pieces, g0: float, g1: float) -> float:

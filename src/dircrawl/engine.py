@@ -23,15 +23,15 @@ on time only (never on position), so trajectories are pure quadrature of
   cut wherever the balance structure (regime and the sign pattern of the
   velocity field) changes inside the stage, so that one panel of 15 or 31
   nodes per smooth piece usually reaches the accuracy of thousands of
-  midpoint steps.  On mixed laws every node is a balance solve, most of
-  them on the one gap whose root the solver is known to take (see
-  ``_profile_nodes``).  On dry and Newtonian laws the velocity is linear
-  in the profile rate ``p'``, so one solve per sign of ``p'`` stands for
-  every node with that sign (see ``_rate_linear``).  Every solve is
-  ``balance._solve``'s, on the gait's ``_pieces_at(t)`` piece tuples,
-  which gives the same bits as ``balance.solve_velocity`` on
-  ``shape_at``/``rate_at`` without building and validating those objects
-  per solve.
+  midpoint steps.  Every profile node, on every law, takes
+  ``balance._solve_profile``, the solver's node rule: most nodes are
+  solved on the one gap whose root the solver is known to take.  On dry
+  and Newtonian laws the velocity is linear in the profile rate ``p'``, so
+  one solve per sign of ``p'`` stands for every node with that sign (see
+  ``_rate_linear``).  Every solve is ``balance._solve``'s or has its bits,
+  on the gait's ``_pieces_at(t)`` piece tuples, which gives the same bits
+  as ``balance.solve_velocity`` on ``shape_at``/``rate_at`` without
+  building and validating those objects per solve.
 """
 
 from __future__ import annotations
@@ -51,12 +51,7 @@ from .body import (
     SquareWave,
     TwoSegmentPath,
 )
-from .errors import (
-    DegenerateSubstrateError,
-    MixedRheologyError,
-    StepLimitError,
-    UnsupportedPairError,
-)
+from .errors import MixedRheologyError, StepLimitError, UnsupportedPairError
 from .friction import FrictionLaw
 
 __all__ = [
@@ -117,8 +112,9 @@ class CycleReport:
     size: on a constant-rate gait each fixes the structure of one stretch
     of a stage between switches; on a profile gait over a dry or Newtonian
     law each stands for every node whose profile rate has its sign, and
-    over a mixed law each is a quadrature node or a switch bisection,
-    whether solved on its known gap or in full.
+    over a mixed law each is a quadrature node or a switch bisection.  On
+    every law a profile node takes ``balance._solve_profile``, whether it
+    is solved on its known gap or in full.
     """
 
     gait_kind: str
@@ -226,9 +222,8 @@ def _gauss_cycle(
 
     pieces_at = gait._pieces_at
     stages = getattr(gait, "_stages", None)
-    rate_linear = law.is_dry or law.is_newtonian
     # the rest of the gaits are profile gaits: Breather and ConstantLength
-    solve = balance._solve if stages is not None or rate_linear else _profile_nodes(law)
+    solve = balance._solve if stages is not None else balance._solve_profile
 
     def solved(pieces, l_total: float) -> tuple[float, tuple[str, tuple[int, ...]]]:
         nonlocal residual_max
@@ -244,7 +239,7 @@ def _gauss_cycle(
     if stages is not None:
         stage_sums = [_constant_rate_stage(law, velocity, *stage) for stage in stages()]
         return sum(stage_sums), stage_sums, regime_counts, residual_max
-    if rate_linear:
+    if law.is_dry or law.is_newtonian:
         velocity = _rate_linear(solved, pieces_at)
     spans = analytic._corner_spans(gait.corner_times(), gait.period)
     stage_sums = [analytic.adaptive_gauss(velocity, a, b, _CYCLE_TOL) for a, b in spans]
@@ -282,50 +277,6 @@ def _rate_linear(solved, pieces_at):
         return (coef * rate if sign else coef), key
 
     return velocity
-
-
-def _profile_nodes(law: FrictionLaw):
-    """``balance._solve`` for the nodes of a profile gait on the mixed law
-    ``law``, with the same signature, which solves most nodes on one gap.
-
-    The rates of a breather or a constant-length crawler run from 0 to
-    ``p'`` along the body, so a node's breakpoints are ``0`` and ``-p'``,
-    and the forces there are closed forms (``balance._profile_forces``).
-    Where both clear the solver's acceptance tolerance by
-    ``balance._MARGIN``, its candidate functions have the signs ``+ - + - +
-    -`` (``balance._conds``'s layout), whose candidate list is the root on
-    the gap between them alone, for every law: the node takes
-    ``balance._gap_root`` and ``balance._classified`` with ``_solve``'s
-    scales, the same bits with one force sum where ``_solve`` takes three.
-    A node whose rate is 0 or not finite, whose tolerance sits at its floor,
-    or that finds no root or fails the residual check is solved.
-    """
-    solve = balance._solve
-    tau, mu = law.tau_minus + law.tau_plus, law.mu_minus + law.mu_plus
-    clear = (1.0 + balance._MARGIN) * balance._ACCEPT_RTOL
-
-    def node(law: FrictionLaw, pieces, l_total: float):
-        rate = pieces[0][3]  # p': the first piece runs from rate 0 to p'
-        speed = abs(rate)  # vscale, as balance._breaks_and_scales finds it
-        per_length = tau + mu * speed
-        fscale = per_length * l_total  # _breaks_and_scales's sum, bit for bit
-        need = clear * per_length
-        lower, upper = balance._profile_forces(law, speed)
-        if (
-            rate != 0.0
-            and balance._ACCEPT_FLOOR <= fscale < math.inf
-            and lower > need
-            and -upper > need
-        ):
-            g0, g1 = (-rate, -0.0) if rate > 0.0 else (-0.0, -rate)  # _solve's breaks
-            try:
-                x = balance._gap_root(law, pieces, g0, g1)
-                return balance._classified(law, pieces, l_total, x, speed, fscale)
-            except DegenerateSubstrateError:
-                pass
-        return solve(law, pieces, l_total)
-
-    return node
 
 
 def _falling_root(a: float, b: float, c: float) -> float:
@@ -393,10 +344,8 @@ def _sub_interval(
     if not abs(xm - x) * width <= _CYCLE_TOL * max(1.0, abs(x) * width):
         return None
     if linear:
-        ba, bb = coefficients(ta)[1], coefficients(tb)[1]
-        if not (ba < 0.0 and bb < 0.0):
-            return None
-        return width * analytic._ratio_mean(xa, xb, ba, bb)
+        # b < 0 at both ends: _falling_root divides by zero where it is not
+        return width * analytic._ratio_mean(xa, xb, coefficients(ta)[1], coefficients(tb)[1])
     return analytic.adaptive_gauss(lambda t: (root(t), None), ta, tb, _CYCLE_TOL)
 
 
@@ -450,9 +399,10 @@ def cycle_displacement(
     With ``dt=None`` the default stage-wise integrator runs: a few balance
     solves per stage on constant-rate gaits; on profile gaits, one per sign
     of the profile rate over dry and Newtonian laws, and over mixed laws 15
-    per Gauss–Kronrod panel, or 31 for one extended before it is bisected,
-    each on the gap between the node's two breakpoints where the forces
-    there clear the solver's tolerance by its margin.  It raises
+    per Gauss–Kronrod panel, or 31 for one extended before it is bisected;
+    on every law each is solved on the gap between the node's two
+    breakpoints where the forces there clear the solver's tolerance by its
+    margin.  It raises
     :class:`DegenerateSubstrateError` where a stage integral does not
     settle; an explicit ``dt`` selects the midpoint grid that ``simulate``
     uses.

@@ -396,6 +396,20 @@ class TestAdaptiveGauss:
 
         assert abs(adaptive_gauss(f, 0.0, 1.0, 1e-11) - s) <= 1e-10
 
+    def test_switch_bisection_stops_between_adjacent_floats(self):
+        # the same step, 1e6 high: its jump times ulp(s) = 1.1e-16 still
+        # exceeds the tolerance, so bisection narrows the bracket to s and
+        # the float below it, which it cannot split, and stops there
+        s = 0.7071067811865476
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return (1e6, "up") if t < s else (0.0, "down")
+
+        assert abs(adaptive_gauss(f, 0.0, 1.0, 1e-11) - 1e6 * s) <= 1e-4
+        assert math.nextafter(s, 0.0) in calls and s in calls
+
     def test_panel_at_the_roundoff_floor_is_accepted(self):
         # noise of ~1e-15 relative: a tolerance of 1e-20 asks for more than
         # the arithmetic resolves, so the first panel is the answer
@@ -529,6 +543,12 @@ class TestCompositeStride:
         assert not negative_displacement_feasible(viscous, 1e-3, 1.0, 1e3)
         balanced = FrictionLaw(0.5, 0.5, 0, 0)
         assert negative_displacement_feasible(balanced, 0.01, 1.0, 10.0)
+        # no forward viscosity: beta is infinite, above every bound
+        assert not negative_displacement_feasible(FrictionLaw(0, 0, 1, 0), 0.01, 1.0, 10.0)
+
+    def test_feasibility_refuses_a_mixed_law(self):
+        with pytest.raises(MixedRheologyError, match="^feasibility bound covers only pure dry"):
+            negative_displacement_feasible(_MIXED, 1.0, 0.2, 2.0)
 
 
 class TestWaveAdmissibility:
@@ -633,6 +653,12 @@ class TestSlidingStages:
         law = FrictionLaw(0, 0, 1, 1)
         v = sliding_stage_velocity(law, 1.0, 1.0, 0.25, 1.0, 1e-13)
         assert math.isclose(v, -1.0, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("t", [0.0, 5e-324])
+    def test_front_at_rest_moves_back_at_epsilon_c(self, t):
+        # c * t is 0 at t = 0, and rounds to 0 at t = 5e-324
+        law = FrictionLaw(0, 0, 1, 1)
+        assert sliding_stage_velocity(law, 0.5, 1.0, 0.25, 1.0, t) == -0.5
 
     def test_subnormal_stage_time_refused(self):
         # delta / c = 1.1e-323: at t = 1e-323 the entering wave (c * t < delta)
@@ -886,6 +912,13 @@ def test_breather_cycle_refuses_a_tolerance_that_is_not_positive(tol):
             "law.mu_plus=1e+300 is",
         ),
         (breather_roots, (_MIXED, 1e-200), "ldot=1e-200 is"),
+        (
+            # admissible (the drive mu_plus * epsilon * c is finite), but the
+            # velocity inside the stage is 0.79 epsilon * c = 7.9e308
+            sliding_stage_velocity,
+            (FrictionLaw(0, 0, 1e-300, 1e-300), 10.0, 1e308, 2.5e9, 1e10, 5e-299),
+            "c=1e+308, law.mu_minus=1e-300, law.mu_plus=1e-300 are",
+        ),
     ],
 )
 def test_overflow_names_the_inputs_that_overflowed(form, args, named):

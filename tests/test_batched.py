@@ -29,6 +29,8 @@ from dircrawl.friction import FrictionLaw
 from kernel_rows import kernel_rows
 from oracles import reference_simulate
 
+pytestmark = pytest.mark.bits
+
 _spec = importlib.util.spec_from_file_location(
     "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 )

@@ -57,7 +57,47 @@ class TestNonFiniteGaitFields:
             cls(**kwargs)
 
 
+# A gait field out of its range and the message that rejects it, each
+# applied to the valid instance of its class in _VALID_GAITS.
+_OUT_OF_RANGE = [
+    (Breather, {"ref_length": 0.0}, "ref_length and period must be positive"),
+    (Breather, {"period": -1.0}, "ref_length and period must be positive"),
+    (ConstantLength, {"ref_length": -1.0}, "ref_length and period must be positive"),
+    (ConstantLength, {"period": 0.0}, "ref_length and period must be positive"),
+    (ConstantLength, {"split": 0.0}, r"split must lie strictly inside \(0, ref_length\)"),
+    (ConstantLength, {"split": 1.0}, r"split must lie strictly inside \(0, ref_length\)"),
+    (TwoSegmentPath, {"split": 1.0}, r"split must lie strictly inside \(0, ref_length\)"),
+    (TwoSegmentPath, {"l2": (0.5, 0.5)}, "times, l1 and l2 must have equal length >= 2"),
+    (
+        TwoSegmentPath,
+        {"times": (0.0,), "l1": (0.4,), "l2": (0.5,)},
+        "times, l1 and l2 must have equal length >= 2",
+    ),
+    (TwoSegmentPath, {"times": (0.1, 0.4, 1.0)}, "path must start at t = 0"),
+    (TwoSegmentPath, {"l1": (0.4, 0.0, 0.4)}, "segment lengths must stay positive"),
+    (TwoSegmentPath, {"l2": (0.5, -0.55, 0.5)}, "segment lengths must stay positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, changes, message",
+    _OUT_OF_RANGE,
+    ids=[
+        "-".join([cls.__name__, *(f"{k}={v}" for k, v in changes.items())])
+        for cls, changes, _ in _OUT_OF_RANGE
+    ],
+)
+def test_out_of_range_gait_field_rejected_with_its_message(cls, changes, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        cls(**{**_VALID_GAITS[cls], **changes})
+
+
 class TestShapeValidation:
+    @pytest.mark.parametrize("ref, arc", [((0.0, 1.0), (0.0, 0.5, 1.0)), ((0.0,), (0.0,))])
+    def test_node_lists_must_match_with_two_nodes(self, ref, arc):
+        with pytest.raises(ValueError, match="^shape needs matching ref/arc node lists with >= 2"):
+            PiecewiseAffineShape(ref, arc)
+
     def test_first_node_pinned(self):
         with pytest.raises(ValueError):
             PiecewiseAffineShape((0.1, 1.0), (0.0, 1.0))
@@ -189,16 +229,37 @@ class TestSquareWave:
         assert w.rate_at(5e-324) == w.rate_at(0.0)
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         [
-            dict(ref_length=1.0, delta=1.0, epsilon=0.5, speed=1.0),  # delta == L
-            dict(ref_length=1.0, delta=0.2, epsilon=-1.0, speed=1.0),
-            dict(ref_length=1.0, delta=0.2, epsilon=0.0, speed=1.0),
-            dict(ref_length=1.0, delta=0.2, epsilon=0.5, speed=0.0),
+            pytest.param(  # delta == L
+                dict(ref_length=1.0, delta=1.0, epsilon=0.5, speed=1.0),
+                "delta must satisfy 0 < delta < ref_length",
+                id="kwargs0",
+            ),
+            pytest.param(
+                dict(ref_length=1.0, delta=0.2, epsilon=-1.0, speed=1.0),
+                "epsilon must be > -1 and nonzero",
+                id="kwargs1",
+            ),
+            pytest.param(
+                dict(ref_length=1.0, delta=0.2, epsilon=0.0, speed=1.0),
+                "epsilon must be > -1 and nonzero",
+                id="kwargs2",
+            ),
+            pytest.param(
+                dict(ref_length=1.0, delta=0.2, epsilon=0.5, speed=0.0),
+                "speed must be positive",
+                id="kwargs3",
+            ),
+            pytest.param(
+                dict(ref_length=0.0, delta=0.2, epsilon=0.5, speed=1.0),
+                "ref_length must be positive",
+                id="ref_length=0",
+            ),
         ],
     )
-    def test_invalid_parameters(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_invalid_parameters(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             SquareWave(**kwargs)
 
     @pytest.mark.parametrize(
@@ -340,15 +401,18 @@ class TestCompositeStride:
             assert math.isclose(l1 / l2, 0.7 / 1.0, rel_tol=1e-12)
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         [
-            dict(lam=0.0, delta=1.0, h=2.0),
-            dict(lam=1.0, delta=-0.1, h=2.0),
-            dict(lam=1.0, delta=1.0, h=1.0),
+            pytest.param(dict(lam=0.0, delta=1.0, h=2.0), "lam and delta must be positive", id="kwargs0"),
+            pytest.param(dict(lam=1.0, delta=-0.1, h=2.0), "lam and delta must be positive", id="kwargs1"),
+            pytest.param(dict(lam=1.0, delta=1.0, h=1.0), "h must exceed 1", id="kwargs2"),
+            pytest.param(
+                dict(lam=1.0, delta=1.0, h=2.0, period=0.0), "period must be positive", id="period=0"
+            ),
         ],
     )
-    def test_invalid_parameters(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_invalid_parameters(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             CompositeStride(**kwargs)
 
     def test_builds_where_the_squared_size_overflows(self):

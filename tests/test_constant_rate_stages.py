@@ -132,6 +132,86 @@ def test_a_body_at_rest_takes_one_solve_per_stage():
     assert rep.meta["regime_counts"] == {balance.WHOLE_BODY_STICK: 2}
 
 
+def _no_structure(monkeypatch) -> None:
+    """Every stretch loses its structure (``found`` None)."""
+    stretches = balance._AffineStage.stretches
+    monkeypatch.setattr(
+        balance._AffineStage, "stretches", lambda self: [[a, b, None] for a, b, _ in stretches(self)]
+    )
+
+
+def _gap_coefficients(at):
+    """Every gap's coefficients become the constant ``at(breaks, k)``."""
+
+    def patch(monkeypatch) -> None:
+        gap = balance._AffineStage.gap
+
+        def patched(self, k):
+            abc = at(self.breaks, k)
+            return (lambda t: abc), gap(self, k)[1]
+
+        monkeypatch.setattr(balance._AffineStage, "gap", patched)
+
+    return patch
+
+
+# name: (class, patch, what _sub_interval gives up with); the coefficients
+# (0, -1, c) have the root c, and (0, 1, 0) divide by zero in _falling_root
+_FALLBACKS = {
+    "no_structure": ("sliding_wave/mixed", _no_structure, None),
+    "root_leaves_its_gap": (
+        "composite_stride/newtonian",
+        _gap_coefficients(lambda br, k: (0.0, -1.0, 2.0 * br[k] - br[k + 1])),
+        None,
+    ),
+    "root_disagrees_with_the_solve": (
+        "composite_stride/newtonian",
+        _gap_coefficients(lambda br, k: (0.0, -1.0, 0.5 * (br[k] + br[k + 1]))),
+        None,
+    ),
+    "root_divides_by_zero": (
+        "composite_stride/dry",
+        _gap_coefficients(lambda br, k: (0.0, 1.0, 0.0)),
+        ZeroDivisionError,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _FALLBACKS)
+def test_a_stretch_the_model_cannot_integrate_falls_back_to_the_solver(name, monkeypatch):
+    # each way _sub_interval gives up sends its stretch to adaptive_gauss
+    # over balance._solve, whose every solve n_steps counts
+    cls, patch, exit_ = _FALLBACKS[name]
+    law, gait = inputs.draw(1, "cycles", 0, cls, dircrawl).build(dircrawl)
+    patch(monkeypatch)
+    exits, solves = [], []
+    sub_interval, solve = engine._sub_interval, balance._solve
+
+    def spied(*args):
+        try:
+            part = sub_interval(*args)
+        except ZeroDivisionError:
+            exits.append(ZeroDivisionError)
+            raise
+        if part is None:
+            exits.append(None)
+        return part
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(engine, "_sub_interval", spied)
+    monkeypatch.setattr(balance, "_solve", counted)
+    rep = engine.cycle_displacement(law, gait)
+    assert exits and set(exits) == {exit_}
+    # a solve at each stretch's middle, then at least one panel of 15 nodes
+    assert rep.n_steps == len(solves) >= 16 * len(exits)
+    stages, _ = _oracle(law, gait)
+    for (_, value), target in zip(rep.contributions, stages, strict=True):
+        assert abs(value - target) <= engine._CYCLE_TOL * max(1.0, abs(target)), (value, target)
+
+
 @pytest.mark.parametrize("cls", CONSTANT_RATE)
 def test_stage_hook_interpolates_the_pieces_of_every_time(cls):
     # between its ends, a stage's pieces are affine in t and equal to what

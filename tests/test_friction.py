@@ -149,6 +149,11 @@ class TestLawProperties:
         with pytest.raises(ValueError):
             ForceValue(1.0, 0.0)
 
+    def test_an_interval_has_no_point_value(self):
+        static = evaluate(FrictionLaw(1.0, 0.5, 0.0, 0.0), 0.0)
+        with pytest.raises(ValueError, match="^force value is an interval, not a point$"):
+            static.value
+
 
 def test_property_sweep_seeded():
     # dense deterministic sweep of the three core properties

@@ -30,6 +30,8 @@ import pytest
 
 from dircrawl.cli import main
 
+pytestmark = pytest.mark.bits
+
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 _DRY = {"tau_minus": 0.75, "tau_plus": 0.25, "mu_minus": 0.0, "mu_plus": 0.0}

@@ -30,6 +30,8 @@ from dircrawl.friction import FrictionLaw
 from kernel_rows import assert_rows_match_solve_velocity, kernel_rows
 from test_midpoint_edges import _LAWS, _edge_waves
 
+pytestmark = pytest.mark.bits
+
 _spec = importlib.util.spec_from_file_location(
     "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 )

@@ -33,8 +33,12 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import dircrawl
 from dircrawl import engine
+
+pytestmark = pytest.mark.bits
 
 GOLDEN = Path(__file__).with_name("golden_library.json")
 SEEDS = (101, 102, 103)

@@ -28,6 +28,8 @@ from dircrawl.friction import FrictionLaw
 from oracles import reference_simulate
 from test_batched import _THREE_REGIMES
 
+pytestmark = pytest.mark.bits
+
 _spec = importlib.util.spec_from_file_location(
     "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 )

@@ -21,6 +21,8 @@ from dircrawl.body import Breather, SquareWave
 from dircrawl.friction import FrictionLaw
 from kernel_rows import assert_rows_match_solve_velocity, kernel_rows
 
+pytestmark = pytest.mark.bits
+
 _LAWS = [
     FrictionLaw(0.75, 0.25, 0.0, 0.0),
     FrictionLaw(0.0, 0.0, 1.0, 0.4),

@@ -1,13 +1,13 @@
-"""The default cycle integrator on profile gaits over mixed laws.
+"""The default cycle integrator on profile gaits, over every law.
 
 A breather's or a constant-length crawler's rates run from 0 to ``p'`` along
 the body, so every node of the quadrature has the breakpoints ``0`` and
 ``-p'``, and the solver's one candidate is the root on the gap between them
 wherever the force at both clears the acceptance tolerance by
-``balance._MARGIN``.  ``engine._profile_nodes`` solves such a node on that gap
-alone (``balance._gap_root``, ``balance._classified``), and every other node
-with ``balance._solve``.  Its answers must be ``_solve``'s bit for bit, and
-each node still counts as one balance solve.
+``balance._MARGIN``.  ``balance._solve_profile`` solves such a node on that
+gap alone (``balance._gap_root``, ``balance._classified``), and every other
+node with ``balance._solve``.  Its answers must be ``_solve``'s bit for bit
+on every law, and each node still counts as one balance solve.
 
 Also here: the default cycle leaves no cyclic garbage, since a call of
 ``analytic.adaptive_gauss`` no longer keeps a reference cycle alive.
@@ -42,6 +42,9 @@ if inputs is None:
     _spec.loader.exec_module(inputs)
 
 MIXED_PROFILE = ("breather/mixed", "constant_length/mixed")
+RATE_LINEAR_PROFILE = tuple(
+    f"{gait}/{law}" for gait in ("breather", "constant_length") for law in ("dry", "newtonian")
+)
 _SEEDS = (*range(1, 41), *range(101, 141))
 
 
@@ -74,6 +77,25 @@ def test_a_mixed_profile_op_makes_at_most_two_full_solves(cls, monkeypatch):
         report = engine.verify(law, gait)
         assert report.passed, seed
         assert len(calls) <= 2, (seed, len(calls))
+
+
+@pytest.mark.parametrize("cls", RATE_LINEAR_PROFILE)
+def test_a_dry_or_newtonian_profile_op_makes_no_full_solve(cls, monkeypatch):
+    # one node per sign of p' is solved (engine._rate_linear), and each of
+    # them clears the margin, so balance._solve_profile takes its gap root
+    calls = []
+    solve = balance._solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(balance, "_solve", counted)
+    for seed, (law, gait) in _cases(cls):
+        del calls[:]
+        report = engine.verify(law, gait)
+        assert report.passed, seed
+        assert calls == [], (seed, len(calls))
 
 
 @pytest.mark.parametrize("cls", MIXED_PROFILE)
@@ -127,11 +149,6 @@ _SPLIT = st.one_of(st.none(), st.floats(0.001, 0.999))
 _EDGE = st.floats(-1e-3, 1e-3)
 
 
-def _mixed(coefs) -> bool:
-    tm, tp, mm, mp = coefs
-    return tm + tp > 0.0 and mm + mp > 0.0
-
-
 def _on_the_margin(tp: float, mm: float, mp: float, speed: float, edge: float) -> float:
     """``tau_minus`` for which the force at the lower breakpoint, per unit
     length, is ``(1 + edge)`` times the least one the node path takes."""
@@ -141,12 +158,13 @@ def _on_the_margin(tp: float, mm: float, mp: float, speed: float, edge: float) -
 
 def _check_node(law: FrictionLaw, rate: float, length: float, split: float | None) -> None:
     pieces, l_total = _pieces(rate, length, split)
-    node = engine._profile_nodes(law)
-    assert _outcome(node, law, pieces, l_total) == _outcome(balance._solve, law, pieces, l_total)
+    node = _outcome(balance._solve_profile, law, pieces, l_total)
+    assert node == _outcome(balance._solve, law, pieces, l_total)
 
 
 @settings(max_examples=400)
-@given(st.tuples(_COEF, _COEF, _COEF, _COEF).filter(_mixed), _RATE, _LENGTH, _SPLIT)
+# every valid law: mixed, dry, Newtonian and one-sided
+@given(st.tuples(_COEF, _COEF, _COEF, _COEF).filter(any), _RATE, _LENGTH, _SPLIT)
 # fscale 6e-308: atol sits at its floor, and the solver takes the breakpoint
 # 0.0 where the gap's root is 1.06e-9
 @example(
@@ -204,7 +222,7 @@ def test_cleared_breakpoints_plan_the_gap_root_on_every_law(coefs):
     # Where both breakpoint forces clear the margin, the candidate functions
     # read + - + - + - in balance._conds's layout, and neither tail can be a
     # candidate, whichever coefficients are zero: g[4] > 0 and g[1] = g[5] < 0.
-    # So _profile_nodes asks no plan.
+    # So balance._solve_profile asks no plan.
     assert balance._plan(FrictionLaw(*coefs), [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]) == [0]
 
 

@@ -29,6 +29,8 @@ from dircrawl.errors import DegenerateSubstrateError
 from dircrawl.friction import FrictionLaw
 from kernel_rows import assert_rows_match_solve_velocity, bits, kernel_rows
 
+pytestmark = pytest.mark.bits
+
 # zero, within 1e-14 of zero beside the others, and ordinary coefficients
 _COEF = st.one_of(st.just(0.0), st.sampled_from([1e-14, 3e-15, 1e-300]), st.floats(0.05, 5.0))
 _LAW = st.tuples(_COEF, _COEF, _COEF, _COEF).filter(any).map(lambda c: FrictionLaw(*c))

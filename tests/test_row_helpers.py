@@ -7,18 +7,25 @@ included, at every breakpoint of a piece set (where pieces turn static or
 end on a zero velocity) and between them; ``on_break`` must be set exactly
 where ``_segment_poly`` raises.  Each runs on all the probes as one block,
 and on one probe per block, where every per-row choice is made once.
+``midpoint._poly_roots_rows`` must give ``balance._poly_roots_in``'s first
+root and count where a discriminant rounds slightly below zero.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dircrawl import balance
 from dircrawl.errors import DegenerateSubstrateError
 from dircrawl.friction import FrictionLaw
-from dircrawl.midpoint import _segment_poly_rows, _total_force_rows
+from dircrawl.midpoint import _poly_roots_rows, _segment_poly_rows, _total_force_rows
+
+pytestmark = pytest.mark.bits
 
 
 def _spread(lo: float, hi: float):
@@ -121,3 +128,26 @@ def test_segment_poly_rows_match_the_scalar_coefficients_bit_for_bit(case):
 @given(_piece_sets())
 def test_segment_poly_rows_one_probe_per_block_match_the_scalar_coefficients(case):
     _check_segment_poly_rows(case, one_per_block=True)
+
+
+_NONZERO = st.one_of(_spread(1e-3, 1e3), _spread(-1e3, -1e-3))
+
+
+@settings(max_examples=200)
+@given(_NONZERO, _NONZERO, st.integers(1, 2**12))
+# b^2 - 4ac = -2^-50 against a threshold of -8e-12: a double root at 1
+@example(1.0, 1.0, 1)
+def test_a_slightly_negative_discriminant_is_a_double_root_in_both(a, root, ulps):
+    # a (x - root)^2 with c raised by a few ulps: the discriminant falls
+    # below 0 by less than its tolerance, and both take it as 0
+    b = -2.0 * a * root
+    c = a * root * root * (1.0 + ulps * 2.0**-52)
+    disc = b * b - 4.0 * a * c
+    assume(-balance._DISC_RTOL * (b * b + abs(4.0 * a * c)) < disc < 0.0)
+    lo, hi = sorted((root - abs(root), root + abs(root)))
+    roots = balance._poly_roots_in(a, b, c, lo, hi)
+    assert len(roots) == 2
+    x, n = _poly_roots_rows(*(np.array([v]) for v in (a, b, c, lo, hi)))
+    assert n.tolist() == [2]
+    assert x.tobytes() == _bits(roots[:1])
+    assert math.isclose(roots[0], root, rel_tol=1e-5)

@@ -28,6 +28,8 @@ from dircrawl.body import Breather, CompositeStride, ConstantLength, SquareWave
 from dircrawl.friction import FrictionLaw
 from kernel_rows import kernel_rows
 
+pytestmark = pytest.mark.bits
+
 _spec = importlib.util.spec_from_file_location(
     "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 )
