@@ -281,7 +281,10 @@ def _rate_linear(solved, pieces_at):
 
 def _falling_root(a: float, b: float, c: float) -> float:
     """The root of ``a x^2 + b x + c`` where it falls, ``(-b - sqrt(b^2 - 4ac))
-    / 2a`` (``-c/b`` for ``a = 0``), in the form that does not cancel."""
+    / 2a`` in the form that does not cancel; ``-c/b`` for ``a = 0``, not read
+    through ``b * b``, which leaves the double range for ``|b|`` beyond 1e±154."""
+    if a == 0.0 and b < 0.0:
+        return -c / b
     sq = math.sqrt(max(b * b - 4.0 * a * c, 0.0))
     return 2.0 * c / (sq - b) if b <= 0.0 else -(b + sq) / (2.0 * a)
 
@@ -341,7 +344,8 @@ def _sub_interval(
     lo, hi = balance._widened(model.breaks[k], model.breaks[k + 1])
     if not (lo <= min(xa, xb) and max(xa, xb) <= hi):
         return None
-    if not abs(xm - x) * width <= _CYCLE_TOL * max(1.0, abs(x) * width):
+    # relative to the roots themselves: the cycle's scale is theirs, not 1
+    if not abs(xm - x) <= _CYCLE_TOL * max(abs(xa), abs(xb), abs(x)):
         return None
     if linear:
         # b < 0 at both ends: _falling_root divides by zero where it is not

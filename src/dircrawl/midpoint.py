@@ -14,7 +14,8 @@ model with no force sum at its breakpoints: the stage model
 closed-form breakpoint forces on profile gaits (``_ProfileRows``).  Rows of
 one sign pattern come in runs, and ``_resolve`` asks each run's plan once.
 A row no model places takes +0.0 where every rate is 0 (a body at rest),
-and otherwise goes to ``balance.solve_velocity``, the one fallback.
+and otherwise goes to ``balance._solve`` on its pieces, the one fallback:
+the scalar layer is reached only through it and ``gait._pieces_at``.
 
 Block format: ``n`` shapes are nodal arc-lengths ``arcs`` ``(n, P + 1)`` and
 per-piece end rates ``rates`` ``(n, P, 2)``, ``P`` fixed per gait: 1 for a
@@ -34,7 +35,7 @@ from .body import GaitProgram
 from .errors import DegenerateSubstrateError, StepLimitError
 from .friction import FrictionLaw
 
-__all__ = ["sample", "simulate", "cycle"]
+__all__ = ["simulate", "cycle"]
 
 # Most midpoint steps one call may take; a smaller dt raises StepLimitError
 # before any grid is built.
@@ -62,7 +63,6 @@ def simulate(
     the largest force residual."""
     times, _ = _stage_grid(gait, dt, n_periods)
     lengths = np.empty(len(times))
-    lengths[0] = gait.shape_at(float(times[0])).length
     x1dot, codes, residual_max = _kernel(law, gait, times, lengths)
     # x1[i + 1] = x1[i] + x1dot * dt, in step order
     x1 = np.add.accumulate(np.concatenate([[x0], x1dot * np.diff(times)]))
@@ -128,7 +128,7 @@ def _kernel(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Balance velocity and regime code of every step of the grid ``times``,
     solved at the step midpoints, plus the largest residual; ``lengths``,
-    when given, gets the body length at each later grid time (no rates).
+    when given, gets the body length at each grid time (no rate is read).
 
     A failing block is replayed through the scalar loop, for its errors
     only, so the error raised is the first the scalar loop would raise.
@@ -144,22 +144,25 @@ def _kernel(
         model = _KnownRows(law, [balance._AffineStage(law, *stage) for stage in stages()])
     for i0 in range(0, n, _BLOCK):
         i1 = min(i0 + _BLOCK, n)
-        ends = times[i0 + 1 : i1 + 1]
-        mids = 0.5 * (times[i0:i1] + ends)
+        grid = times[i0 : i1 + 1]  # from the last block's last time: its length again
+        mids = 0.5 * (grid[:-1] + grid[1:])
         tm = np.remainder(mids, gait.period)  # the samplers' and the stage models' time
         try:
             arcs, rates = _shapes(gait, mids, tm)
             x, regime, residual = model.solve(tm, arcs, rates())
             if lengths is not None:
-                lengths[i0 + 1 : i1 + 1] = _shapes(gait, ends)[0][:, -1]
+                lengths[i0 : i1 + 1] = _shapes(gait, grid)[0][:, -1]
         except Exception:
-            for tm, te in zip(mids.tolist(), ends.tolist()):  # the scalar loop
+            # the scalar loop: a grid time's shape alone, then each step's solve and end
+            if lengths is not None:
+                _shapes(gait, grid[:1])
+            for k, tm in enumerate(mids.tolist(), 1):
                 try:
-                    balance.solve_velocity(law, gait.shape_at(tm), gait.rate_at(tm))
+                    balance._solve(law, *gait._pieces_at(tm))
                 except DegenerateSubstrateError as exc:
                     raise DegenerateSubstrateError(f"{exc} (at t = {tm})") from exc
                 if lengths is not None:
-                    gait.shape_at(te)
+                    _shapes(gait, grid[k : k + 1])
             raise
         x1dot[i0:i1] = x
         codes[i0:i1] = regime
@@ -298,15 +301,10 @@ def _sum_in_order(values: np.ndarray) -> float:
 _Shapes = tuple[np.ndarray, Callable[[], np.ndarray]]
 
 
-def sample(gait: GaitProgram, times) -> tuple[np.ndarray, np.ndarray]:
-    """``shape_at`` and ``rate_at`` at each of ``times``, as one block; an
-    invalid shape raises the error ``shape_at`` raises at the first such time."""
-    arcs, rates = _shapes(gait, np.asarray(times, dtype=float))
-    return arcs, rates()
-
-
 def _shapes(gait: GaitProgram, times: np.ndarray, tm: np.ndarray | None = None) -> _Shapes:
-    """:func:`sample`; ``tm``, where given, is ``times`` modulo the period."""
+    """``shape_at`` at each of ``times`` as one block, and a function giving
+    ``rate_at`` there; an invalid shape raises :func:`_require_valid`'s error.
+    ``tm``, where given, is ``times`` modulo the period."""
     if isinstance(gait, body.CompositeStride):
         gait = gait._path
     if tm is None:
@@ -434,10 +432,11 @@ def _wave_shapes(gait: body.SquareWave, times: np.ndarray, tm: np.ndarray) -> _S
 
 
 def _require_valid(gait: GaitProgram, times: np.ndarray, ok: np.ndarray) -> None:
-    """Raise the error ``shape_at`` raises at the first time not ``ok``."""
+    """Raise the error ``shape_at`` raises at the first time not ``ok``,
+    which ``_pieces_at`` raises before it reads the rate."""
     if not ok.all():
         t = times.tolist()[int(np.argmin(ok))]
-        gait.shape_at(t)
+        gait._pieces_at(t)
         raise ValueError(f"gait produced an invalid shape at t={t}")
 
 
@@ -467,7 +466,8 @@ def _resolve(
     share one polynomial solve, probed at the gap's middle.  A row left NaN
     (no plan, not one root, or its model could not place it) takes +0.0
     where every rate is 0, a body at rest, whose plan's one candidate is
-    the breakpoint -0.0; any other goes to ``balance.solve_velocity``."""
+    the breakpoint -0.0; any other goes to ``balance._solve``
+    (:meth:`_Rows.settle`)."""
     n = signs.shape[1]
     x, lo, hi, on_gap = np.full(n, math.nan), np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
     starts = np.ones(n, dtype=bool)
@@ -505,7 +505,6 @@ class _Rows:
     ``balance._breaks_and_scales``, row by row."""
 
     def __init__(self, law: FrictionLaw, arcs: np.ndarray, rates: np.ndarray) -> None:
-        self.arcs, self.rates = arcs, rates
         arc = np.ascontiguousarray(arcs.T)
         rate = np.ascontiguousarray(rates.transpose(1, 2, 0))
         self.s0, self.s1 = arc[:-1], arc[1:]
@@ -525,7 +524,7 @@ class _Rows:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Regime and residual of each row at its solution ``x``; a ``rare``
         row, or one whose force scale or residual the scalar solver
-        rejects, is solved by ``balance.solve_velocity`` instead."""
+        rejects, is solved by ``balance._solve`` on its pieces instead."""
         n = len(x)
         seg, r0, r1 = self.pieces
         with np.errstate(all="ignore"):
@@ -550,18 +549,13 @@ class _Rows:
             rare = rare | ~np.isfinite(self.fscale)
             rare |= ~(np.isfinite(residual) & (residual <= balance._RESIDUAL_RTOL * self.fscale))
 
-        # Through the module, so that a replaced balance.solve_velocity sees these rows.
-        arcs, rates = self.arcs, self.rates
+        # Through the module, so that a replaced balance._solve sees these
+        # rows; each row's pieces of positive length, as the scalar's shape holds them.
         for i in np.flatnonzero(rare).tolist():
-            real = np.flatnonzero(seg[:, i] > 0.0)
-            nodes = tuple(arcs[i, [0, *(real + 1).tolist()]].tolist())
-            pairs = tuple(tuple(pair) for pair in rates[i, real].tolist())
-            sol = balance.solve_velocity(
-                law, body.PiecewiseAffineShape(nodes, nodes), body.ShapeRate(nodes, pairs)
-            )
-            x[i] = sol.x1dot
-            regime[i] = balance.REGIMES.index(sol.regime)
-            residual[i] = sol.residual
+            real = seg[:, i] > 0.0
+            pieces = list(zip(*(v[real, i].tolist() for v in (self.s0, self.s1, r0, r1))))
+            x[i], name, residual[i], _, _ = balance._solve(law, pieces, pieces[-1][1])
+            regime[i] = balance.REGIMES.index(name)
         return x, regime, residual
 
 

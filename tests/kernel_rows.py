@@ -21,13 +21,20 @@ def bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
+def sample(gait, times) -> tuple[np.ndarray, np.ndarray]:
+    """``midpoint._shapes`` at ``times``: the block's arcs and rates."""
+    arcs, rates = midpoint._shapes(gait, np.asarray(times, dtype=float))
+    return arcs, rates()
+
+
 def kernel_rows(law, gait, targets):
     """``midpoint._kernel`` on the grid of ``targets``: the row midpoints,
     each row's ``x1dot``, regime code and residual, and how many rows
-    reached ``balance.solve_velocity`` (whatever stands in for it)."""
+    reached ``balance._solve`` (whatever stands in for it), the scalar
+    solver no row model settles a row without."""
     times = np.repeat(np.asarray(targets, dtype=float), 2)
     blocks, scalar_rows = [], []
-    settle, scalar = midpoint._Rows.settle, balance.solve_velocity
+    settle, scalar = midpoint._Rows.settle, balance._solve
 
     def spy_settle(self, *args):
         out = settle(self, *args)
@@ -35,7 +42,7 @@ def kernel_rows(law, gait, targets):
         return out
 
     with mock.patch.object(midpoint._Rows, "settle", spy_settle), mock.patch.object(
-        balance, "solve_velocity", lambda *args: scalar_rows.append(args) or scalar(*args)
+        balance, "_solve", lambda *args: scalar_rows.append(args) or scalar(*args)
     ):
         x1dot, codes, residual_max = midpoint._kernel(law, gait, times, None)
     x, regime, residual = (np.concatenate(a) for a in zip(*blocks))

@@ -1,7 +1,7 @@
 """The batched midpoint kernel against the scalar path it replaced.
 
 ``engine.simulate`` and explicit-``dt`` cycles sample the gait for a block
-of steps at once (``midpoint.sample``) and solve the balance for the whole
+of steps at once (``midpoint._shapes``) and solve the balance for the whole
 block (``midpoint._kernel``, each row from its gait's model).  Every float
 operation is the one the scalar path made, in the same order, so the
 results must be equal bit for bit, not merely close:
@@ -12,6 +12,7 @@ results must be equal bit for bit, not merely close:
 from __future__ import annotations
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from dircrawl.balance import REGIMES, solve_velocity
 from dircrawl.body import Breather, CompositeStride, ConstantLength, SquareWave, TwoSegmentPath
 from dircrawl.errors import DegenerateSubstrateError
 from dircrawl.friction import FrictionLaw
-from kernel_rows import kernel_rows
+from kernel_rows import kernel_rows, sample
 from oracles import reference_simulate
 
 pytestmark = pytest.mark.bits
@@ -129,7 +130,7 @@ def test_batched_solver_equals_scalar_solver_exactly(law, gait, fractions):
     # random times plus every corner time, where rates vanish or jump
     corners = [c + p * gait.period for c in gait.corner_times() for p in (0, 1)]
     times = [f * gait.period for f in fractions] + corners
-    arcs, rates = midpoint.sample(gait, times)
+    arcs, rates = sample(gait, times)
     for i, t in enumerate(times):
         shape, rate = gait.shape_at(t), gait.rate_at(t)
         p = len(shape.arc) - 1
@@ -158,10 +159,8 @@ def test_batched_solver_equals_scalar_solver_exactly(law, gait, fractions):
 def test_benchmark_rows_settle_without_the_scalar_solver(monkeypatch):
     # The scalar fallback returns correct rows whatever the batched search
     # missed, so only its call count shows that search going wrong.
-    fallback_rows = []
-    monkeypatch.setattr(
-        balance, "solve_velocity", lambda *args: fallback_rows.append(args) or solve_velocity(*args)
-    )
+    fallback_rows, solve = [], balance._solve
+    monkeypatch.setattr(balance, "_solve", lambda *args: fallback_rows.append(args) or solve(*args))
     for cls in inputs.CLASSES:
         law, gait = inputs.draw(2, "trajectory", 0, cls, dircrawl).build(dircrawl)
         engine.simulate(law, gait, n_periods=2, dt=gait.period / 500)
@@ -169,23 +168,46 @@ def test_benchmark_rows_settle_without_the_scalar_solver(monkeypatch):
     assert fallback_rows == []
 
 
-def test_sampler_raises_the_scalar_shape_error():
-    gait = Breather(1.0, 0.5, 1.0, profile=lambda t: 1.0 - 2.0 * t, profile_rate=lambda t: -2.0)
-    with pytest.raises(ValueError) as scalar:
-        gait.shape_at(0.75)
-    with pytest.raises(ValueError) as batched:
-        midpoint.sample(gait, [0.25, 0.75, 0.9])
-    assert str(batched.value) == str(scalar.value)
-
-
-def test_failing_block_raises_the_scalar_loops_first_error():
+@pytest.mark.parametrize(
+    "profile_rate",
+    [
+        lambda t: -2.0,
+        # no value at t = 0.25, a step end before the first error, which the
+        # scalar loop only takes the length of; so must the replay
+        lambda t: 2.0 * abs(t - 0.25) / (0.25 - t),
+    ],
+    ids=["constant_rate", "rate_undefined_at_a_step_end"],
+)
+def test_failing_block_raises_the_scalar_loops_first_error(profile_rate):
+    # the length reaches 0 at t = 0.5
     law = FrictionLaw(1.0, 0.5, 1.0, 0.5)
-    gait = Breather(1.0, 0.5, 1.0, profile=lambda t: 1.0 - 2.0 * t, profile_rate=lambda t: -2.0)
+    gait = Breather(
+        1.0, 0.5, 1.0, profile=lambda t: 1.0 - 2.0 * t, profile_rate=profile_rate, corners=(0.0, 1.0)
+    )
     with pytest.raises(ValueError) as scalar:
         reference_simulate(law, gait)
     with pytest.raises(ValueError) as batched:
         engine.simulate(law, gait)
     assert str(batched.value) == str(scalar.value)
+
+
+def test_first_length_needs_no_profile_rate():
+    # The rate 0.25 (1 - 2t) / sqrt(t (1 - t)) has no value at t = 0, the
+    # first grid time, whose length alone the scalar loop takes.
+    gait = Breather(
+        1.0,
+        0.0,
+        1.0,
+        profile=lambda t: 1.0 + 0.5 * math.sqrt(t * (1.0 - t)),
+        profile_rate=lambda t: 0.25 * (1.0 - 2.0 * t) / math.sqrt(t * (1.0 - t)),
+        corners=(0.0, 0.5, 1.0),
+    )
+    law = FrictionLaw(1.0, 0.5, 1.0, 0.5)
+    times, x1, lengths, regimes = reference_simulate(law, gait, dt=0.001)
+    traj = engine.simulate(law, gait, dt=0.001)
+    assert traj.x1.tobytes() == _bits(x1)
+    assert traj.l.tobytes() == _bits(lengths)
+    assert traj.regimes == tuple(regimes)
 
 
 # -- typed solver failures ----------------------------------------------------
@@ -261,7 +283,7 @@ def test_simulate_reports_regime_counts_and_residual_max(law, gait):
 def test_rows_the_batch_cannot_settle_fall_back_to_the_scalar_solver(monkeypatch, gait):
     # Report two roots, the first of them 0.0, for every row on a gap root:
     # the kernel's own answer for it is then wrong, and only
-    # balance.solve_velocity can give back the rows it settles unpatched.
+    # balance._solve can give back the rows it settles unpatched.
     times = (np.arange(64) / 32 + 0.013) * gait.period
     laws = [
         FrictionLaw(0.75, 0.25, 0.0, 0.0),
@@ -275,13 +297,13 @@ def test_rows_the_batch_cannot_settle_fall_back_to_the_scalar_solver(monkeypatch
         first, n_roots = poly_roots_rows(*args)
         return np.zeros_like(first), np.full_like(n_roots, 2)
 
-    fallback_pieces = []
+    fallback_pieces, solve = [], balance._solve
     monkeypatch.setattr(midpoint, "_poly_roots_rows", two_roots)
     monkeypatch.setattr(
         balance,
-        "solve_velocity",
-        lambda law, shape, rate: fallback_pieces.append(len(rate.seg_rates))
-        or solve_velocity(law, shape, rate),
+        "_solve",
+        lambda law, pieces, l_total: fallback_pieces.append(len(pieces))
+        or solve(law, pieces, l_total),
     )
     for law, expected in zip(laws, settled):
         got = kernel_rows(law, gait, times)[1:4]

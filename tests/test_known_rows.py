@@ -24,7 +24,6 @@ import pytest
 
 import dircrawl
 from dircrawl import balance, engine, midpoint
-from dircrawl.balance import solve_velocity
 from dircrawl.body import TwoSegmentPath
 from dircrawl.friction import FrictionLaw
 from kernel_rows import assert_rows_match_solve_velocity, kernel_rows
@@ -135,15 +134,13 @@ def test_the_stage_model_answers_nearly_every_row(monkeypatch, cls):
     # stage model, or the profile rows' closed forms), and sums forces only
     # at its solution, for the residual.
     scalar_rows, probes = [], []
-    total_force_rows = midpoint._total_force_rows
+    solve, total_force_rows = balance._solve, midpoint._total_force_rows
     monkeypatch.setattr(
         midpoint,
         "_total_force_rows",
         lambda law, *args: probes.append(len(args[-1])) or total_force_rows(law, *args),
     )
-    monkeypatch.setattr(
-        balance, "solve_velocity", lambda *args: scalar_rows.append(args) or solve_velocity(*args)
-    )
+    monkeypatch.setattr(balance, "_solve", lambda *args: scalar_rows.append(args) or solve(*args))
     for seed in (1, 2, 3):
         law, gait = inputs.draw(seed, "trajectory", 0, cls, dircrawl).build(dircrawl)
         engine.simulate(law, gait, n_periods=2)

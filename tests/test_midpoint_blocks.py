@@ -25,6 +25,7 @@ from dircrawl import engine, midpoint
 from dircrawl.balance import solve_velocity
 from dircrawl.body import Breather, CompositeStride, ConstantLength, SquareWave, TwoSegmentPath
 from dircrawl.friction import FrictionLaw
+from kernel_rows import sample
 from oracles import reference_simulate
 from test_batched import _THREE_REGIMES
 
@@ -124,7 +125,7 @@ def test_vectorised_bump_equals_scalar_profile_bit_for_bit(cls):
         grid = midpoint._stage_grid(gait, gait.period / 2000, 2)[0]
         mids = 0.5 * (grid[:-1] + grid[1:])
         times = [*mids.tolist(), *(rng.uniform(0.0, 200.0) * gait.period for _ in range(2000))]
-        arcs, rates = midpoint.sample(gait, times)
+        arcs, rates = sample(gait, times)
         assert arcs[:, 1].tobytes() == _bits([gait._value(t) for t in times]), seed
         assert rates[:, 0, 1].tobytes() == _bits([gait._rate(t) for t in times]), seed
 

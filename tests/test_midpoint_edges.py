@@ -1,6 +1,6 @@
 """The midpoint kernel on the branch edges that random times rarely reach.
 
-``midpoint.sample`` picks each wave row's nodes from presence masks, and
+``midpoint._shapes`` picks each wave row's nodes from presence masks, and
 the kernel's rows read their candidate functions from their gait's model;
 both must still agree with the scalar ``shape_at``/``rate_at`` and
 ``balance.solve_velocity`` bit for bit.  The cases here sit where those
@@ -19,7 +19,7 @@ from dircrawl import balance, midpoint
 from dircrawl.balance import REGIMES
 from dircrawl.body import Breather, SquareWave
 from dircrawl.friction import FrictionLaw
-from kernel_rows import assert_rows_match_solve_velocity, kernel_rows
+from kernel_rows import assert_rows_match_solve_velocity, kernel_rows, sample
 
 pytestmark = pytest.mark.bits
 
@@ -65,7 +65,7 @@ def test_wave_sampler_equals_shape_at_and_rate_at_on_branch_edges():
     pieces_seen = set()
     for gait in _edge_waves():
         times = _edge_times(gait)
-        arcs, rates = midpoint.sample(gait, times)
+        arcs, rates = sample(gait, times)
         for i, t in enumerate(times):
             shape, rate = gait.shape_at(t), gait.rate_at(t)
             p = len(shape.arc) - 1
@@ -102,3 +102,38 @@ def test_rows_at_rest_take_zero_without_a_polynomial(monkeypatch, law):
     assert x.tobytes() == np.zeros(len(x)).tobytes()
     assert set(regime.tolist()) == {REGIMES.index(balance.WHOLE_BODY_STICK)}
     assert gaps == []
+
+
+def test_entering_wave_whose_stretched_part_rounds_onto_the_right_end():
+    # delta is one ulp below L: at this t the front is inside the body, but
+    # (1 + e) * front rounds to L + e * front or above, so the row has one
+    # piece, the whole body at the front's arc-length, and no rate (the
+    # last branch of the entering wave).
+    gait = SquareWave(5.682205470819844, 5.682205470819843, 4.786490829913283, 3.5760492140816122)
+    t = 1.5889617649680816
+    L, e, front = gait.ref_length, gait.epsilon, gait.speed * t
+    assert t < gait.delta / gait.speed and front < L and (1.0 + e) * front >= L + e * front
+    arcs, rates = sample(gait, [t])
+    shape, rate = gait.shape_at(t), gait.rate_at(t)
+    assert shape.ref == (0.0, L) and rate.seg_rates == ((0.0, 0.0),)
+    assert arcs.tobytes() == _bits([0.0, *[shape.length] * 3])
+    assert rates.tobytes() == _bits([0.0] * 6)
+    for law in _LAWS:
+        assert_rows_match_solve_velocity(law, gait, [t, math.nextafter(t, math.inf)])
+
+
+@pytest.mark.parametrize("law", _LAWS)
+@pytest.mark.parametrize(
+    "gait", [SquareWave(1.0, 0.3, 0.5, 1.0), Breather(1.0, 0.5, 1.0), Breather(1.0, -0.3, 0.7)]
+)
+def test_runs_with_no_plan_fall_back_to_the_scalar_solver(monkeypatch, law, gait):
+    # A run whose balance._settled plan is None leaves its rows to
+    # balance._solve, each with the scalar's bits.
+    targets = (np.arange(48) + 0.37) / 48 * gait.period  # no row at rest
+    expected = kernel_rows(law, gait, targets)
+    monkeypatch.setattr(balance, "_settled", lambda law, g: None)
+    mids, x, regime, residual, n_scalar = kernel_rows(law, gait, targets)
+    assert n_scalar == len(mids)
+    for a, b in zip((x, regime, residual), expected[1:4]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert_rows_match_solve_velocity(law, gait, targets)

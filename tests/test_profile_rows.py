@@ -6,7 +6,7 @@ there are closed forms (``balance._profile_forces``).  ``midpoint._ProfileRows``
 reads the row's candidate functions from them, places the row where each is
 farther than ``balance._MARGIN`` times atol from zero, and resolves it by
 the plan of its sign pattern; a row it cannot place goes to
-``balance.solve_velocity``.  A row no model places whose every rate is 0, a
+``balance._solve`` on its pieces.  A row no model places whose every rate is 0, a
 body at rest, takes +0.0, which ``balance._solve`` gives every such body
 whose force scale is finite.  Every row must be ``solve_velocity``'s bit for
 bit, whatever the law: zero coefficients, one-sided laws, a side within
@@ -173,10 +173,8 @@ _EDGE_GAITS = [
 
 @pytest.mark.parametrize("law, gait", _EDGE_GAITS)
 def test_edge_profile_gaits_send_no_row_to_the_scalar_solver(monkeypatch, law, gait):
-    scalar_rows = []
-    monkeypatch.setattr(
-        balance, "solve_velocity", lambda *args: scalar_rows.append(args) or solve_velocity(*args)
-    )
+    scalar_rows, solve = [], balance._solve
+    monkeypatch.setattr(balance, "_solve", lambda *args: scalar_rows.append(args) or solve(*args))
     engine.simulate(law, gait, n_periods=2)
     assert scalar_rows == []
 
