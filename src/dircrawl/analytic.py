@@ -18,6 +18,7 @@ swaps the roles of the two sliding directions.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -149,7 +150,7 @@ def breather_velocity(law: FrictionLaw, ldot: float) -> float:
 def _paired_velocity(p: DirectionalPair, ldot: float) -> float:
     """:func:`breather_velocity` at a finite nonzero ``ldot``, from the
     law's :func:`directional_pair` for the sign of ``ldot``."""
-    tau_1, tau_2, mu_1, mu_2, l, _ = _unit_scale(p.tau_1, p.tau_2, p.mu_1, p.mu_2, ldot)
+    tau_1, tau_2, mu_1, mu_2, l, _, _ = _unit_scale(p.tau_1, p.tau_2, p.mu_1, p.mu_2, ldot)
     w = (tau_1 - tau_2) / l
     disc = mu_1 * mu_2 + w * w + 2.0 * (mu_2 * tau_1 - mu_1 * tau_2) / l
     den = mu_2 + w + math.sqrt(disc)
@@ -160,17 +161,19 @@ def _paired_velocity(p: DirectionalPair, ldot: float) -> float:
 
 def _unit_scale(
     tau_1: float, tau_2: float, mu_1: float, mu_2: float, rate: float, top: int = 0
-) -> tuple[float, float, float, float, float, int]:
-    """``(tau_1, tau_2, mu_1, mu_2, r, n)`` rescaled by exact powers of two:
-    ``rate = r * 2**n``, ``r`` its ``frexp`` mantissa, and the largest nonzero
-    of ``tau_1 / rate, tau_2 / rate, mu_1, mu_2`` brought near ``2**top``, so
-    a ratio homogeneous of degree 0 in these four keeps its value with ``r``."""
+) -> tuple[float, float, float, float, float, int, int]:
+    """``(tau_1, tau_2, mu_1, mu_2, r, n, e)`` rescaled by exact powers of
+    two: ``rate = r * 2**n``, ``r`` its ``frexp`` mantissa, and the largest
+    nonzero of ``tau_1 / rate, tau_2 / rate, mu_1, mu_2`` brought near
+    ``2**top`` by dividing the viscosities by ``2**e`` and the yields by
+    ``2**(n + e)``, so a ratio homogeneous of degree 0 in these four keeps its
+    value with ``r``."""
     r, n = math.frexp(rate)
     tau, mu = max(abs(tau_1), abs(tau_2)), max(mu_1, mu_2)
     e = max(math.frexp(tau)[1] - n if tau else -math.inf, math.frexp(mu)[1] if mu else -math.inf)
     e -= top
     tau_1, tau_2 = math.ldexp(tau_1, -n - e), math.ldexp(tau_2, -n - e)
-    return tau_1, tau_2, math.ldexp(mu_1, -e), math.ldexp(mu_2, -e), r, n
+    return tau_1, tau_2, math.ldexp(mu_1, -e), math.ldexp(mu_2, -e), r, n, e
 
 
 def _rate_independent_coefficients(law: FrictionLaw) -> tuple[float, float] | None:
@@ -753,7 +756,7 @@ def sliding_stage_velocity(
     entering, inside = t < delta / c, t < L / c
     inputs = (("epsilon", epsilon), ("c", c), ("delta", delta), ("L", L))  # before rescaling
     tb, mb, tf, mf = _wave_params(law, epsilon)
-    tb, tf, mb, mf, c_unit, exp_c = _unit_scale(tb, tf, mb, mf, c, top=500)
+    tb, tf, mb, mf, c_unit, exp_c, _ = _unit_scale(tb, tf, mb, mf, c, top=500)
     t_unit, exp_t = math.frexp(t)
     exp_len = math.frexp(L)[1]
     ct = math.ldexp(c_unit * t_unit, exp_c + exp_t - exp_len)
@@ -803,25 +806,126 @@ def _u_minus_log1p_over_u2(u: float) -> float:
     return (u - math.log1p(u)) / (u * u)
 
 
-def _ratio_mean(x0: float, x1: float, b0: float, b1: float) -> float:
-    """Mean over one interval of ``x = -c/b`` for ``c`` and ``b`` affine in
-    time, from its end values ``x0``, ``x1`` and the end values ``b0``,
-    ``b1`` of ``b``, which share a sign (no pole inside).
+def _root_mean(x0: float, x1: float, end0, end1) -> float:
+    """Mean over one stretch of the falling root ``x`` of ``a x^2 + b x + c``,
+    whose coefficients are affine in time, from its end values ``x0``, ``x1``
+    and the coefficients ``end0``, ``end1`` (each ``(a, b, c)``) at the ends.
 
-    With ``r = b1/b0`` and ``u = r - 1`` the mean is ``x0 + (x1 - x0) r S``,
-    ``S = (u - log r) / u^2``.  The ends are ordered so that ``|b|`` shrinks,
-    which keeps ``r`` in ``(0, 1]`` and ``r S`` in ``(0, 1/2]``: the mean is a
-    convex combination of the end values, however close a pole lies outside
-    the interval.  For ``r >= 1/2``, ``u`` is exact and ``S`` is
-    :func:`_u_minus_log1p_over_u2`, which does not cancel as ``u -> 0``;
-    below, ``log r`` is taken from ``r`` itself, which ``1 + u`` would round.
+    Where ``a`` is zero at both ends the root is ``-c/b``, whose ``b`` keeps
+    its sign (no pole inside).  With ``r = b1/b0`` and ``u = r - 1`` the mean
+    is ``x0 + (x1 - x0) r S``, ``S = (u - log r) / u^2``.  The ends are
+    ordered so that ``|b|`` shrinks, which keeps ``r`` in ``(0, 1]`` and
+    ``r S`` in ``(0, 1/2]``: the mean is a convex combination of the end
+    values, however close a pole lies outside the interval.  For ``r >=
+    1/2``, ``u`` is exact and ``S`` is :func:`_u_minus_log1p_over_u2`, which
+    does not cancel as ``u -> 0``; below, ``log r`` is taken from ``r``
+    itself, which ``1 + u`` would round.
+
+    Otherwise, with ``F0``, ``F1`` the polynomials at the ends and ``w`` the
+    stretch's width, the root is reached at ``x`` a time ``w F0(x) / (F0(x)
+    - F1(x))`` after the start, so the mean is ``x1 - (x1 - x0) m``, ``m``
+    the mean of that time over ``w`` as ``x`` runs from ``x0`` to ``x1``
+    (integration by parts).  With ``x = x0 + xi (x1 - x0)`` and ``F0(x0) =
+    F1(x1) = 0`` that time over ``w`` is ``xi g0 / (xi g0 + (1 - xi) g1)``,
+    where ``g0`` and ``g1`` are the divided differences of ``-F0`` at ``x0,
+    x`` and of ``-F1`` at ``x, x1``: affine in ``xi``, with end values that
+    are the slopes ``-F0'(x0)``, ``-F1'(x1)`` (the square roots of the end
+    discriminants) and the differences ``(F1 - F0)(x) / (x1 - x0)`` at the
+    two roots, each formed without cancellation as ``a``, ``b`` or the
+    force's rate ``(F1 - F0) / w`` at the root vanish.  None of them is
+    negative: the root moves one way, since it is the larger or the smaller
+    of at most two monotone branches, a root that the force keeps at every
+    time included, so that rate does not change sign along the stretch and
+    there is nothing to cut; a negative one is rounding, taken as 0.
+    :func:`_root_weight` gives ``m``.
     """
-    if abs(b1) > abs(b0):
-        x0, x1, b0, b1 = x1, x0, b1, b0
-    r = b1 / b0
-    u = r - 1.0
-    s = _u_minus_log1p_over_u2(u) if r >= 0.5 else (u - math.log(r)) / (u * u)
-    return x0 + (x1 - x0) * r * s
+    (a0, b0, _), (a1, b1, _) = end0, end1
+    if a0 == 0.0 and a1 == 0.0:
+        if abs(b1) > abs(b0):
+            x0, x1, b0, b1 = x1, x0, b1, b0
+        r = b1 / b0
+        u = r - 1.0
+        s = _u_minus_log1p_over_u2(u) if r >= 0.5 else (u - math.log(r)) / (u * u)
+        return x0 + (x1 - x0) * r * s
+    if x1 == x0:
+        return x0
+    mid = x0 + x1
+    ends = -(2.0 * a0 * x0 + b0), -(a0 * mid + b0), -(a1 * mid + b1), -(2.0 * a1 * x1 + b1)
+    return x1 - (x1 - x0) * _root_weight(*(max(g, 0.0) for g in ends))
+
+
+def _root_weight(al0: float, al1: float, be0: float, be1: float) -> float:
+    """``m``, the mean over ``xi`` in [0, 1] of ``xi g0 / D``, ``D = xi g0 +
+    (1 - xi) g1``, for ``g0`` affine from ``al0`` to ``al1`` and ``g1`` from
+    ``be0`` to ``be1``, all >= 0 (see :func:`_root_mean`); it lies in [0, 1].
+
+    ``D = A (1 - xi)^2 + 2 B xi (1 - xi) + C xi^2`` with ``A = be0``, ``C =
+    al1``, ``2 B = al0 + be1``, and the ends are swapped so that ``A >= C``
+    (``m`` becomes ``1 - m``).  Scaled to ``A = 1``, ``D = l1 l2`` with
+    ``l = 1 - xi + u xi``, ``u`` the two roots of ``u^2 - 2 mu u + c``,
+    ``mu = B/A``, ``c = C/A``: real or a conjugate pair.  Since ``xi / (l1
+    l2) = (1/l2 - 1/l1) / (u1 - u2)``, ``m`` is minus the divided difference
+    at ``u1, u2`` of ``G(u) = integral of g0 / l = ((p u - c) log u - (p -
+    c)(u - 1)) / (u - 1)^2``, ``p = al0/A``.  It is evaluated one of three
+    ways, none of which cancels by more than a few bits:
+
+    * both ``s = 1 - u`` within 1/4 of 0: the power series in ``xi`` of
+      ``1 / (l1 l2)``, integrated term by term, whose coefficients follow
+      from ``s1 + s2`` and ``s1 s2`` without forming either root;
+    * the roots apart, ``|u1 - u2| >= mu/8``: the divided difference as it
+      stands, ``G`` by its series in ``1 - u`` within 1/8 of 1;
+    * the roots close and away from 1: ``G = P log u + R`` for rational
+      ``P`` and ``R``, whose divided differences are rational in ``s1 +
+      s2`` and ``s1 s2`` and that of ``log`` is ``atanh(h/mu)/h`` (or
+      ``atan``), ``h`` half the roots' distance.
+    """
+    big, small = be0, al1
+    if big < small:
+        return 1.0 - _root_weight(be1, be0, al1, al0)
+    b2 = al0 + be1
+    if not big > 2.0**-500 * b2:  # D = 2B xi (1 - xi) to the last bit
+        return al0 / b2
+    mu, c, p = 0.5 * b2 / big, small / big, al0 / big
+    nu, pi = (big - 0.5 * b2) / big, (big - b2 + small) / big  # (s1 + s2)/2, s1 s2
+    h2 = mu * mu - c
+    h = math.sqrt(abs(h2))
+    reach = abs(nu) + h if h2 >= 0.0 else math.sqrt(max(pi, 0.0))  # max |s|
+    if reach <= 0.25:
+        total, prev, coef, k = 0.0, 0.0, 1.0, 0
+        while True:
+            total += coef * (p / ((k + 2) * (k + 3)) + c / (k + 3))
+            k += 1
+            if (k + 1) * reach**k < 1e-17:
+                return total
+            prev, coef = coef, 2.0 * nu * coef - pi * prev
+    if c == 0.0 or 2.0 * h >= 0.125 * mu:
+
+        def G(u):
+            v = u - 1.0
+            if abs(v) < 0.125:
+                total, power, k = 0.0, 1.0, 0
+                while abs(power) > 1e-17:
+                    total += power * (p / ((k + 1) * (k + 2)) + c / (k + 2))
+                    k += 1
+                    power *= -v
+                return total
+            if u == 0.0:
+                return p
+            return ((p * u - c) * (cmath.log(u) if h2 < 0.0 else math.log(u)) - (p - c) * v) / (v * v)
+
+        if h2 < 0.0:
+            return -G(complex(mu, h)).imag / h
+        u1 = mu + h
+        u2 = c / u1
+        return -(G(u1) - G(u2)) / (u1 - u2)
+    if h2 > 0.0:
+        tanh_part = math.atanh(h / mu) / h if h < 0.5 * mu else math.log((mu + h) ** 2 / c) / (2.0 * h)
+    else:
+        tanh_part = math.atan(h / mu) / h if h else 1.0 / mu
+    kappa = p - c
+    mean_p = kappa * (2.0 * nu * nu - pi) - p * pi * nu  # times pi^2
+    slope_p = 2.0 * kappa * nu - p * pi  # times pi^2
+    return -((mean_p * tanh_part + slope_p * 0.5 * math.log(c)) / (pi * pi) + kappa / pi)
 
 
 def sliding_cycle_displacement(

@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import analytic
 from .body import PiecewiseAffineShape, ShapeRate, _check_same_nodes
 from .errors import DegenerateSubstrateError
 from .friction import ForceValue, FrictionLaw
@@ -192,7 +193,9 @@ def _segment_poly(
     law: FrictionLaw, pieces: _Pieces, x_probe: float
 ) -> tuple[float, float, float]:
     """Coefficients (a, b, c) of the total force a*x^2 + b*x + c, valid on
-    the breakpoint-free segment containing ``x_probe``."""
+    the breakpoint-free segment containing ``x_probe``.  A piece whose
+    velocity crosses zero squares its rates, so one whose rates reach beyond
+    ``2**±256`` takes :func:`_unit_crossing`."""
     tm, tp, mm, mp = law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus
     a = b = c = 0.0
     for s0, s1, r0, r1 in pieces:
@@ -205,6 +208,11 @@ def _segment_poly(
         elif v0 > 0.0 and v1 > 0.0:
             b += -mp * seg
             c += -tp * seg - mp * 0.5 * (r0 + r1) * seg
+        elif not 2.0**-256 <= abs(r0) + abs(r1) <= 2.0**256 and (v0 < 0.0 < v1 or v1 < 0.0 < v0):
+            da, db, dc = _unit_crossing(law, seg, r0, r1, x_probe)
+            a += da
+            b += db
+            c += dc
         elif v0 < 0.0 < v1:
             k = seg / (r1 - r0)
             a += 0.5 * (mm - mp) * k
@@ -222,6 +230,31 @@ def _segment_poly(
                 "the shape's rates cannot be resolved at this scale"
             )
     return a, b, c
+
+
+def _unit_crossing(
+    law: FrictionLaw, seg: float, r0: float, r1: float, x_probe: float
+) -> tuple[float, float, float]:
+    """:func:`_segment_poly`'s terms of one piece of length ``seg`` whose
+    velocity crosses zero at ``x_probe``, summed with its rates ``r0``,
+    ``r1`` and the law at unit scale (:func:`analytic._unit_scale`) and
+    scaled back by exact powers of two: no square of a rate under- or
+    overflows, and wherever the unscaled sums stay normal each term keeps
+    their bits."""
+    tm, tp, mm, mp, _, n, e = analytic._unit_scale(
+        law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus, abs(r0) + abs(r1)
+    )
+    piece = [(0.0, seg, math.ldexp(r0, -n), math.ldexp(r1, -n))]
+    a, b, c = _segment_poly(FrictionLaw(tm, tp, mm, mp), piece, math.ldexp(x_probe, -n))
+    return _ldexp(a, e - n), _ldexp(b, e), _ldexp(c, e + n)
+
+
+def _ldexp(x: float, n: int) -> float:
+    """``x * 2**n``, infinite where it leaves the double range, as a product does."""
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _poly_roots_in(
@@ -542,8 +575,8 @@ class _AffineStage:
         return spans
 
     def gap(self, k: int):
-        """``(coefficients, linear)`` of the force on gap ``k``: a function
-        of t giving ``(a, b, c)``, and whether ``a`` is zero all along."""
+        """The coefficients ``(a, b, c)`` of the force on gap ``k`` as a
+        function of t."""
         probe = 0.5 * (self.breaks[k] + self.breaks[k + 1])
         (a0, b0, c0), (a1, b1, c1) = (_segment_poly(self.law, p, probe) for p in self.ends)
         t0, t1, w, da, db, dc = self.t0, self.t1, self.w, a1 - a0, b1 - b0, c1 - c0
@@ -557,4 +590,4 @@ class _AffineStage:
             th = (t1 - t) / w
             return a1 - th * da, b1 - th * db, c1 - th * dc
 
-        return coefficients, a0 == 0.0 and a1 == 0.0
+        return coefficients

@@ -281,10 +281,14 @@ def _rate_linear(solved, pieces_at):
 
 def _falling_root(a: float, b: float, c: float) -> float:
     """The root of ``a x^2 + b x + c`` where it falls, ``(-b - sqrt(b^2 - 4ac))
-    / 2a`` in the form that does not cancel; ``-c/b`` for ``a = 0``, not read
-    through ``b * b``, which leaves the double range for ``|b|`` beyond 1e±154."""
+    / 2a`` in the form that does not cancel; ``-c/b`` for ``a = 0``.  The
+    coefficients are first divided by a power of two that brings ``b`` or
+    ``sqrt|ac|`` near 1, which keeps the roots and every bit where no
+    square leaves the double range, and keeps the squares in it."""
     if a == 0.0 and b < 0.0:
         return -c / b
+    k = max(math.frexp(b)[1], (math.frexp(a)[1] + math.frexp(c)[1]) // 2)
+    a, b, c = math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k)
     sq = math.sqrt(max(b * b - 4.0 * a * c, 0.0))
     return 2.0 * c / (sq - b) if b <= 0.0 else -(b + sq) / (2.0 * a)
 
@@ -335,22 +339,17 @@ def _sub_interval(
     if kind == "const":
         return x * width if x == value else None
     k = int(value)
-    coefficients, linear = model.gap(k)
-
-    def root(t: float) -> float:
-        return _falling_root(*coefficients(t))
-
-    xa, xm, xb = root(ta), root(0.5 * (ta + tb)), root(tb)
+    coefficients = model.gap(k)
+    ends = coefficients(ta), coefficients(tb)
+    xa, xb = _falling_root(*ends[0]), _falling_root(*ends[1])
+    xm = _falling_root(*coefficients(0.5 * (ta + tb)))
     lo, hi = balance._widened(model.breaks[k], model.breaks[k + 1])
     if not (lo <= min(xa, xb) and max(xa, xb) <= hi):
         return None
     # relative to the roots themselves: the cycle's scale is theirs, not 1
     if not abs(xm - x) <= _CYCLE_TOL * max(abs(xa), abs(xb), abs(x)):
         return None
-    if linear:
-        # b < 0 at both ends: _falling_root divides by zero where it is not
-        return width * analytic._ratio_mean(xa, xb, coefficients(ta)[1], coefficients(tb)[1])
-    return analytic.adaptive_gauss(lambda t: (root(t), None), ta, tb, _CYCLE_TOL)
+    return width * analytic._root_mean(xa, xb, *ends)
 
 
 def _cycle(

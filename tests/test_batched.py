@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import dircrawl
 from dircrawl import balance, engine, midpoint
+from dircrawl.analytic import breather_cycle_displacement, breather_velocity
 from dircrawl.balance import REGIMES, solve_velocity
 from dircrawl.body import Breather, CompositeStride, ConstantLength, SquareWave, TwoSegmentPath
 from dircrawl.errors import DegenerateSubstrateError
@@ -222,8 +223,6 @@ _MIXED = FrictionLaw(1.0, 0.5, 1.0, 0.5)
         (Breather(ref_length=1.0, delta=0.5, period=1e300), 1e299),
         # the force scale overflows: x1dot = 0.0 leaves an infinite residual
         (Breather(ref_length=1e200, delta=1e199, period=1.0), 0.1),
-        # rate ~1e300: the force changes sign on a gap whose polynomial has no root
-        (Breather(ref_length=1.0, delta=0.5, period=1e-300), 1e-301),
     ],
 )
 def test_unresolvable_balance_raises_typed_error(gait, t):
@@ -237,6 +236,20 @@ def test_unresolvable_balance_raises_typed_error(gait, t):
         engine.cycle_displacement(_MIXED, gait, dt=gait.period / 100)
     with pytest.raises(DegenerateSubstrateError):
         engine.cycle_displacement(_MIXED, gait)
+
+
+@pytest.mark.parametrize("period", [1e-300, 1e-307])
+def test_rates_near_the_top_of_the_double_range_resolve(period):
+    # rates ~1e300 to ~1e307: the crossing piece's squared rates overflowed,
+    # so its gap polynomial had no root in floating point and every entry
+    # point raised; formed at unit scale they solve to the closed form
+    gait, t = Breather(ref_length=1.0, delta=0.5, period=period), 0.1 * period
+    closed = breather_velocity(_MIXED, gait.length_rate_at(t))
+    assert solve_velocity(_MIXED, gait.shape_at(t), gait.rate_at(t)).x1dot == pytest.approx(closed, rel=1e-14)
+    assert np.all(np.isfinite(midpoint._kernel(_MIXED, gait, np.repeat([0.5 * period, t], 2), None)[0]))
+    cycle = breather_cycle_displacement(_MIXED, gait._value, gait._rate, gait.period, corners=gait.corner_times())
+    assert engine.cycle_displacement(_MIXED, gait).net_displacement == pytest.approx(cycle, rel=1e-9)
+    assert engine.simulate(_MIXED, gait).net_displacement == pytest.approx(cycle, rel=1e-4)
 
 
 # -- observability -------------------------------------------------------------

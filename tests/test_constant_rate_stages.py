@@ -11,7 +11,6 @@ corner span.
 from __future__ import annotations
 
 import importlib.util
-import math
 import sys
 from pathlib import Path
 
@@ -144,11 +143,9 @@ def _gap_coefficients(at):
     """Every gap's coefficients become the constant ``at(breaks, k)``."""
 
     def patch(monkeypatch) -> None:
-        gap = balance._AffineStage.gap
-
         def patched(self, k):
             abc = at(self.breaks, k)
-            return (lambda t: abc), gap(self, k)[1]
+            return lambda t: abc
 
         monkeypatch.setattr(balance._AffineStage, "gap", patched)
 
@@ -243,42 +240,6 @@ def test_stride_regime_column_names_the_oracles_regime(cls):
         counts = engine.cycle_displacement(law, gait).meta["regime_counts"]
         _, oracle_counts = _oracle(law, gait)
         assert max(counts, key=counts.get) == max(oracle_counts, key=oracle_counts.get)
-
-
-class TestRatioMean:
-    """``analytic._ratio_mean``, the mean of ``-c/b`` for affine ``c`` and ``b``."""
-
-    @staticmethod
-    def _quadrature(c0, c1, b0, b1) -> float:
-        """QK15 panels on ``[0, 1]``, graded geometrically toward the end
-        where ``|b|`` is smaller, where a nearby pole would fool the error
-        estimate of a panel that spans it; ``s`` is the distance from that
-        end, so that ``b`` is evaluated without cancellation."""
-        if abs(b0) < abs(b1):
-            c0, c1, b0, b1 = c1, c0, b1, b0
-
-        def f(s):
-            return -(c1 + s * (c0 - c1)) / (b1 + s * (b0 - b1)), None
-
-        cuts = [0.0] + [2.0**-j for j in range(47, -1, -1)]
-        return sum(analytic.adaptive_gauss(f, a, b, 1e-13) for a, b in zip(cuts, cuts[1:]))
-
-    @pytest.mark.parametrize("u", [3e-5, -3e-5, 1e-9, -7e-12])
-    def test_series_branch_matches_quadrature(self, u):
-        c0, c1, b0, b1 = 0.7, -0.4, -1.3, -1.3 * (1.0 + u)
-        mean = analytic._ratio_mean(-c0 / b0, -c1 / b1, b0, b1)
-        assert abs(mean - self._quadrature(c0, c1, b0, b1)) <= 1e-15
-
-    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9])
-    def test_pole_just_outside_either_end(self, gap):
-        # c = -1 and b = 0 a fraction ``gap`` of the interval beyond its
-        # end, then before its start: the mean of 1/b is -log(1 + 1/gap)
-        exact = -math.log1p(1.0 / gap)
-        for b0, b1 in ((-(1.0 + gap), -gap), (-gap, -(1.0 + gap))):
-            assert analytic._ratio_mean(1.0 / b0, 1.0 / b1, b0, b1) == pytest.approx(
-                exact, rel=1e-15
-            )
-            assert self._quadrature(-1.0, -1.0, b0, b1) == pytest.approx(exact, rel=1e-13)
 
 
 # Time-rescaling invariance: a dry or a Newtonian law has no time scale, so

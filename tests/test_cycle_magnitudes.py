@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 
 import dircrawl
 from dircrawl import engine
+from dircrawl.body import Breather, CompositeStride, ConstantLength
+from dircrawl.friction import FrictionLaw
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -138,3 +140,26 @@ def test_default_cycle_matches_its_closed_form_at_every_magnitude(case, m, n, j)
     except dircrawl.DegenerateSubstrateError:
         return
     assert abs(x - closed) <= 1e-6 * max(math.ldexp(1.0, m), abs(closed)), (x, closed)
+
+
+# A Newtonian law has no time scale: a period of 2**k leaves the cycle's
+# displacement as it is, to the last bit, while the rates scale by 2**-k.
+# The crossing piece's force terms square those rates; formed unscaled they
+# drifted from k = 505 and raised DegenerateSubstrateError from |k| = 518.
+_NEWTONIAN = FrictionLaw(0.0, 0.0, 1.0, 3.0)
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda period: Breather(1.0, 0.4, period),
+        lambda period: CompositeStride(0.5, 0.25, 1.5, period),
+        lambda period: ConstantLength(1.0, 0.5, 0.4, 0.3, period),
+    ],
+    ids=["breather", "stride", "crawler"],
+)
+def test_a_period_of_two_to_the_k_keeps_every_bit_for_k_to_1000(make):
+    base = engine.cycle_displacement(_NEWTONIAN, make(1.0)).net_displacement
+    for k in (*range(-1000, 1001, 125), -540, -520, -518, 505, 515, 518, 520, 540):
+        assert engine.cycle_displacement(_NEWTONIAN, make(2.0**k)).net_displacement == base, k
