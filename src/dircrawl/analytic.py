@@ -258,8 +258,7 @@ _ROUNDOFF = 50.0 * sys.float_info.epsilon
 # a mixed-law breather stage that never settles reaches the cap after 31,000
 # solves in ~0.24 s, where 15-node panels took ~0.12 s.  On the benchmark's
 # inputs (seeds 1-40 and 101-140 of the cycles and trajectory rotations) the
-# calls are the profile gaits' stages and the crossing roots of viscous
-# strides, and a call takes at most 3 panels.
+# calls are the profile gaits' stages, and a call takes at most 3 panels.
 _MAX_PANELS = 1000
 # Most cuts from a call's interval down to one panel, which bounds the
 # recursion; a call on those inputs cuts at most once.

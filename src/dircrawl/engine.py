@@ -16,8 +16,9 @@ on time only (never on position), so trajectories are pure quadrature of
   switches are roots of affine functions (``balance._AffineStage``, the stage
   model the midpoint grid reads too); each stretch between them takes
   one balance solve to fix its structure and is integrated exactly: a
-  constant, the closed-form mean of ``-c/b``, or Gauss–Kronrod panels on the
-  root of a quadratic with interpolated coefficients.  Profile gaits go to
+  constant, or the closed-form mean of the gap root
+  (:func:`dircrawl.analytic._root_mean`), ``-c/b`` or the root of a
+  quadratic with affine coefficients; no quadrature.  Profile gaits go to
   :func:`dircrawl.analytic.adaptive_gauss` on each stage: Gauss–Kronrod
   7–15 panels, extended to 31 nested nodes before they are bisected, and
   cut wherever the balance structure (regime and the sign pattern of the
@@ -281,15 +282,18 @@ def _rate_linear(solved, pieces_at):
 
 def _falling_root(a: float, b: float, c: float) -> float:
     """The root of ``a x^2 + b x + c`` where it falls, ``(-b - sqrt(b^2 - 4ac))
-    / 2a`` in the form that does not cancel; ``-c/b`` for ``a = 0``.  The
-    coefficients are first divided by a power of two that brings ``b`` or
-    ``sqrt|ac|`` near 1, which keeps the roots and every bit where no
-    square leaves the double range, and keeps the squares in it."""
+    / 2a`` in the form that does not cancel; ``-c/b`` for ``a = 0``.  Where
+    ``b^2`` or ``4ac`` would leave the double range, the coefficients are
+    first divided by a power of two that brings ``b`` or ``sqrt|ac|`` near
+    1, which keeps the roots; elsewhere they are used as they are."""
     if a == 0.0 and b < 0.0:
         return -c / b
-    k = max(math.frexp(b)[1], (math.frexp(a)[1] + math.frexp(c)[1]) // 2)
-    a, b, c = math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k)
-    sq = math.sqrt(max(b * b - 4.0 * a * c, 0.0))
+    bb, ac = b * b, 4.0 * a * c
+    if not 2.0**-960 <= bb + abs(ac) <= 2.0**960:
+        k = max(math.frexp(b)[1], (math.frexp(a)[1] + math.frexp(c)[1]) // 2)
+        a, b, c = math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k)
+        bb, ac = b * b, 4.0 * a * c
+    sq = math.sqrt(max(bb - ac, 0.0))
     return 2.0 * c / (sq - b) if b <= 0.0 else -(b + sq) / (2.0 * a)
 
 
@@ -303,12 +307,13 @@ def _constant_rate_stage(
     midpoint grid shares, ``balance._AffineStage.stretches``, and each
     stretch of one structure takes one balance solve, at its middle, to fix
     that structure.  A stuck, plateau or tail velocity is constant.  A gap
-    root is ``-c/b`` where no piece crosses zero velocity under unequal
-    viscosities, integrated in closed form by ``analytic._ratio_mean``, and
-    is otherwise integrated by ``adaptive_gauss`` from the interpolated
-    coefficients, with no solve per node.  A stretch whose solve disagrees
-    with the model, or whose root leaves its gap at an end, is integrated
-    by ``adaptive_gauss`` over the solver, as for profile gaits.
+    root, ``-c/b`` or the falling root of a quadratic, is integrated in
+    closed form from the interpolated coefficients at the stretch ends
+    (:func:`_sub_interval`), with no solve and no quadrature node.  A
+    stretch whose solve disagrees with the model, or whose root leaves its
+    gap at an end, and a stage the model cannot describe (a force scale
+    at its floor), are integrated by ``adaptive_gauss`` over the solver, as
+    for profile gaits.
     """
     model = _AffineStage(law, t0, t1, p0, p1)
     if model.conds is None:
@@ -331,7 +336,10 @@ def _sub_interval(
 ) -> float | None:
     """Integral over ``[ta, tb]``, where the model's structure is ``found``,
     given the solved velocity ``x`` at the middle; None where the two
-    disagree."""
+    disagree.  A constant is ``x`` times the width; a gap root is checked
+    at both ends (inside its gap) and at the middle (against ``x``), then
+    integrated by :func:`analytic._root_mean` from the coefficients at the
+    ends."""
     if found is None:
         return None
     kind, value = found
@@ -400,7 +408,8 @@ def cycle_displacement(
     exists (integration always runs, even for infeasible wave requests).
 
     With ``dt=None`` the default stage-wise integrator runs: a few balance
-    solves per stage on constant-rate gaits; on profile gaits, one per sign
+    solves per stage on constant-rate gaits, whose every stretch is then
+    integrated in closed form; on profile gaits, one per sign
     of the profile rate over dry and Newtonian laws, and over mixed laws 15
     per Gauss–Kronrod panel, or 31 for one extended before it is bisected;
     on every law each is solved on the gap between the node's two
