@@ -38,8 +38,10 @@ on time only (never on position), so trajectories are pure quadrature of
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 from itertools import product
+from numbers import Integral
 from typing import Any, Sequence, Union
 
 from . import analytic, balance
@@ -141,11 +143,16 @@ def simulate(
 
     Always on the midpoint grid: ``dt`` is the target step within each
     stage (default: period/2000); stage boundaries are always sampled
-    exactly.  Raises ``ValueError`` naming ``n_periods`` unless it is a
-    positive ``int``, and naming ``x0`` unless it is finite.
+    exactly.  The gait repeats every period, so period 0 alone is solved:
+    a later step takes the velocity, regime and end length of the period-0
+    step it repeats, read at that step's phase, and moves ``x1`` over its
+    own width.  Raises ``ValueError`` naming ``n_periods`` unless it is a
+    positive integer (a Python or numpy integer, not a bool), and naming
+    ``x0`` unless it is finite.
     """
-    if isinstance(n_periods, bool) or not isinstance(n_periods, int) or n_periods < 1:
+    if isinstance(n_periods, bool) or not isinstance(n_periods, Integral) or n_periods < 1:
         raise ValueError(f"n_periods must be a positive integer, got {n_periods!r}")
+    n_periods = operator.index(n_periods)
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0!r}")
     if dt is None:

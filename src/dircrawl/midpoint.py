@@ -60,14 +60,26 @@ def simulate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str, ...], dict[str, int], float]:
     """Grid times, left-end positions and body lengths over ``n_periods``
     periods from ``x0``, the regime of each step, the steps per regime and
-    the largest force residual."""
-    times, _ = _stage_grid(gait, dt, n_periods)
+    the largest force residual.
+
+    The gait repeats every period, so only period 0 is sampled and solved:
+    each later step reads its velocity, regime and end length at the
+    period-0 phase of its grid time, and ``x1`` advances by that velocity
+    times the step's own width."""
+    times, stages = _stage_grid(gait, dt, n_periods)
+    m = len(stages)  # steps per period
     lengths = np.empty(len(times))
-    x1dot, codes, residual_max = _kernel(law, gait, times, lengths)
+    x1dot, codes, residual_max = _kernel(law, gait, times[: m + 1], lengths[: m + 1])
+    lengths[m + 1 :].reshape(n_periods - 1, m)[:] = lengths[1 : m + 1]
     # x1[i + 1] = x1[i] + x1dot * dt, in step order
-    x1 = np.add.accumulate(np.concatenate([[x0], x1dot * np.diff(times)]))
-    regimes = tuple(np.asarray(balance.REGIMES, dtype=object)[codes])
-    return times, x1, lengths, regimes, _regime_counts(codes), residual_max
+    x1 = np.empty(len(times))
+    x1[0] = x0
+    steps = np.subtract(times[1:], times[:-1], out=x1[1:]).reshape(n_periods, m)
+    steps *= x1dot
+    np.add.accumulate(x1, out=x1)
+    regimes = tuple(np.asarray(balance.REGIMES, dtype=object)[codes]) * n_periods
+    counts = {name: n * n_periods for name, n in _regime_counts(codes).items()}
+    return times, x1, lengths, regimes, counts, residual_max
 
 
 def cycle(
@@ -119,8 +131,12 @@ def _stage_grid(
         stages.append(np.full(n, k))
     grid = np.concatenate(times)
     grid[-1] = gait.period
-    periods = [p * gait.period + grid[1:] for p in range(n_periods)]
-    return np.concatenate([grid[:1], *periods]), np.concatenate(stages)
+    # period p's times are p * period + grid[1:]; period 0's are the grid's own
+    out = np.empty(1 + n_periods * (len(grid) - 1))
+    out[0] = 0.0
+    periods = out[1:].reshape(n_periods, -1)
+    np.add(np.arange(n_periods)[:, None] * gait.period, grid[1:], out=periods)
+    return out, np.concatenate(stages)
 
 
 def _kernel(

@@ -257,6 +257,48 @@ def reference_simulate(law, gait, n_periods: int = 1, dt=None, x0: float = 0.0):
     return times, x1, lengths, regimes
 
 
+def periodic_simulate(law, gait, n_periods: int = 1, dt=None, x0: float = 0.0):
+    """The scalar midpoint step loop on a gait that repeats every period:
+    ``reference_simulate``'s grid, with one ``solve_velocity`` per step of
+    period 0, at its midpoint, and one ``shape_at`` at its end.  Step ``k``
+    of every later period repeats step ``k`` of period 0, its velocity,
+    regime and end length, and moves ``x1`` over its own width.  Returns
+    ``(times, x1, lengths, regimes, meta)`` as lists and ``meta`` as
+    ``Trajectory.meta`` holds it: the steps per regime, keyed in order of
+    first occurrence, and the largest residual.
+    """
+    from dircrawl.balance import solve_velocity
+
+    T = gait.period
+    if dt is None:
+        dt = T / 2000
+    corners = sorted({min(max(c, 0.0), T) for c in gait.corner_times()} | {0.0, T})
+    period_times = [0.0]
+    for a, b in zip(corners, corners[1:]):
+        n = max(1, math.ceil((b - a) / dt - 1e-9))
+        period_times.extend(a + (b - a) * j / n for j in range(1, n + 1))
+    period_times[-1] = T
+
+    steps = []  # period 0's (x1dot, regime, residual, end length), step by step
+    for t0, t1 in zip(period_times, period_times[1:]):
+        tm = 0.5 * (t0 + t1)
+        sol = solve_velocity(law, gait.shape_at(tm), gait.rate_at(tm))
+        steps.append((sol.x1dot, sol.regime, sol.residual, gait.shape_at(t1).length))
+
+    times, x1, lengths, regimes = [0.0], [x0], [gait.shape_at(0.0).length], []
+    for p in range(n_periods):
+        for t1, (x1dot, regime, _, length) in zip(period_times[1:], steps):
+            times.append(p * T + t1)
+            x1.append(x1[-1] + x1dot * (times[-1] - times[-2]))
+            lengths.append(length)
+            regimes.append(regime)
+    counts: dict[str, int] = {}
+    for regime in regimes:
+        counts[regime] = counts.get(regime, 0) + 1
+    meta = {"regime_counts": counts, "residual_max": max(step[2] for step in steps)}
+    return times, x1, lengths, regimes, meta
+
+
 # ---------------------------------------------------------------------------
 # The scalar balance solve before its single-pass rewrite, kept verbatim (with
 # its two helpers) so that ``balance._solve`` can be compared with it bit for

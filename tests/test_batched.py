@@ -5,8 +5,14 @@ of steps at once (``midpoint._shapes``) and solve the balance for the whole
 block (``midpoint._kernel``, each row from its gait's model).  Every float
 operation is the one the scalar path made, in the same order, so the
 results must be equal bit for bit, not merely close:
-``oracles.reference_simulate`` keeps the scalar step loop, and
+``oracles.periodic_simulate`` is the scalar step loop of a simulate, and
 ``solve_velocity`` stays the oracle of each row.
+
+A simulate solves period 0 alone and repeats it.  The scalar loop it
+replaced, ``oracles.reference_simulate`` (kept verbatim), solves step ``k``
+of period ``p`` at ``p * T + t_k``, the same phase up to rounding, so a
+later period differs from it in the last bits; it must stay within
+``_PERIOD_RTOL``, and one period must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dircrawl.body import Breather, CompositeStride, ConstantLength, SquareWave,
 from dircrawl.errors import DegenerateSubstrateError
 from dircrawl.friction import FrictionLaw
 from kernel_rows import kernel_rows, sample
-from oracles import reference_simulate
+from oracles import periodic_simulate, reference_simulate
 
 pytestmark = pytest.mark.bits
 
@@ -46,18 +52,58 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
+# Largest change of x1 or l from the verbatim loop in any later period,
+# relative to the trajectory's scale max(|x1 - x0|, l).  A scan of 900 runs
+# (perfbench seeds 1-10 of the 15 classes, 2 and 3 periods, dt = T/2000,
+# T/777 and T/500) read at most 3.4e-16 in x1 and 7.3e-16 in l, with no
+# regime moved.
+_PERIOD_RTOL = 4e-15
+
+
+def assert_simulate_matches_oracles(law, gait, n_periods: int, dt=None, x0: float = 0.0):
+    """``engine.simulate`` bit for bit as ``periodic_simulate``: times,
+    ``x1``, ``l``, ``x2``, regimes and meta; and as the verbatim loop, its
+    times and regimes exactly, ``x1`` and ``l`` within ``_PERIOD_RTOL``
+    (exactly over one period).  Returns the trajectory."""
+    traj = engine.simulate(law, gait, n_periods=n_periods, dt=dt, x0=x0)
+    times, x1, lengths, regimes, meta = periodic_simulate(law, gait, n_periods, dt, x0)
+    assert traj.times.tobytes() == _bits(times)
+    assert traj.x1.tobytes() == _bits(x1)
+    assert traj.l.tobytes() == _bits(lengths)
+    assert traj.x2.tobytes() == (np.asarray(x1) + np.asarray(lengths)).tobytes()
+    assert traj.regimes == tuple(regimes)
+    assert list(traj.meta.items()) == list(meta.items())
+
+    times, x1, lengths, regimes = reference_simulate(law, gait, n_periods, dt, x0)
+    assert traj.times.tobytes() == _bits(times)
+    assert traj.regimes == tuple(regimes)
+    x1, lengths = np.asarray(x1), np.asarray(lengths)
+    scale = max(np.abs(x1 - x0).max(), lengths.max())
+    tol = 0.0 if n_periods == 1 else _PERIOD_RTOL * scale
+    assert np.abs(traj.x1 - x1).max() <= tol
+    assert np.abs(traj.l - lengths).max() <= tol
+    return traj
+
+
 @pytest.mark.parametrize("cls", inputs.CLASSES)
 def test_simulate_matches_scalar_loop_bit_for_bit(cls):
     for seed in (1, 2, 3):
         law, gait = inputs.draw(seed, "trajectory", 0, cls, dircrawl).build(dircrawl)
-        dt = gait.period / 500
-        times, x1, lengths, regimes = reference_simulate(law, gait, n_periods=2, dt=dt, x0=0.25)
-        traj = engine.simulate(law, gait, n_periods=2, dt=dt, x0=0.25)
-        assert traj.times.tobytes() == _bits(times), seed
-        assert traj.x1.tobytes() == _bits(x1), seed
-        assert traj.l.tobytes() == _bits(lengths), seed
-        assert traj.x2.tobytes() == (np.asarray(x1) + np.asarray(lengths)).tobytes(), seed
-        assert traj.regimes == tuple(regimes), seed
+        assert_simulate_matches_oracles(law, gait, 2, gait.period / 500, x0=0.25)
+
+
+def test_simulate_solves_period_zero_alone(monkeypatch):
+    rows, kernel = [], midpoint._kernel
+
+    def counted(law, gait, times, lengths):
+        rows.append(len(times) - 1)
+        return kernel(law, gait, times, lengths)
+
+    monkeypatch.setattr(midpoint, "_kernel", counted)
+    law, gait = inputs.draw(1, "trajectory", 0, "breather/mixed", dircrawl).build(dircrawl)
+    traj = engine.simulate(law, gait, n_periods=5)
+    assert rows == [len(traj.regimes) // 5]
+    assert rows[0] <= midpoint._BLOCK  # a default period fits one block
 
 
 def test_step_ends_need_no_profile_rate():
@@ -72,12 +118,7 @@ def test_step_ends_need_no_profile_rate():
         corners=(0.0, 0.5, 1.0),
     )
     law = FrictionLaw(0.75, 0.25, 0.0, 0.0)
-    times, x1, lengths, regimes = reference_simulate(law, gait, n_periods=2, dt=0.001)
-    traj = engine.simulate(law, gait, n_periods=2, dt=0.001)
-    assert traj.times.tobytes() == _bits(times)
-    assert traj.x1.tobytes() == _bits(x1)
-    assert traj.l.tobytes() == _bits(lengths)
-    assert traj.regimes == tuple(regimes)
+    traj = assert_simulate_matches_oracles(law, gait, 2, 0.001)
     assert traj.net_displacement == 0.25
 
 
@@ -277,7 +318,9 @@ def test_simulate_reports_regime_counts_and_residual_max(law, gait):
     assert sum(counts.values()) == len(traj.regimes)
     # the same counts, keyed in order of first occurrence
     assert list(counts.items()) == list(_counts(traj.regimes).items())
-    mids = 0.5 * (traj.times[:-1] + traj.times[1:])
+    # period 1 repeats period 0's steps, so period 0 holds the largest residual
+    steps = len(traj.regimes) // 2
+    mids = 0.5 * (traj.times[:steps] + traj.times[1 : steps + 1])
     solves = [solve_velocity(law, gait.shape_at(t), gait.rate_at(t)) for t in mids.tolist()]
     assert traj.meta["residual_max"] == max(sol.residual for sol in solves)
 

@@ -322,10 +322,22 @@ class TestInputContract:
     law = FrictionLaw(0.75, 0.25, 0, 0)
     gait = Breather(ref_length=1.0, delta=1.0, period=1.0)
 
-    @pytest.mark.parametrize("n_periods", [1.5, True])
+    @pytest.mark.parametrize(
+        "n_periods", [1.5, True, np.True_, np.False_, 2.0, np.float64(2.0), 0, -1, np.int64(0)]
+    )
     def test_simulate_rejects_periods_that_are_not_a_positive_int(self, n_periods):
-        with pytest.raises(ValueError, match="n_periods"):
+        message = f"n_periods must be a positive integer, got {n_periods!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             engine.simulate(self.law, self.gait, n_periods=n_periods)
+
+    @pytest.mark.parametrize("count", [np.int64(2), np.uint8(2), np.int32(2)])
+    def test_simulate_takes_a_numpy_integer_count(self, count):
+        expected = engine.simulate(self.law, self.gait, n_periods=2, dt=0.01)
+        traj = engine.simulate(self.law, self.gait, n_periods=count, dt=0.01)
+        for name in ("times", "x1", "x2", "l"):
+            assert getattr(traj, name).tobytes() == getattr(expected, name).tobytes(), name
+        assert traj.regimes == expected.regimes
+        assert traj.meta == expected.meta
 
     @pytest.mark.parametrize("x0", [math.nan, math.inf])
     def test_simulate_rejects_a_non_finite_start(self, x0):

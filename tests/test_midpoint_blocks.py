@@ -22,12 +22,10 @@ import pytest
 
 import dircrawl
 from dircrawl import engine, midpoint
-from dircrawl.balance import solve_velocity
 from dircrawl.body import Breather, CompositeStride, ConstantLength, SquareWave, TwoSegmentPath
 from dircrawl.friction import FrictionLaw
 from kernel_rows import sample
-from oracles import reference_simulate
-from test_batched import _THREE_REGIMES
+from test_batched import _THREE_REGIMES, assert_simulate_matches_oracles
 
 pytestmark = pytest.mark.bits
 
@@ -42,13 +40,6 @@ if inputs is None:
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
-
-
-def _first_occurrence_counts(regimes) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for r in regimes:
-        counts[r] = counts.get(r, 0) + 1
-    return counts
 
 
 _MIXED = FrictionLaw(1.0, 0.5, 1.0, 0.5)
@@ -94,19 +85,9 @@ _MIXED = FrictionLaw(1.0, 0.5, 1.0, 0.5)
     ],
 )
 def test_simulate_across_block_seams_matches_scalar_loop(law, gait):
-    times, x1, lengths, regimes = reference_simulate(law, gait, n_periods=3, x0=0.25)
-    assert len(regimes) > 2 * midpoint._BLOCK  # at least three blocks
-    traj = engine.simulate(law, gait, n_periods=3, x0=0.25)
-    assert traj.times.tobytes() == _bits(times)
-    assert traj.x1.tobytes() == _bits(x1)
-    assert traj.l.tobytes() == _bits(lengths)
-    assert traj.regimes == tuple(regimes)
-    mids = [0.5 * (a + b) for a, b in zip(times, times[1:])]
-    residuals = [solve_velocity(law, gait.shape_at(t), gait.rate_at(t)).residual for t in mids]
-    assert list(traj.meta.items()) == [
-        ("regime_counts", _first_occurrence_counts(regimes)),
-        ("residual_max", max(residuals)),
-    ]
+    # a simulate solves one period, so a fine dt makes the blocks
+    traj = assert_simulate_matches_oracles(law, gait, 1, gait.period / 5000, x0=0.25)
+    assert len(traj.regimes) > 2 * midpoint._BLOCK  # at least three blocks
 
 
 _BUMP_CLASSES = [c for c in inputs.CLASSES if c.split("/")[0] in ("breather", "constant_length")]
