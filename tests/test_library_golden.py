@@ -21,7 +21,10 @@ purpose, with::
 
 ``--records PATH`` writes the per-input records behind the digests to
 ``PATH`` instead (keep it outside the checkout); run it on two checkouts
-and diff the files to see which inputs moved, and by how much.
+and diff the files to see which inputs moved, and by how much.  Beside the
+``simulate`` bytes' SHA-256, each input's record lists the hex net
+displacement, the hex last length and the regime counts of its trajectory,
+which no digest reads.
 """
 
 from __future__ import annotations
@@ -77,13 +80,19 @@ def _verify(law, gait) -> str:
     )
 
 
+# The kinds of result the digests cover; a record's other entries are for reading.
+KINDS = ("cycles", "cycles_dt400", "verify", "simulate")
+
+
 def records():
-    """Per input, in order: its tag and its record of each kind of result."""
+    """Per input, in order: its tag and its record of each kind of result,
+    then the ``simulate`` summary lines."""
     for seed in SEEDS:
         for case in inputs.rotation(seed, "trajectory", 0, dircrawl):
             law, gait = case.build(dircrawl)
             traj = engine.simulate(law, gait, n_periods=2)
             arrays = b"".join(a.tobytes() for a in (traj.times, traj.x1, traj.x2, traj.l))
+            counts = ",".join(f"{k}={v}" for k, v in traj.meta["regime_counts"].items())
             yield f"{seed}/{case.cls}", {
                 "cycles": _cycle(engine.cycle_displacement(law, gait)).encode(),
                 "cycles_dt400": _cycle(
@@ -91,12 +100,15 @@ def records():
                 ).encode(),
                 "verify": _verify(law, gait).encode(),
                 "simulate": arrays + ",".join(traj.regimes).encode(),
+                "simulate.net": _hex(traj.net_displacement).encode(),
+                "simulate.last_l": _hex(traj.l[-1]).encode(),
+                "simulate.regimes": counts.encode(),
             }
 
 
 def digests() -> dict[str, str]:
     """One SHA-256 per kind of result, over every input in order."""
-    hashes = {name: hashlib.sha256() for name in ("cycles", "cycles_dt400", "verify", "simulate")}
+    hashes = {name: hashlib.sha256() for name in KINDS}
     for tag, record in records():
         for name, h in hashes.items():
             h.update(f"{tag}|".encode())
