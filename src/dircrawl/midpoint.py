@@ -5,7 +5,11 @@
 corner.  Its step times are known up front, so the gait is sampled and the
 balance solved for a block of steps at a time, bit for bit as the scalar
 loop (``shape_at``/``rate_at`` and ``balance.solve_velocity`` per step)
-would: the same float operations in the same order.
+would: the same float operations in the same order.  The gait repeats
+every period, so ``simulate`` solves period 0 alone: a later step takes the
+velocity, regime and end length of the period-0 step it repeats, read at
+that step's exact phase rather than at its own time modulo the period (the
+same phase up to rounding), and moves ``x1`` over its own width.
 
 Each row is resolved by the solver's one candidate rule, ``balance._plan``,
 from the signs of its candidate functions, read from its gait family's
@@ -43,15 +47,14 @@ _MAX_STEPS = 1_000_000
 # Steps the kernel samples and solves at once.  Fixed blocks keep the numpy
 # temporaries one size from block to block, so the allocator reuses them
 # instead of growing the heap with each run length.  Sampling and solving a
-# block of 16 rows costs ~0.48 ms and one of 2048 rows ~1.14 ms (medians
+# block of 16 rows costs ~0.50 ms and one of 2048 rows ~1.15 ms (medians
 # over the 15 benchmark classes, seeds 1-3, fastest of 40 timings on a
-# shared 2-core x86-64 host; 0.29-1.00 and 0.79-1.43 ms by class), so the
-# fixed part is paid 8 times by a default 2-period simulate (~4000 steps)
-# at 512 rows and twice at 2048.  Benchmark `trajectory` (16 s runs, seeds
-# 201-202, same host) gives ~120/s and 40.9 MB peak RSS at 512 rows,
-# 210-217/s and 41.9-42.2 MB at 2048, and 227-261/s and 43.9-44.0 MB at
-# 4096, where one block holds the whole run; 2048 keeps RSS within ~4 % of
-# 512.
+# shared 2-core x86-64 host; 0.25-0.98 and 0.93-1.98 ms by class), so the
+# fixed part dominates a small block.  A default period (2000-2004 steps)
+# fits one block of 2048, and ``simulate`` solves one period whatever
+# ``n_periods`` is: a default 2-period simulate takes ~1.25 ms at 2048 rows
+# against ~2.40 ms at 512 (medians, fastest of 15, same host), and a
+# 4096-row block would change no default run.
 _BLOCK = 2048
 
 
