@@ -152,12 +152,13 @@ def test_the_stage_model_answers_nearly_every_row(monkeypatch, cls):
 def test_plans_are_asked_per_run_of_rows_not_per_row(monkeypatch, cls):
     # Rows of one sign pattern come in runs, and a run asks balance._plan
     # once (the stage model once per pattern and call); a Python loop over
-    # the rows would pass every bit-identity test and cost ~4000 calls here.
+    # the rows would pass every bit-identity test and cost ~2000 calls here,
+    # one per row of period 0, the one period a simulate solves.
     calls = []
     plan = balance._plan
     monkeypatch.setattr(balance, "_plan", lambda law, g: calls.append(1) or plan(law, g))
     for seed in (1, 2, 3):
         calls.clear()
         law, gait = inputs.draw(seed, "trajectory", 0, cls, dircrawl).build(dircrawl)
-        steps = len(engine.simulate(law, gait, n_periods=2).regimes)
+        steps = len(engine.simulate(law, gait, n_periods=2).regimes) // 2
         assert 0 < len(calls) < 0.01 * steps, (seed, len(calls), steps)
