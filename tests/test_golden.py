@@ -1,8 +1,9 @@
 """Golden byte guard for the CLI outputs that run on the midpoint grid.
 
 ``simulate`` at its default step (over one period, and over three for two
-of the families, so that the grid times offset by whole periods are covered
-too), and ``analytic``/``verify``/``sweep`` with an explicit ``numeric.dt``,
+of the families, so that the later periods, which repeat period 0's steps
+at their period-0 phase over grid times offset by whole periods, are
+covered too), and ``analytic``/``verify``/``sweep`` with an explicit ``numeric.dt``,
 all integrate on the fixed midpoint grid, so
 their output bytes are a contract: any change to them is a behaviour change.
 The ``figure`` tables, closed forms printed row by row, are pinned the same
