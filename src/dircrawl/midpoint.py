@@ -63,12 +63,8 @@ def simulate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str, ...], dict[str, int], float]:
     """Grid times, left-end positions and body lengths over ``n_periods``
     periods from ``x0``, the regime of each step, the steps per regime and
-    the largest force residual.
-
-    The gait repeats every period, so only period 0 is sampled and solved:
-    each later step reads its velocity, regime and end length at the
-    period-0 phase of its grid time, and ``x1`` advances by that velocity
-    times the step's own width."""
+    the largest force residual; period 0 alone is sampled and solved, and
+    every later period repeats it (see the module docstring)."""
     times, stages = _stage_grid(gait, dt, n_periods)
     m = len(stages)  # steps per period
     lengths = np.empty(len(times))

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 import dircrawl
 from dircrawl import engine
 from dircrawl.body import Breather, ConstantLength
-from test_mirror_paths import _LAWS, _swapped
+from test_mirror_paths import _INTEGRATORS, _LAWS, _swapped
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -41,7 +41,6 @@ if inputs is None:
     _spec.loader.exec_module(inputs)
 
 _RTOL = 1e-13
-_INTEGRATORS = {"default": lambda gait: None, "midpoint": lambda gait: gait.period / 400}
 
 
 def _mirrored(gait):
