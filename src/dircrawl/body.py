@@ -15,9 +15,11 @@ is always zero (the arc-length origin is pinned to the left end).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
-from typing import Callable, Union
+from types import SimpleNamespace
+from typing import Any, Callable, Union
 
 from .analytic import _require_normal_stage_times, _turning_points
 
@@ -51,6 +53,34 @@ _PiecesAt = tuple[list[_Piece], float]
 # whole span, while every arc-length is affine in t between them.  A piece
 # may have zero length at a span end, where ``_pieces_at`` leaves it out.
 _Stages = list[tuple[float, float, list[_Piece], list[_Piece]]]
+
+# What a gait's ``_kinematics(xp, tm)`` returns at the phases ``tm`` (times
+# modulo the period), each entry a float or an array of one per phase:
+# ``(refs, arcs, count, rates)``, the ``P + 1`` node coordinates (``P`` fixed
+# per gait), the ``count <= P`` pieces the shape has, padded by repeating the
+# last node and rate, and a function giving each piece's ``(r0, r1)`` end
+# rates (a length needs none).  Each family's kinematics are written once,
+# over the namespace ``xp`` of array operations, and never raise: the callers
+# check.  ``midpoint`` evaluates them on a block, ``_NodeGait`` on one float
+# (``_SCALAR``); a profile gait's scalar methods read the same profile.
+_Kinematics = tuple[list[Any], list[Any], Any, Callable[[], list[tuple[Any, Any]]]]
+
+
+# The operations the kinematics use, named as in the Python array API
+# standard where it has them, on one Python float (``midpoint`` has numpy's).
+# A tuple is the scalar's array, ``where(mask, a, b)`` is ``a if mask else b``
+# (both evaluated), and ``cases(conds, branches, *args)`` calls the branch of
+# the first condition that holds, or the last branch, with ``args``.
+_SCALAR = SimpleNamespace(
+    asarray=lambda x: x,
+    cases=lambda conds, branches, *args: branches[(*conds, True).index(True)](*args),
+    where=lambda mask, a, b: a if mask else b,
+    logical_not=operator.not_,
+    minimum=lambda a, b: b if b < a else a,  # min(a, b), in one comparison
+    searchsorted=lambda x1, x2, side: (bisect_right if side == "right" else bisect_left)(x1, x2),
+    sin=math.sin,
+    pow=math.pow,  # libm pow, as Python's ``x ** 2`` is
+)
 
 
 @dataclass(frozen=True)
@@ -109,12 +139,13 @@ def _check_same_nodes(shape: PiecewiseAffineShape, rate: ShapeRate) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _bump(rest: float, delta: float, period: float, t: float) -> float:
-    return rest + delta * math.sin(math.pi * t / period) ** 2
+def _bump(xp, rest: float, delta: float, period: float, tm):
+    """The default profile ``rest + delta * sin^2(pi tm / period)``."""
+    return rest + delta * xp.pow(xp.sin(math.pi * tm / period), 2.0)
 
 
-def _bump_rate(delta: float, period: float, t: float) -> float:
-    return delta * (math.pi / period) * math.sin(2.0 * math.pi * t / period)
+def _bump_rate(xp, delta: float, period: float, tm):
+    return delta * (math.pi / period) * xp.sin(2.0 * math.pi * tm / period)
 
 
 def _require_finite(gait: GaitProgram) -> None:
@@ -151,7 +182,7 @@ class _ProfileGait:
         tm = t % self.period
         if self.profile is not None:
             return self.profile(tm)
-        return _bump(self._rest, self.delta, self.period, tm)
+        return _bump(_SCALAR, self._rest, self.delta, self.period, tm)
 
     def _rate(self, t: float) -> float:
         tm = t % self.period
@@ -160,7 +191,16 @@ class _ProfileGait:
             if math.isnan(rate):  # an infinite rate is left to the solver
                 raise ValueError(f"profile_rate produced {rate} at t={t}")
             return rate
-        return _bump_rate(self.delta, self.period, tm)
+        return _bump_rate(_SCALAR, self.delta, self.period, tm)
+
+    def _profile(self, xp, tm) -> tuple[Any, Callable[[], Any]]:
+        """The profile at the phases ``tm`` and a function giving its rate:
+        the bump over ``xp``, or a custom profile on each phase (its rate
+        through ``_rate``, which refuses NaN)."""
+        if self.profile is None:
+            bump = (self.delta, self.period, tm)
+            return _bump(xp, self._rest, *bump), lambda: _bump_rate(xp, *bump)
+        return xp.each(self.profile, tm), lambda: xp.each(self._rate, tm)
 
     def corner_times(self) -> tuple[float, ...]:
         """Times splitting the period into pieces on which the profile is
@@ -224,6 +264,10 @@ class Breather(_ProfileGait):
             raise ValueError(_ARC_ORDER)
         return [(0.0, l, 0.0, self.length_rate_at(t))], l
 
+    def _kinematics(self, xp, tm) -> _Kinematics:
+        p, pdot = self._profile(xp, tm)
+        return [0.0, self.ref_length], [0.0, p], 1, lambda: [(0.0, pdot())]
+
 
 @dataclass(frozen=True)
 class ConstantLength(_ProfileGait):
@@ -275,9 +319,52 @@ class ConstantLength(_ProfileGait):
         l1dot = self.seg1_rate_at(t)
         return [(0.0, l1, 0.0, l1dot), (l1, self.ref_length, l1dot, 0.0)], self.ref_length
 
+    def _kinematics(self, xp, tm) -> _Kinematics:
+        p, pdot = self._profile(xp, tm)
+
+        def rates() -> list[tuple[Any, Any]]:
+            r = pdot()
+            return [(0.0, r), (r, 0.0)]
+
+        return [0.0, self.split, self.ref_length], [0.0, p, self.ref_length], 2, rates
+
+
+class _NodeGait:
+    """``shape_at``, ``rate_at`` and ``_pieces_at`` at one time: the gait's
+    ``_kinematics`` on Python floats, cut to its first ``count`` pieces.  Each
+    gait class binds ``shape_at`` and ``rate_at`` in its own namespace, where
+    ``perfbench/layertrace.py`` patches them."""
+
+    def shape_at(self, t: float) -> PiecewiseAffineShape:
+        refs, arcs, count, _ = self._kinematics(_SCALAR, t % self.period)
+        return PiecewiseAffineShape(tuple(refs[: count + 1]), tuple(arcs[: count + 1]))
+
+    def rate_at(self, t: float) -> ShapeRate:
+        refs, _, count, rates = self._kinematics(_SCALAR, t % self.period)
+        return ShapeRate(tuple(refs[: count + 1]), tuple(rates()[:count]))
+
+    def _pieces_at(self, t: float) -> _PiecesAt:
+        refs, arcs, count, rates = self._kinematics(_SCALAR, t % self.period)
+        r = rates()
+        pieces = []
+        for j in range(count):  # in shape_at's order
+            if not refs[j + 1] > refs[j]:
+                raise ValueError(_REF_ORDER)
+            s0, s1 = arcs[j], arcs[j + 1]
+            if not s1 > s0:
+                raise ValueError(_ARC_ORDER)
+            pieces.append((s0, s1, *r[j]))
+        return pieces, arcs[count]
+
+
+def _edge_rates(times, l1, l2, k) -> tuple[Any, Any]:
+    """The segment rates on a closed path's edge ``k`` (an index or an array)."""
+    dt = times[k + 1] - times[k]
+    return (l1[k + 1] - l1[k]) / dt, (l2[k + 1] - l2[k]) / dt
+
 
 @dataclass(frozen=True)
-class TwoSegmentPath:
+class TwoSegmentPath(_NodeGait):
     """Two-segment crawler following a piecewise-linear closed path in
     segment-length space.
 
@@ -311,10 +398,22 @@ class TwoSegmentPath:
                     f"l2[{i}]={l2!r} is absorbed by l1[{i}]={l1!r}: "
                     "l1 + l2 must exceed l1 in floating point"
                 )
+            if not math.isfinite(l1 + l2):
+                raise ValueError(
+                    f"l1[{i}] + l2[{i}] overflows: the body length {l1!r} + {l2!r} is not finite"
+                )
         if self.l1[0] != self.l1[-1] or self.l2[0] != self.l2[-1]:
             raise ValueError("path must close: first and last shape point equal")
         if not 0.0 < self.split < self.ref_length:
             raise ValueError("split must lie strictly inside (0, ref_length)")
+        for k in range(n - 1):
+            l1dot, l2dot = _edge_rates(self.times, self.l1, self.l2, k)
+            for name, rate in (("l1", l1dot), ("l2", l2dot), ("l1 + l2", l1dot + l2dot)):
+                if not math.isfinite(rate):
+                    raise ValueError(
+                        f"{name} changes too fast from times[{k}] to times[{k + 1}]: "
+                        f"its rate {rate!r} is not finite"
+                    )
 
     @property
     def period(self) -> float:
@@ -323,47 +422,28 @@ class TwoSegmentPath:
     def corner_times(self) -> tuple[float, ...]:
         return self.times
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        tm = t % self.period
-        k = min(bisect_right(self.times, tm) - 1, len(self.times) - 2)
-        theta = (tm - self.times[k]) / (self.times[k + 1] - self.times[k])
-        return k, theta
+    shape_at = _NodeGait.shape_at  # in vars(TwoSegmentPath), for the benchmark's tracer
+    rate_at = _NodeGait.rate_at
 
-    def _lengths(self, k: int, theta: float) -> tuple[float, float]:
-        l1 = self.l1[k] + theta * (self.l1[k + 1] - self.l1[k])
-        l2 = self.l2[k] + theta * (self.l2[k + 1] - self.l2[k])
-        return l1, l2
+    def _kinematics(self, xp, tm) -> _Kinematics:
+        """The edge ``k`` each phase is on, and the segment lengths there,
+        linear between the vertices."""
+        times, l1, l2 = xp.asarray(self.times), xp.asarray(self.l1), xp.asarray(self.l2)
+        k = xp.minimum(xp.searchsorted(times, tm, side="right") - 1, len(times) - 2)
+        theta = (tm - times[k]) / (times[k + 1] - times[k])
+        len1 = l1[k] + theta * (l1[k + 1] - l1[k])
+        len2 = l2[k] + theta * (l2[k + 1] - l2[k])
 
-    def _rates(self, k: int) -> tuple[float, float]:
-        dt = self.times[k + 1] - self.times[k]
-        return (self.l1[k + 1] - self.l1[k]) / dt, (self.l2[k + 1] - self.l2[k]) / dt
+        def rates() -> list[tuple[Any, Any]]:
+            l1dot, l2dot = _edge_rates(times, l1, l2, k)
+            return [(0.0, l1dot), (l1dot, l1dot + l2dot)]
 
-    def shape_at(self, t: float) -> PiecewiseAffineShape:
-        l1, l2 = self._lengths(*self._locate(t))
-        return PiecewiseAffineShape(
-            (0.0, self.split, self.ref_length), (0.0, l1, l1 + l2)
-        )
-
-    def rate_at(self, t: float) -> ShapeRate:
-        k, _ = self._locate(t)
-        l1dot, l2dot = self._rates(k)
-        ref = (0.0, self.split, self.ref_length)
-        pairs = ((0.0, l1dot), (l1dot, l1dot + l2dot))
-        return ShapeRate(ref, pairs)
-
-    def _pieces_at(self, t: float) -> _PiecesAt:
-        k, theta = self._locate(t)
-        l1, l2 = self._lengths(k, theta)
-        s_end = l1 + l2
-        if not (l1 > 0.0 and s_end > l1):
-            raise ValueError(_ARC_ORDER)
-        l1dot, l2dot = self._rates(k)
-        return [(0.0, l1, 0.0, l1dot), (l1, s_end, l1dot, l1dot + l2dot)], s_end
+        return [0.0, self.split, self.ref_length], [0.0, len1, len1 + len2], 2, rates
 
     def _stages(self) -> _Stages:
         stages = []
         for k in range(len(self.times) - 1):
-            l1dot, l2dot = self._rates(k)
+            l1dot, l2dot = _edge_rates(self.times, self.l1, self.l2, k)
             ends = []
             for l1, l2 in ((self.l1[k], self.l2[k]), (self.l1[k + 1], self.l2[k + 1])):
                 ends.append([(0.0, l1, 0.0, l1dot), (l1, l1 + l2, l1dot, l1dot + l2dot)])
@@ -372,7 +452,7 @@ class TwoSegmentPath:
 
 
 @dataclass(frozen=True)
-class CompositeStride:
+class CompositeStride(_NodeGait):
     """Closed rectangle in segment-length space combining constant-length
     shifts with proportional whole-body scalings.
 
@@ -427,21 +507,53 @@ class CompositeStride:
     def corner_times(self) -> tuple[float, ...]:
         return self._path.times
 
-    def shape_at(self, t: float) -> PiecewiseAffineShape:
-        return self._path.shape_at(t)
+    shape_at = _NodeGait.shape_at  # in vars(CompositeStride), for the benchmark's tracer
+    rate_at = _NodeGait.rate_at
 
-    def rate_at(self, t: float) -> ShapeRate:
-        return self._path.rate_at(t)
-
-    def _pieces_at(self, t: float) -> _PiecesAt:
-        return self._path._pieces_at(t)
+    def _kinematics(self, xp, tm) -> _Kinematics:
+        return self._path._kinematics(xp, tm)
 
     def _stages(self) -> _Stages:
         return self._path._stages()
 
 
+# A square wave at each stage, of its length, width, amplitude and speed,
+# ``ct`` (speed times phase), and the wave's front ``min(ct, L)`` and back
+# ``ct - d``: the node ending the first piece, whether it is there, whether
+# the wave's front node is, the right end's arc-length and the last piece's
+# rate.  A node is left out where rounding makes it unresolvable in either
+# coordinate (the sliver it would bound has zero measure), which keeps the
+# nodes strictly increasing near the stage ends.
+
+
+def _wave_entering(xp, L, d, e, c, ct, front, back) -> tuple:
+    """The wave entering: the stretched region is ``[0, ct)``."""
+    stretched, ahead = (1.0 + e) * front, L + e * front
+    empty = stretched <= 0.0  # no stretched region, or one of no arc-length
+    has_first = xp.logical_not(empty) & (front < L) & (stretched < ahead)
+    right_rate = xp.where(empty | has_first, e * c, 0.0)
+    return front, stretched, has_first, False, xp.where(empty, L, ahead), right_rate
+
+
+def _wave_inside(xp, L, d, e, c, ct, front, back) -> tuple:
+    """The wave fully inside: ``[ct - d, ct)``."""
+    ed = e * d
+    has_front = (front < L) & (front + ed < L + ed)
+    return back, back, back > 0.0, has_front, L + ed, xp.where(has_front, 0.0, -e * c)
+
+
+def _wave_leaving(xp, L, d, e, c, ct, front, back) -> tuple:
+    """The wave leaving: ``[ct - d, L]``, whose sliver can reach the right end."""
+    s_end = L + e * (L + d - ct)
+    has_first = (0.0 < back) & (back < L) & (back < s_end)
+    return back, back, has_first, False, s_end, xp.where(has_first, -e * c, 0.0)
+
+
+_WAVE_STAGES = (_wave_entering, _wave_inside, _wave_leaving)
+
+
 @dataclass(frozen=True)
-class SquareWave:
+class SquareWave(_NodeGait):
     """Square stretching wave of width ``delta`` and amplitude ``epsilon``
     traveling rightwards at speed ``speed``.
 
@@ -476,6 +588,10 @@ class SquareWave:
                 "delta * min(1, 1 + epsilon) must exceed the float spacing at ref_length"
             )
         _require_normal_stage_times(self.delta, self.speed, "speed")
+        L, d, e, c = self.ref_length, self.delta, self.epsilon, self.speed
+        for name, v in (("epsilon * speed", e * c), ("ref_length + epsilon * delta", L + e * d)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} overflows: {v!r} is not finite")
 
     @property
     def period(self) -> float:
@@ -485,93 +601,36 @@ class SquareWave:
         c = self.speed
         return (0.0, self.delta / c, self.ref_length / c, self.period)
 
-    def _nodes_and_rates(
-        self, t: float
-    ) -> tuple[list[tuple[float, float]], list[float]]:
-        """Node list [(X, s), ...] plus the constant rate on each interval.
+    shape_at = _NodeGait.shape_at  # in vars(SquareWave), for the benchmark's tracer
+    rate_at = _NodeGait.rate_at
 
-        Wave-front nodes are merged into their neighbours when rounding makes
-        them unresolvable in either coordinate (the sliver they would bound
-        has zero measure); this keeps the node lists strictly increasing at
-        times arbitrarily close to the stage boundaries.
-        """
+    def _kinematics(self, xp, tm) -> _Kinematics:
+        """The first piece, the wave while inside, the rest: padded to three."""
         L, d, e, c = self.ref_length, self.delta, self.epsilon, self.speed
-        tm = t % self.period
         ct = c * tm
-        if tm < d / c:
-            # wave entering: stretched region [0, ct)
-            front = min(ct, L)
-            pts = [(0.0, 0.0)]
-            rates = []
-            if (1.0 + e) * front <= 0.0:  # no stretched region, or one of no arc-length
-                pts.append((L, L))
-                rates.append(e * c)
-            elif front < L and (1.0 + e) * front < L + e * front:
-                pts.append((front, (1.0 + e) * front))
-                rates.append(0.0)
-                pts.append((L, L + e * front))
-                rates.append(e * c)
-            else:
-                pts.append((L, L + e * front))
-                rates.append(0.0)
-            return pts, rates
-        if tm < L / c:
-            # wave fully inside: [ct - d, ct)
-            back = ct - d
-            front = min(ct, L)
-            pts = [(0.0, 0.0)]
-            rates = []
-            if back > 0.0:
-                pts.append((back, back))
-                rates.append(0.0)
-            if front < L and front + e * d < L + e * d:
-                pts.append((front, front + e * d))
-                rates.append(-e * c)
-                pts.append((L, L + e * d))
-                rates.append(0.0)
-            else:
-                pts.append((L, L + e * d))
-                rates.append(-e * c)
-            return pts, rates
-        # wave leaving: [ct - d, L]
-        back = ct - d
-        s_end = L + e * (L + d - ct)
-        pts = [(0.0, 0.0)]
-        rates = []
-        if 0.0 < back < L and back < s_end:
-            pts.append((back, back))
-            rates.append(0.0)
-            pts.append((L, s_end))
-            rates.append(-e * c)
-        else:
-            # the wave sliver has collapsed against the right end
-            pts.append((L, s_end))
-            rates.append(0.0)
-        return pts, rates
+        front, back = xp.minimum(ct, L), ct - d
+        first, first_arc, has_first, has_front, right_arc, right_rate = xp.cases(
+            [tm < d / c, tm < L / c], _WAVE_STAGES, xp, L, d, e, c, ct, front, back
+        )
+        where, both, front_arc = xp.where, has_first & has_front, front + e * d
+        refs = [0.0, where(has_first, first, where(has_front, front, L)), where(both, front, L), L]
+        arcs = [
+            0.0,
+            where(has_first, first_arc, where(has_front, front_arc, right_arc)),
+            where(both, front_arc, right_arc),
+            right_arc,
+        ]
 
-    def shape_at(self, t: float) -> PiecewiseAffineShape:
-        pts, _ = self._nodes_and_rates(t)
-        return PiecewiseAffineShape(tuple(p[0] for p in pts), tuple(p[1] for p in pts))
+        def rates() -> list[tuple[Any, Any]]:
+            wave, last = -e * c, right_rate
+            first_rate = where(has_first, 0.0, where(has_front, wave, last))
+            second = where(both, wave, last)
+            return [(first_rate, first_rate), (second, second), (last, last)]
 
-    def rate_at(self, t: float) -> ShapeRate:
-        pts, rates = self._nodes_and_rates(t)
-        ref = tuple(p[0] for p in pts)
-        pairs = tuple((r, r) for r in rates)
-        return ShapeRate(ref, pairs)
-
-    def _pieces_at(self, t: float) -> _PiecesAt:
-        pts, rates = self._nodes_and_rates(t)
-        pieces = []
-        for (x0, s0), (x1, s1), r in zip(pts, pts[1:], rates):
-            if not x1 > x0:
-                raise ValueError(_REF_ORDER)
-            if not s1 > s0:
-                raise ValueError(_ARC_ORDER)
-            pieces.append((s0, s1, r, r))
-        return pieces, pts[-1][1]
+        return refs, arcs, 1 + has_first + has_front, rates
 
     def _stages(self) -> _Stages:
-        # the pieces of _nodes_and_rates within each stage, unmerged, at the
+        # the pieces of _kinematics within each stage, unmerged, at the
         # stage ends: the wave at the left end, at the front, at the right end
         L, d, e, c = self.ref_length, self.delta, self.epsilon, self.speed
         ec = e * c

@@ -5,7 +5,10 @@
 corner.  Its step times are known up front, so the gait is sampled and the
 balance solved for a block of steps at a time, bit for bit as the scalar
 loop (``shape_at``/``rate_at`` and ``balance.solve_velocity`` per step)
-would: the same float operations in the same order.  The gait repeats
+would: the same float operations in the same order.  Each gait's kinematics
+is written once, in ``body`` (``gait._kinematics``), over a namespace of
+array operations: ``shape_at``/``rate_at`` evaluate it on one float, and
+``_shapes`` on numpy arrays over a block (``_XP``).  The gait repeats
 every period, so ``simulate`` solves period 0 alone: a later step takes the
 velocity, regime and end length of the period-0 step it repeats, read at
 that step's exact phase rather than at its own time modulo the period (the
@@ -24,17 +27,19 @@ the scalar layer is reached only through it and ``gait._pieces_at``.
 Block format: ``n`` shapes are nodal arc-lengths ``arcs`` ``(n, P + 1)`` and
 per-piece end rates ``rates`` ``(n, P, 2)``, ``P`` fixed per gait: 1 for a
 breather, 2 for the two-segment gaits, 3 for a square wave, whose rows with
-fewer pieces end in zero-length pieces repeating the last node and rate.
+fewer pieces end in zero-length pieces repeating the last node and rate
+(the kinematics' padding past its ``count``).
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from . import analytic, balance, body
+from . import analytic, balance
 from .body import GaitProgram
 from .errors import DegenerateSubstrateError, StepLimitError
 from .friction import FrictionLaw
@@ -312,138 +317,69 @@ def _sum_in_order(values: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate([[0.0], values]))[-1])
 
 
-# Checked block arcs, and a function computing their rates from what the arcs left.
+# Checked block arcs, and a function computing their rates.
 _Shapes = tuple[np.ndarray, Callable[[], np.ndarray]]
+
+
+def _merged(conds: list, values: list):
+    """``values``, one per branch and alike in structure (lists, tuples,
+    functions returning them, arrays or numbers), each element taken from the
+    first branch whose condition holds there, or from the last."""
+    first = values[0]
+    if callable(first):
+        return lambda: _merged(conds, [value() for value in values])
+    if isinstance(first, (list, tuple)):
+        return [_merged(conds, list(column)) for column in zip(*values)]
+    out = values[-1]
+    for cond, value in zip(reversed(conds), values[-2::-1]):
+        if value is not out:
+            out = np.where(cond, value, out)
+    return out
+
+
+# The array operations of ``body._SCALAR``, on numpy arrays: ``cases``
+# evaluates every branch over the block and merges them, and ``each`` calls a
+# custom profile on every phase.
+_XP = SimpleNamespace(
+    asarray=lambda x: np.asarray(x, dtype=float),
+    cases=lambda conds, branches, *args: _merged(conds, [f(*args) for f in branches]),
+    where=np.where,
+    logical_not=np.logical_not,
+    minimum=np.minimum,
+    searchsorted=np.searchsorted,
+    sin=np.sin,
+    # libm pow, as Python's ``** 2`` is; numpy's ``**`` and ``np.square``
+    # compute ``s * s``, which rounds differently on about 1 sine in 1200
+    pow=np.float_power,
+    each=lambda f, x: np.array([f(v) for v in x.tolist()], dtype=float),
+)
 
 
 def _shapes(gait: GaitProgram, times: np.ndarray, tm: np.ndarray | None = None) -> _Shapes:
     """``shape_at`` at each of ``times`` as one block, and a function giving
-    ``rate_at`` there; an invalid shape raises :func:`_require_valid`'s error.
-    ``tm``, where given, is ``times`` modulo the period."""
-    if isinstance(gait, body.CompositeStride):
-        gait = gait._path
+    ``rate_at`` there: ``gait._kinematics`` over the block.  A piece is valid
+    where it pads its row or increases in both coordinates; an invalid shape
+    raises :func:`_require_valid`'s error.  ``tm`` is ``times`` modulo the
+    period, where given."""
     if tm is None:
         tm = np.remainder(times, gait.period)
-    if isinstance(gait, body.TwoSegmentPath):
-        return _path_shapes(gait, times, tm)
-    if isinstance(gait, body.SquareWave):
-        return _wave_shapes(gait, times, tm)
-    return _profile_shapes(gait, times, tm)
-
-
-def _profile_shapes(gait: GaitProgram, times: np.ndarray, tm: np.ndarray) -> _Shapes:
-    """Breathers (one piece, length ``p``) and constant-length crawlers (two
-    pieces split at the first segment's length ``p``); the ``2:`` and ``1:``
-    slices below are empty for a breather.  The built-in bump is evaluated
-    over the whole block; a custom profile is called once per time."""
-    bump = gait.profile is None
-    if bump:
-        # Python's ``** 2`` is libm ``pow``, and so is ``np.float_power``;
-        # numpy's ``**`` and ``np.square`` compute ``s * s``, which rounds
-        # differently on about 1 sine in 1200.
-        sin2 = np.float_power(np.sin(math.pi * tm / gait.period), 2.0)
-        p = gait._rest + gait.delta * sin2
-    else:
-        ts = times.tolist()
-        p = np.array([gait._value(t) for t in ts], dtype=float)
-    if isinstance(gait, body.Breather):
-        n_pieces, ok = 1, p > 0.0
-    else:
-        n_pieces, ok = 2, (0.0 < p) & (p < gait.ref_length)
+    refs, arcs, count, rates = gait._kinematics(_XP, tm)
+    n, n_pieces = len(tm), len(arcs) - 1
+    ok = np.ones(n, dtype=bool)
+    for j in range(n_pieces):
+        ok &= (j >= count) | (refs[j + 1] > refs[j]) & (arcs[j + 1] > arcs[j])
     _require_valid(gait, times, ok)
-    arcs = np.zeros((len(p), n_pieces + 1))
-    arcs[:, 1] = p
-    arcs[:, 2:] = gait.ref_length
+    block = np.empty((n, n_pieces + 1))
+    for j, arc in enumerate(arcs):
+        block[:, j] = arc
 
-    def rates() -> np.ndarray:
-        if bump:
-            pdot = gait.delta * (math.pi / gait.period) * np.sin(2.0 * math.pi * tm / gait.period)
-        else:
-            pdot = np.array([gait._rate(t) for t in ts], dtype=float)
-        out = np.zeros((len(p), n_pieces, 2))
-        out[:, 0, 1] = pdot
-        out[:, 1:, 0] = pdot[:, None]
+    def rate_block() -> np.ndarray:
+        out = np.empty((n, n_pieces, 2))
+        for j, (r0, r1) in enumerate(rates()):
+            out[:, j, 0], out[:, j, 1] = r0, r1
         return out
 
-    return arcs, rates
-
-
-def _path_shapes(gait: body.TwoSegmentPath, times: np.ndarray, tm: np.ndarray) -> _Shapes:
-    # _locate, shape_at and rate_at on arrays, operation for operation
-    T = np.asarray(gait.times, dtype=float)
-    L1 = np.asarray(gait.l1, dtype=float)
-    L2 = np.asarray(gait.l2, dtype=float)
-    k = np.minimum(np.searchsorted(T, tm, side="right") - 1, len(T) - 2)
-    theta = (tm - T[k]) / (T[k + 1] - T[k])
-    l1 = L1[k] + theta * (L1[k + 1] - L1[k])
-    l2 = L2[k] + theta * (L2[k + 1] - L2[k])
-    arcs = np.zeros((len(tm), 3))
-    arcs[:, 1] = l1
-    arcs[:, 2] = l1 + l2
-    _require_valid(gait, times, (arcs[:, 1] > 0.0) & (arcs[:, 2] > arcs[:, 1]))
-
-    def rates() -> np.ndarray:
-        dt = T[k + 1] - T[k]
-        l1dot = (L1[k + 1] - L1[k]) / dt
-        l2dot = (L2[k + 1] - L2[k]) / dt
-        out = np.zeros((len(tm), 2, 2))
-        out[:, 0, 1] = l1dot
-        out[:, 1, 0] = l1dot
-        out[:, 1, 1] = l1dot + l2dot
-        return out
-
-    return arcs, rates
-
-
-def _wave_shapes(gait: body.SquareWave, times: np.ndarray, tm: np.ndarray) -> _Shapes:
-    """``SquareWave._nodes_and_rates`` on arrays: each of the three nodes
-    after ``(0, 0)`` is computed for every branch, and the presence masks
-    pick each row's nodes in order, with no sort; a row with fewer nodes
-    repeats the last, the right end, as padding."""
-    L, d, e, c = gait.ref_length, gait.delta, gait.epsilon, gait.speed
-    ct = c * tm
-    enter = tm < d / c
-    inside = ~enter & (tm < L / c)
-    leave = ~enter & ~inside
-    front = np.minimum(ct, L)
-    back = ct - d
-    s_end = L + e * (L + d - ct)
-    empty = (1.0 + e) * front <= 0.0
-    enter_front = enter & ~empty & (front < L) & ((1.0 + e) * front < L + e * front)
-    has_back = inside & (back > 0.0) | leave & (0.0 < back) & (back < L) & (back < s_end)
-    has_front = inside & (front < L) & (front + e * d < L + e * d)
-    last_arc = np.where(
-        enter, np.where(empty, L, L + e * front), np.where(inside, L + e * d, s_end)
-    )
-    n1 = enter_front | has_back
-    both = n1 & has_front
-
-    def in_order(first, inside_front, right_end) -> list:
-        return [
-            np.where(n1, first, np.where(has_front, inside_front, right_end)),
-            np.where(both, inside_front, right_end),
-            right_end,
-        ]
-
-    ref1, ref2, _ = in_order(np.where(enter, front, back), front, L)
-    nodes = in_order(np.where(enter, (1.0 + e) * front, back), front + e * d, last_arc)
-    arc1, arc2, _ = nodes
-    arcs = np.stack([np.zeros_like(tm), *nodes], axis=1)
-    # Padding pieces have length 0: check only the pieces the row has.
-    ok = (ref1 > 0.0) & (arc1 > 0.0)
-    ok &= ~(n1 | has_front) | (ref2 > ref1) & (arc2 > arc1)
-    ok &= ~both | (L > ref2) & (last_arc > arc2)
-    _require_valid(gait, times, ok)
-
-    def rates() -> np.ndarray:
-        last_rate = np.where(
-            enter,
-            np.where(empty | enter_front, e * c, 0.0),
-            np.where(inside & ~has_front | leave & has_back, -e * c, 0.0),
-        )
-        return np.repeat(np.stack(in_order(0.0, -e * c, last_rate), axis=1)[:, :, None], 2, axis=2)
-
-    return arcs, rates
+    return block, rate_block
 
 
 def _require_valid(gait: GaitProgram, times: np.ndarray, ok: np.ndarray) -> None:

@@ -484,3 +484,104 @@ def reference_profile_stages(law: FrictionLaw, gait, tol: float) -> list[float]:
 
     spans = analytic._corner_spans(gait.corner_times(), gait.period)
     return [analytic.adaptive_gauss(velocity, a, b, tol) for a, b in spans]
+
+
+# ---------------------------------------------------------------------------
+# The gaits' kinematics as the scalar path wrote them before ``body`` wrote
+# each family's once, over a namespace of array operations that both the
+# scalar path and ``midpoint``'s block sampler evaluate: the default sin^2
+# bump, ``TwoSegmentPath._locate``/``_lengths``/``_rates`` and
+# ``SquareWave._nodes_and_rates``, kept verbatim (the methods take the gait as
+# ``self``) so that both evaluations can be held to them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_bump(rest: float, delta: float, period: float, t: float) -> float:
+    return rest + delta * math.sin(math.pi * t / period) ** 2
+
+
+def reference_bump_rate(delta: float, period: float, t: float) -> float:
+    return delta * (math.pi / period) * math.sin(2.0 * math.pi * t / period)
+
+
+def reference_locate(self, t: float) -> tuple[int, float]:
+    tm = t % self.period
+    k = min(bisect_right(self.times, tm) - 1, len(self.times) - 2)
+    theta = (tm - self.times[k]) / (self.times[k + 1] - self.times[k])
+    return k, theta
+
+
+def reference_lengths(self, k: int, theta: float) -> tuple[float, float]:
+    l1 = self.l1[k] + theta * (self.l1[k + 1] - self.l1[k])
+    l2 = self.l2[k] + theta * (self.l2[k + 1] - self.l2[k])
+    return l1, l2
+
+
+def reference_rates(self, k: int) -> tuple[float, float]:
+    dt = self.times[k + 1] - self.times[k]
+    return (self.l1[k + 1] - self.l1[k]) / dt, (self.l2[k + 1] - self.l2[k]) / dt
+
+
+def reference_nodes_and_rates(
+    self, t: float
+) -> tuple[list[tuple[float, float]], list[float]]:
+    """Node list [(X, s), ...] plus the constant rate on each interval.
+
+    Wave-front nodes are merged into their neighbours when rounding makes
+    them unresolvable in either coordinate (the sliver they would bound
+    has zero measure); this keeps the node lists strictly increasing at
+    times arbitrarily close to the stage boundaries.
+    """
+    L, d, e, c = self.ref_length, self.delta, self.epsilon, self.speed
+    tm = t % self.period
+    ct = c * tm
+    if tm < d / c:
+        # wave entering: stretched region [0, ct)
+        front = min(ct, L)
+        pts = [(0.0, 0.0)]
+        rates = []
+        if (1.0 + e) * front <= 0.0:  # no stretched region, or one of no arc-length
+            pts.append((L, L))
+            rates.append(e * c)
+        elif front < L and (1.0 + e) * front < L + e * front:
+            pts.append((front, (1.0 + e) * front))
+            rates.append(0.0)
+            pts.append((L, L + e * front))
+            rates.append(e * c)
+        else:
+            pts.append((L, L + e * front))
+            rates.append(0.0)
+        return pts, rates
+    if tm < L / c:
+        # wave fully inside: [ct - d, ct)
+        back = ct - d
+        front = min(ct, L)
+        pts = [(0.0, 0.0)]
+        rates = []
+        if back > 0.0:
+            pts.append((back, back))
+            rates.append(0.0)
+        if front < L and front + e * d < L + e * d:
+            pts.append((front, front + e * d))
+            rates.append(-e * c)
+            pts.append((L, L + e * d))
+            rates.append(0.0)
+        else:
+            pts.append((L, L + e * d))
+            rates.append(-e * c)
+        return pts, rates
+    # wave leaving: [ct - d, L]
+    back = ct - d
+    s_end = L + e * (L + d - ct)
+    pts = [(0.0, 0.0)]
+    rates = []
+    if 0.0 < back < L and back < s_end:
+        pts.append((back, back))
+        rates.append(0.0)
+        pts.append((L, s_end))
+        rates.append(-e * c)
+    else:
+        # the wave sliver has collapsed against the right end
+        pts.append((L, s_end))
+        rates.append(0.0)
+    return pts, rates

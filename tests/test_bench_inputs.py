@@ -19,13 +19,18 @@ import sys
 from pathlib import Path
 
 import dircrawl
-from dircrawl import analytic, balance, engine
+from dircrawl import analytic, balance, body, engine
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 )
 inputs = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(inputs)
+_trace_spec = importlib.util.spec_from_file_location(
+    "perfbench_layertrace", Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+)
+layertrace = importlib.util.module_from_spec(_trace_spec)
+_trace_spec.loader.exec_module(layertrace)
 
 SEEDS = (1, 2, 3)
 STREAMS = ("cycles", "trajectory", "cli")
@@ -42,6 +47,26 @@ def _rotations_digest() -> str:
 
 def test_drawn_rotations_unchanged():
     assert _rotations_digest() == ROTATIONS_SHA256
+
+
+def test_the_benchmark_finds_its_gait_hooks():
+    # The tracer patches shape_at/rate_at in each gait class's own namespace,
+    # and the inputs call the profile aliases; a plain run does neither.
+    for name in layertrace._GAIT_CLASSES:
+        assert set(layertrace._GAIT_METHODS) <= vars(getattr(body, name)).keys(), name
+    tracer = layertrace.Tracer(layertrace.import_dircrawl()[0])
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    breather = body.Breather(1.0, 0.5, 2.0)
+    crawler = body.ConstantLength(1.0, 0.5, 0.4, 0.2, 2.0)
+    for gait, value, rate in (
+        (breather, breather.length_at, breather.length_rate_at),
+        (crawler, crawler.seg1_length_at, crawler.seg1_rate_at),
+    ):
+        assert (value(0.3), rate(0.3)) == (gait._value(0.3), gait._rate(0.3))
+        assert gait.monotone_corners() == gait.corner_times()
 
 
 def test_closed_forms_match_engine():

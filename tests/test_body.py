@@ -274,6 +274,17 @@ class TestSquareWave:
             SquareWave(1.0, delta, epsilon, 1.0)
 
     @pytest.mark.parametrize(
+        "wave, name",
+        [
+            ((1.0, 0.5, 1e308, 10.0), "epsilon * speed"),
+            ((1e308, 5e307, 3.0, 1.0), "ref_length + epsilon * delta"),
+        ],
+    )
+    def test_rate_or_length_that_is_not_finite_rejected_naming_it(self, wave, name):
+        with pytest.raises(ValueError, match="^" + re.escape(f"{name} overflows: inf is not finite")):
+            SquareWave(*wave)
+
+    @pytest.mark.parametrize(
         "wave",
         [
             # period 5e-324: at t = 0 shape_at took it as inside, with two equal ref nodes
@@ -381,6 +392,29 @@ class TestTwoSegmentPath:
     def test_absorbed_stride_segment_rejected(self):
         with pytest.raises(ValueError, match=r"lam, delta, h and period give no valid path: l2\[0\]"):
             CompositeStride(lam=1.0, delta=1e20, h=2.0)
+
+    @pytest.mark.parametrize(
+        "times, l1, l2, message",
+        [
+            # 1 / 5e-324 overflows on the first edge
+            ((0.0, 5e-324, 1.0, 2.0), (1.0, 2.0, 1.5, 1.0), (1.0, 1.0, 2.0, 1.0), "l1"),
+            ((0.0, 5e-324, 1.0, 2.0), (1.0, 1.0, 1.5, 1.0), (1.0, 2.0, 2.0, 1.0), "l2"),
+            # each rate is 1e308, and their sum, the body's end rate, overflows
+            ((0.0, 0.4, 0.8), (1e307, 5e307, 1e307), (1e307, 5e307, 1e307), "l1 + l2"),
+        ],
+    )
+    def test_rate_that_is_not_finite_rejected_naming_it(self, times, l1, l2, message):
+        pattern = re.escape(f"{message} changes too fast from times[0] to times[1]: its rate ")
+        with pytest.raises(ValueError, match="^" + pattern):
+            TwoSegmentPath(1.0, 0.5, times, l1, l2)
+
+    def test_body_length_that_is_not_finite_rejected_naming_it(self):
+        l1 = l2 = (1e308, 1.7e308, 1e308)
+        with pytest.raises(ValueError, match=r"^l1\[0\] \+ l2\[0\] overflows: the body length "):
+            TwoSegmentPath(1.0, 0.5, (0.0, 1.0, 2.0), l1, l2)
+        # a stride's third vertex h * (lam, lam + delta) sums to 2.25e308
+        with pytest.raises(ValueError, match=r"no valid path: l1\[2\] \+ l2\[2\] overflows"):
+            CompositeStride(lam=5e307, delta=5e307, h=1.5)
 
 
 class TestCompositeStride:

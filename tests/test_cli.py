@@ -411,6 +411,35 @@ class TestVerifyCommand:
         assert out == ""
         assert "config error: gait: period=5e-324 is too short for delta=1.0" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "analytic", "verify"])
+    @pytest.mark.parametrize(
+        "gait, message",
+        [
+            (
+                {"kind": "two_segment", "L": 1.0, "x_star": 0.5, "times": [0, 5e-324, 1, 2],
+                 "l1": [1, 2, 1.5, 1], "l2": [1, 1, 2, 1]},
+                "l1 changes too fast from times[0] to times[1]: its rate inf is not finite",
+            ),
+            (
+                {"kind": "two_segment", "L": 1.0, "x_star": 0.5, "times": [0, 1, 2],
+                 "l1": [1e308, 1.7e308, 1e308], "l2": [1e308, 1.7e308, 1e308]},
+                "l1[0] + l2[0] overflows: the body length 1e+308 + 1e+308 is not finite",
+            ),
+            (
+                {"kind": "square_wave", "L": 1.0, "delta": 0.5, "epsilon": 1e308, "c": 10.0},
+                "epsilon * speed overflows: inf is not finite",
+            ),
+        ],
+        ids=["edge_rate", "body_length", "wave_rate"],
+    )
+    def test_kinematics_overflow_exit_two(self, tmp_path, capsys, command, gait, message):
+        # these used to build and then fail in the solver: "force scale overflows", exit 1
+        cfg = write_config(tmp_path, breather_config(gait=gait))
+        assert main([command, "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: gait: {message}\n"
+
     def test_unsupported_pair_exit_one(self, tmp_path, capsys):
         data = breather_config(
             substrate={"tau_minus": 1.0, "tau_plus": 0.5, "mu_minus": 1.0, "mu_plus": 0.5},
@@ -455,6 +484,16 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert lines[1].startswith("0,0.20000000000000001,") and lines[1].endswith(",stick_slip,")
         assert lines[2] == "1,1.5,,,,,ValueError: delta must satisfy 0 < delta < ref_length"
+
+    def test_row_whose_wave_rate_overflows_names_the_error(self, tmp_path, capsys):
+        data = breather_config(
+            gait={"kind": "square_wave", "L": 1.0, "delta": 0.5, "epsilon": 0.5, "c": 10.0},
+            sweep={"axes": [{"path": "gait.epsilon", "values": [0.5, 1e308]}]},
+        )
+        assert main(["sweep", "--config", write_config(tmp_path, data)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and lines[1].startswith("0,0.5,")
+        assert lines[2] == "1,1e+308,,,,,ValueError: epsilon * speed overflows: inf is not finite"
 
     def test_unknown_axis_field_is_a_config_error(self, tmp_path, capsys):
         data = breather_config(

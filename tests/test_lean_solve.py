@@ -17,6 +17,7 @@ import pytest
 import dircrawl
 from dircrawl import analytic, balance
 from dircrawl.body import Breather, ConstantLength, TwoSegmentPath
+from oracles import reference_lengths, reference_locate
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -81,7 +82,7 @@ def _absorbing_path() -> tuple[TwoSegmentPath, float]:
     # doubles, so the interpolated l2 there is absorbed
     path = TwoSegmentPath(1.0, 0.5, (0.0, 1.0, 2.0), (7.3e19, 1.4e20, 7.3e19), (5e3, 9e3, 5e3))
     for i in range(1, 100):
-        l1, l2 = path._lengths(*path._locate(i / 100))
+        l1, l2 = reference_lengths(path, *reference_locate(path, i / 100))
         if l1 + l2 == l1:
             return path, i / 100
     raise AssertionError("no absorbing time found")

@@ -1,11 +1,14 @@
 """The midpoint kernel on the branch edges that random times rarely reach.
 
-``midpoint._shapes`` picks each wave row's nodes from presence masks, and
-the kernel's rows read their candidate functions from their gait's model;
-both must still agree with the scalar ``shape_at``/``rate_at`` and
-``balance.solve_velocity`` bit for bit.  The cases here sit where those
-shortcuts switch: stage boundaries and their float neighbours, waves just
-wide enough to be accepted, and a body at rest, which no model places.
+A wave's kinematics pick its nodes from presence masks, written once in
+``body`` and evaluated by both ``shape_at``/``rate_at`` and
+``midpoint._shapes`` (``tests/test_kinematics_oracle.py`` holds both to the
+earlier scalar code), and the kernel's rows read their candidate functions
+from their gait's model; the kernel must still agree with the scalar
+``shape_at``/``rate_at`` and ``balance.solve_velocity`` bit for bit.  The
+cases here sit where those shortcuts switch: stage boundaries and their
+float neighbours, waves just wide enough to be accepted, and a body at rest,
+which no model places.
 """
 
 from __future__ import annotations
