@@ -528,8 +528,12 @@ class _AffineStage:
         self.law, self.t0, self.t1, self.w, self.ends = law, t0, t1, t1 - t0, (p0, p1)
         self.conds: list[list[float]] | None = []
         self.atol = 0.0
-        for pieces in self.ends:  # both ends have the same rates, so the same breaks
-            self.breaks, _, fscale, atol = _breaks_and_scales(law, pieces, pieces[-1][1])
+        # both ends have the same rates, so the same breaks and velocity
+        # scale: the force scale per unit length (times 1.0, exact) serves both
+        self.breaks, _, per_length, _ = _breaks_and_scales(law, p0, 1.0)
+        for pieces in self.ends:
+            fscale = per_length * pieces[-1][1]  # _breaks_and_scales's product, bit for bit
+            atol = _ACCEPT_RTOL * max(fscale, _ACCEPT_FLOOR)
             if not fscale >= _ACCEPT_FLOOR:
                 self.conds = None
                 return

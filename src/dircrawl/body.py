@@ -22,6 +22,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, Union
 
 from .analytic import _require_normal_stage_times, _turning_points
+from .errors import _isfinite
 
 __all__ = [
     "PiecewiseAffineShape",
@@ -155,8 +156,8 @@ def _require_finite(gait: GaitProgram) -> None:
         value = getattr(gait, f.name)
         items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
         for i, v in items:
-            if isinstance(v, (int, float)) and not math.isfinite(v):
-                where = f.name if i is None else f"{f.name}[{i}]"
+            where = f.name if i is None else f"{f.name}[{i}]"
+            if isinstance(v, (int, float)) and not _isfinite(where, v):
                 raise ValueError(f"{where} must be finite, got {v!r}")
 
 
@@ -382,6 +383,10 @@ class TwoSegmentPath(_NodeGait):
 
     def __post_init__(self) -> None:
         _require_finite(self)
+        # as floats, so that the scalar path and the block sampler subtract
+        # the same numbers: an integer vertex beyond 2**53 is rounded once, here
+        for name in ("times", "l1", "l2"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         n = len(self.times)
         if n < 2 or len(self.l1) != n or len(self.l2) != n:
             raise ValueError("times, l1 and l2 must have equal length >= 2")

@@ -54,7 +54,7 @@ from .body import (
     SquareWave,
     TwoSegmentPath,
 )
-from .errors import MixedRheologyError, StepLimitError, UnsupportedPairError
+from .errors import MixedRheologyError, StepLimitError, UnsupportedPairError, _isfinite
 from .friction import FrictionLaw
 
 __all__ = [
@@ -153,7 +153,7 @@ def simulate(
     if isinstance(n_periods, bool) or not isinstance(n_periods, Integral) or n_periods < 1:
         raise ValueError(f"n_periods must be a positive integer, got {n_periods!r}")
     n_periods = operator.index(n_periods)
-    if not math.isfinite(x0):
+    if not _isfinite("x0", x0):
         raise ValueError(f"x0 must be finite, got {x0!r}")
     if dt is None:
         dt = gait.period / _DEFAULT_STEPS_PER_PERIOD
@@ -449,7 +449,7 @@ class VerifyReport:
 
 
 def _require_finite_positive(name: str, value: float) -> None:
-    if not (value > 0.0 and math.isfinite(value)):
+    if not (_isfinite(name, value) and value > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 

@@ -1,4 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check
+that names an input too large for a float."""
+
+import math
+
+
+def _isfinite(name: str, value) -> bool:
+    """``math.isfinite(value)``; raises ``ValueError`` naming ``name`` where
+    ``value`` is an integer too large for a float.  The message gives its
+    size in bits: the repr of an integer over 4300 digits raises."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        raise ValueError(
+            f"{name} is an integer of {value.bit_length()} bits, too large for a float"
+        ) from None
 
 
 class DegenerateSubstrateError(RuntimeError):

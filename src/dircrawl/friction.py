@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import _isfinite
+
 __all__ = [
     "FrictionLaw",
     "ForceValue",
@@ -52,7 +54,7 @@ class FrictionLaw:
     def __post_init__(self) -> None:
         for name in ("tau_minus", "tau_plus", "mu_minus", "mu_plus"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
+            if not _isfinite(name, value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.tau_minus == self.tau_plus == self.mu_minus == self.mu_plus == 0.0:
             raise ValueError("all four friction parameters are zero: no substrate interaction")

@@ -18,7 +18,10 @@ Each row is resolved by the solver's one candidate rule, ``balance._plan``,
 from the signs of its candidate functions, read from its gait family's
 model with no force sum at its breakpoints: the stage model
 ``balance._AffineStage`` on constant-rate gaits (``_KnownRows``), the two
-closed-form breakpoint forces on profile gaits (``_ProfileRows``).  Rows of
+closed-form breakpoint forces on profile gaits (``_ProfileRows``).  A
+block's rows come in time order, so on a constant-rate gait each stage's
+rows are one slice of the block, placed by that stage's model alone; a block
+out of order would lose rows to the fallback below, never bits.  Rows of
 one sign pattern come in runs, and ``_resolve`` asks each run's plan once.
 A row no model places takes +0.0 where every rate is 0 (a body at rest),
 and otherwise goes to ``balance._solve`` on its pieces, the one fallback:
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import analytic, balance
 from .body import GaitProgram
-from .errors import DegenerateSubstrateError, StepLimitError
+from .errors import DegenerateSubstrateError, StepLimitError, _isfinite
 from .friction import FrictionLaw
 
 __all__ = ["simulate", "cycle"]
@@ -100,9 +103,10 @@ def cycle(
 
 def _regime_counts(codes: np.ndarray) -> dict[str, int]:
     """Steps per regime, keyed in order of first occurrence."""
-    seen, first, counts = np.unique(codes, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return dict(zip((balance.REGIMES[c] for c in seen[order].tolist()), counts[order].tolist()))
+    counts = np.bincount(codes, minlength=len(balance.REGIMES)).tolist()
+    seen = [c for c, n in enumerate(counts) if n]
+    seen.sort(key=lambda c: int(np.argmax(codes == c)))
+    return {balance.REGIMES[c]: counts[c] for c in seen}
 
 
 def _stage_grid(
@@ -114,7 +118,7 @@ def _stage_grid(
     Raises :class:`StepLimitError` when ``n_periods`` periods at ``dt``
     would take more than ``_MAX_STEPS`` steps, before building anything.
     """
-    if not (dt > 0.0 and math.isfinite(dt)):
+    if not (_isfinite("dt", dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if n_periods > _MAX_STEPS:  # a period takes a step at least; a huge int overflows below
         raise StepLimitError(f"n_periods exceeds the limit of {_MAX_STEPS} steps at any dt")
@@ -204,31 +208,37 @@ class _KnownRows:
     among the stage's stretches: a switch time is a rounded root, and on a
     short stage late in the period a float next to it can have a candidate
     function far from zero on the other side.  Other rows answer NaN.
+
+    A block's rows come in time order (period 0's grid, cut into blocks),
+    so each stage's rows are one slice of the block, found by one search of
+    the stage starts, and each stage places its slice with its own numbers.
+    Any order is safe: a row is placed only strictly inside the stage whose
+    slice holds it, the stage a per-row lookup would find, and the slices
+    never overlap, so a block out of time order loses rows to
+    ``balance._solve``, never bits.
     """
 
     def __init__(self, law: FrictionLaw, models: list[balance._AffineStage]) -> None:
         self.law, self.models = law, models
-        # Per stage, along the last axis: its ends, width and margin, the
-        # functions a row must check at both ends, and the breakpoints, each
-        # list padded to the longest.
         self.t0 = np.array([m.t0 for m in models])
-        # a model without functions places no row: nothing is strictly inside its stage
-        self.t1 = np.array([m.t1 if m.conds is not None else m.t0 for m in models])
-        self.w = np.array([m.w for m in models])
-        self.margin = np.array([balance._MARGIN * m.atol for m in models])
-        g0, dg = [], []
-        for m, margin in zip(models, self.margin.tolist()):
+        # per stage with functions: its index, ends, width and margin, the
+        # functions a row must check (a column each of their values at the
+        # stage start and their changes over it) and the negated breakpoints
+        self.stages, self.width = [], 0  # width: the most functions of a stage
+        for k, m in enumerate(models):
+            if m.conds is None:
+                continue  # nothing is strictly inside its stage
+            margin = balance._MARGIN * m.atol
             # g0 + th * (g1 - g0) runs monotonically from g0 to g0 + (g1 - g0)
             # as th goes from 0 to 1, in floats too: a function of one sign
             # beyond the margin at both of those ends keeps it, and no row
             # need check it
-            conds = zip(*m.conds) if m.conds is not None else ()
-            live = [(a, b - a) for a, b in conds if not _beyond(margin, a, a + (b - a))]
-            g0.append([a for a, _ in live])
-            dg.append([d for _, d in live])
-        self.g0 = np.nan_to_num(_padded(g0), nan=math.inf)
-        self.dg = np.nan_to_num(_padded(dg))
-        self.breaks = _padded([m.breaks for m in models])
+            live = [(a, b - a) for a, b in zip(*m.conds) if not _beyond(margin, a, a + (b - a))]
+            g0 = np.array([a for a, _ in live]).reshape(-1, 1)
+            dg = np.array([d for _, d in live]).reshape(-1, 1)
+            neg = np.array([-b for b in m.breaks]).reshape(-1, 1, 1)
+            self.stages.append((k, m.t0, m.t1, m.w, margin, g0, dg, neg))
+            self.width = max(self.width, len(live))
 
     def solve(
         self, tm: np.ndarray, arcs: np.ndarray, rates: np.ndarray
@@ -237,21 +247,40 @@ class _KnownRows:
         ``balance.REGIMES``) and residual, for the block sampled at times
         ``tm`` (modulo the period)."""
         rows = _Rows(self.law, arcs, rates)
-        stage = np.searchsorted(self.t0, tm, side="right") - 1
-        t0 = self.t0[stage]
-        with np.errstate(all="ignore"):  # as model.at computes them
-            g = self.g0[:, stage] + (tm - t0) / self.w[stage] * self.dg[:, stage]
-        ok = (t0 < tm) & (tm < self.t1[stage]) & (np.abs(g) > self.margin[stage]).all(axis=0)
-        # the row's breakpoints are the model's: a piece merged away at a
-        # node the sampler could not resolve can take a rate with it
-        in_model = np.zeros(rows.flat.shape, dtype=bool)
-        for b in self.breaks[:, stage]:
-            hit = rows.flat == -b
-            in_model |= hit
-            ok &= hit.any(axis=0) | np.isnan(b)
-        ok &= in_model.all(axis=0)
-        # a run has one stage and one sign pattern; a row the model cannot place has stage -1
-        placed = np.where(ok, stage, -1)
+        n = len(tm)
+        # a run has one stage and one sign pattern: each row's stage, -1
+        # where no model places it, then the signs of its stage's functions
+        signs = np.full((1 + self.width, n), -1)
+        placed = signs[0]
+        # each stage's first row; the running maximum keeps the slices apart
+        # on a block out of time order
+        cuts = [*np.maximum.accumulate(np.searchsorted(tm, self.t0)).tolist(), n]
+        # Each slice's tests write into views of two block-long masks: masks
+        # as long as a slice would take a new size from numpy's cache of
+        # small buffers with nearly every slice length, and hold it there.
+        ok, test = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        for k, t0, t1, w, margin, g0, dg, neg in self.stages:
+            i0, i1 = cuts[k], cuts[k + 1]
+            if i0 == i1:
+                continue
+            t, o, x = tm[i0:i1], ok[i0:i1], test[i0:i1]
+            np.less(t0, t, out=o)
+            o &= np.less(t, t1, out=x)
+            if len(g0):
+                with np.errstate(all="ignore"):  # as model.at computes them
+                    g = g0 + (t - t0) / w * dg
+                # every function beyond the margin, and finite (NaN fails both)
+                size = np.abs(g)
+                o &= np.greater(size.min(axis=0), margin, out=x)
+                o &= np.less(size.max(axis=0), math.inf, out=x)
+                np.greater(g, 0.0, out=signs[1 : 1 + len(g), i0:i1])
+            # the row's breakpoints are the model's: a piece merged away at a
+            # node the sampler could not resolve can take a rate with it (a
+            # contiguous copy of the slice compares several times faster)
+            hit = np.ascontiguousarray(rows.flat[:, i0:i1]) == neg
+            o &= hit.any(axis=1).all(axis=0, out=x)
+            o &= hit.any(axis=0).all(axis=0, out=x)
+            placed[i0:i1][o] = k
 
         def answer(i0: int, i1: int) -> tuple:
             k = int(placed[i0])
@@ -260,7 +289,7 @@ class _KnownRows:
             model = self.models[k]
             return _answer(balance._settled(self.law, model.at(float(tm[i0]))), model.breaks)
 
-        return _resolve(self.law, rows, np.vstack([placed, g > 0.0]), answer)
+        return _resolve(self.law, rows, signs, answer)
 
 
 class _ProfileRows:
@@ -303,13 +332,6 @@ class _ProfileRows:
 def _beyond(margin: float, a: float, b: float) -> bool:
     """Whether ``a`` and ``b`` are both above ``margin``, or both below ``-margin``."""
     return min(a, b) > margin or max(a, b) < -margin
-
-
-def _padded(lists: list[list[float]]) -> np.ndarray:
-    """``lists`` as the columns of an array, each padded with NaN."""
-    size = max(map(len, lists))
-    padded = [[*v, *[math.nan] * (size - len(v))] for v in lists]
-    return np.array(padded).T.reshape(size, len(lists))
 
 
 def _sum_in_order(values: np.ndarray) -> float:

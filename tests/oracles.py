@@ -14,6 +14,9 @@ import math
 import random
 from bisect import bisect_right
 
+import numpy as np
+
+from dircrawl import balance
 from dircrawl.balance import (
     _ACCEPT_FLOOR,
     _ACCEPT_RTOL,
@@ -32,6 +35,7 @@ from dircrawl.balance import (
 from dircrawl.body import PiecewiseAffineShape, ShapeRate
 from dircrawl.errors import DegenerateSubstrateError
 from dircrawl.friction import FrictionLaw, evaluate
+from dircrawl.midpoint import _answer, _beyond, _resolve, _Rows
 
 
 def random_law(
@@ -585,3 +589,93 @@ def reference_nodes_and_rates(
         pts.append((L, s_end))
         rates.append(0.0)
     return pts, rates
+
+
+# ---------------------------------------------------------------------------
+# The midpoint grid's per-row placement on constant-rate gaits, kept verbatim
+# from before ``midpoint._KnownRows`` placed its rows one stage slice at a
+# time: each row looks up its stage and gathers the stage's ends, margin,
+# functions and breakpoints, padded with NaN to the longest stage.  The
+# slice placement must place the same rows on rows in time order, and no row
+# this rule leaves unplaced on any order.
+# ---------------------------------------------------------------------------
+
+
+class ReferenceKnownRows:
+    """The rows of a gait with constant-rate stages (``body._Stages``)
+    whose candidate functions ``balance._AffineStage`` knows, and their
+    solutions, bit for bit as ``balance.solve_velocity``.
+
+    One model per stage; one without functions places no row.  A row
+    strictly inside its stage, with the model's breakpoints and every
+    candidate function of the model farther than ``balance._MARGIN`` times
+    the stage's atol from zero, has the sign pattern of the model's
+    functions at its time, and takes their plan, asked once per run at the
+    time of its first row.  By pattern, rather than by locating the row
+    among the stage's stretches: a switch time is a rounded root, and on a
+    short stage late in the period a float next to it can have a candidate
+    function far from zero on the other side.  Other rows answer NaN.
+    """
+
+    def __init__(self, law: FrictionLaw, models: list[balance._AffineStage]) -> None:
+        self.law, self.models = law, models
+        # Per stage, along the last axis: its ends, width and margin, the
+        # functions a row must check at both ends, and the breakpoints, each
+        # list padded to the longest.
+        self.t0 = np.array([m.t0 for m in models])
+        # a model without functions places no row: nothing is strictly inside its stage
+        self.t1 = np.array([m.t1 if m.conds is not None else m.t0 for m in models])
+        self.w = np.array([m.w for m in models])
+        self.margin = np.array([balance._MARGIN * m.atol for m in models])
+        g0, dg = [], []
+        for m, margin in zip(models, self.margin.tolist()):
+            # g0 + th * (g1 - g0) runs monotonically from g0 to g0 + (g1 - g0)
+            # as th goes from 0 to 1, in floats too: a function of one sign
+            # beyond the margin at both of those ends keeps it, and no row
+            # need check it
+            conds = zip(*m.conds) if m.conds is not None else ()
+            live = [(a, b - a) for a, b in conds if not _beyond(margin, a, a + (b - a))]
+            g0.append([a for a, _ in live])
+            dg.append([d for _, d in live])
+        self.g0 = np.nan_to_num(_padded(g0), nan=math.inf)
+        self.dg = np.nan_to_num(_padded(dg))
+        self.breaks = _padded([m.breaks for m in models])
+
+    def solve(
+        self, tm: np.ndarray, arcs: np.ndarray, rates: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's ``x1dot``, regime code (an index into
+        ``balance.REGIMES``) and residual, for the block sampled at times
+        ``tm`` (modulo the period)."""
+        rows = _Rows(self.law, arcs, rates)
+        stage = np.searchsorted(self.t0, tm, side="right") - 1
+        t0 = self.t0[stage]
+        with np.errstate(all="ignore"):  # as model.at computes them
+            g = self.g0[:, stage] + (tm - t0) / self.w[stage] * self.dg[:, stage]
+        ok = (t0 < tm) & (tm < self.t1[stage]) & (np.abs(g) > self.margin[stage]).all(axis=0)
+        # the row's breakpoints are the model's: a piece merged away at a
+        # node the sampler could not resolve can take a rate with it
+        in_model = np.zeros(rows.flat.shape, dtype=bool)
+        for b in self.breaks[:, stage]:
+            hit = rows.flat == -b
+            in_model |= hit
+            ok &= hit.any(axis=0) | np.isnan(b)
+        ok &= in_model.all(axis=0)
+        # a run has one stage and one sign pattern; a row the model cannot place has stage -1
+        placed = np.where(ok, stage, -1)
+
+        def answer(i0: int, i1: int) -> tuple:
+            k = int(placed[i0])
+            if k < 0:
+                return "const", math.nan
+            model = self.models[k]
+            return _answer(balance._settled(self.law, model.at(float(tm[i0]))), model.breaks)
+
+        return _resolve(self.law, rows, np.vstack([placed, g > 0.0]), answer)
+
+
+def _padded(lists: list[list[float]]) -> np.ndarray:
+    """``lists`` as the columns of an array, each padded with NaN."""
+    size = max(map(len, lists))
+    padded = [[*v, *[math.nan] * (size - len(v))] for v in lists]
+    return np.array(padded).T.reshape(size, len(lists))
