@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Hashable, Sequence
 
 from .errors import DegenerateSubstrateError, MixedRheologyError, RegimeMismatchError
+from .errors import _isfinite, _require_above
 from .friction import DirectionalPair, FrictionLaw, alpha, directional_pair
 
 __all__ = [
@@ -50,12 +51,6 @@ __all__ = [
 # Viscosity contrast below this (relative) routes the breather balance to the
 # linear branch; the quadratic root expression cancels catastrophically there.
 _MU_BRANCH_RTOL = 1e-12
-
-
-def _require_above(bound: float, name: str, value: float) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and above ``bound``."""
-    if not bound < value < math.inf:
-        raise ValueError(f"{name} must be finite and exceed {bound:g}, got {value!r}")
 
 
 def _require_in_range(
@@ -93,7 +88,7 @@ class BreatherRoots:
 
 def breather_roots(law: FrictionLaw, ldot: float) -> BreatherRoots:
     """Roots of the breather force balance for distinct viscosities."""
-    if ldot == 0.0 or not math.isfinite(ldot):
+    if not _isfinite("ldot", ldot) or ldot == 0.0:
         raise ValueError(f"ldot must be finite and nonzero, got {ldot!r}")
     p = directional_pair(law, elongating=ldot > 0.0)
     if abs(p.mu_1 - p.mu_2) <= _MU_BRANCH_RTOL * max(p.mu_1, p.mu_2, 1.0):
@@ -142,7 +137,7 @@ def breather_velocity(law: FrictionLaw, ldot: float) -> float:
     underflows is negligible, and while values stay normal scaling the law
     by ``2**k`` is exact, as is scaling the yields and ``ldot`` by ``2**k``.
     """
-    if ldot == 0.0 or not math.isfinite(ldot):
+    if not _isfinite("ldot", ldot) or ldot == 0.0:
         raise ValueError(f"ldot must be finite and nonzero (rest is for the solver), got {ldot!r}")
     return _paired_velocity(directional_pair(law, elongating=ldot > 0.0), ldot)
 
@@ -666,7 +661,7 @@ def wave_admissibility(
     (_, _, tau_front, mu_front), ss_max, sl_max = _width_bounds(law, epsilon, c, L)
     if epsilon == 0.0:
         raise ValueError("epsilon must be nonzero")
-    if not 0.0 < delta < L:
+    if not (_isfinite("delta", delta) and 0.0 < delta < L):
         raise ValueError(f"delta={delta!r} must lie in (0, L={L!r})")
     _require_in_range((ss_max, sl_max), law, ("epsilon", epsilon), ("c", c), ("L", L))
     if tau_front != 0.0:
@@ -704,7 +699,7 @@ def stickslip_displacement(epsilon: float, delta: float) -> float:
 def stickslip_max_displacement_dry(alpha_value: float, epsilon: float, L: float) -> float:
     """Best per-cycle stick-slip displacement on a dry substrate, i.e. at the
     largest admissible wave width for the given amplitude."""
-    if not 0.0 < alpha_value < 1.0:
+    if not (_isfinite("alpha_value", alpha_value) and 0.0 < alpha_value < 1.0):
         raise ValueError(f"alpha_value must lie in (0, 1), got {alpha_value!r}")
     _require_above(-1.0, "epsilon", epsilon)
     _require_above(0.0, "L", L)
@@ -750,7 +745,7 @@ def sliding_stage_velocity(
     _require_sliding(law, epsilon, c, delta, L)
     _require_normal_stage_times(delta, c, "c")
     T = (L + delta) / c
-    if not 0.0 <= t < T:
+    if not (_isfinite("t", t) and 0.0 <= t < T):
         raise ValueError(f"t={t} outside one period [0, {T})")
     entering, inside = t < delta / c, t < L / c
     inputs = (("epsilon", epsilon), ("c", c), ("delta", delta), ("L", L))  # before rescaling

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 from . import analytic
 from .body import PiecewiseAffineShape, ShapeRate, _check_same_nodes
-from .errors import DegenerateSubstrateError
+from .errors import DegenerateSubstrateError, _isfinite
 from .friction import ForceValue, FrictionLaw
 
 __all__ = [
@@ -151,6 +151,7 @@ def total_force(
     ``[-tau_plus, tau_minus]`` times their length.  The result is a point
     unless some positive-length part is at rest.
     """
+    _isfinite("x1dot", x1dot)  # names an integer too large for a float
     return ForceValue(*_force(law, _pieces(shape, rate), x1dot))
 
 

@@ -54,7 +54,8 @@ from .body import (
     SquareWave,
     TwoSegmentPath,
 )
-from .errors import MixedRheologyError, StepLimitError, UnsupportedPairError, _isfinite
+from .errors import MixedRheologyError, StepLimitError, UnsupportedPairError
+from .errors import _isfinite, _require_above
 from .friction import FrictionLaw
 
 __all__ = [
@@ -448,11 +449,6 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def _require_finite_positive(name: str, value: float) -> None:
-    if not (_isfinite(name, value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
 def _check(name: str, numeric: float, target: float, tol: float) -> VerifyCheck:
     residual = abs(numeric - target)
     return VerifyCheck(
@@ -469,7 +465,7 @@ def verify(
     (law, gait) pair, and ``ValueError`` unless ``tol`` is finite and
     positive.
     """
-    _require_finite_positive("tol", tol)
+    _require_above(0.0, "tol", tol)
     report, breakdown = _cycle(law, gait, dt)
     if report.analytic_value is None:
         raise UnsupportedPairError(
@@ -559,13 +555,17 @@ def sweep(
     once, so a row does not depend on the order of the axes.  Rows are
     returned in grid order (last axis fastest); per-row failures are
     captured in the row, except :class:`StepLimitError`, which rejects
-    ``dt`` for the whole sweep.  A ``dt`` that is not finite and positive
-    raises ``ValueError`` before any row, too.
+    ``dt`` for the whole sweep.  A ``dt`` that is not finite and positive,
+    or an axis value too large for a float, raises ``ValueError`` before any
+    row, too.
     """
     targets = [_axis_field(gait, path) for path, _ in axes]
     if dt is not None:
-        _require_finite_positive("dt", dt)
+        _require_above(0.0, "dt", dt)
     grid = list(product(*(values for _, values in axes)))
+    for point in grid:
+        for (path, _), value in zip(axes, point):
+            _isfinite(path, value)
 
     def run(idx: int, point: tuple[float, ...]) -> SweepRow:
         params = tuple((axes[k][0], float(v)) for k, v in enumerate(point))
@@ -607,7 +607,7 @@ def figure6_data(
     if epsilons is None:
         epsilons = _FIG_DEFAULT_EPSILONS
     for a in alphas:
-        if not 0.0 < a < 1.0:
+        if not (_isfinite("alpha", a) and 0.0 < a < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {a!r}")
     rows = []
     for a in alphas:
@@ -628,11 +628,11 @@ def figure7_data(
         betas = tuple(math.sqrt(b2) for b2 in (0.25, 0.5, 1.0, 2.0, 4.0))
     if epsilons is None:
         epsilons = _FIG_DEFAULT_EPSILONS
-    if not 0.0 < delta_over_length < 1.0:
+    if not (_isfinite("delta_over_length", delta_over_length) and 0.0 < delta_over_length < 1.0):
         raise ValueError("delta_over_length must lie in (0, 1)")
     rows = []
     for b in betas:
-        if not (b > 0.0 and math.isfinite(b * b)):
+        if not (_isfinite("beta", b) and b > 0.0 and math.isfinite(float(b) * b)):
             raise ValueError(f"beta must be positive with a finite square, got {b!r}")
         for e in epsilons:
             value = analytic.newtonian_sliding_displacement(b, e, delta_over_length, 1.0)

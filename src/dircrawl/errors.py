@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the finiteness check
-that names an input too large for a float."""
+"""Exception types shared across the package, and the checks every public
+number goes through: :func:`_isfinite`, which names an integer too large for
+a float, and :func:`_require_above`, the one strict-bound check."""
 
 import math
 
@@ -14,6 +15,12 @@ def _isfinite(name: str, value) -> bool:
         raise ValueError(
             f"{name} is an integer of {value.bit_length()} bits, too large for a float"
         ) from None
+
+
+def _require_above(bound: float, name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and above ``bound``."""
+    if not (_isfinite(name, value) and value > bound):
+        raise ValueError(f"{name} must be finite and exceed {bound:g}, got {value!r}")
 
 
 class DegenerateSubstrateError(RuntimeError):

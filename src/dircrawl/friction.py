@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import _isfinite
+from .errors import _isfinite, _require_above
 
 __all__ = [
     "FrictionLaw",
@@ -116,7 +116,9 @@ class DirectionalPair:
 
 
 def evaluate(law: FrictionLaw, v: float) -> ForceValue:
-    """Force density exerted by the substrate on material sliding at ``v``."""
+    """Force density exerted by the substrate on material sliding at ``v``, not NaN."""
+    if not _isfinite("v", v) and math.isnan(v):
+        raise ValueError("v must not be nan")
     if v < 0.0:
         f = law.tau_minus - law.mu_minus * v
         return ForceValue(f, f)
@@ -132,8 +134,7 @@ def scale(law: FrictionLaw, k: float) -> FrictionLaw:
     Evaluates to ``k`` times the original law at every velocity, so force
     balances (and hence all quasi-static velocities) are unchanged.
     """
-    if not (k > 0.0) or not math.isfinite(k):
-        raise ValueError(f"scale factor must be a finite positive number, got {k!r}")
+    _require_above(0.0, "k", k)
     return FrictionLaw(
         law.tau_minus * k, law.tau_plus * k, law.mu_minus * k, law.mu_plus * k
     )

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import analytic, balance
 from .body import GaitProgram
-from .errors import DegenerateSubstrateError, StepLimitError, _isfinite
+from .errors import DegenerateSubstrateError, StepLimitError, _require_above
 from .friction import FrictionLaw
 
 __all__ = ["simulate", "cycle"]
@@ -118,8 +118,7 @@ def _stage_grid(
     Raises :class:`StepLimitError` when ``n_periods`` periods at ``dt``
     would take more than ``_MAX_STEPS`` steps, before building anything.
     """
-    if not (_isfinite("dt", dt) and dt > 0.0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    _require_above(0.0, "dt", dt)
     if n_periods > _MAX_STEPS:  # a period takes a step at least; a huge int overflows below
         raise StepLimitError(f"n_periods exceeds the limit of {_MAX_STEPS} steps at any dt")
     spans = analytic._corner_spans(gait.corner_times(), gait.period)
@@ -345,12 +344,9 @@ _Shapes = tuple[np.ndarray, Callable[[], np.ndarray]]
 
 def _merged(conds: list, values: list):
     """``values``, one per branch and alike in structure (lists, tuples,
-    functions returning them, arrays or numbers), each element taken from the
-    first branch whose condition holds there, or from the last."""
-    first = values[0]
-    if callable(first):
-        return lambda: _merged(conds, [value() for value in values])
-    if isinstance(first, (list, tuple)):
+    arrays or numbers), each element taken from the first branch whose
+    condition holds there, or from the last."""
+    if isinstance(values[0], (list, tuple)):
         return [_merged(conds, list(column)) for column in zip(*values)]
     out = values[-1]
     for cond, value in zip(reversed(conds), values[-2::-1]):

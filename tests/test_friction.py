@@ -56,6 +56,16 @@ class TestEvaluate:
         fv = evaluate(FrictionLaw(0.0, 0.0, 2.0, 1.0), 3.0)
         assert fv.value == -3.0
 
+    def test_a_nan_velocity_is_refused(self):
+        # NaN compares false both ways, so it used to read as rest: [-0.5, 1]
+        with pytest.raises(ValueError, match="^v must not be nan$"):
+            evaluate(FrictionLaw(1, 0.5, 1, 1), math.nan)
+
+    def test_an_infinite_velocity_keeps_its_force(self):
+        law = FrictionLaw(1, 0.5, 1, 1)
+        assert evaluate(law, math.inf) == ForceValue(-math.inf, -math.inf)
+        assert evaluate(law, -math.inf) == ForceValue(math.inf, math.inf)
+
 
 class TestScale:
     def test_identity(self):

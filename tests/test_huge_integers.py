@@ -10,16 +10,23 @@ scalar path and the block sampler subtract the same numbers.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
 import pytest
 
-from dircrawl import engine, midpoint
+from dircrawl import analytic, balance, engine, friction, midpoint
 from dircrawl.body import Breather, CompositeStride, SquareWave, TwoSegmentPath
 from dircrawl.friction import FrictionLaw
 
 _LAW = FrictionLaw(0.75, 0.25, 0, 0)
+_NEWTONIAN = FrictionLaw(0, 0, 2, 1)  # a sliding wave at epsilon 0.5, c 1, delta 0.2, L 1
+_MIXED = FrictionLaw(1, 0.5, 1, 2)
+_BUMP = (  # a breather's length profile over a period of 1, and its rate
+    lambda t: 1.0 + 0.1 * math.sin(math.pi * t) ** 2,
+    lambda t: 0.1 * math.pi * math.sin(2.0 * math.pi * t),
+)
 _HUGE = 10**400  # 1329 bits
 
 
@@ -56,8 +63,41 @@ def test_a_field_too_large_for_a_float_is_refused_by_name(build, name):
         (lambda g: engine.simulate(_LAW, g, dt=-_HUGE), "dt"),
         (lambda g: engine.verify(_LAW, g, tol=_HUGE), "tol"),
         (lambda g: engine.sweep(_LAW, g, [("gait.delta", [0.3])], dt=_HUGE), "dt"),
+        (lambda g: analytic.stickslip_displacement(0.5, _HUGE), "delta"),
+        (lambda g: analytic.composite_stride_displacement(_LAW, _HUGE, 0.2, 2.0), "lam"),
+        (lambda g: analytic.negative_displacement_feasible(_LAW, 0.3, 0.2, _HUGE), "h"),
+        (lambda g: analytic.wave_admissibility(_NEWTONIAN, 0.5, _HUGE, 0.2, 1.0), "c"),
+        (lambda g: analytic.wave_admissibility(_NEWTONIAN, 0.5, 1.0, _HUGE, 1.0), "delta"),
+        (lambda g: analytic.stickslip_delta_max(_LAW, 0.5, 1.0, -_HUGE), "L"),
+        (lambda g: analytic.sliding_delta_max(_NEWTONIAN, _HUGE, 1.0, 1.0), "epsilon"),
+        (lambda g: analytic.stickslip_max_displacement_dry(0.5, 0.3, _HUGE), "L"),
+        (lambda g: analytic.stickslip_max_displacement_dry(_HUGE, 0.3, 1.0), "alpha_value"),
+        (lambda g: analytic.breather_velocity(_MIXED, _HUGE), "ldot"),
+        (lambda g: analytic.breather_roots(_MIXED, -_HUGE), "ldot"),
+        (lambda g: analytic.sliding_cycle_displacement(_NEWTONIAN, 0.5, 1.0, 0.2, _HUGE), "L"),
+        (lambda g: analytic.breather_cycle_displacement(_MIXED, *_BUMP, _HUGE), "period"),
+        (lambda g: analytic.breather_cycle_displacement(_MIXED, *_BUMP, 1.0, tol=_HUGE), "tol"),
+        (lambda g: engine.figure6_data(epsilons=(_HUGE,)), "epsilon"),
+        (lambda g: engine.figure7_data(betas=(_HUGE,)), "beta"),
+        (lambda g: engine.figure7_data(delta_over_length=_HUGE), "delta_over_length"),
+        (lambda g: friction.scale(_LAW, _HUGE), "k"),
+        (lambda g: friction.evaluate(_LAW, -_HUGE), "v"),
+        (lambda g: analytic.newtonian_sliding_displacement(_HUGE, 0.5, 0.2, 1.0), "beta_value"),
+        (lambda g: engine.figure6_data(alphas=(_HUGE,)), "alpha"),
+        (lambda g: analytic.sliding_stage_velocity(_NEWTONIAN, 0.5, 1.0, 0.2, 1.0, _HUGE), "t"),
+        (lambda g: balance.total_force(_LAW, g.shape_at(0.1), g.rate_at(0.1), _HUGE), "x1dot"),
+        (lambda g: engine.sweep(_LAW, g, [("gait.delta", [0.3, _HUGE])]), "gait.delta"),
     ],
-    ids=["simulate-x0", "cycle-dt", "simulate-negative-dt", "verify-tol", "sweep-dt"],
+    ids=[
+        "simulate-x0", "cycle-dt", "simulate-negative-dt", "verify-tol", "sweep-dt",
+        "stickslip-displacement-delta", "stride-lam", "feasible-h", "admissibility-c",
+        "admissibility-delta", "stickslip-bound-L", "sliding-bound-epsilon",
+        "stickslip-max-L", "stickslip-max-alpha", "breather-velocity-ldot",
+        "breather-roots-ldot", "sliding-cycle-L", "breather-cycle-period",
+        "breather-cycle-tol", "figure6-epsilon", "figure7-beta", "figure7-width",
+        "scale-k", "evaluate-v", "newtonian-sliding-beta", "figure6-alpha",
+        "sliding-stage-t", "total-force-x1dot", "sweep-value",
+    ],
 )
 def test_an_argument_too_large_for_a_float_is_refused_by_name(run, name):
     with _refused(name):
@@ -68,6 +108,12 @@ def test_the_message_holds_no_digits_of_an_integer_too_long_to_print():
     # 5000 digits: str() and repr() of it raise
     with _refused("tol", 16610):
         engine.verify(_LAW, SquareWave(1.0, 0.3, 0.4, 1.0), tol=-(10**5000))
+
+
+def test_figure6_names_an_alpha_too_long_to_print():
+    # at the parent its message raised Python's 4300-digit limit instead
+    with _refused("alpha", 16610):
+        engine.figure6_data(alphas=(10**5000,))
 
 
 def test_path_vertices_beyond_2_53_give_one_rate_on_every_path():

@@ -15,6 +15,10 @@ midpoint grid at ``dt = period/400``) read at most 5.9e-16, and one of 300
 random gaits on random laws at most 1.7e-15, both on a breather's midpoint
 grid; the negative control, the mirrored gait on the unswapped asymmetric
 law, was at least 3.1e-4 off.
+
+The seeded gaits also run scaled by powers of two, at the scales of
+``test_mirror_paths.py``, whose docstring records the scan at scale; the
+profile gaits read at most 5.8e-16 there.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from hypothesis import strategies as st
 import dircrawl
 from dircrawl import engine
 from dircrawl.body import Breather, ConstantLength
-from test_mirror_paths import _INTEGRATORS, _LAWS, _swapped
+from test_cycle_magnitudes import _scaled
+from test_mirror_paths import _INTEGRATORS, _LAWS, _SCALES, _swapped
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -57,12 +62,14 @@ def _mirror_gap(law, mirror_law, gait, dt) -> float:
     return abs(x + mirrored) / gait.ref_length
 
 
+@pytest.mark.parametrize("scale", _SCALES)
 @pytest.mark.parametrize("integrator", _INTEGRATORS)
 @pytest.mark.parametrize("family", ["dry", "newtonian", "mixed"])
 @pytest.mark.parametrize("kind", ["breather", "constant_length"])
-def test_mirrored_profile_gait_moves_back(kind, family, integrator):
+def test_mirrored_profile_gait_moves_back(kind, family, integrator, scale):
     for seed in range(1, 11):
-        law, gait = inputs.draw(seed, "cycles", 0, f"{kind}/{family}", dircrawl).build(dircrawl)
+        case = inputs.draw(seed, "cycles", 0, f"{kind}/{family}", dircrawl)
+        law, gait = _scaled(case, *_SCALES[scale]).build(dircrawl)
         dt = _INTEGRATORS[integrator](gait)
         assert _mirror_gap(law, _swapped(law), gait, dt) <= _RTOL, seed
         # negative control: the mirrored gait on the same, asymmetric law
