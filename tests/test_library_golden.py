@@ -11,7 +11,9 @@ returns, bit for bit, on the benchmark's own inputs (``perfbench/inputs.py``,
 * ``verify``: every check of ``engine.verify``, or the error it raises
   (type and message);
 * ``simulate``: the bytes of the ``times``, ``x1``, ``x2`` and ``l`` arrays
-  of a 2-period ``simulate``, plus its regimes.
+  of a 2-period ``simulate``, plus its regimes;
+* ``simulate_dt5003``: the same at ``dt = period/5003``, whose period 0
+  (5003+ steps) the midpoint kernel solves in three blocks.
 
 Floats enter the digests through ``float.hex``, so any change in any bit
 shows.  A change to a digest is a behaviour change: regenerate them only on
@@ -24,7 +26,7 @@ purpose, with::
 and diff the files to see which inputs moved, and by how much.  Beside the
 ``simulate`` bytes' SHA-256, each input's record lists the hex net
 displacement, the hex last length and the regime counts of its trajectory,
-which no digest reads.
+which no digest reads; the ``simulate_dt5003`` bytes are listed the same way.
 """
 
 from __future__ import annotations
@@ -81,7 +83,12 @@ def _verify(law, gait) -> str:
 
 
 # The kinds of result the digests cover; a record's other entries are for reading.
-KINDS = ("cycles", "cycles_dt400", "verify", "simulate")
+KINDS = ("cycles", "cycles_dt400", "verify", "simulate", "simulate_dt5003")
+
+
+def _trajectory(traj: engine.Trajectory) -> bytes:
+    arrays = b"".join(a.tobytes() for a in (traj.times, traj.x1, traj.x2, traj.l))
+    return arrays + ",".join(traj.regimes).encode()
 
 
 def records():
@@ -91,7 +98,6 @@ def records():
         for case in inputs.rotation(seed, "trajectory", 0, dircrawl):
             law, gait = case.build(dircrawl)
             traj = engine.simulate(law, gait, n_periods=2)
-            arrays = b"".join(a.tobytes() for a in (traj.times, traj.x1, traj.x2, traj.l))
             counts = ",".join(f"{k}={v}" for k, v in traj.meta["regime_counts"].items())
             yield f"{seed}/{case.cls}", {
                 "cycles": _cycle(engine.cycle_displacement(law, gait)).encode(),
@@ -99,7 +105,10 @@ def records():
                     engine.cycle_displacement(law, gait, dt=gait.period / 400)
                 ).encode(),
                 "verify": _verify(law, gait).encode(),
-                "simulate": arrays + ",".join(traj.regimes).encode(),
+                "simulate": _trajectory(traj),
+                "simulate_dt5003": _trajectory(
+                    engine.simulate(law, gait, n_periods=2, dt=gait.period / 5003)
+                ),
                 "simulate.net": _hex(traj.net_displacement).encode(),
                 "simulate.last_l": _hex(traj.l[-1]).encode(),
                 "simulate.regimes": counts.encode(),
@@ -119,10 +128,11 @@ def digests() -> dict[str, str]:
 def write_records(path: Path) -> None:
     """One line per input and kind, ``tag kind record``, the ``simulate``
     bytes as their SHA-256: diff two files to see which case moved."""
+    hashed = ("simulate", "simulate_dt5003")
     with path.open("w", encoding="utf-8") as out:
         for tag, record in records():
             for name, data in record.items():
-                text = hashlib.sha256(data).hexdigest() if name == "simulate" else data.decode()
+                text = hashlib.sha256(data).hexdigest() if name in hashed else data.decode()
                 out.write(f"{tag} {name} {text}\n")
 
 
