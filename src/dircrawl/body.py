@@ -106,6 +106,8 @@ class PiecewiseAffineShape:
                 raise ValueError(_REF_ORDER)
             if not self.arc[i + 1] > self.arc[i]:
                 raise ValueError(_ARC_ORDER)
+        _require_float_sized("ref", self.ref)
+        _require_float_sized("arc", self.arc)
 
     @property
     def length(self) -> float:
@@ -128,6 +130,18 @@ class ShapeRate:
     def __post_init__(self) -> None:
         if len(self.seg_rates) != len(self.ref) - 1:
             raise ValueError("need exactly one rate pair per node interval")
+        _require_float_sized("ref", self.ref)
+        for i, pair in enumerate(self.seg_rates):
+            _require_float_sized(f"seg_rates[{i}]", pair)
+
+
+def _require_float_sized(name: str, values) -> None:
+    """Raise ``ValueError`` naming ``name[i]`` where ``values[i]`` is an
+    integer too large for a float; inf and NaN pass (an infinite rate is the
+    solver's to refuse)."""
+    for i, v in enumerate(values):
+        if isinstance(v, (int, float)):
+            _isfinite(f"{name}[{i}]", v)
 
 
 def _check_same_nodes(shape: PiecewiseAffineShape, rate: ShapeRate) -> None:
@@ -252,9 +266,11 @@ class Breather(_ProfileGait):
         return l
 
     def shape_at(self, t: float) -> PiecewiseAffineShape:
+        _isfinite("t", t)
         return PiecewiseAffineShape((0.0, self.ref_length), (0.0, self._length_checked(t)))
 
     def rate_at(self, t: float) -> ShapeRate:
+        _isfinite("t", t)
         ldot = self.length_rate_at(t)
         ref = (0.0, self.ref_length)
         return ShapeRate(ref, ((0.0, ldot),))
@@ -306,11 +322,13 @@ class ConstantLength(_ProfileGait):
         return l1
 
     def shape_at(self, t: float) -> PiecewiseAffineShape:
+        _isfinite("t", t)
         return PiecewiseAffineShape(
             (0.0, self.split, self.ref_length), (0.0, self._l1_checked(t), self.ref_length)
         )
 
     def rate_at(self, t: float) -> ShapeRate:
+        _isfinite("t", t)
         l1dot = self.seg1_rate_at(t)
         ref = (0.0, self.split, self.ref_length)
         return ShapeRate(ref, ((0.0, l1dot), (l1dot, 0.0)))
@@ -337,10 +355,12 @@ class _NodeGait:
     ``perfbench/layertrace.py`` patches them."""
 
     def shape_at(self, t: float) -> PiecewiseAffineShape:
+        _isfinite("t", t)
         refs, arcs, count, _ = self._kinematics(_SCALAR, t % self.period)
         return PiecewiseAffineShape(tuple(refs[: count + 1]), tuple(arcs[: count + 1]))
 
     def rate_at(self, t: float) -> ShapeRate:
+        _isfinite("t", t)
         refs, _, count, rates = self._kinematics(_SCALAR, t % self.period)
         return ShapeRate(tuple(refs[: count + 1]), tuple(rates()[:count]))
 

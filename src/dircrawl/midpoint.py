@@ -31,12 +31,20 @@ Block format: ``n`` shapes are nodal arc-lengths ``arcs`` ``(n, P + 1)`` and
 per-piece end rates ``rates`` ``(n, P, 2)``, ``P`` fixed per gait: 1 for a
 breather, 2 for the two-segment gaits, 3 for a square wave, whose rows with
 fewer pieces end in zero-length pieces repeating the last node and rate
-(the kinematics' padding past its ``count``).
+(the kinematics' padding past its ``count``).  In memory both are pieces
+first, ``(P + 1, n)`` and ``(P, 2, n)``, and handed out as transposed views:
+``_shapes`` writes one contiguous row per node or piece end, and ``_Rows``,
+which reads rows along the last axis, takes that memory as it is.  A block's
+phases are its times modulo the period, by ``_phases``: ``t + 0.0`` below
+the period and ``t - period`` from it, exact, where every time lies in
+``[0, 2 * period)`` (period 0's grid), else ``np.remainder``; the bits are
+``np.remainder``'s either way.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from types import SimpleNamespace
 from typing import Callable
 
@@ -55,15 +63,17 @@ _MAX_STEPS = 1_000_000
 # Steps the kernel samples and solves at once.  Fixed blocks keep the numpy
 # temporaries one size from block to block, so the allocator reuses them
 # instead of growing the heap with each run length.  Sampling and solving a
-# block of 16 rows costs ~0.50 ms and one of 2048 rows ~1.15 ms (medians
+# block of 16 rows costs ~0.33 ms and one of 2048 rows ~0.78 ms (medians
 # over the 15 benchmark classes, seeds 1-3, fastest of 40 timings on a
-# shared 2-core x86-64 host; 0.25-0.98 and 0.93-1.98 ms by class), so the
+# shared 2-core x86-64 host; 0.21-0.77 and 0.58-1.07 ms by class), so the
 # fixed part dominates a small block.  A default period (2000-2004 steps)
 # fits one block of 2048, and ``simulate`` solves one period whatever
-# ``n_periods`` is: a default 2-period simulate takes ~1.25 ms at 2048 rows
-# against ~2.40 ms at 512 (medians, fastest of 15, same host), and a
+# ``n_periods`` is: a default 2-period simulate takes ~1.13 ms at 2048 rows
+# against ~2.0 ms at 512 (medians, fastest of 15, same host), and a
 # 4096-row block would change no default run.
 _BLOCK = 2048
+# ``codes`` index this to give each step's regime name
+_REGIME_NAMES = np.asarray(balance.REGIMES, dtype=object)
 
 
 def simulate(
@@ -73,8 +83,8 @@ def simulate(
     periods from ``x0``, the regime of each step, the steps per regime and
     the largest force residual; period 0 alone is sampled and solved, and
     every later period repeats it (see the module docstring)."""
-    times, stages = _stage_grid(gait, dt, n_periods)
-    m = len(stages)  # steps per period
+    times, counts = _stage_grid(gait, dt, n_periods)
+    m = sum(counts)  # steps per period
     lengths = np.empty(len(times))
     x1dot, codes, residual_max = _kernel(law, gait, times[: m + 1], lengths[: m + 1])
     lengths[m + 1 :].reshape(n_periods - 1, m)[:] = lengths[1 : m + 1]
@@ -84,7 +94,7 @@ def simulate(
     steps = np.subtract(times[1:], times[:-1], out=x1[1:]).reshape(n_periods, m)
     steps *= x1dot
     np.add.accumulate(x1, out=x1)
-    regimes = tuple(np.asarray(balance.REGIMES, dtype=object)[codes]) * n_periods
+    regimes = tuple(_REGIME_NAMES[codes].tolist()) * n_periods
     counts = {name: n * n_periods for name, n in _regime_counts(codes).items()}
     return times, x1, lengths, regimes, counts, residual_max
 
@@ -94,10 +104,11 @@ def cycle(
 ) -> tuple[float, list[float], dict[str, int], float]:
     """Net displacement over one period, per-stage sums, regime counts and
     the largest force residual."""
-    times, stages = _stage_grid(gait, dt)
+    times, counts = _stage_grid(gait, dt)
     x1dot, codes, residual_max = _kernel(law, gait, times, None)
     dx = x1dot * np.diff(times)
-    stage_sums = [_sum_in_order(dx[stages == k]) for k in range(stages[-1] + 1)]
+    cuts = list(accumulate(counts, initial=0))  # each stage's steps are one slice
+    stage_sums = [_sum_in_order(dx[i0:i1]) for i0, i1 in zip(cuts, cuts[1:])]
     return _sum_in_order(dx), stage_sums, _regime_counts(codes), residual_max
 
 
@@ -111,9 +122,9 @@ def _regime_counts(codes: np.ndarray) -> dict[str, int]:
 
 def _stage_grid(
     gait: GaitProgram, dt: float, n_periods: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample times over ``n_periods`` periods, plus the stage index of
-    each step of the first.
+) -> tuple[np.ndarray, list[int]]:
+    """Sample times over ``n_periods`` periods, plus the step count of each
+    stage of a period.
 
     Raises :class:`StepLimitError` when ``n_periods`` periods at ``dt``
     would take more than ``_MAX_STEPS`` steps, before building anything.
@@ -131,11 +142,11 @@ def _stage_grid(
             f"more than the limit of {_MAX_STEPS}"
         )
     times = [np.zeros(1)]
-    stages = []
-    for k, (a, b) in enumerate(spans):
+    counts = []
+    for a, b in spans:
         n = max(1, math.ceil((b - a) / dt - 1e-9))
         times.append(a + (b - a) * np.arange(1, n + 1) / n)
-        stages.append(np.full(n, k))
+        counts.append(n)
     grid = np.concatenate(times)
     grid[-1] = gait.period
     # period p's times are p * period + grid[1:]; period 0's are the grid's own
@@ -143,7 +154,7 @@ def _stage_grid(
     out[0] = 0.0
     periods = out[1:].reshape(n_periods, -1)
     np.add(np.arange(n_periods)[:, None] * gait.period, grid[1:], out=periods)
-    return out, np.concatenate(stages)
+    return out, counts
 
 
 def _kernel(
@@ -169,7 +180,7 @@ def _kernel(
         i1 = min(i0 + _BLOCK, n)
         grid = times[i0 : i1 + 1]  # from the last block's last time: its length again
         mids = 0.5 * (grid[:-1] + grid[1:])
-        tm = np.remainder(mids, gait.period)  # the samplers' and the stage models' time
+        tm = _phases(mids, gait.period)  # the samplers' and the stage models' time
         try:
             arcs, rates = _shapes(gait, mids, tm)
             x, regime, residual = model.solve(tm, arcs, rates())
@@ -380,24 +391,37 @@ def _shapes(gait: GaitProgram, times: np.ndarray, tm: np.ndarray | None = None) 
     raises :func:`_require_valid`'s error.  ``tm`` is ``times`` modulo the
     period, where given."""
     if tm is None:
-        tm = np.remainder(times, gait.period)
+        tm = _phases(times, gait.period)
     refs, arcs, count, rates = gait._kinematics(_XP, tm)
     n, n_pieces = len(tm), len(arcs) - 1
     ok = np.ones(n, dtype=bool)
     for j in range(n_pieces):
         ok &= (j >= count) | (refs[j + 1] > refs[j]) & (arcs[j + 1] > arcs[j])
     _require_valid(gait, times, ok)
-    block = np.empty((n, n_pieces + 1))
+    block = np.empty((n_pieces + 1, n))  # pieces first: one contiguous row per node
     for j, arc in enumerate(arcs):
-        block[:, j] = arc
+        block[j] = arc
 
     def rate_block() -> np.ndarray:
-        out = np.empty((n, n_pieces, 2))
+        out = np.empty((n_pieces, 2, n))
         for j, (r0, r1) in enumerate(rates()):
-            out[:, j, 0], out[:, j, 1] = r0, r1
-        return out
+            out[j, 0], out[j, 1] = r0, r1
+        return out.transpose(2, 0, 1)
 
-    return block, rate_block
+    return block.T, rate_block
+
+
+def _phases(times: np.ndarray, period: float) -> np.ndarray:
+    """``np.remainder(times, period)``, bit for bit.  On ``[0, 2 * period)``
+    the remainder is ``t + 0.0`` below the period (``+ 0.0`` turns -0.0 into
+    the +0.0 ``np.remainder`` gives) and ``t - period`` from it on, exact by
+    Sterbenz's lemma; the midpoint grid's period-0 times all lie there.  Any
+    other block (negative, NaN or infinite times, or later periods) takes
+    ``np.remainder``."""
+    if not (times.min() >= 0.0 and times.max() < 2.0 * period):
+        return np.remainder(times, period)
+    out = times + 0.0
+    return np.subtract(times, period, out=out, where=times >= period)
 
 
 def _require_valid(gait: GaitProgram, times: np.ndarray, ok: np.ndarray) -> None:
@@ -469,7 +493,8 @@ def _resolve(
 class _Rows:
     """A block of shapes as the row sources read it: rows run
     along the last axis of every array, so that numpy's inner loops run over
-    the block; pieces and breakpoints run along the first.  ``pieces`` are
+    the block; pieces and breakpoints run along the first.  On ``_shapes``'
+    blocks, which are stored so, this copies nothing.  ``pieces`` are
     ``(seg, r0, r1)``, and ``vscale``, ``fscale`` and ``atol`` are
     ``balance._breaks_and_scales``, row by row."""
 
@@ -532,8 +557,10 @@ def _collapsed(mask: np.ndarray) -> np.ndarray | np.bool_:
     """``mask``, or its one value as a numpy bool scalar (``np.True_`` or
     ``np.False_``) where every element has it, so that a choice every row
     makes the same way is made once (:func:`_pick`)."""
-    every = mask.all()
-    return every if every or not mask.any() else mask
+    n = np.count_nonzero(mask)
+    if n == mask.size:
+        return np.True_
+    return mask if n else np.False_
 
 
 def _pick(mask: np.ndarray | np.bool_, a, b):

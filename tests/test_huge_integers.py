@@ -17,7 +17,15 @@ import numpy as np
 import pytest
 
 from dircrawl import analytic, balance, engine, friction, midpoint
-from dircrawl.body import Breather, CompositeStride, SquareWave, TwoSegmentPath
+from dircrawl.body import (
+    Breather,
+    CompositeStride,
+    ConstantLength,
+    PiecewiseAffineShape,
+    ShapeRate,
+    SquareWave,
+    TwoSegmentPath,
+)
 from dircrawl.friction import FrictionLaw
 
 _LAW = FrictionLaw(0.75, 0.25, 0, 0)
@@ -102,6 +110,33 @@ def test_a_field_too_large_for_a_float_is_refused_by_name(build, name):
 def test_an_argument_too_large_for_a_float_is_refused_by_name(run, name):
     with _refused(name):
         run(SquareWave(1.0, 0.3, 0.4, 1.0))
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: Breather(1.0, 0.5, 1.0).shape_at(_HUGE), "t"),
+        (lambda: Breather(1.0, 0.5, 1.0).rate_at(-_HUGE), "t"),
+        (lambda: ConstantLength(1.0, 0.5, 0.4, 0.2, 1.0).shape_at(_HUGE), "t"),
+        (lambda: ConstantLength(1.0, 0.5, 0.4, 0.2, 1.0).rate_at(_HUGE), "t"),
+        (lambda: SquareWave(1.0, 0.3, 0.4, 1.0).shape_at(_HUGE), "t"),
+        (lambda: SquareWave(1.0, 0.3, 0.4, 1.0).rate_at(_HUGE), "t"),
+        (lambda: CompositeStride(1.0, 0.3, 1.5).shape_at(-_HUGE), "t"),
+        (lambda: PiecewiseAffineShape((0.0, 1.0), (0.0, _HUGE)), "arc[1]"),
+        (lambda: PiecewiseAffineShape((0, 1, _HUGE), (0.0, 1.0, 2.0)), "ref[2]"),
+        (lambda: ShapeRate((0.0, 1.0), ((0.0, _HUGE),)), "seg_rates[0][1]"),
+        (lambda: ShapeRate((0.0, 1.0, 2.0), ((0.0, 1.0), (-_HUGE, 1.0))), "seg_rates[1][0]"),
+        (lambda: ShapeRate((0.0, _HUGE), ((0.0, 1.0),)), "ref[1]"),
+    ],
+    ids=[
+        "breather-shape-t", "breather-rate-t", "constant-length-shape-t",
+        "constant-length-rate-t", "wave-shape-t", "wave-rate-t", "stride-shape-t",
+        "shape-arc", "shape-ref", "rate-seg-rates", "rate-seg-rates-left", "rate-ref",
+    ],
+)
+def test_a_time_or_node_value_too_large_for_a_float_is_refused_by_name(build, name):
+    with _refused(name):
+        build()
 
 
 def test_the_message_holds_no_digits_of_an_integer_too_long_to_print():
