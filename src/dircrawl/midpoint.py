@@ -35,10 +35,9 @@ fewer pieces end in zero-length pieces repeating the last node and rate
 first, ``(P + 1, n)`` and ``(P, 2, n)``, and handed out as transposed views:
 ``_shapes`` writes one contiguous row per node or piece end, and ``_Rows``,
 which reads rows along the last axis, takes that memory as it is.  A block's
-phases are its times modulo the period, by ``_phases``: ``t + 0.0`` below
-the period and ``t - period`` from it, exact, where every time lies in
-``[0, 2 * period)`` (period 0's grid), else ``np.remainder``; the bits are
-``np.remainder``'s either way.
+phases (times modulo the period) have ``np.remainder``'s bits; on period
+0's grid, ``[0, period]``, ``_phases`` forms them exactly as ``t + 0.0``
+below the period and ``t - period`` at it, with no ``np.remainder`` call.
 """
 
 from __future__ import annotations
