@@ -72,6 +72,10 @@ _STICK_RTOL = 1e-12  # a piece sticks where |v| <= _STICK_RTOL * vscale
 _WHOLE_BODY_RTOL = 1e-12  # the whole body sticks from (1 - _WHOLE_BODY_RTOL) of it
 _ROOT_SLACK = 1e-12  # a root this far outside its gap, times max(width, |lo|, |hi|), is kept
 _DISC_RTOL = 1e-12  # a discriminant above -_DISC_RTOL * (b^2 + |4ac|) is zero
+# A quadratic's b^2 + |4ac| outside [_SPAN_MIN, _SPAN_MAX] is rescaled first
+# (_quadratic_roots); the midpoint rows read these names too.
+_SPAN_MIN, _SPAN_MAX = 2.0**-960, 2.0**960
+_NO_EXPONENT = -1074  # below every frexp exponent of a nonzero double
 # Every tolerance scales with the inputs: vscale = max|r| and the root slack
 # is relative to the gap's own magnitude, so scaling every rate by 2**k and
 # every viscosity by 2**-k scales the solution by exactly 2**k, while every
@@ -268,17 +272,37 @@ def _poly_roots_in(
             return []
         x = -c / b
         return [x] if lo <= x <= hi else []
-    disc = b * b - 4.0 * a * c
+    return [x for x in _quadratic_roots(a, b, c) if lo <= x <= hi]
+
+
+def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:
+    """Real roots of ``a x^2 + b x + c``, ``a`` nonzero, in the form that
+    does not cancel: ``(q/a, c/q)`` with ``q = -(b + sign(b) sqrt(b^2 -
+    4ac)) / 2``, ``(0.0,)`` where ``q`` is 0, and none where the
+    discriminant is below ``-_DISC_RTOL * (b^2 + |4ac|)``.  Where ``b^2 +
+    |4ac|`` leaves ``[_SPAN_MIN, _SPAN_MAX]``, the coefficients are first
+    divided by a power of two that brings ``b`` or ``sqrt|ac|`` near 1,
+    whichever is larger (a zero one counts as smaller), and ``a`` below
+    ``2**1021``, where ``4a`` is finite, which keeps the roots; elsewhere
+    they are used as they are."""
+    bb, ac = b * b, 4.0 * a * c
+    if not _SPAN_MIN <= bb + abs(ac) <= _SPAN_MAX:
+        eb, ea, ec = (math.frexp(v)[1] if v else _NO_EXPONENT for v in (b, a, c))
+        k = max(eb, (ea + ec) // 2, ea - 1021)
+        # an a that underflows to 0 keeps the least subnormal, so that q/a
+        # overflows to inf, as the midpoint rows' q/0 does
+        a = math.ldexp(a, -k) or math.copysign(math.ulp(0.0), a)
+        b, c = math.ldexp(b, -k), math.ldexp(c, -k)
+        bb, ac = b * b, 4.0 * a * c
+    disc = bb - ac
     if disc < 0.0:
-        if disc > -_DISC_RTOL * (b * b + abs(4.0 * a * c)):
+        if disc > -_DISC_RTOL * (bb + abs(ac)):
             disc = 0.0
         else:
-            return []
+            return ()
     sq = math.sqrt(disc)
     q = -0.5 * (b + math.copysign(sq, b)) if b != 0.0 else -0.5 * sq
-    if q == 0.0:
-        return [0.0] if lo <= 0.0 <= hi else []
-    return [x for x in (q / a, c / q) if lo <= x <= hi]
+    return (q / a, c / q) if q != 0.0 else (0.0,)
 
 
 def solve_velocity(

@@ -191,6 +191,9 @@ class _ProfileGait:
         if self.profile is None and not math.isfinite(self.delta * (math.pi / self.period)):
             raise ValueError(f"period={self.period!r} is too short for delta={self.delta!r}: "
                              "the bump's rate delta * pi / period is not finite")
+        if self.profile is None and not math.isfinite(2.0 * math.pi * self.period):
+            raise ValueError(f"period={self.period!r} is too long: "
+                             "the bump's phase 2 * pi * period is not finite")
         object.__setattr__(self, "_rest", rest)
 
     def _value(self, t: float) -> float:

@@ -290,19 +290,13 @@ def _rate_linear(solved, pieces_at):
 
 def _falling_root(a: float, b: float, c: float) -> float:
     """The root of ``a x^2 + b x + c`` where it falls, ``(-b - sqrt(b^2 - 4ac))
-    / 2a`` in the form that does not cancel; ``-c/b`` for ``a = 0``.  Where
-    ``b^2`` or ``4ac`` would leave the double range, the coefficients are
-    first divided by a power of two that brings ``b`` or ``sqrt|ac|`` near
-    1, which keeps the roots; elsewhere they are used as they are."""
-    if a == 0.0 and b < 0.0:
+    / 2a``, taken from :func:`balance._quadratic_roots` in the form that does
+    not cancel; ``-c/b`` for ``a = 0``; NaN where the discriminant is below
+    its tolerance."""
+    if a == 0.0 and b <= 0.0:
         return -c / b
-    bb, ac = b * b, 4.0 * a * c
-    if not 2.0**-960 <= bb + abs(ac) <= 2.0**960:
-        k = max(math.frexp(b)[1], (math.frexp(a)[1] + math.frexp(c)[1]) // 2)
-        a, b, c = math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k)
-        bb, ac = b * b, 4.0 * a * c
-    sq = math.sqrt(max(bb - ac, 0.0))
-    return 2.0 * c / (sq - b) if b <= 0.0 else -(b + sq) / (2.0 * a)
+    roots = balance._quadratic_roots(a, b, c) or (math.nan,)
+    return roots[0] if b >= 0.0 else roots[-1]
 
 
 def _constant_rate_stage(
@@ -360,7 +354,7 @@ def _sub_interval(
     xa, xb = _falling_root(*ends[0]), _falling_root(*ends[1])
     xm = _falling_root(*coefficients(0.5 * (ta + tb)))
     lo, hi = balance._widened(model.breaks[k], model.breaks[k + 1])
-    if not (lo <= min(xa, xb) and max(xa, xb) <= hi):
+    if not (lo <= xa <= hi and lo <= xb <= hi):
         return None
     # relative to the roots themselves: the cycle's scale is theirs, not 1
     if not abs(xm - x) <= _CYCLE_TOL * max(abs(xa), abs(xb), abs(x)):

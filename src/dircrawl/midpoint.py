@@ -664,7 +664,9 @@ def _poly_roots_rows(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``balance._poly_roots_in`` elementwise: the first root kept, and how
-    many were kept."""
+    many were kept.  The quadratic root is ``balance._quadratic_roots``'s,
+    whose power-of-two rescale runs only on a call where some row's ``b^2 +
+    |4ac|`` leaves ``[balance._SPAN_MIN, balance._SPAN_MAX]``."""
     slack = balance._ROOT_SLACK * np.maximum(hi - lo, np.maximum(np.abs(lo), np.abs(hi)))
 
     def keep(x: np.ndarray) -> np.ndarray:
@@ -676,8 +678,17 @@ def _poly_roots_rows(
         x_lin = -c / b
         n_lin = np.where(b == 0.0, 0, keep(x_lin))
     if linear is not np.True_:
-        disc = b * b - 4.0 * a * c
-        near = (disc < 0.0) & (disc > -balance._DISC_RTOL * (b * b + np.abs(4.0 * a * c)))
+        bb, ac = b * b, 4.0 * a * c
+        span = bb + np.abs(ac)
+        out = ~((span >= balance._SPAN_MIN) & (span <= balance._SPAN_MAX))  # NaN too, as in balance
+        if out.any():
+            eb, ea, ec = (np.where(v == 0.0, balance._NO_EXPONENT, np.frexp(v)[1]) for v in (b, a, c))
+            k = np.maximum(np.maximum(eb, (ea + ec) // 2), ea - 1021) * out
+            a, b, c = np.ldexp(a, -k), np.ldexp(b, -k), np.ldexp(c, -k)
+            bb, ac = b * b, 4.0 * a * c
+            span = bb + np.abs(ac)
+        disc = bb - ac
+        near = (disc < 0.0) & (disc > -balance._DISC_RTOL * span)
         disc = np.where(near, 0.0, disc)
         sq = np.sqrt(disc)
         q = np.where(b != 0.0, -0.5 * (b + np.copysign(sq, b)), -0.5 * sq)

@@ -163,3 +163,28 @@ def test_a_period_of_two_to_the_k_keeps_every_bit_for_k_to_1000(make):
     base = engine.cycle_displacement(_NEWTONIAN, make(1.0)).net_displacement
     for k in (*range(-1000, 1001, 125), -540, -520, -518, 505, 515, 518, 520, 540):
         assert engine.cycle_displacement(_NEWTONIAN, make(2.0**k)).net_displacement == base, k
+
+
+# The mixed crawler of seed 11 of the `cycles` stream scaled by (250, 250,
+# 250): its forces reach ~2**500, where a gap polynomial's b * b and 4ac left
+# the double range, its root was lost and both integrators raised
+# DegenerateSubstrateError.  With the coefficients rescaled by a power of two
+# each cycle is exactly 2**250 times its value at unit scale.
+_SQUARE_OVERFLOWED = (inputs.draw(11, "cycles", 0, "constant_length/mixed", dircrawl), (250, 250, 250))
+
+
+@pytest.mark.parametrize("integrator", ["default", "midpoint"])
+def test_a_crawler_whose_square_left_the_range_scales_exactly(integrator):
+    case, (m, n, j) = _SQUARE_OVERFLOWED
+
+    def cycle(case):
+        law, gait = case.build(dircrawl)
+        dt = None if integrator == "default" else gait.period / 400
+        return engine.cycle_displacement(law, gait, dt=dt).net_displacement
+
+    scaled = _scaled(case, m, n, j)
+    x = cycle(scaled)
+    assert x == math.ldexp(cycle(case), m)
+    if integrator == "default":
+        closed = inputs.closed_form(scaled, dircrawl)
+        assert abs(x - closed) <= 1e-6 * max(math.ldexp(1.0, m), abs(closed)), (x, closed)

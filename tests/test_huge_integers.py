@@ -164,3 +164,28 @@ def test_path_vertices_beyond_2_53_give_one_rate_on_every_path():
     # both integrators move the body 2.0 a cycle
     assert engine.cycle_displacement(_LAW, gait).net_displacement == 2.0
     assert engine.cycle_displacement(_LAW, gait, dt=0.01).net_displacement == 2.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Breather(1.0, 0.5, 2.0**1023),
+        # shape_at(0.85e308) raised a bare "math domain error": pi * t overflowed
+        lambda: Breather(1.0, 0.5, 1.7e308),
+        # the rate's 2 * pi * t overflows from t = 2.9e307, near this period's end
+        lambda: Breather(1.0, 0.5, 3e307),
+        lambda: ConstantLength(1.0, 0.5, 0.4, 0.2, 2.0**1023),
+    ],
+    ids=["breather-2**1023", "breather-1.7e308", "breather-3e307", "constant-length-2**1023"],
+)
+def test_a_period_too_long_for_the_default_bump_is_refused_by_name(build):
+    with pytest.raises(ValueError, match=r"^period=\S+ is too long: "):
+        build()
+
+
+def test_a_long_period_that_the_bump_can_take_evaluates_to_its_end():
+    # 2 * pi * 2.8e307 is finite; a custom profile has no bump to overflow
+    gait = Breather(1.0, 0.5, 2.8e307)
+    assert math.isfinite(gait.rate_at(0.999 * gait.period).seg_rates[0][1])
+    custom = Breather(1.0, 0.5, 2.0**1023, profile=lambda t: 1.0, profile_rate=lambda t: 0.0)
+    assert custom.shape_at(0.85 * custom.period).length == 1.0

@@ -21,13 +21,15 @@ by ``2**j``, viscosities by ``2**(j - m + n)``), with ``|m|``, ``|n|`` and
 A scan of seeds 1-40 of the stride and both profile classes, all three law
 families, on both integrators, at the 56 such scales whose viscosities stay
 finite (``|j - m + n| <= 900``), read at most 3.5e-15 on a stride's midpoint
-grid and 5.8e-16 on a profile gait, over 31,678 pairs; the negative control
-was at least 3.1e-4 off.  The other pairs raised
-:class:`DegenerateSubstrateError` where a gap polynomial's coefficients, or
-its ``b * b`` or ``4ac`` in ``balance._poly_roots_in``, leave the double
-range and its root is lost: every Newtonian and mixed case at 18 scales,
-and the default cycle of one mixed constant-length crawler at two more.
-The scales here are among the rest.
+grid and 5.8e-16 on a profile gait, over 37,440 pairs; the negative control
+was at least 3.1e-4 off.  The other 2,880 pairs raised
+:class:`DegenerateSubstrateError` where a gap polynomial's coefficients
+themselves leave the double range: every Newtonian and mixed case at the 6
+scales whose viscosities are scaled by ``2**±900``.  Before
+``balance._quadratic_roots`` rescaled a polynomial whose ``b * b`` or
+``4ac`` leaves the range, 8,642 pairs raised: those cases at 18 scales, and
+the default cycle of one mixed constant-length crawler at two more.  The
+scales here are among the rest.
 """
 
 from __future__ import annotations

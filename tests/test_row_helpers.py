@@ -151,3 +151,32 @@ def test_a_slightly_negative_discriminant_is_a_double_root_in_both(a, root, ulps
     assert n.tolist() == [2]
     assert x.tobytes() == _bits(roots[:1])
     assert math.isclose(roots[0], root, rel_tol=1e-5)
+
+
+_ROOT = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 4.0, -4.0]), _spread(-4.0, 4.0))
+_SCALE = st.one_of(st.integers(500, 1100), st.integers(-1100, -500))
+
+
+@settings(max_examples=300)
+@given(_NONZERO, _ROOT, _ROOT, _SCALE)
+# b = 0: the power of two comes from sqrt|ac| alone
+@example(1.0, 1.0, -1.0, -700)
+# c = 0: b * b underflows unless b alone sets the power of two
+@example(1.0, 0.0, 2.0**-200, -560)
+# 4a overflows, so 4ac and the span are NaN: both rescale such a row
+@example(0.001, 0.0, 0.0, 1032)
+def test_roots_do_not_depend_on_a_power_of_two_scale(a, r1, r2, k):
+    # a (x - r1) (x - r2) times 2**k, where b * b + |4ac| leaves
+    # [2**-960, 2**960]: the roots are those of the unscaled polynomial
+    coeffs = (a, -a * (r1 + r2), a * r1 * r2)
+    scaled = tuple(balance._ldexp(v, k) for v in coeffs)
+    assume(all(u == 0.0 or 2.0**-1022 <= abs(v) < math.inf for u, v in zip(coeffs, scaled)))
+    roots = balance._poly_roots_in(*coeffs, -4.0, 4.0)
+    assert [x.hex() for x in balance._poly_roots_in(*scaled, -4.0, 4.0)] == [x.hex() for x in roots]
+    # both as one block: one row rescaled, one not
+    rows = (np.array([u, v]) for u, v in zip(coeffs + (-4.0, 4.0), scaled + (-4.0, 4.0)))
+    with np.errstate(all="ignore"):
+        x, n = _poly_roots_rows(*rows)
+    assert n.tolist() == [len(roots)] * 2
+    if roots:
+        assert x.tobytes() == _bits(roots[:1] * 2)

@@ -117,8 +117,8 @@ def test_fallback_rows_take_no_public_scalar_path(monkeypatch, gait):
     "law, gait",
     [
         (_MIXED, _FAILING_PROFILE),
-        # rate 9.2e-301: the balance leaves a residual of 0.52 (DegenerateSubstrateError)
-        (_MIXED, Breather(ref_length=1.0, delta=0.5, period=1e300)),
+        # the force scale overflows (DegenerateSubstrateError)
+        (_MIXED, Breather(ref_length=1e200, delta=1e199, period=1.0)),
     ],
 )
 def test_failing_runs_raise_their_errors_without_the_public_scalar_path(monkeypatch, law, gait):

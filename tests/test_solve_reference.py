@@ -8,9 +8,26 @@ must return the same five outputs bit for bit (signed zeros included), or
 raise the same error with the same message, on piece sets of every kind the
 solver meets: rigid, crossing and zero-length pieces, dry (plateau) and
 one-sided laws, at magnitudes up to 1e+-300.
+
+The one exception is a gap polynomial whose ``b*b + |4ac|`` leaves
+``[balance._SPAN_MIN, balance._SPAN_MAX]``: ``balance._quadratic_roots``
+divides its coefficients by a power of two first, where the reference
+formed ``b*b - 4ac`` as it was and could lose the root.  A result that
+differs there is held to exact rational arithmetic instead: each root must
+be where the polynomial changes sign, within a few ulps, and a solve's
+force must keep the README's contract, a residual within 1e-9 of the force
+scale ``(tau_minus + tau_plus + (mu_minus + mu_plus) max|r|) * length``.
+That is looser than a sign change within a few ulps of the velocity, which
+the solve misses where its end rates nearly agree: in 20,000 random draws,
+313 solves differed from the reference, up to 1.3e8 ulps from the exact
+sign change, and none left an exact residual above 9.3e-10 of the scale.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -79,6 +96,61 @@ def _outcome(solve, law, pieces, l_total):
     return x.hex(), regime, residual.hex(), stick, signs
 
 
+def _in_range(a: float, b: float, c: float) -> bool:
+    """Whether ``balance`` takes the quadratic's coefficients as they are."""
+    return balance._SPAN_MIN <= b * b + abs(4.0 * a * c) <= balance._SPAN_MAX
+
+
+def _exact_force(law, pieces, x: Fraction) -> tuple[Fraction, Fraction]:
+    """The total force at ``x1dot = x``, summed in rational arithmetic, as
+    ``(lo, hi)``: each piece split at its zero crossing, a static part's
+    yield interval times its length."""
+    tm, tp, mm, mp = (Fraction(v) for v in (law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus))
+
+    def sliding(length, u0, u1):
+        if u0 <= 0 and u1 <= 0:
+            return tm * length - mm * (u0 + u1) / 2 * length
+        return -tp * length - mp * (u0 + u1) / 2 * length
+
+    point, static = Fraction(0), Fraction(0)
+    for s0, s1, r0, r1 in pieces:
+        seg, v0, v1 = Fraction(s1) - Fraction(s0), x + Fraction(r0), x + Fraction(r1)
+        if v0 == 0 and v1 == 0:
+            static += seg
+        elif v0 * v1 >= 0:
+            point += sliding(seg, v0, v1)
+        else:
+            first = seg * v0 / (v0 - v1)
+            point += sliding(first, v0, Fraction(0)) + sliding(seg - first, Fraction(0), v1)
+    return point - tp * static, point + tm * static
+
+
+def _keeps_the_residual_contract(law, pieces, l_total: float, x: float) -> bool:
+    """The exact force at ``x`` is within 1e-9 of the force scale of zero."""
+    lo, hi = _exact_force(law, pieces, Fraction(x))
+    vmax = max(abs(r) for piece in pieces for r in piece[2:])
+    tm, tp, mm, mp = (Fraction(v) for v in (law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus))
+    fscale = (tm + tp + (mm + mp) * Fraction(vmax)) * Fraction(l_total)
+    return max(lo, -hi, 0) <= Fraction(1e-9) * fscale
+
+
+# how far from a root, in ulps, the exact sign change may lie
+_ULPS = 4
+
+
+def _changes_sign(a: float, b: float, c: float, x: float) -> bool:
+    """The exact ``p(t) = a t^2 + b t + c`` is zero within a few ulps of
+    ``x``; for an infinite ``x``, beyond the double range on its side."""
+
+    def p(t: Fraction) -> Fraction:
+        return Fraction(a) * t * t + Fraction(b) * t + Fraction(c)
+
+    if math.isinf(x):  # p takes a's sign at x's infinity
+        return p(Fraction(2**1024) * (1 if x > 0 else -1)) * Fraction(a) <= 0
+    d = _ULPS * Fraction(math.ulp(x))
+    return p(Fraction(x)) == 0 or p(Fraction(x) - d) * p(Fraction(x) + d) <= 0
+
+
 @settings(max_examples=400)
 @given(_cases())
 # a dry plateau, a one-sided tail, a body that sticks whole, a 1e300 overflow
@@ -86,11 +158,28 @@ def _outcome(solve, law, pieces, l_total):
 @example((FrictionLaw(0.0, 1.0, 0.0, 1.0), [(0.0, 1.0, -1.0, 1.0)], 1.0))
 @example((FrictionLaw(1.0, 2.0, 0.0, 0.0), [(0.0, 1.0, 0.5, 0.5)], 1.0))
 @example((FrictionLaw(1.0, 1.0, 1e300, 1e300), [(0.0, 1e300, 0.0, 1e300)], 1e300))
+# b*b and 4ac underflow: the reference raises, the rescaled root is
+# -sqrt(0.001) / (1 + sqrt(0.001))
+@example((FrictionLaw(0.0, 0.0, 1.0, 0.001), [(0.0, 1e-300, 0.0, 1.0)], 1e-300))
 def test_solve_matches_the_reference_bit_for_bit(case):
     law, pieces, l_total = case
-    assert _outcome(balance._solve, law, pieces, l_total) == _outcome(
-        reference_solve, law, pieces, l_total
-    )
+    spans = []
+    quadratic_roots = balance._quadratic_roots
+
+    def recorded(a, b, c):
+        spans.append(_in_range(a, b, c))
+        return quadratic_roots(a, b, c)
+
+    with mock.patch.object(balance, "_quadratic_roots", recorded):
+        got = _outcome(balance._solve, law, pieces, l_total)
+    want = _outcome(reference_solve, law, pieces, l_total)
+    if all(spans) or got == want:
+        assert got == want
+    elif got[0] is DegenerateSubstrateError:
+        # the reference lost the root, and the rescaled one misses the residual
+        assert want[0] is DegenerateSubstrateError, (got, want)
+    else:
+        assert _keeps_the_residual_contract(law, pieces, l_total, float.fromhex(got[0])), (got, want)
 
 
 @pytest.mark.parametrize("swap", [False, True])
@@ -121,7 +210,12 @@ _ROOT_COEF = st.one_of(
 @example(1.0, -2.0, 1.0, 0.0, 2.0)  # a double root
 @example(0.0, 0.0, 0.0, -1.0, 1.0)  # a constant: no root
 @example(1.0, 0.0, 0.0, -1.0, 1.0)  # q == 0: the root 0
+@example(1e-300, 1e300, 1e-300, -1.0, 1.0)  # the rescale underflows a: q/a is -inf
 def test_poly_roots_match_the_reference_bit_for_bit(a, b, c, g0, g1):
     lo, hi = min(g0, g1), max(g0, g1)
-    got = [x.hex() for x in balance._poly_roots_in(a, b, c, lo, hi)]
-    assert got == [x.hex() for x in reference_poly_roots_in(a, b, c, lo, hi)]
+    got = balance._poly_roots_in(a, b, c, lo, hi)
+    if a == 0.0 or _in_range(a, b, c):
+        assert [x.hex() for x in got] == [x.hex() for x in reference_poly_roots_in(a, b, c, lo, hi)]
+    else:
+        # rescaled: each root must be one of the exact polynomial's
+        assert all(_changes_sign(a, b, c, x) for x in got), got
