@@ -73,8 +73,10 @@ _WHOLE_BODY_RTOL = 1e-12  # the whole body sticks from (1 - _WHOLE_BODY_RTOL) of
 _ROOT_SLACK = 1e-12  # a root this far outside its gap, times max(width, |lo|, |hi|), is kept
 _DISC_RTOL = 1e-12  # a discriminant above -_DISC_RTOL * (b^2 + |4ac|) is zero
 # A quadratic's b^2 + |4ac| outside [_SPAN_MIN, _SPAN_MAX] is rescaled first
-# (_quadratic_roots); the midpoint rows read these names too.
+# (_quadratic_roots), and a crossing piece whose |r0| + |r1| leaves [_RATE_MIN,
+# _RATE_MAX] is summed at unit scale (_unit_crossing); the rows read these too.
 _SPAN_MIN, _SPAN_MAX = 2.0**-960, 2.0**960
+_RATE_MIN, _RATE_MAX = 2.0**-256, 2.0**256
 _NO_EXPONENT = -1074  # below every frexp exponent of a nonzero double
 # Every tolerance scales with the inputs: vscale = max|r| and the root slack
 # is relative to the gap's own magnitude, so scaling every rate by 2**k and
@@ -179,16 +181,12 @@ def _force(law: FrictionLaw, pieces: _Pieces, x1dot: float) -> tuple[float, floa
             point_sum += tm * seg - mm * 0.5 * (v0 + v1) * seg
         elif v0 >= 0.0 and v1 >= 0.0:
             point_sum += -tp * seg - mp * 0.5 * (v0 + v1) * seg
-        else:
-            frac = v0 / (v0 - v1)
-            len_a = frac * seg
+        else:  # a crossing: (tau, mu) of each part, the backward one's where v0 < 0
+            len_a = v0 / (v0 - v1) * seg
             len_b = seg - len_a
-            if v0 < 0.0:  # negative then positive
-                point_sum += tm * len_a - mm * 0.5 * v0 * len_a
-                point_sum += -tp * len_b - mp * 0.5 * v1 * len_b
-            else:  # positive then negative
-                point_sum += -tp * len_a - mp * 0.5 * v0 * len_a
-                point_sum += tm * len_b - mm * 0.5 * v1 * len_b
+            t0, m0, t1, m1 = (tm, mm, -tp, mp) if v0 < 0.0 else (-tp, mp, tm, mm)
+            point_sum += t0 * len_a - m0 * 0.5 * v0 * len_a
+            point_sum += t1 * len_b - m1 * 0.5 * v1 * len_b
     if static_len > 0.0:
         return point_sum - tp * static_len, point_sum + tm * static_len
     return point_sum, point_sum
@@ -199,8 +197,8 @@ def _segment_poly(
 ) -> tuple[float, float, float]:
     """Coefficients (a, b, c) of the total force a*x^2 + b*x + c, valid on
     the breakpoint-free segment containing ``x_probe``.  A piece whose
-    velocity crosses zero squares its rates, so one whose rates reach beyond
-    ``2**±256`` takes :func:`_unit_crossing`."""
+    velocity crosses zero adds :func:`_crossing`'s terms, or
+    :func:`_unit_crossing`'s where its rates leave the range."""
     tm, tp, mm, mp = law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus
     a = b = c = 0.0
     for s0, s1, r0, r1 in pieces:
@@ -213,21 +211,13 @@ def _segment_poly(
         elif v0 > 0.0 and v1 > 0.0:
             b += -mp * seg
             c += -tp * seg - mp * 0.5 * (r0 + r1) * seg
-        elif not 2.0**-256 <= abs(r0) + abs(r1) <= 2.0**256 and (v0 < 0.0 < v1 or v1 < 0.0 < v0):
-            da, db, dc = _unit_crossing(law, seg, r0, r1, x_probe)
-            a += da
-            b += db
-            c += dc
-        elif v0 < 0.0 < v1:
-            k = seg / (r1 - r0)
-            a += 0.5 * (mm - mp) * k
-            b += (-tm - tp + mm * r0 - mp * r1) * k
-            c += (-tm * r0 - tp * r1 + 0.5 * (mm * r0 * r0 - mp * r1 * r1)) * k
-        elif v1 < 0.0 < v0:
-            k = seg / (r0 - r1)
-            a += 0.5 * (mm - mp) * k
-            b += (-tm - tp - mp * r0 + mm * r1) * k
-            c += (-tp * r0 - tm * r1 + 0.5 * (mm * r1 * r1 - mp * r0 * r0)) * k
+        elif v0 < 0.0 < v1 or v1 < 0.0 < v0:
+            if _RATE_MIN <= abs(r0) + abs(r1) <= _RATE_MAX:
+                ends = (-tm, mm, -tp, -mp) if v0 < 0.0 else (-tp, -mp, -tm, mm)
+                da, db, dc = _crossing(*ends, seg, r0, r1)
+            else:
+                da, db, dc = _unit_crossing(law, seg, r0, r1, v0 < 0.0)
+            a, b, c = a + da, b + db, c + dc
         else:
             # a probe between two breakpoints that rounding put on one of them
             raise DegenerateSubstrateError(
@@ -237,20 +227,31 @@ def _segment_poly(
     return a, b, c
 
 
+def _crossing(t0, m0, t1, m1, seg, r0, r1):
+    """The force terms ``(a, b, c)`` of a piece of length ``seg`` whose
+    velocity crosses zero, with factors ``(-tau_minus, mu_minus)`` at an end
+    sliding backward and ``(-tau_plus, -mu_plus)`` at one sliding forward:
+    one form for both directions (``x - y * z`` is ``x + (-y) * z`` and IEEE
+    addition commutes), on floats or on the midpoint rows' arrays."""
+    k = seg / abs(r1 - r0)
+    a, b = 0.5 * (m0 + m1) * k, (t0 + t1 + m0 * r0 + m1 * r1) * k
+    return a, b, (t0 * r0 + t1 * r1 + 0.5 * (m0 * r0 * r0 + m1 * r1 * r1)) * k
+
+
 def _unit_crossing(
-    law: FrictionLaw, seg: float, r0: float, r1: float, x_probe: float
+    law: FrictionLaw, seg: float, r0: float, r1: float, up: bool
 ) -> tuple[float, float, float]:
-    """:func:`_segment_poly`'s terms of one piece of length ``seg`` whose
-    velocity crosses zero at ``x_probe``, summed with its rates ``r0``,
-    ``r1`` and the law at unit scale (:func:`analytic._unit_scale`) and
-    scaled back by exact powers of two: no square of a rate under- or
-    overflows, and wherever the unscaled sums stay normal each term keeps
-    their bits."""
+    """:func:`_crossing`'s terms of one piece of length ``seg`` whose
+    velocity crosses zero upward (``up``, backward at ``r0``) or downward,
+    summed with its rates ``r0``, ``r1`` and the law at unit scale
+    (:func:`analytic._unit_scale`) and scaled back by exact powers of two:
+    no square of a rate under- or overflows, and wherever the unscaled sums
+    stay normal each term keeps their bits."""
     tm, tp, mm, mp, _, n, e = analytic._unit_scale(
         law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus, abs(r0) + abs(r1)
     )
-    piece = [(0.0, seg, math.ldexp(r0, -n), math.ldexp(r1, -n))]
-    a, b, c = _segment_poly(FrictionLaw(tm, tp, mm, mp), piece, math.ldexp(x_probe, -n))
+    ends = (-tm, mm, -tp, -mp) if up else (-tp, -mp, -tm, mm)
+    a, b, c = _crossing(*ends, seg, math.ldexp(r0, -n), math.ldexp(r1, -n))
     return _ldexp(a, e - n), _ldexp(b, e), _ldexp(c, e + n)
 
 

@@ -617,7 +617,8 @@ class SquareWave(_NodeGait):
             )
         _require_normal_stage_times(self.delta, self.speed, "speed")
         L, d, e, c = self.ref_length, self.delta, self.epsilon, self.speed
-        for name, v in (("epsilon * speed", e * c), ("ref_length + epsilon * delta", L + e * d)):
+        for name, v in (("epsilon * speed", e * c), ("ref_length + epsilon * delta", L + e * d),
+                        ("period (ref_length + delta) / speed", self.period)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} overflows: {v!r} is not finite")
 

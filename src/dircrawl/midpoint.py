@@ -126,7 +126,9 @@ def _stage_grid(
     stage of a period.
 
     Raises :class:`StepLimitError` when ``n_periods`` periods at ``dt``
-    would take more than ``_MAX_STEPS`` steps, before building anything.
+    would take more than ``_MAX_STEPS`` steps, and
+    :class:`DegenerateSubstrateError` naming the period where the grid's
+    times would overflow, before building anything.
     """
     _require_above(0.0, "dt", dt)
     if n_periods > _MAX_STEPS:  # a period takes a step at least; a huge int overflows below
@@ -140,12 +142,13 @@ def _stage_grid(
             f"dt={dt!r} needs about {steps:.3g} steps for {n_periods} period(s), "
             f"more than the limit of {_MAX_STEPS}"
         )
+    counts = [max(1, math.ceil((b - a) / dt - 1e-9)) for a, b in spans]
+    ends = [(b - a) * n for (a, b), n in zip(spans, counts)] + [n_periods * gait.period]
+    if not all(map(math.isfinite, ends)):  # the grid's largest products
+        raise DegenerateSubstrateError(f"period={gait.period!r} is too long: grid times overflow")
     times = [np.zeros(1)]
-    counts = []
-    for a, b in spans:
-        n = max(1, math.ceil((b - a) / dt - 1e-9))
+    for (a, b), n in zip(spans, counts):
         times.append(a + (b - a) * np.arange(1, n + 1) / n)
-        counts.append(n)
     grid = np.concatenate(times)
     grid[-1] = gait.period
     # period p's times are p * period + grid[1:]; period 0's are the grid's own
@@ -626,37 +629,40 @@ def _segment_poly_rows(
     coefficients ``a, b, c``, summed over the pieces from +0.0 in piece
     order as the scalar ``+=`` loop adds (``np.sum`` adds pairwise), plus a
     mask of the probes that landed on a breakpoint.  A piece adds only the
-    forms some probe takes; ``a`` gains nothing where no probe crosses."""
+    forms some probe takes; ``a`` gains nothing where no probe crosses.  A
+    crossing adds ``balance._crossing``'s terms, or ``balance._unit_crossing``'s,
+    one call per row, where its rates leave ``balance``'s range."""
     tm, tp, mm, mp = law.tau_minus, law.tau_plus, law.mu_minus, law.mu_plus
     a = np.zeros(x_probe.shape)
     b = np.zeros(x_probe.shape)
     c = np.zeros(x_probe.shape)
     on_break = np.zeros(x_probe.shape, dtype=bool)
-    for s, q0, q1 in zip(seg, r0, r1):
+    span = np.abs(r0) + np.abs(r1)
+    # out of range; a piece with both rates 0 (a wave's first) or NaN never crosses
+    wide = (span > balance._RATE_MAX) | (span < balance._RATE_MIN) & (span != 0.0)
+    for s, q0, q1, out in zip(seg, r0, r1, wide):
         v0 = x_probe + q0
         v1 = x_probe + q1
         neg = _collapsed((v0 < 0.0) & (v1 < 0.0))
         one_sign = _collapsed(neg | (v0 > 0.0) & (v1 > 0.0))
-        one_b = one_c = cross_b = cross_c = None
+        one = cross = (None, None, None)  # a, b and c of a piece of one sign, of a crossing
         if one_sign is not np.False_:
             mu = _pick(neg, mm, mp)  # a piece of one sign: the side it slides in
-            one_b, one_c = -mu * s, _sliding_term(law, neg, s, q0 + q1)
+            one = None, -mu * s, _sliding_term(law, neg, s, q0 + q1)
         if one_sign is not np.True_:
             up = _collapsed((v0 < 0.0) & (0.0 < v1))  # a crossing from negative to positive
-            on_break |= ~(one_sign | up | (v1 < 0.0) & (0.0 < v0))
-            # A crossing's factors per end: (-tau_minus, mu_minus) sliding
-            # backward, (-tau_plus, -mu_plus) forward.  x - y * z is x + (-y) * z
-            # and IEEE addition commutes, so this form has the bits of both
-            # scalar forms; swapping a downward crossing's ends would reorder
-            # b's three terms.
-            t0, m0 = _pick(up, -tm, -tp), _pick(up, mm, -mp)
-            t1, m1 = _pick(up, -tp, -tm), _pick(up, -mp, mm)
-            k = s / np.abs(q1 - q0)
-            a = a + _pick(one_sign, 0.0, 0.5 * (mm - mp) * k)
-            cross_b = (-tm - tp + m0 * q0 + m1 * q1) * k
-            cross_c = (t0 * q0 + t1 * q1 + 0.5 * (m0 * q0 * q0 + m1 * q1 * q1)) * k
-        b = b + _pick(one_sign, one_b, cross_b)
-        c = c + _pick(one_sign, one_c, cross_c)
+            crossed = up | (v1 < 0.0) & (0.0 < v0)
+            on_break |= ~(one_sign | crossed)
+            ends = _pick(up, -tm, -tp), _pick(up, mm, -mp), _pick(up, -tp, -tm), _pick(up, -mp, mm)
+            cross = balance._crossing(*ends, s, q0, q1)
+            if out.any() and (at := np.flatnonzero(crossed & out)).size:  # at unit scale
+                rows = (np.broadcast_to(v, v0.shape).flat[at].tolist() for v in (s, q0, q1, up))
+                unit = [balance._unit_crossing(law, *row) for row in zip(*rows)]  # Python floats
+                cross = np.array(np.broadcast_arrays(*cross, crossed)[:3])
+                cross.reshape(3, -1)[:, at] = np.transpose(unit)
+            a = a + _pick(one_sign, 0.0, cross[0])
+        b = b + _pick(one_sign, one[1], cross[1])
+        c = c + _pick(one_sign, one[2], cross[2])
     return a, b, c, on_break
 
 

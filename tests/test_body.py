@@ -287,6 +287,18 @@ class TestSquareWave:
     @pytest.mark.parametrize(
         "wave",
         [
+            (1.0, 0.3, 0.4, 5.88e-309),  # a speed so slow that the period is infinite
+            (1e308, 5e307, 0.5, 0.5),  # a body so long
+        ],
+    )
+    def test_infinite_period_rejected_naming_speed(self, wave):
+        message = re.escape("period (ref_length + delta) / speed overflows: inf is not finite")
+        with pytest.raises(ValueError, match="^" + message):
+            SquareWave(*wave)
+
+    @pytest.mark.parametrize(
+        "wave",
+        [
             # period 5e-324: at t = 0 shape_at took it as inside, with two equal ref nodes
             (3.9e-142, 1.68e-142, -0.68, 7.8e181),
             # c * t < delta at t = 1e-323, but t < delta / c put it inside

@@ -188,3 +188,35 @@ def test_a_crawler_whose_square_left_the_range_scales_exactly(integrator):
     if integrator == "default":
         closed = inputs.closed_form(scaled, dircrawl)
         assert abs(x - closed) <= 1e-6 * max(math.ldexp(1.0, m), abs(closed)), (x, closed)
+
+
+# Midpoint cycles whose crossing pieces' rates leave [2**-256, 2**256]: at
+# these scales the rates fall to ~2**-650 or rise to ~2**650, where their
+# squares leave the double range.  Summed at unit scale
+# (balance._unit_crossing), each cycle is 2**m times its unit-scale value,
+# and no row goes to balance._solve.
+_FAR_RATES = [(-400, 400, -250), (400, -400, 250)]
+_FAR_RATE_CLASSES = [
+    "composite_stride/dry",
+    "composite_stride/newtonian",
+    "composite_stride/mixed",
+    "breather/mixed",
+    "constant_length/mixed",
+]
+
+
+@pytest.mark.parametrize("scale", _FAR_RATES, ids=str)
+@pytest.mark.parametrize("cls", _FAR_RATE_CLASSES)
+def test_midpoint_cycles_with_rates_out_of_range_scale_exactly(monkeypatch, cls, scale):
+    case, (m, n, j) = inputs.draw(1, "cycles", 0, cls, dircrawl), scale
+
+    def cycle(case):
+        law, gait = case.build(dircrawl)
+        return engine.cycle_displacement(law, gait, dt=gait.period / 400).net_displacement
+
+    unit = cycle(case)
+    scalar_rows, solve = [], dircrawl.balance._solve
+    monkeypatch.setattr(dircrawl.balance, "_solve", lambda *args: scalar_rows.append(args) or solve(*args))
+    x = cycle(_scaled(case, m, n, j))
+    assert abs(x - math.ldexp(unit, m)) <= 1e-13 * abs(math.ldexp(unit, m)), (x, unit)
+    assert scalar_rows == []

@@ -302,6 +302,24 @@ class TestStepLimit:
             with pytest.raises(StepLimitError, match="n_periods"):
                 engine.simulate(law, g, n_periods=n_periods)
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            # a stage's (b - a) * n overflows
+            lambda law: engine.simulate(law, CompositeStride(1.0, 0.3, 1.5, 1e308)),
+            lambda law: engine.cycle_displacement(law, CompositeStride(1.0, 0.3, 1.5, 1e308), dt=1e306),
+            lambda law: engine.simulate(law, SquareWave(1.0, 0.3, 0.4, 1.11e-308)),
+            # n_periods * period overflows
+            lambda law: engine.simulate(law, CompositeStride(1.0, 0.3, 1.5, 1e308), 2, dt=1e308),
+        ],
+        ids=["simulate", "cycle", "wave", "periods"],
+    )
+    def test_grid_whose_times_overflow_refused_naming_the_period(self, run):
+        # before any numpy overflow warning, which tier-1 makes an error
+        message = r"^period=\S+ is too long: grid times overflow$"
+        with pytest.raises(DegenerateSubstrateError, match=message):
+            run(FrictionLaw(1.0, 1.0, 1.0, 1.0))
+
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_non_finite_dt_rejected(self, dt):
         law = FrictionLaw(0.75, 0.25, 0, 0)

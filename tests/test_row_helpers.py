@@ -180,3 +180,25 @@ def test_roots_do_not_depend_on_a_power_of_two_scale(a, r1, r2, k):
     assert n.tolist() == [len(roots)] * 2
     if roots:
         assert x.tobytes() == _bits(roots[:1] * 2)
+
+
+_FAR = st.one_of(st.integers(257, 600), st.integers(-600, -257))
+
+
+def _crosses(pieces, probes) -> bool:
+    """Whether some probe finds some piece's velocity crossing zero."""
+    ends = [(x + r0, x + r1) for x in probes for *_, r0, r1 in pieces]
+    return any(v0 < 0.0 < v1 or v1 < 0.0 < v0 for v0, v1 in ends)
+
+
+@settings(max_examples=200)
+@given(_piece_sets(), _FAR)
+def test_segment_poly_rows_match_the_scalar_on_crossings_out_of_the_rate_range(case, k):
+    # rates and probes times 2**k: a crossing piece's squared rates leave the
+    # double range, and both sum it at unit scale (balance._unit_crossing)
+    law, pieces, probes = case
+    pieces = [(s0, s1, math.ldexp(r0, k), math.ldexp(r1, k)) for s0, s1, r0, r1 in pieces]
+    probes = [math.ldexp(x, k) for x in probes]
+    assume(_crosses(pieces, probes))
+    _check_segment_poly_rows((law, pieces, probes), one_per_block=False)
+    _check_segment_poly_rows((law, pieces, probes), one_per_block=True)
